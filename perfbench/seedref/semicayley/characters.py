@@ -1,0 +1,263 @@
+"""Irreducible characters of abelian groups and exact root-of-unity sums.
+
+Character sums live in Z[zeta_N], N the group exponent, and are stored as
+integer coefficient vectors indexed by powers of zeta_N.  Addition and
+multiplication are exact (polynomial arithmetic modulo x^N - 1), and
+rationality/integrality questions are decided by reducing modulo the N-th
+cyclotomic polynomial -- never by comparing floats.  A cached complex
+approximation feeds the numeric evolution paths.
+"""
+
+from __future__ import annotations
+
+import cmath
+import math
+from functools import lru_cache
+from typing import Iterable, NamedTuple
+
+import numpy as np
+
+from .errors import ValidationError
+from .groups import AbelianGroup, Element
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
+    """Coefficients of the n-th cyclotomic polynomial, constant term first.
+
+    Computed by exact integer division of x^n - 1 by Phi_d over the proper
+    divisors d of n; memoized because callers reduce modulo Phi_N often.
+    """
+    if n < 1:
+        raise ValidationError("cyclotomic polynomial index must be >= 1")
+    poly = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            poly = _exact_polydiv(poly, cyclotomic_polynomial(d))
+    return tuple(poly)
+
+
+def _exact_polydiv(num: list[int], den: tuple[int, ...]) -> list[int]:
+    # den must be monic and divide num exactly
+    num = list(num)
+    dn = len(den) - 1
+    qn = len(num) - 1 - dn
+    quot = [0] * (qn + 1)
+    for i in range(qn, -1, -1):
+        c = num[i + dn]
+        quot[i] = c
+        if c:
+            for j in range(dn + 1):
+                num[i + j] -= c * den[j]
+    if any(num):
+        raise ValidationError("polynomial division left a remainder")
+    return quot
+
+
+def _reduce_mod(coeffs: Iterable[int], den: tuple[int, ...]) -> tuple[int, ...]:
+    # remainder of coeffs modulo the monic polynomial den
+    rem = list(coeffs)
+    dn = len(den) - 1
+    for i in range(len(rem) - 1, dn - 1, -1):
+        c = rem[i]
+        if c:
+            rem[i] = 0
+            for j in range(dn):
+                rem[i - dn + j] -= c * den[j]
+    return tuple(rem[:dn])
+
+
+class CycloValue:
+    """Exact element of Z[zeta_N]: coeffs[j] multiplies exp(2*pi*i*j/N)."""
+
+    __slots__ = ("order", "coeffs", "_approx")
+
+    def __init__(self, order: int, coeffs: Iterable[int]) -> None:
+        order = int(order)
+        if order < 1:
+            raise ValidationError("root-of-unity order must be >= 1")
+        coeffs = tuple(int(c) for c in coeffs)
+        if len(coeffs) != order:
+            raise ValidationError(f"expected {order} coefficients, got {len(coeffs)}")
+        self.order = order
+        self.coeffs = coeffs
+        self._approx: complex | None = None
+
+    # -- constructors --------------------------------------------------------
+
+    @classmethod
+    def zero(cls, order: int) -> "CycloValue":
+        return cls(order, (0,) * order)
+
+    @classmethod
+    def from_integer(cls, value: int, order: int) -> "CycloValue":
+        coeffs = [0] * order
+        coeffs[0] = int(value)
+        return cls(order, coeffs)
+
+    @classmethod
+    def root(cls, numerator: int, order: int) -> "CycloValue":
+        coeffs = [0] * order
+        coeffs[int(numerator) % order] = 1
+        return cls(order, coeffs)
+
+    # -- basics ---------------------------------------------------------------
+
+    @property
+    def approx(self) -> complex:
+        if self._approx is None:
+            n = self.order
+            self._approx = sum(
+                c * cmath.exp(2j * math.pi * j / n) for j, c in enumerate(self.coeffs) if c
+            ) + 0j
+        return self._approx
+
+    def _coerce(self, other) -> "CycloValue":
+        if isinstance(other, int):
+            return CycloValue.from_integer(other, self.order)
+        if isinstance(other, CycloValue):
+            if other.order != self.order:
+                raise ValidationError(
+                    f"mixed root-of-unity orders {self.order} and {other.order}"
+                )
+            return other
+        return NotImplemented
+
+    def __add__(self, other) -> "CycloValue":
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return CycloValue(self.order, (a + b for a, b in zip(self.coeffs, other.coeffs)))
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "CycloValue":
+        return CycloValue(self.order, (-c for c in self.coeffs))
+
+    def __sub__(self, other) -> "CycloValue":
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return CycloValue(self.order, (a - b for a, b in zip(self.coeffs, other.coeffs)))
+
+    def __rsub__(self, other) -> "CycloValue":
+        return (-self) + other
+
+    def __mul__(self, other) -> "CycloValue":
+        if isinstance(other, int):
+            return CycloValue(self.order, (other * c for c in self.coeffs))
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        n = self.order
+        out = [0] * n
+        for i, a in enumerate(self.coeffs):
+            if a:
+                for j, b in enumerate(other.coeffs):
+                    if b:
+                        out[(i + j) % n] += a * b
+        return CycloValue(n, out)
+
+    __rmul__ = __mul__
+
+    def conj(self) -> "CycloValue":
+        n = self.order
+        return CycloValue(n, (self.coeffs[(-j) % n] for j in range(n)))
+
+    def abs_squared(self) -> "CycloValue":
+        return self * self.conj()
+
+    # -- exact decisions ------------------------------------------------------
+
+    def residue(self) -> tuple[int, ...]:
+        """Remainder of the coefficient polynomial modulo Phi_N."""
+        return _reduce_mod(self.coeffs, cyclotomic_polynomial(self.order))
+
+    def is_zero(self) -> bool:
+        return not any(self.residue())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (int, CycloValue)):
+            coerced = self._coerce(other)
+            return (self - coerced).is_zero()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.order, self.residue()))
+
+    def as_integer(self) -> int | None:
+        """The exact integer value, or None if the value is irrational.
+
+        The powers zeta_N^0 .. zeta_N^{phi(N)-1} are a Q-basis of Q(zeta_N),
+        so the value is rational iff its residue modulo Phi_N is constant;
+        being an algebraic integer, a rational value is that integer constant.
+        """
+        res = self.residue()
+        if any(res[1:]):
+            return None
+        return res[0]
+
+    def abs_as_integer(self) -> int | None:
+        """Exact |value| when it is an integer, else None."""
+        m = self.abs_squared().as_integer()
+        if m is None:
+            return None
+        s = math.isqrt(m)
+        return s if s * s == m else None
+
+    def __repr__(self) -> str:
+        return f"CycloValue(order={self.order}, coeffs={list(self.coeffs)})"
+
+    def to_json(self) -> dict:
+        a = self.approx
+        return {"N": self.order, "coeffs": list(self.coeffs), "re": a.real, "im": a.imag}
+
+
+class Root(NamedTuple):
+    """A single N-th root of unity exp(2*pi*i*numerator/order)."""
+
+    numerator: int
+    order: int
+
+    @property
+    def value(self) -> complex:
+        return cmath.exp(2j * math.pi * self.numerator / self.order)
+
+    def as_cyclo(self) -> CycloValue:
+        return CycloValue.root(self.numerator, self.order)
+
+
+def eval_character(group: AbelianGroup, char_index: Element, g: Element) -> Root:
+    """Value of the character indexed by char_index at the element g.
+
+    Characters of a product of cyclic groups are indexed by the same exponent
+    vectors as the elements; the value is the root of unity zeta_N^r with
+    r = sum_l j_l * i_l * (N / n_l) modulo N.
+    """
+    chi = group.validate_element(char_index)
+    g = group.validate_element(g)
+    n_exp = group.exponent
+    r = sum(j * i * (n_exp // n) for j, i, n in zip(chi, g, group.factors)) % n_exp
+    return Root(r, n_exp)
+
+
+def char_sum(group: AbelianGroup, char_index: Element, subset: Iterable[Element]) -> CycloValue:
+    """Exact character sum over a subset; the empty subset sums to zero."""
+    n_exp = group.exponent
+    coeffs = [0] * n_exp
+    for g in group.subset(subset):
+        coeffs[eval_character(group, char_index, g).numerator] += 1
+    return CycloValue(n_exp, coeffs)
+
+
+def character_matrix(group: AbelianGroup) -> np.ndarray:
+    """Complex matrix W with W[i, r] = (character i)(element r).
+
+    Rows and columns both follow the group enumeration order; row 0 is the
+    trivial character.
+    """
+    n_exp = group.exponent
+    elems = np.array(group.elements(), dtype=np.int64)
+    scale = np.array([n_exp // n for n in group.factors], dtype=np.int64)
+    exponents = (elems * scale) @ elems.T % n_exp
+    return np.exp(2j * np.pi * exponents / n_exp)

@@ -1,0 +1,411 @@
+"""Command-line front end.
+
+Commands: spectrum | evolve | pst-check | pst-find | period.  The graph comes
+from an inline JSON spec, a named family, or an index-2 Cayley description,
+either on the command line or in a --config file (which may also name the
+command).  Reports are deterministic: identical configs produce byte-identical
+JSON.  Times are carried as exact rational multiples of pi wherever they are
+exact; floats are derived fields.
+
+Exit codes: 0 success, 1 validation error, 2 internal consistency error.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import re
+import sys
+from fractions import Fraction
+
+from .errors import ConsistencyError, ValidationError
+from .groups import AbelianGroup
+from .graphs import (
+    SemiCayleySpec,
+    Vertex,
+    cone,
+    dicyclic_full_coset,
+    dihedral_full_coset,
+    dihedral_involutions,
+    from_cayley_index2,
+    generalized_dicyclic,
+    generalized_dihedral,
+    hypercube,
+    identity_action,
+    inversion,
+    join_spec,
+    sunlet,
+)
+from .pst import decide_pair, find_pst, periodicity, verify_at_time
+from .spectra import eigen_gcd, spectrum
+from .transfer import transfer_entry, transfer_matrix
+
+COMMANDS = ("spectrum", "evolve", "pst-check", "pst-find", "period")
+
+_TIME_RE = re.compile(r"^\s*(?:(\d+)\s*(?:/\s*(\d+))?\s*\*?\s*)?pi\s*$", re.IGNORECASE)
+
+
+def parse_time(expression) -> tuple[float, Fraction | None]:
+    """Parse 'p/q pi' style expressions or plain decimal floats.
+
+    Returns (seconds, pi_multiple) with pi_multiple None for decimal input.
+    """
+    if isinstance(expression, (int, float)):
+        return float(expression), None
+    text = str(expression).strip()
+    match = _TIME_RE.match(text)
+    if match:
+        num = int(match.group(1)) if match.group(1) else 1
+        den = int(match.group(2)) if match.group(2) else 1
+        if den == 0:
+            raise ValidationError("time denominator must be nonzero")
+        q = Fraction(num, den)
+        return float(q) * math.pi, q
+    try:
+        return float(text), None
+    except ValueError as exc:
+        raise ValidationError(f"cannot parse time expression {expression!r}") from exc
+
+
+def _time_json(value: float, pi_multiple: Fraction | None) -> dict:
+    return {"value": value, "pi_multiple": str(pi_multiple) if pi_multiple is not None else None}
+
+
+def parse_vertex(spec: SemiCayleySpec, obj) -> Vertex:
+    if isinstance(obj, str):
+        try:
+            obj = json.loads(obj)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"cannot parse vertex {obj!r}: expected [[exponents],layer]") from exc
+    try:
+        element, layer = obj
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"vertex must be [[exponents],layer], got {obj!r}") from exc
+    return spec.validate_vertex(Vertex(tuple(int(x) for x in element), int(layer)))
+
+
+def _family_spec(obj: dict) -> SemiCayleySpec:
+    name = obj["family"]
+    if name == "sunlet":
+        return sunlet(int(obj["n"]))
+    if name == "cone":
+        return cone(int(obj["n"]))
+    if name == "hypercube":
+        return hypercube(int(obj["n"]))
+    if name == "join":
+        group = AbelianGroup.from_json(obj["group"])
+        return join_spec(group, obj.get("R", []), obj.get("L", []))
+    if name == "dihedral-full-coset":
+        return dihedral_full_coset(AbelianGroup(obj["A"]))
+    if name == "dihedral-involutions":
+        return dihedral_involutions(AbelianGroup(obj["A"]))
+    if name == "dicyclic-full-coset":
+        return dicyclic_full_coset(AbelianGroup(obj["A"]), tuple(obj["y"]))
+    if name == "dihedral":
+        spec, _ = generalized_dihedral(AbelianGroup(obj["A"]), obj.get("T1", []), obj.get("T2", []))
+        return spec
+    if name == "dicyclic":
+        spec, _ = generalized_dicyclic(
+            AbelianGroup(obj["A"]), tuple(obj["y"]), obj.get("T1", []), obj.get("T2", [])
+        )
+        return spec
+    raise ValidationError(f"unknown family {name!r}")
+
+
+def _index2_spec(obj: dict) -> SemiCayleySpec:
+    subgroup = AbelianGroup.from_json(obj["H"])
+    action = obj.get("sigma", "identity")
+    if action == "identity":
+        sigma = identity_action(subgroup)
+    elif action == "inversion":
+        sigma = inversion(subgroup)
+    elif isinstance(action, list):
+        sigma = {tuple(src): tuple(dst) for src, dst in action}
+    else:
+        raise ValidationError(f"sigma must be 'identity', 'inversion' or a pair list, got {action!r}")
+    spec, _ = from_cayley_index2(
+        subgroup, sigma, tuple(obj.get("x_square", subgroup.identity)),
+        obj.get("T1", []), obj.get("T2", []),
+    )
+    return spec
+
+
+def parse_graph(obj) -> SemiCayleySpec:
+    """Graph source: inline spec JSON, named family, or index-2 description."""
+    if isinstance(obj, str):
+        try:
+            obj = json.loads(obj)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"malformed graph JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ValidationError("graph description must be a JSON object")
+    if "family" in obj:
+        return _family_spec(obj)
+    if "cayley_index2" in obj:
+        return _index2_spec(obj["cayley_index2"])
+    if "group" in obj:
+        return SemiCayleySpec.from_json(obj)
+    raise ValidationError("graph description needs 'family', 'group' or 'cayley_index2'")
+
+
+def _resolve_graph(config: dict) -> SemiCayleySpec:
+    inline = [key for key in ("family", "cayley_index2", "group") if key in config]
+    if "graph" in config:
+        if inline:
+            raise ValidationError(f"ambiguous graph source: both 'graph' and {inline[0]!r} given")
+        return parse_graph(config["graph"])
+    if inline:
+        return parse_graph(config)
+    raise ValidationError("no graph source: provide 'graph', 'family' or 'cayley_index2'")
+
+
+def run(config: dict) -> tuple[dict, int]:
+    """Execute one job; returns (report, exit_code)."""
+    try:
+        report = _run_checked(config)
+        return report, 0
+    except ValidationError as exc:
+        return {"error": {"kind": "validation", "message": str(exc)}}, 1
+    except ConsistencyError as exc:
+        return {"error": {"kind": "internal-consistency", "message": str(exc)}}, 2
+
+
+def _run_checked(config: dict) -> dict:
+    command = config.get("command")
+    if command not in COMMANDS:
+        raise ValidationError(f"command must be one of {list(COMMANDS)}, got {command!r}")
+    spec = _resolve_graph(config)
+    tol = float(config.get("tolerance", 1e-8))
+    report: dict = {"command": command, "graph": spec.to_json()}
+
+    if command == "spectrum":
+        spect = spectrum(spec)
+        report["spectrum"] = spect.to_json()
+        report["integral"] = spect.is_integral
+        report["eigen_gcd"] = None
+        if spect.is_integral:
+            try:
+                report["eigen_gcd"] = eigen_gcd(spec, spect)
+            except ValidationError:
+                pass
+        return report
+
+    if command == "evolve":
+        if "time" not in config:
+            raise ValidationError("evolve needs a time")
+        t, pi_mult = parse_time(config["time"])
+        report["t"] = t
+        report["time"] = _time_json(t, pi_mult)
+        if "from" in config or "to" in config:
+            if not ("from" in config and "to" in config):
+                raise ValidationError("evolve with a queried entry needs both 'from' and 'to'")
+            u = parse_vertex(spec, config["from"])
+            v = parse_vertex(spec, config["to"])
+            value = transfer_entry(spec, u, v, t)
+            report["entry"] = {"re": value.real, "im": value.imag}
+            report["magnitude"] = abs(value)
+            return report
+        matrix = transfer_matrix(spec, t)
+        report["entries"] = [
+            [{"re": matrix[i, j].real, "im": matrix[i, j].imag} for j in range(matrix.shape[1])]
+            for i in range(matrix.shape[0])
+        ]
+        return report
+
+    if command == "pst-check":
+        if not ("from" in config and "to" in config):
+            raise ValidationError("pst-check needs 'from' and 'to' vertices")
+        u = parse_vertex(spec, config["from"])
+        v = parse_vertex(spec, config["to"])
+        if "time" in config:
+            t, pi_mult = parse_time(config["time"])
+            check = verify_at_time(spec, u, v, t, tol=tol)
+            report["time"] = _time_json(t, pi_mult)
+            report.update(
+                {
+                    "from": [list(u.element), u.layer],
+                    "to": [list(v.element), v.layer],
+                    "magnitude": check["magnitude"],
+                    "magnitude_spectral": check["magnitude_spectral"],
+                    "magnitude_oracle": check["magnitude_oracle"],
+                    "pass": check["pass"],
+                }
+            )
+            return report
+        if u == v:
+            raise ValidationError("pst-check needs distinct vertices (or a 'period' command)")
+        report["verdict"] = decide_pair(spec, u, v).to_json()
+        return report
+
+    if command == "pst-find":
+        verdicts = find_pst(spec)
+        report["verdicts"] = [verdict.to_json() for verdict in verdicts]
+        counts = {"yes": 0, "no": 0, "undecided": 0}
+        for verdict in verdicts:
+            counts[verdict.status] += 1
+        report["summary"] = counts
+        report["pst_found"] = counts["yes"] > 0
+        report["periodicity"] = periodicity(spec).to_json()
+        return report
+
+    # period
+    report["periodicity"] = periodicity(spec).to_json()
+    return report
+
+
+def render_text(report: dict) -> str:
+    """Human-readable rendering of a report."""
+    lines: list[str] = []
+    if "error" in report:
+        err = report["error"]
+        return f"error ({err['kind']}): {err['message']}"
+    command = report.get("command", "?")
+    lines.append(f"command: {command}")
+    if "graph" in report:
+        g = report["graph"]
+        lines.append(
+            f"graph: group factors {g['group']['factors']}, |R|={len(g['R'])}, "
+            f"|L|={len(g['L'])}, |S|={len(g['S'])}"
+        )
+    if "spectrum" in report:
+        for row in report["spectrum"]["characters"]:
+            tag = "exact" if row["exact"] else "float"
+            lines.append(
+                f"  chi{row['char_index']}: lambda+ = {row['lambda_plus']:.12g}, "
+                f"lambda- = {row['lambda_minus']:.12g} ({tag})"
+            )
+        lines.append(f"integral: {report['integral']}")
+        if report.get("eigen_gcd") is not None:
+            lines.append(f"eigenvalue gap gcd: {report['eigen_gcd']}")
+    if "magnitude" in report and command != "evolve":
+        lines.append(f"magnitude: {report['magnitude']:.12g} (pass: {report['pass']})")
+    if "entry" in report:
+        entry = report["entry"]
+        lines.append(f"entry: {entry['re']:.12g} + {entry['im']:.12g}i (|.| = {report['magnitude']:.12g})")
+    if "entries" in report:
+        lines.append(f"transfer matrix at t = {report['time']['value']:.12g}: {len(report['entries'])}x{len(report['entries'])} entries (see JSON format)")
+    if "verdict" in report:
+        lines.append(_verdict_line(report["verdict"]))
+    if "verdicts" in report:
+        for verdict in report["verdicts"]:
+            lines.append(_verdict_line(verdict))
+        s = report["summary"]
+        lines.append(f"summary: {s['yes']} yes, {s['no']} no, {s['undecided']} undecided")
+        lines.append("perfect state transfer found" if report["pst_found"] else "no perfect state transfer found")
+    if "periodicity" in report:
+        p = report["periodicity"]
+        if p["periodic"] is True:
+            period = f" with minimum period {p['min_period_pi_multiple']} pi" if p["min_period_pi_multiple"] else ""
+            lines.append(f"periodic: yes ({p['method']}){period}")
+        elif p["periodic"] is False:
+            lines.append(f"periodic: no ({p['method']})")
+        else:
+            scan = p["certificate"]["scan"]
+            lines.append(
+                f"periodic: undecided by exact methods; scan max diagonal magnitude "
+                f"{scan['max_min_diagonal_magnitude']:.6g} over {scan['samples']} samples"
+            )
+    return "\n".join(lines)
+
+
+def _verdict_line(verdict: dict) -> str:
+    where = f"{verdict['from']} -> {verdict['to']}"
+    if verdict["status"] == "yes":
+        return f"  PST {where} at t = {verdict['time']['pi_multiple']} pi"
+    if verdict["status"] == "no":
+        return f"  no PST {where} ({verdict['certificate']['rule']})"
+    scan = verdict["certificate"]["scan"]
+    return f"  undecided {where} (scan max |H| = {scan['max_magnitude']:.6g})"
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="semicayley",
+        description="Spectra, quantum-walk transfer and perfect state transfer on semi-Cayley graphs",
+    )
+    parser.add_argument("command", nargs="?", choices=COMMANDS, help="analysis to run (may come from --config)")
+    parser.add_argument("--config", help="JSON job file; explicit flags override its fields")
+    parser.add_argument("--graph", help="inline graph JSON (spec, family or cayley_index2 object)")
+    parser.add_argument("--family", help="named family (sunlet, cone, hypercube, ...)")
+    parser.add_argument("--n", type=int, help="size parameter for sunlet/cone/hypercube")
+    parser.add_argument("--A", help="JSON factor list of the abelian group A for dihedral/dicyclic families")
+    parser.add_argument("--y", help="JSON element of A: the involution x^2 for dicyclic families")
+    parser.add_argument("--tol", type=float, help="magnitude tolerance (default 1e-8)")
+    parser.add_argument("--time", help="time as 'p/q pi' or a decimal float")
+    parser.add_argument("--from", dest="source", help="vertex [[exponents],layer]")
+    parser.add_argument("--to", dest="target", help="vertex [[exponents],layer]")
+    parser.add_argument("--format", choices=("json", "text"), default=None,
+                        help="output format (default json; a config file may also set it)")
+    return parser
+
+
+def _json_flag(value: str, flag: str):
+    try:
+        return json.loads(value)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"flag {flag} expects JSON, got {value!r}") from exc
+
+
+def config_from_args(args: argparse.Namespace) -> dict:
+    config: dict = {}
+    if args.config:
+        try:
+            with open(args.config, "r", encoding="utf-8") as handle:
+                config = json.load(handle)
+        except OSError as exc:
+            raise ValidationError(f"cannot read config file: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"malformed config JSON: {exc}") from exc
+        if not isinstance(config, dict):
+            raise ValidationError("config file must hold a JSON object")
+    if args.command:
+        config["command"] = args.command
+    if args.graph and args.family:
+        raise ValidationError("give either --graph or --family, not both")
+    if args.graph or args.family:
+        for key in ("graph", "family", "cayley_index2", "group"):
+            config.pop(key, None)
+    if args.graph:
+        config["graph"] = _json_flag(args.graph, "--graph")
+    if args.family:
+        family: dict = {"family": args.family}
+        if args.n is not None:
+            family["n"] = args.n
+        if args.A:
+            family["A"] = _json_flag(args.A, "--A")
+        if args.y:
+            family["y"] = _json_flag(args.y, "--y")
+        config["graph"] = family
+    if args.tol is not None:
+        config["tolerance"] = args.tol
+    if args.time is not None:
+        config["time"] = args.time
+    if args.source is not None:
+        config["from"] = args.source
+    if args.target is not None:
+        config["to"] = args.target
+    return config
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        config = config_from_args(args)
+    except ValidationError as exc:
+        print(json.dumps({"error": {"kind": "validation", "message": str(exc)}}, sort_keys=True))
+        return 1
+    fmt = args.format or config.get("format", "json")
+    if fmt not in ("json", "text"):
+        print(json.dumps({"error": {"kind": "validation", "message": f"unknown format {fmt!r}"}}, sort_keys=True))
+        return 1
+    report, code = run(config)
+    if fmt == "text":
+        print(render_text(report))
+    else:
+        print(json.dumps(report, indent=2, sort_keys=True))
+    return code
+
+
+if __name__ == "__main__":
+    sys.exit(main())

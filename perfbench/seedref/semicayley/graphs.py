@@ -1,0 +1,308 @@
+"""Construction of semi-Cayley graphs SC(G, R, L, S) over abelian groups.
+
+A spec is the triple (R, L, S) of subsets of G; vertices are (g, layer) with
+layer 0 or 1, and the adjacency follows three edge rules: within layer 0 by
+membership of the difference in R, within layer 1 by L, and across layers by
+S.  Also adapts Cayley graphs over groups that contain an abelian subgroup of
+index 2 (generalized dihedral and dicyclic groups included) and provides the
+standard named families.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable, Iterable, NamedTuple
+
+import numpy as np
+
+from .errors import ValidationError
+from .groups import AbelianGroup, Element, subset_to_json
+
+
+class Vertex(NamedTuple):
+    element: Element
+    layer: int
+
+
+@dataclass(frozen=True)
+class SemiCayleySpec:
+    """The data (G, R, L, S) defining SC(G, R, L, S).
+
+    R and L must be inverse-closed and avoid the identity; S is unconstrained
+    (it may be empty, contain the identity, or fail to be inverse-closed).
+    """
+
+    group: AbelianGroup
+    R: frozenset[Element]
+    L: frozenset[Element]
+    S: frozenset[Element]
+
+    def __post_init__(self):
+        g = self.group
+        for name, xs in (("R", self.R), ("L", self.L)):
+            xs = g.subset(xs)
+            object.__setattr__(self, name, xs)
+            if g.identity in xs:
+                raise ValidationError(f"{name} must not contain the identity")
+            if not g.is_inverse_closed(xs):
+                raise ValidationError(f"{name} must be inverse-closed")
+        object.__setattr__(self, "S", g.subset(self.S))
+
+    @property
+    def n(self) -> int:
+        return self.group.order
+
+    def vertices(self) -> list[Vertex]:
+        """Layer-0 vertices in group enumeration order, then layer 1."""
+        elems = self.group.elements()
+        return [Vertex(g, 0) for g in elems] + [Vertex(g, 1) for g in elems]
+
+    def vertex_index(self, v: Vertex) -> int:
+        v = self.validate_vertex(v)
+        return v.layer * self.n + self.group.index(v.element)
+
+    def validate_vertex(self, v) -> Vertex:
+        element, layer = v
+        layer = int(layer)
+        if layer not in (0, 1):
+            raise ValidationError(f"vertex layer must be 0 or 1, got {layer}")
+        return Vertex(self.group.validate_element(element), layer)
+
+    def is_regular(self) -> bool:
+        return len(self.R) == len(self.L)
+
+    def to_json(self) -> dict:
+        return {
+            "group": self.group.to_json(),
+            "R": subset_to_json(self.R),
+            "L": subset_to_json(self.L),
+            "S": subset_to_json(self.S),
+        }
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "SemiCayleySpec":
+        try:
+            group = AbelianGroup.from_json(obj["group"])
+            return make_spec(group, obj["R"], obj["L"], obj["S"])
+        except (KeyError, TypeError) as exc:
+            raise ValidationError(f"malformed graph spec JSON: {exc}") from exc
+
+
+def make_spec(group: AbelianGroup, R, L, S) -> SemiCayleySpec:
+    return SemiCayleySpec(group, group.subset(R), group.subset(L), group.subset(S))
+
+
+def cay_adjacency(group: AbelianGroup, connection: Iterable[Element]) -> np.ndarray:
+    """n x n 0/1 matrix with entry (x, y) = 1 iff y * x^{-1} is in the set.
+
+    Symmetric when the set is inverse-closed; for an arbitrary set this is the
+    (possibly directed, possibly looped) Cayley adjacency used for spokes.
+    """
+    connection = group.subset(connection)
+    n = group.order
+    elems = group.elements()
+    out = np.zeros((n, n), dtype=np.int64)
+    for xi, x in enumerate(elems):
+        inv_x = group.inverse(x)
+        for yi, y in enumerate(elems):
+            if group.mul(y, inv_x) in connection:
+                out[xi, yi] = 1
+    return out
+
+
+def build(spec: SemiCayleySpec) -> np.ndarray:
+    """Dense 2n x 2n adjacency matrix of SC(G, R, L, S).
+
+    Row/column order: layer-0 vertices in group enumeration order, then
+    layer-1 vertices.
+    """
+    top_left = cay_adjacency(spec.group, spec.R)
+    bottom_right = cay_adjacency(spec.group, spec.L)
+    spokes = cay_adjacency(spec.group, spec.S)
+    return np.block([[top_left, spokes], [spokes.T, bottom_right]])
+
+
+def spoke_matrix(spec: SemiCayleySpec) -> np.ndarray:
+    """The n x n cross-layer block C with C[x, y] = 1 iff y * x^{-1} in S."""
+    return cay_adjacency(spec.group, spec.S)
+
+
+# -- Cayley graphs over index-2 abelian extensions ---------------------------
+
+
+class Index2Extension:
+    """The group H u xH determined by an automorphism sigma and x^2 in H.
+
+    Elements are pairs (eps, h) standing for x^eps * h.  Associativity forces
+    sigma to be an involution fixing x^2; both are validated.
+    """
+
+    def __init__(self, subgroup: AbelianGroup, sigma: Callable[[Element], Element], x_square: Element):
+        self.subgroup = subgroup
+        self.x_square = subgroup.validate_element(x_square)
+        self._sigma = {g: subgroup.validate_element(sigma(g)) for g in subgroup.elements()}
+        if sorted(self._sigma.values()) != sorted(subgroup.elements()):
+            raise ValidationError("x-action is not a bijection of the subgroup")
+        for a in subgroup.elements():
+            for b in subgroup.elements():
+                if self._sigma[subgroup.mul(a, b)] != subgroup.mul(self._sigma[a], self._sigma[b]):
+                    raise ValidationError("x-action is not an automorphism of the subgroup")
+        for a in subgroup.elements():
+            if self._sigma[self._sigma[a]] != a:
+                raise ValidationError("x-action must be an involution (sigma^2 = id)")
+        if self._sigma[self.x_square] != self.x_square:
+            raise ValidationError("x-action must fix x^2")
+
+    def sigma(self, h: Element) -> Element:
+        return self._sigma[self.subgroup.validate_element(h)]
+
+    def mul(self, a: tuple[int, Element], b: tuple[int, Element]) -> tuple[int, Element]:
+        eps, h = a
+        delta, k = b
+        moved = self.sigma(h) if delta else h
+        out = self.subgroup.mul(moved, k)
+        if eps and delta:
+            out = self.subgroup.mul(self.x_square, out)
+        return ((eps + delta) % 2, out)
+
+    def inverse(self, a: tuple[int, Element]) -> tuple[int, Element]:
+        eps, h = a
+        if not eps:
+            return (0, self.subgroup.inverse(h))
+        inv = self.subgroup.mul(
+            self.subgroup.inverse(self.sigma(h)), self.subgroup.inverse(self.x_square)
+        )
+        return (1, inv)
+
+    def elements(self) -> list[tuple[int, Element]]:
+        return [(eps, h) for eps in (0, 1) for h in self.subgroup.elements()]
+
+
+def from_cayley_index2(
+    subgroup: AbelianGroup,
+    x_action: Callable[[Element], Element] | dict,
+    x_square: Element,
+    T1: Iterable[Element],
+    T2: Iterable[Element],
+) -> tuple[SemiCayleySpec, list[tuple[int, Element]]]:
+    """Decompose Cay(G, T1 u xT2) over G = H u xH as a semi-Cayley graph.
+
+    The extension is described by the data the decomposition needs: the
+    automorphism h -> x^{-1} h x of H and the element x^2 of H.  T1 must be
+    inverse-closed without the identity, and xT2 is checked for inverse
+    closure by explicit multiplication in the extension.
+
+    Returns the spec and the vertex bijection: entry j of the returned list
+    is the extension element identified with vertex j of the spec's vertex
+    order ((h, 0) <-> h and (h, 1) <-> x*h).  Relabelling the extension's
+    Cayley adjacency through it reproduces build(spec) entry for entry.
+    """
+    if isinstance(x_action, dict):
+        mapping = {subgroup.validate_element(k): v for k, v in x_action.items()}
+        x_action = lambda g: mapping[g]
+    ext = Index2Extension(subgroup, x_action, x_square)
+    T1 = subgroup.subset(T1)
+    T2 = subgroup.subset(T2)
+    if subgroup.identity in T1:
+        raise ValidationError("connection set must not contain the identity")
+    if not subgroup.is_inverse_closed(T1):
+        raise ValidationError("connection part T1 must be inverse-closed")
+    coset_part = [(1, t) for t in T2]
+    for t in coset_part:
+        if ext.inverse(t) not in coset_part:
+            raise ValidationError("connection coset part xT2 is not inverse-closed")
+
+    x = (1, subgroup.identity)
+    # Edge rules through the bijection (h,0) <-> h, (h,1) <-> x*h:
+    #   (h,0)~(k,0)  iff k h^{-1} in T1, so R = T1
+    #   (h,1)~(k,1)  iff (xk)(xh)^{-1} in T1, i.e. k h^{-1} in sigma(T1)
+    #   (h,0)~(k,1)  iff (xk) h^{-1} in xT2, i.e. k h^{-1} in T2
+    R = T1
+    L = subgroup.subset(ext.sigma(t) for t in T1)
+    S = T2
+    spec = SemiCayleySpec(subgroup, R, L, S)
+    bijection = [(0, h) for h in subgroup.elements()] + [
+        ext.mul(x, (0, h)) for h in subgroup.elements()
+    ]
+    return spec, bijection
+
+
+def inversion(group: AbelianGroup) -> Callable[[Element], Element]:
+    return group.inverse
+
+
+def identity_action(group: AbelianGroup) -> Callable[[Element], Element]:
+    return lambda g: group.validate_element(g)
+
+
+def generalized_dihedral(A: AbelianGroup, T1, T2) -> tuple[SemiCayleySpec, list]:
+    """Cay(Dih(A, x), T1 u xT2): x inverts A and x^2 = 1."""
+    return from_cayley_index2(A, inversion(A), A.identity, T1, T2)
+
+
+def generalized_dicyclic(A: AbelianGroup, y: Element, T1, T2) -> tuple[SemiCayleySpec, list]:
+    """Cay(Dic(A, y, x), T1 u xT2): x inverts A and x^2 = y, an involution."""
+    y = A.validate_element(y)
+    if A.element_order(y) != 2:
+        raise ValidationError("x^2 must be an involution of A")
+    return from_cayley_index2(A, inversion(A), y, T1, T2)
+
+
+def abelian_index2(H: AbelianGroup, x_square: Element, T1, T2) -> tuple[SemiCayleySpec, list]:
+    """Cay(G, T1 u xT2) for abelian G with index-2 subgroup H and central x."""
+    return from_cayley_index2(H, identity_action(H), x_square, T1, T2)
+
+
+# -- named families -----------------------------------------------------------
+
+
+def sunlet(n: int) -> SemiCayleySpec:
+    """The n-cycle with a pendant edge at every cycle vertex."""
+    if n < 3:
+        raise ValidationError("sunlet graphs need n >= 3")
+    G = AbelianGroup([n])
+    return make_spec(G, [(1,), (n - 1,)], [], [(0,)])
+
+
+def cone(n: int) -> SemiCayleySpec:
+    """Join of an n-cycle with n isolated vertices."""
+    if n < 3:
+        raise ValidationError("cone graphs need n >= 3")
+    G = AbelianGroup([n])
+    return make_spec(G, [(1,), (n - 1,)], [], G.elements())
+
+
+def join_spec(group: AbelianGroup, R, L) -> SemiCayleySpec:
+    """SC(G, R, L, G): the join of Cay(G, R) and Cay(G, L)."""
+    return make_spec(group, R, L, group.elements())
+
+
+def dihedral_full_coset(A: AbelianGroup) -> SemiCayleySpec:
+    """Cay(Dih(A, x), xA) as a semi-Cayley graph: SC(A, {}, {}, A)."""
+    spec, _ = generalized_dihedral(A, [], A.elements())
+    return spec
+
+
+def dihedral_involutions(A: AbelianGroup) -> SemiCayleySpec:
+    """Cay(Dih(A, x), xA u {involutions of A}) as a semi-Cayley graph."""
+    invs = [g for g in A.elements() if A.element_order(g) == 2]
+    spec, _ = generalized_dihedral(A, invs, A.elements())
+    return spec
+
+
+def dicyclic_full_coset(A: AbelianGroup, y: Element) -> SemiCayleySpec:
+    """Cay(Dic(A, y, x), xA) as a semi-Cayley graph."""
+    spec, _ = generalized_dicyclic(A, y, [], A.elements())
+    return spec
+
+
+def hypercube(dim: int) -> SemiCayleySpec:
+    """The dim-cube: two copies of the (dim-1)-cube joined by a matching."""
+    if dim < 1:
+        raise ValidationError("hypercube dimension must be >= 1")
+    if dim == 1:
+        G = AbelianGroup([1])
+        return make_spec(G, [], [], [G.identity])
+    G = AbelianGroup([2] * (dim - 1))
+    units = [tuple(1 if i == j else 0 for i in range(dim - 1)) for j in range(dim - 1)]
+    return make_spec(G, units, units, [G.identity])

@@ -1,0 +1,115 @@
+"""Finite abelian groups given as explicit products of cyclic factors.
+
+Elements are exponent vectors (tuples of ints), one entry per cyclic factor.
+All values are immutable after construction and every function is pure, so
+groups, elements and subsets can be shared freely across threads.
+"""
+
+from __future__ import annotations
+
+import math
+from itertools import product
+from typing import Iterable, Sequence
+
+from .errors import ValidationError
+
+Element = tuple[int, ...]
+
+
+class AbelianGroup:
+    """Direct product Z_{n_1} x ... x Z_{n_k} with exponent-vector elements.
+
+    The factor list is kept exactly as the user presented it (no invariant
+    factor normalisation), and elements enumerate in lexicographic order on
+    exponent vectors.  That fixed order is part of the public contract:
+    adjacency matrices built from it are reproducible bit for bit.
+    """
+
+    def __init__(self, factors: Sequence[int]) -> None:
+        factors = tuple(int(n) for n in factors)
+        if not factors:
+            raise ValidationError("a group needs at least one cyclic factor")
+        if any(n < 1 for n in factors):
+            raise ValidationError(f"cyclic factor sizes must be >= 1, got {list(factors)}")
+        self.factors: tuple[int, ...] = factors
+        self.order: int = math.prod(factors)
+        self.exponent: int = math.lcm(*factors)
+        self.identity: Element = (0,) * len(factors)
+        self._elements: list[Element] = [tuple(v) for v in product(*(range(n) for n in factors))]
+        self._index: dict[Element, int] = {g: i for i, g in enumerate(self._elements)}
+
+    def __repr__(self) -> str:
+        return f"AbelianGroup({list(self.factors)})"
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, AbelianGroup) and self.factors == other.factors
+
+    def __hash__(self) -> int:
+        return hash(self.factors)
+
+    # -- elements ----------------------------------------------------------
+
+    def elements(self) -> list[Element]:
+        """All elements in the fixed lexicographic enumeration order."""
+        return list(self._elements)
+
+    def element(self, i: int) -> Element:
+        return self._elements[i]
+
+    def index(self, g: Element) -> int:
+        return self._index[self.validate_element(g)]
+
+    def validate_element(self, g: Iterable[int]) -> Element:
+        g = tuple(int(x) for x in g)
+        if len(g) != len(self.factors):
+            raise ValidationError(
+                f"element {list(g)} has {len(g)} coordinates, group has {len(self.factors)} factors"
+            )
+        if any(not 0 <= x < n for x, n in zip(g, self.factors)):
+            raise ValidationError(f"element {list(g)} out of range for factors {list(self.factors)}")
+        return g
+
+    # -- arithmetic ---------------------------------------------------------
+
+    def mul(self, a: Element, b: Element) -> Element:
+        a = self.validate_element(a)
+        b = self.validate_element(b)
+        return tuple((x + y) % n for x, y, n in zip(a, b, self.factors))
+
+    def inverse(self, a: Element) -> Element:
+        a = self.validate_element(a)
+        return tuple((-x) % n for x, n in zip(a, self.factors))
+
+    def element_order(self, a: Element) -> int:
+        """Least m >= 1 with a^m = identity."""
+        a = self.validate_element(a)
+        return math.lcm(*(n // math.gcd(n, x) for x, n in zip(a, self.factors)))
+
+    # -- subsets -------------------------------------------------------------
+
+    def subset(self, elements: Iterable[Iterable[int]]) -> frozenset[Element]:
+        """Validate and deduplicate a collection of elements."""
+        return frozenset(self.validate_element(g) for g in elements)
+
+    def subset_inverse(self, xs: Iterable[Element]) -> frozenset[Element]:
+        return frozenset(self.inverse(g) for g in xs)
+
+    def is_inverse_closed(self, xs: Iterable[Element]) -> bool:
+        xs = self.subset(xs)
+        return xs == self.subset_inverse(xs)
+
+    # -- serialization -------------------------------------------------------
+
+    def to_json(self) -> dict:
+        return {"factors": list(self.factors)}
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "AbelianGroup":
+        if not isinstance(obj, dict) or "factors" not in obj:
+            raise ValidationError('group JSON must be {"factors": [...]}')
+        return cls(obj["factors"])
+
+
+def subset_to_json(xs: Iterable[Element]) -> list[list[int]]:
+    """Sorted list-of-lists form, stable for byte-identical reports."""
+    return [list(g) for g in sorted(xs)]

@@ -1,0 +1,255 @@
+"""Closed-form spectra of semi-Cayley graphs over abelian groups.
+
+Every character chi of G contributes a 2x2 block with entries chi(R), chi(S),
+conj(chi(S)), chi(L); its eigenvalue pair, eigenvector weights and spectral
+projectors are computed in closed form.  Floats drive the dynamics; exact
+integer eigenvalues are attached whenever the per-character certificate
+(integral chi(R), chi(L), |chi(S)| and a perfect-square discriminant of the
+right parity) holds, which is precisely when the state-transfer theorems
+apply.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .characters import CycloValue, char_sum, character_matrix
+from .errors import ValidationError
+from .graphs import SemiCayleySpec
+from .groups import Element
+
+
+@dataclass(frozen=True)
+class EigenPair:
+    """Eigen-data of one character block.
+
+    When chi(S) = 0 the pair keeps the convention (lambda_plus, lambda_minus)
+    = (chi(R), chi(L)) unsorted, so the eigenvector weights stay (1,0)/(0,1);
+    otherwise lambda_plus >= lambda_minus.
+    """
+
+    index: int
+    char_index: Element
+    chi_r: CycloValue
+    chi_l: CycloValue
+    chi_s: CycloValue
+    chi_s_is_zero: bool
+    x: float
+    lambda_plus: float
+    lambda_minus: float
+    lambda_plus_exact: int | None
+    lambda_minus_exact: int | None
+    c_plus: float
+    c_minus: float
+    d_plus: float
+    d_minus: float
+    e_plus: complex
+    e_minus: complex
+
+    @property
+    def exact(self) -> bool:
+        return self.lambda_plus_exact is not None
+
+    def coefficient(self, r: int, s: int, sign: int) -> complex:
+        """Entry-formula weight for the (r, s) layer case and the +/- branch."""
+        if r == 0 and s == 0:
+            return self.c_plus if sign > 0 else self.c_minus
+        if r == 1 and s == 1:
+            return self.d_plus if sign > 0 else self.d_minus
+        if r == 0 and s == 1:
+            return self.e_plus if sign > 0 else self.e_minus
+        return self.e_plus.conjugate() if sign > 0 else self.e_minus.conjugate()
+
+
+@dataclass(frozen=True)
+class Spectrum:
+    spec: SemiCayleySpec
+    pairs: tuple[EigenPair, ...]
+
+    @property
+    def chi_s_zero_indices(self) -> frozenset[int]:
+        """Indices of characters vanishing on S (the set X of the theory)."""
+        return frozenset(p.index for p in self.pairs if p.chi_s_is_zero)
+
+    def eigenvalues(self) -> list[float]:
+        out: list[float] = []
+        for p in self.pairs:
+            out.extend((p.lambda_plus, p.lambda_minus))
+        return out
+
+    @property
+    def is_integral(self) -> bool:
+        return all(p.exact for p in self.pairs)
+
+    def to_json(self) -> dict:
+        rows = []
+        for p in self.pairs:
+            rows.append(
+                {
+                    "index": p.index,
+                    "char_index": list(p.char_index),
+                    "lambda_plus": p.lambda_plus,
+                    "lambda_minus": p.lambda_minus,
+                    "exact": p.exact,
+                    "lambda_plus_exact": p.lambda_plus_exact,
+                    "lambda_minus_exact": p.lambda_minus_exact,
+                    "chi_s": p.chi_s.to_json(),
+                    "c_plus": p.c_plus,
+                    "c_minus": p.c_minus,
+                    "d_plus": p.d_plus,
+                    "d_minus": p.d_minus,
+                    "e_plus": {"re": p.e_plus.real, "im": p.e_plus.imag},
+                    "e_minus": {"re": p.e_minus.real, "im": p.e_minus.imag},
+                }
+            )
+        return {"characters": rows}
+
+
+def _exact_pair(chi_r: CycloValue, chi_l: CycloValue, chi_s: CycloValue, s_zero: bool):
+    r_int = chi_r.as_integer()
+    l_int = chi_l.as_integer()
+    if r_int is None or l_int is None:
+        return None
+    if s_zero:
+        return r_int, l_int
+    s_int = chi_s.abs_as_integer()
+    if s_int is None:
+        return None
+    disc = (r_int - l_int) ** 2 + 4 * s_int * s_int
+    q = math.isqrt(disc)
+    if q * q != disc or (q - (r_int + l_int)) % 2 != 0:
+        return None
+    return (r_int + l_int + q) // 2, (r_int + l_int - q) // 2
+
+
+def _eigen_pair(index: int, chi: Element, chi_r, chi_l, chi_s) -> EigenPair:
+    s_zero = chi_s.is_zero()
+    r = chi_r.approx.real
+    l = chi_l.approx.real
+    exact = _exact_pair(chi_r, chi_l, chi_s, s_zero)
+    if s_zero:
+        return EigenPair(
+            index=index, char_index=chi, chi_r=chi_r, chi_l=chi_l, chi_s=chi_s,
+            chi_s_is_zero=True, x=r - l, lambda_plus=r, lambda_minus=l,
+            lambda_plus_exact=None if exact is None else exact[0],
+            lambda_minus_exact=None if exact is None else exact[1],
+            c_plus=1.0, c_minus=0.0, d_plus=0.0, d_minus=1.0, e_plus=0j, e_minus=0j,
+        )
+    x = r - l
+    s2 = chi_s.abs_squared().approx.real
+    disc = math.sqrt(x * x + 4.0 * s2)
+    lam_p = 0.5 * (r + l + disc)
+    lam_m = 0.5 * (r + l - disc)
+    p = x + disc
+    m = x - disc
+    den_p = p * p + 4.0 * s2
+    den_m = m * m + 4.0 * s2
+    # conj(chi(S)), not chi(S): the eigenvector weights pair with the vertex
+    # functions chi(g^{-1}), and the oracle arbitrates the orientation
+    e_plus = 2.0 * chi_s.approx.conjugate() * p / den_p
+    return EigenPair(
+        index=index, char_index=chi, chi_r=chi_r, chi_l=chi_l, chi_s=chi_s,
+        chi_s_is_zero=False, x=x, lambda_plus=lam_p, lambda_minus=lam_m,
+        lambda_plus_exact=None if exact is None else exact[0],
+        lambda_minus_exact=None if exact is None else exact[1],
+        c_plus=p * p / den_p, c_minus=m * m / den_m,
+        d_plus=4.0 * s2 / den_p, d_minus=4.0 * s2 / den_m,
+        e_plus=e_plus, e_minus=-e_plus,
+    )
+
+
+def spectrum(spec: SemiCayleySpec) -> Spectrum:
+    """Closed-form eigen-data for every character of the group."""
+    group = spec.group
+    pairs = []
+    for i, chi in enumerate(group.elements()):
+        chi_r = char_sum(group, chi, spec.R)
+        chi_l = char_sum(group, chi, spec.L)
+        chi_s = char_sum(group, chi, spec.S)
+        pairs.append(_eigen_pair(i, chi, chi_r, chi_l, chi_s))
+    return Spectrum(spec, tuple(pairs))
+
+
+def eigenvectors(spec: SemiCayleySpec, spect: Spectrum | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form orthonormal eigenbasis.
+
+    Returns (values, vectors): column 2i of vectors is the +branch of
+    character i, column 2i+1 the -branch, with values aligned.
+    """
+    spect = spect if spect is not None else spectrum(spec)
+    group = spec.group
+    n = group.order
+    W = character_matrix(group)
+    inv_perm = [group.index(group.inverse(g)) for g in group.elements()]
+    values = np.empty(2 * n)
+    vectors = np.empty((2 * n, 2 * n), dtype=complex)
+    for p in spect.pairs:
+        chi_at_inverse = W[p.index, inv_perm]
+        if p.chi_s_is_zero:
+            weights = (((1.0, 0.0), p.lambda_plus), ((0.0, 1.0), p.lambda_minus))
+        else:
+            disc = p.lambda_plus - p.lambda_minus
+            b = 2.0 * p.chi_s.approx
+            weights = (
+                (((p.x + disc), b), p.lambda_plus),
+                (((p.x - disc), b), p.lambda_minus),
+            )
+        for branch, ((a, b), lam) in enumerate(weights):
+            norm = math.sqrt(n * (abs(a) ** 2 + abs(b) ** 2))
+            col = 2 * p.index + branch
+            vectors[:n, col] = a * chi_at_inverse / norm
+            vectors[n:, col] = b * chi_at_inverse / norm
+            values[col] = lam
+    return values, vectors
+
+
+def projectors(spec: SemiCayleySpec, spect: Spectrum | None = None) -> list[np.ndarray]:
+    """Rank-one spectral projectors, ordered (char 0, +), (char 0, -), ...
+
+    Each projector is Hermitian with block structure built from the character
+    Gram block B[r, s] = chi(g_r^{-1} g_s); their eigenvalue order matches
+    eigenvectors().
+    """
+    spect = spect if spect is not None else spectrum(spec)
+    group = spec.group
+    n = group.order
+    W = character_matrix(group)
+    out = []
+    for p in spect.pairs:
+        gram = np.outer(W[p.index].conj(), W[p.index])
+        for sign in (1, -1):
+            c = p.coefficient(0, 0, sign)
+            d = p.coefficient(1, 1, sign)
+            e = p.coefficient(0, 1, sign)
+            block = np.block([[c * gram, e * gram], [np.conj(e) * gram, d * gram]]) / n
+            out.append(block)
+    return out
+
+
+def is_integral(spec: SemiCayleySpec, spect: Spectrum | None = None) -> bool:
+    """Exact integrality certificate for the whole spectrum.
+
+    True iff every character has integral chi(R), chi(L) and |chi(S)| and the
+    discriminant is a perfect square matching the parity of chi(R) + chi(L).
+    """
+    spect = spect if spect is not None else spectrum(spec)
+    return spect.is_integral
+
+
+def eigen_gcd(spec: SemiCayleySpec, spect: Spectrum | None = None) -> int:
+    """gcd of the gaps between the top eigenvalue and the rest of the spectrum."""
+    spect = spect if spect is not None else spectrum(spec)
+    if not spect.is_integral:
+        raise ValidationError("spectrum not integral")
+    top = spect.pairs[0].lambda_plus_exact
+    gaps = []
+    for p in spect.pairs:
+        for lam in (p.lambda_plus_exact, p.lambda_minus_exact):
+            if lam != top:
+                gaps.append(abs(top - lam))
+    if not gaps:
+        raise ValidationError("constant spectrum has no eigenvalue gaps")
+    return math.gcd(*gaps)

@@ -1,0 +1,146 @@
+"""Quantum-walk transfer matrices H(t) = exp(-i t A) on semi-Cayley graphs.
+
+Three deliberately independent computation paths:
+
+* the character spectral decomposition (the product),
+* a truncated-Taylor scaling-and-squaring exponential (the referee -- it
+  shares no eigen-machinery with the spectral path),
+* the block cosine/sinc formula available when R = L.
+
+Equivalence of the three, entrywise to 1e-9, is the core QA property of the
+package.  Time is a plain float here; exact rational-multiple-of-pi time
+reasoning lives in the state-transfer analysis module.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from .characters import character_matrix
+from .errors import ValidationError
+from .graphs import SemiCayleySpec, Vertex, build, cay_adjacency, spoke_matrix
+from .spectra import Spectrum, spectrum
+
+
+def transfer_matrix(spec: SemiCayleySpec, t: float, spect: Spectrum | None = None) -> np.ndarray:
+    """H(t) as the character sum of exp(-i lambda t) times the projectors.
+
+    Assembled blockwise: each character contributes its Gram block weighted by
+    the c/d/e coefficient combinations, summed in character order.
+    """
+    spect = spect if spect is not None else spectrum(spec)
+    group = spec.group
+    n = group.order
+    W = character_matrix(group)
+    lam_p = np.array([p.lambda_plus for p in spect.pairs])
+    lam_m = np.array([p.lambda_minus for p in spect.pairs])
+    phase_p = np.exp(-1j * lam_p * t)
+    phase_m = np.exp(-1j * lam_m * t)
+
+    def weighted(sign_plus: np.ndarray, sign_minus: np.ndarray) -> np.ndarray:
+        f = sign_plus * phase_p + sign_minus * phase_m
+        return (W.conj().T * f) @ W / n
+
+    c_p = np.array([p.c_plus for p in spect.pairs], dtype=complex)
+    c_m = np.array([p.c_minus for p in spect.pairs], dtype=complex)
+    d_p = np.array([p.d_plus for p in spect.pairs], dtype=complex)
+    d_m = np.array([p.d_minus for p in spect.pairs], dtype=complex)
+    e_p = np.array([p.e_plus for p in spect.pairs])
+    e_m = np.array([p.e_minus for p in spect.pairs])
+    return np.block(
+        [
+            [weighted(c_p, c_m), weighted(e_p, e_m)],
+            [weighted(e_p.conj(), e_m.conj()), weighted(d_p, d_m)],
+        ]
+    )
+
+
+def transfer_entry(spec: SemiCayleySpec, u: Vertex, v: Vertex, t: float,
+                   spect: Spectrum | None = None) -> complex:
+    """Single entry of H(t) via the four-case character formula."""
+    spect = spect if spect is not None else spectrum(spec)
+    group = spec.group
+    u = spec.validate_vertex(u)
+    v = spec.validate_vertex(v)
+    a = group.mul(group.inverse(u.element), v.element)
+    W = character_matrix(group)
+    chi_a = W[:, group.index(a)]
+    total = 0j
+    for p in spect.pairs:
+        term = p.coefficient(u.layer, v.layer, +1) * np.exp(-1j * p.lambda_plus * t)
+        term += p.coefficient(u.layer, v.layer, -1) * np.exp(-1j * p.lambda_minus * t)
+        total += term * chi_a[p.index]
+    return complex(total / group.order)
+
+
+def oracle_expm(adjacency: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i t A) by truncated Taylor series with scaling and squaring.
+
+    Independent referee: uses no eigendecomposition and no character data.
+    The argument is scaled so its 1-norm is at most 1/2, the series is summed
+    until terms fall below 1e-20, and the result is squared back up; for
+    desk-scale norms the error budget is below 1e-10.
+    """
+    adjacency = np.asarray(adjacency, dtype=float)
+    if adjacency.ndim != 2 or adjacency.shape[0] != adjacency.shape[1]:
+        raise ValidationError("adjacency matrix must be square")
+    if not np.array_equal(adjacency, adjacency.T):
+        raise ValidationError("adjacency matrix must be symmetric")
+    m = (-1j * t) * adjacency
+    norm = np.max(np.sum(np.abs(m), axis=0)) if m.size else 0.0
+    squarings = max(0, math.ceil(math.log2(norm / 0.5))) if norm > 0.5 else 0
+    m /= 2.0 ** squarings
+    dim = m.shape[0]
+    result = np.eye(dim, dtype=complex)
+    term = np.eye(dim, dtype=complex)
+    for k in range(1, 60):
+        term = term @ m / k
+        result += term
+        if np.max(np.abs(term)) < 1e-20:
+            break
+    for _ in range(squarings):
+        result = result @ result
+    return result
+
+
+def _matrix_cos_sinc(gram: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+    # cos(t sqrt(M)) and the series sum_k (-it)^{2k+1} M^k / (2k+1)! for M = C C^T;
+    # the sinc form handles singular M (the closed inverse-sqrt form would not).
+    vals, vecs = np.linalg.eigh(gram)
+    vals = np.clip(vals, 0.0, None)
+    roots = np.sqrt(vals)
+    cos_part = (vecs * np.cos(t * roots)) @ vecs.T
+    small = roots < 1e-9
+    sinc = np.where(small, -1j * t, -1j * np.sin(t * np.where(small, 1.0, roots)) / np.where(small, 1.0, roots))
+    sin_part = (vecs * sinc) @ vecs.T
+    return cos_part, sin_part
+
+
+def block_transfer_rl(spec: SemiCayleySpec, t: float) -> np.ndarray:
+    """H(t) by the R = L block formula.
+
+    Writing A = I_2 (x) B + (P (x) C + Q (x) C^T) and using that B, C, C^T
+    commute over an abelian group, exp(-itA) factors as (I_2 (x) H_B(t))
+    times exp of the spoke part, whose even/odd series give cos(t sqrt(CC^T))
+    and the sinc factor; H_B(t) multiplies all four blocks.  Requires R = L.
+    """
+    if spec.R != spec.L:
+        raise ValidationError("block transfer formula requires R = L")
+    layer = cay_adjacency(spec.group, spec.R).astype(float)
+    spokes = spoke_matrix(spec).astype(float)
+    vals, vecs = np.linalg.eigh(layer)
+    h_layer = (vecs * np.exp(-1j * vals * t)) @ vecs.T
+    cos_part, sinc_part = _matrix_cos_sinc(spokes @ spokes.T, t)
+    return np.block(
+        [
+            [h_layer @ cos_part, h_layer @ spokes @ sinc_part],
+            [h_layer @ spokes.T @ sinc_part, h_layer @ cos_part],
+        ]
+    )
+
+
+def numeric_eigenvalues(spec: SemiCayleySpec) -> np.ndarray:
+    """Sorted numeric eigenvalues of the adjacency matrix (oracle path)."""
+    return np.linalg.eigvalsh(build(spec).astype(float))
