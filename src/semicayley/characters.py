@@ -242,12 +242,14 @@ def eval_character(group: AbelianGroup, char_index: Element, g: Element) -> Root
 
 
 def char_sum(group: AbelianGroup, char_index: Element, subset: Iterable[Element]) -> CycloValue:
-    """Exact character sum over a subset; the empty subset sums to zero."""
-    n_exp = group.exponent
-    coeffs = [0] * n_exp
-    for g in group.subset(subset):
-        coeffs[eval_character(group, char_index, g).numerator] += 1
-    return CycloValue(n_exp, coeffs)
+    """Exact character sum over a subset; the empty subset sums to zero.
+
+    The coefficient of zeta_N^r counts the subset elements where the
+    character takes the value zeta_N^r: a bincount of one row of the group's
+    character-exponent table.
+    """
+    row = group.char_exponents[group.index(char_index)]
+    return CycloValue(group.exponent, np.bincount(row[group.indices(subset)], minlength=group.exponent))
 
 
 def character_matrix(group: AbelianGroup) -> np.ndarray:
@@ -256,8 +258,4 @@ def character_matrix(group: AbelianGroup) -> np.ndarray:
     Rows and columns both follow the group enumeration order; row 0 is the
     trivial character.
     """
-    n_exp = group.exponent
-    elems = np.array(group.elements(), dtype=np.int64)
-    scale = np.array([n_exp // n for n in group.factors], dtype=np.int64)
-    exponents = (elems * scale) @ elems.T % n_exp
-    return np.exp(2j * np.pi * exponents / n_exp)
+    return np.exp(2j * np.pi * group.char_exponents / group.exponent)

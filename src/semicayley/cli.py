@@ -239,14 +239,15 @@ def _run_checked(config: dict) -> dict:
         return report
 
     if command == "pst-find":
-        verdicts = find_pst(spec)
+        spect = spectrum(spec)
+        verdicts = find_pst(spec, spect=spect)
         report["verdicts"] = [verdict.to_json() for verdict in verdicts]
         counts = {"yes": 0, "no": 0, "undecided": 0}
         for verdict in verdicts:
             counts[verdict.status] += 1
         report["summary"] = counts
         report["pst_found"] = counts["yes"] > 0
-        report["periodicity"] = periodicity(spec).to_json()
+        report["periodicity"] = periodicity(spec, spect=spect).to_json()
         return report
 
     # period

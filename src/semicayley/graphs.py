@@ -98,15 +98,10 @@ def cay_adjacency(group: AbelianGroup, connection: Iterable[Element]) -> np.ndar
     Symmetric when the set is inverse-closed; for an arbitrary set this is the
     (possibly directed, possibly looped) Cayley adjacency used for spokes.
     """
-    connection = group.subset(connection)
     n = group.order
-    elems = group.elements()
+    rows = np.arange(n)[:, None]
     out = np.zeros((n, n), dtype=np.int64)
-    for xi, x in enumerate(elems):
-        inv_x = group.inverse(x)
-        for yi, y in enumerate(elems):
-            if group.mul(y, inv_x) in connection:
-                out[xi, yi] = 1
+    out[rows, group.add_indices(rows, group.indices(connection)[None, :])] = 1
     return out
 
 
@@ -140,21 +135,23 @@ class Index2Extension:
     def __init__(self, subgroup: AbelianGroup, sigma: Callable[[Element], Element], x_square: Element):
         self.subgroup = subgroup
         self.x_square = subgroup.validate_element(x_square)
-        self._sigma = {g: subgroup.validate_element(sigma(g)) for g in subgroup.elements()}
-        if sorted(self._sigma.values()) != sorted(subgroup.elements()):
+        # sigma as a permutation of enumeration indices: g_i -> g_perm[i]
+        self._perm = np.array([subgroup.index(sigma(g)) for g in subgroup.elements()], dtype=np.int64)
+        n = subgroup.order
+        everything = np.arange(n)
+        if not np.array_equal(np.sort(self._perm), everything):
             raise ValidationError("x-action is not a bijection of the subgroup")
-        for a in subgroup.elements():
-            for b in subgroup.elements():
-                if self._sigma[subgroup.mul(a, b)] != subgroup.mul(self._sigma[a], self._sigma[b]):
-                    raise ValidationError("x-action is not an automorphism of the subgroup")
-        for a in subgroup.elements():
-            if self._sigma[self._sigma[a]] != a:
-                raise ValidationError("x-action must be an involution (sigma^2 = id)")
-        if self._sigma[self.x_square] != self.x_square:
+        sums = subgroup.add_indices(everything[:, None], everything[None, :])
+        if not np.array_equal(self._perm[sums], sums[np.ix_(self._perm, self._perm)]):
+            raise ValidationError("x-action is not an automorphism of the subgroup")
+        if not np.array_equal(self._perm[self._perm], everything):
+            raise ValidationError("x-action must be an involution (sigma^2 = id)")
+        x_index = subgroup.index(self.x_square)
+        if self._perm[x_index] != x_index:
             raise ValidationError("x-action must fix x^2")
 
     def sigma(self, h: Element) -> Element:
-        return self._sigma[self.subgroup.validate_element(h)]
+        return self.subgroup.element(int(self._perm[self.subgroup.index(h)]))
 
     def mul(self, a: tuple[int, Element], b: tuple[int, Element]) -> tuple[int, Element]:
         eps, h = a

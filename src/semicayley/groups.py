@@ -1,15 +1,21 @@
 """Finite abelian groups given as explicit products of cyclic factors.
 
 Elements are exponent vectors (tuples of ints), one entry per cyclic factor.
-All values are immutable after construction and every function is pure, so
-groups, elements and subsets can be shared freely across threads.
+Element i of the enumeration has mixed-radix digits coords[i] in the factors,
+so element <-> index is arithmetic and whole-group loops run on integer
+arrays.  Groups are immutable (the index tables are built on first use and
+are read-only), every function is pure, and groups, elements and subsets can
+be shared freely across threads.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from itertools import product
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import ValidationError
 
@@ -35,8 +41,8 @@ class AbelianGroup:
         self.order: int = math.prod(factors)
         self.exponent: int = math.lcm(*factors)
         self.identity: Element = (0,) * len(factors)
+        self.strides: tuple[int, ...] = tuple(math.prod(factors[l + 1 :]) for l in range(len(factors)))
         self._elements: list[Element] = [tuple(v) for v in product(*(range(n) for n in factors))]
-        self._index: dict[Element, int] = {g: i for i, g in enumerate(self._elements)}
 
     def __repr__(self) -> str:
         return f"AbelianGroup({list(self.factors)})"
@@ -57,7 +63,14 @@ class AbelianGroup:
         return self._elements[i]
 
     def index(self, g: Element) -> int:
-        return self._index[self.validate_element(g)]
+        return sum(x * s for x, s in zip(self.validate_element(g), self.strides))
+
+    def indices(self, xs: Iterable[Iterable[int]]) -> np.ndarray:
+        """Enumeration indices of the distinct elements of a collection (validated)."""
+        xs = self.subset(xs)
+        if not xs:
+            return np.zeros(0, dtype=np.int64)
+        return np.array(list(xs), dtype=np.int64) @ np.array(self.strides, dtype=np.int64)
 
     def validate_element(self, g: Iterable[int]) -> Element:
         g = tuple(int(x) for x in g)
@@ -84,6 +97,35 @@ class AbelianGroup:
         """Least m >= 1 with a^m = identity."""
         a = self.validate_element(a)
         return math.lcm(*(n // math.gcd(n, x) for x, n in zip(a, self.factors)))
+
+    # -- index tables ----------------------------------------------------------
+
+    @cached_property
+    def coords(self) -> np.ndarray:
+        """order x factors int64 array: row i is the exponent vector of element i."""
+        coords = np.array(self._elements, dtype=np.int64)
+        coords.flags.writeable = False
+        return coords
+
+    @cached_property
+    def char_exponents(self) -> np.ndarray:
+        """order x order int64 table E with chi_i(g_j) = zeta_N^E[i, j], N the exponent.
+
+        E[i, j] = sum_l i_l * j_l * (N / n_l) modulo N; rows index characters,
+        columns elements, both in enumeration order.
+        """
+        n_exp = self.exponent
+        scale = np.array([n_exp // n for n in self.factors], dtype=np.int64)
+        table = (self.coords * scale) @ self.coords.T % n_exp
+        table.flags.writeable = False
+        return table
+
+    def add_indices(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Index of g_i * g_j for index arrays i and j (broadcast together)."""
+        out = np.zeros(np.broadcast_shapes(np.shape(i), np.shape(j)), dtype=np.int64)
+        for l, (n, stride) in enumerate(zip(self.factors, self.strides)):
+            out += (self.coords[i, l] + self.coords[j, l]) % n * stride
+        return out
 
     # -- subsets -------------------------------------------------------------
 

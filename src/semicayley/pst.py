@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .characters import character_matrix, eval_character
+from .characters import CycloValue, character_matrix
 from .errors import ConsistencyError, ValidationError
 from .graphs import SemiCayleySpec, Vertex, build
 from .groups import Element
@@ -169,6 +169,7 @@ def _phase_conditions(spect: Spectrum, a: Element, layer: int) -> list[tuple[dic
     spec = spect.spec
     group = spec.group
     n_exp = group.exponent
+    chi_a = group.char_exponents[:, group.index(a)]
 
     def surd_vec(rational: Fraction, surds: list[tuple[int, Fraction]]) -> dict[int, Fraction]:
         vec: dict[int, Fraction] = {}
@@ -219,10 +220,10 @@ def _phase_conditions(spect: Spectrum, a: Element, layer: int) -> list[tuple[dic
 
     conditions = []
     for pair in spect.pairs:
-        root = eval_character(group, pair.char_index, a)
-        if root.numerator % n_exp == 0:
+        numerator = chi_a[pair.index]
+        if numerator == 0:
             parity = 0
-        elif 2 * root.numerator % n_exp == 0:
+        elif 2 * numerator % n_exp == 0:
             parity = 1
         else:
             raise ValidationError("phase conditions need a connecting element of order 1 or 2")
@@ -282,13 +283,12 @@ def _integral_lambdas(spect: Spectrum) -> list[tuple[int, int]] | None:
     return [(p.lambda_plus_exact, p.lambda_minus_exact) for p in spect.pairs]
 
 
-def _character_sign(group, char_index: Element, a: Element) -> int:
-    root = eval_character(group, char_index, a)
-    if root.numerator == 0:
-        return 1
-    if 2 * root.numerator % root.order == 0:
-        return -1
-    raise ValidationError("character sign requires an element of order 1 or 2")
+def _character_signs(group, a: Element) -> np.ndarray:
+    """chi(a) = +-1 for every character, in enumeration order."""
+    chi_a = group.char_exponents[:, group.index(a)]
+    if np.any(2 * chi_a % group.exponent):
+        raise ValidationError("character sign requires an element of order 1 or 2")
+    return np.where(chi_a == 0, 1, -1)
 
 
 def _confirmed(spec, spect, u, v, t) -> dict:
@@ -337,8 +337,9 @@ def decide_same_layer_rl(
     top = lambdas[0][0]
     minus_vals: set[int] = set()
     plus_gaps: list[int] = []
+    signs = _character_signs(group, a)
     for pair, (lam_p, lam_m) in zip(spect.pairs, lambdas):
-        sign = _character_sign(group, pair.char_index, a)
+        sign = signs[pair.index]
         for lam in (lam_p, lam_m):
             gap = top - lam
             if sign < 0:
@@ -410,9 +411,10 @@ def decide_cross_layer(
                 "rule": "spoke-valuation",
                 "detail": f"nu2|chi(S)| differs from nu2|S| = {k} at character {pair.index}"})
     top = lambdas[0][0]
+    chi_a_exponents = group.char_exponents[:, group.index(a)]
     for pair, (lam_p, lam_m) in zip(spect.pairs, lambdas):
         abs_s = (lam_p - lam_m) // 2
-        chi_a = eval_character(group, pair.char_index, a).as_cyclo()
+        chi_a = CycloValue.root(chi_a_exponents[pair.index], group.exponent)
         spoke = pair.chi_s.conj() if u.layer == 0 else pair.chi_s
         w = (chi_a * spoke).as_integer()
         if w == abs_s:
@@ -546,7 +548,8 @@ def decide_pair(
 
 
 def find_pst(
-    spec: SemiCayleySpec, samples: int = DEFAULT_SCAN_SAMPLES, confirm: bool = True
+    spec: SemiCayleySpec, samples: int = DEFAULT_SCAN_SAMPLES, confirm: bool = True,
+    spect: Spectrum | None = None,
 ) -> list[PstVerdict]:
     """Decide every vertex pair up to translation symmetry.
 
@@ -554,7 +557,7 @@ def find_pst(
     (connecting element, layer pair) is decided, ordered by layer pair
     (0,0), (1,1), (0,1), (1,0) and then by element enumeration index.
     """
-    spect = spectrum(spec)
+    spect = spect if spect is not None else spectrum(spec)
     group = spec.group
     verdicts = []
     for r, s in ((0, 0), (1, 1), (0, 1), (1, 0)):
@@ -567,7 +570,9 @@ def find_pst(
     return verdicts
 
 
-def periodicity(spec: SemiCayleySpec, samples: int = DEFAULT_SCAN_SAMPLES) -> PeriodReport:
+def periodicity(
+    spec: SemiCayleySpec, samples: int = DEFAULT_SCAN_SAMPLES, spect: Spectrum | None = None
+) -> PeriodReport:
     """Periodicity of the whole graph.
 
     For R = L this is exact: periodic iff integral, with minimum period
@@ -575,7 +580,7 @@ def periodicity(spec: SemiCayleySpec, samples: int = DEFAULT_SCAN_SAMPLES) -> Pe
     certify non-periodicity; otherwise the question is reported undecided
     with scan evidence (max over t of the worse of the two diagonal entries).
     """
-    spect = spectrum(spec)
+    spect = spect if spect is not None else spectrum(spec)
     group = spec.group
     if not spec.R and not spec.L and not spec.S:
         return PeriodReport(

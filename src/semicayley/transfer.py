@@ -20,7 +20,7 @@ import numpy as np
 
 from .characters import character_matrix
 from .errors import ValidationError
-from .graphs import SemiCayleySpec, Vertex, build, cay_adjacency, spoke_matrix
+from .graphs import SemiCayleySpec, Vertex, cay_adjacency, spoke_matrix
 from .spectra import Spectrum, spectrum
 
 
@@ -139,8 +139,3 @@ def block_transfer_rl(spec: SemiCayleySpec, t: float) -> np.ndarray:
             [h_layer @ spokes.T @ sinc_part, h_layer @ cos_part],
         ]
     )
-
-
-def numeric_eigenvalues(spec: SemiCayleySpec) -> np.ndarray:
-    """Sorted numeric eigenvalues of the adjacency matrix (oracle path)."""
-    return np.linalg.eigvalsh(build(spec).astype(float))

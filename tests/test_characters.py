@@ -50,6 +50,29 @@ def test_char_sum_examples():
     assert char_sum(z4, (1,), []).is_zero()
 
 
+def test_exponent_table_matches_eval_character():
+    for factors in GROUP_POOL + [(3, 1, 2)]:
+        group = AbelianGroup(factors)
+        table = group.char_exponents
+        assert table.shape == (group.order, group.order)
+        for i, chi in enumerate(group.elements()):
+            for j, g in enumerate(group.elements()):
+                assert table[i, j] == eval_character(group, chi, g).numerator
+
+
+def test_char_sum_matches_elementwise_loop(rng):
+    for factors in GROUP_POOL + [(3, 1, 2)]:
+        group = AbelianGroup(factors)
+        elems = group.elements()
+        subsets = [[], random_subset(group, rng), [elems[-1], elems[-1]], elems]
+        for subset in subsets:
+            for chi in elems:
+                coeffs = [0] * group.exponent
+                for g in set(subset):
+                    coeffs[eval_character(group, chi, g).numerator] += 1
+                assert char_sum(group, chi, subset).coeffs == tuple(coeffs)
+
+
 def test_conj_mul_abs_examples():
     i4 = CycloValue.root(1, 4)
     assert i4.conj() == CycloValue.root(3, 4)

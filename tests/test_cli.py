@@ -177,7 +177,7 @@ def test_consistency_error_maps_to_exit_2(monkeypatch):
     from semicayley import ConsistencyError
     from semicayley import cli as cli_module
 
-    def explode(spec):
+    def explode(spec, **kwargs):
         raise ConsistencyError("paths disagree")
 
     monkeypatch.setattr(cli_module, "find_pst", explode)

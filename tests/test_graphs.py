@@ -1,4 +1,5 @@
 import json
+from itertools import product
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from semicayley.graphs import (
     spoke_matrix,
 )
 
-from conftest import NONTRIVIAL_POOL, random_inverse_closed, random_spec, random_subset
+from conftest import GROUP_POOL, NONTRIVIAL_POOL, random_inverse_closed, random_spec, random_subset
 
 
 def test_sunlet_3():
@@ -67,6 +68,42 @@ def test_edge_rules_independent_recomputation(rng):
                 assert adjacency[n + xi, n + yi] == (1 if diff in spec.L else 0)
                 assert adjacency[xi, n + yi] == (1 if diff in spec.S else 0)
                 assert adjacency[n + yi, xi] == adjacency[xi, n + yi]
+
+
+def _cayley_by_definition(factors, connection):
+    # (x, y) = 1 iff y * x^{-1} is in the set, by plain modular arithmetic
+    elems = list(product(*(range(n) for n in factors)))
+    members = {tuple(c) for c in connection}
+    out = np.zeros((len(elems), len(elems)), dtype=np.int64)
+    for xi, x in enumerate(elems):
+        for yi, y in enumerate(elems):
+            out[xi, yi] = tuple((b - a) % n for a, b, n in zip(x, y, factors)) in members
+    return out
+
+
+def test_cay_adjacency_matches_definition(rng):
+    for factors in GROUP_POOL + [(3, 1, 2)]:
+        group = AbelianGroup(factors)
+        elems = group.elements()
+        one_sided = [g for g in elems if group.element_order(g) > 2][:1]
+        connections = [
+            [],
+            [group.identity],
+            random_inverse_closed(group, rng),
+            random_subset(group, rng) | {group.identity},
+            one_sided,
+            elems,
+        ]
+        for connection in connections:
+            expected = _cayley_by_definition(factors, connection)
+            assert np.array_equal(cay_adjacency(group, connection), expected), (factors, connection)
+    group = AbelianGroup([3, 1, 2])
+    with pytest.raises(ValidationError):
+        cay_adjacency(group, [(3, 0, 0)])
+    with pytest.raises(ValidationError):
+        cay_adjacency(group, [(0, 1, 0)])
+    with pytest.raises(ValidationError):
+        cay_adjacency(group, [(0, 0)])
 
 
 def test_symmetry_and_degrees(rng):
@@ -176,6 +213,9 @@ def test_index2_validation():
         from_cayley_index2(z4, lambda g: ((g[0] + 1) % 4,), (0,), [], [])
     with pytest.raises(ValidationError):
         from_cayley_index2(z4, inversion(z4), (1,), [], [])  # sigma does not fix x^2
+    with pytest.raises(ValidationError, match="involution"):
+        # g -> 2g is an automorphism of Z5 fixing x^2 = 0, but has order 4
+        from_cayley_index2(AbelianGroup([5]), lambda g: (2 * g[0] % 5,), (0,), [], [])
     with pytest.raises(ValidationError):
         from_cayley_index2(z4, inversion(z4), (2,), [], [(0,)])  # xT2 not inverse-closed
     with pytest.raises(ValidationError):
