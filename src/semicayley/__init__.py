@@ -38,7 +38,7 @@ from .pst import (
     scan_pair,
     verify_at_time,
 )
-from .spectra import EigenPair, Spectrum, eigen_gcd, eigenvectors, is_integral, projectors, spectrum
+from .spectra import EigenPair, Spectrum, eigen_gcd, eigenvectors, projectors, spectrum
 from .transfer import block_transfer_rl, oracle_expm, transfer_entry, transfer_matrix
 
 __all__ = [
@@ -73,7 +73,6 @@ __all__ = [
     "generalized_dicyclic",
     "generalized_dihedral",
     "hypercube",
-    "is_integral",
     "join_spec",
     "make_spec",
     "necessary_conditions",

@@ -38,7 +38,7 @@ from .graphs import (
     sunlet,
 )
 from .pst import decide_pair, find_pst, periodicity, verify_at_time
-from .spectra import eigen_gcd, spectrum
+from .spectra import eigen_gcd
 from .transfer import transfer_entry, transfer_matrix
 
 COMMANDS = ("spectrum", "evolve", "pst-check", "pst-find", "period")
@@ -180,15 +180,12 @@ def _run_checked(config: dict) -> dict:
     report: dict = {"command": command, "graph": spec.to_json()}
 
     if command == "spectrum":
-        spect = spectrum(spec)
-        report["spectrum"] = spect.to_json()
-        report["integral"] = spect.is_integral
-        report["eigen_gcd"] = None
-        if spect.is_integral:
-            try:
-                report["eigen_gcd"] = eigen_gcd(spec, spect)
-            except ValidationError:
-                pass
+        report["spectrum"] = spec.spectrum.to_json()
+        report["integral"] = spec.spectrum.is_integral
+        try:
+            report["eigen_gcd"] = eigen_gcd(spec)
+        except ValidationError:  # not integral, or no gaps
+            report["eigen_gcd"] = None
         return report
 
     if command == "evolve":
@@ -239,15 +236,14 @@ def _run_checked(config: dict) -> dict:
         return report
 
     if command == "pst-find":
-        spect = spectrum(spec)
-        verdicts = find_pst(spec, spect=spect)
+        verdicts = find_pst(spec)
         report["verdicts"] = [verdict.to_json() for verdict in verdicts]
         counts = {"yes": 0, "no": 0, "undecided": 0}
         for verdict in verdicts:
             counts[verdict.status] += 1
         report["summary"] = counts
         report["pst_found"] = counts["yes"] > 0
-        report["periodicity"] = periodicity(spec, spect=spect).to_json()
+        report["periodicity"] = periodicity(spec).to_json()
         return report
 
     # period

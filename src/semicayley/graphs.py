@@ -11,12 +11,16 @@ standard named families.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple
+from functools import cached_property
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
 import numpy as np
 
 from .errors import ValidationError
 from .groups import AbelianGroup, Element, subset_to_json
+
+if TYPE_CHECKING:
+    from .spectra import Spectrum
 
 
 class Vertex(NamedTuple):
@@ -30,6 +34,8 @@ class SemiCayleySpec:
 
     R and L must be inverse-closed and avoid the identity; S is unconstrained
     (it may be empty, contain the identity, or fail to be inverse-closed).
+    Like the group's index tables, the spectrum is computed on first use and
+    kept on the spec; equality and hashing see only (G, R, L, S).
     """
 
     group: AbelianGroup
@@ -51,6 +57,21 @@ class SemiCayleySpec:
     @property
     def n(self) -> int:
         return self.group.order
+
+    @cached_property
+    def spectrum(self) -> "Spectrum":
+        """Closed-form per-character eigen-data (see spectra.spectrum)."""
+        from . import spectra  # spectra imports this module
+
+        return spectra.spectrum(self)
+
+    @cached_property
+    def s_inverse_closed(self) -> bool:
+        return self.group.is_inverse_closed(self.S)
+
+    def connecting_element(self, u: Vertex, v: Vertex) -> Element:
+        """a = g^{-1} h for u = (g, r), v = (h, s): H_uv(t) depends only on a and the layers."""
+        return self.group.mul(self.group.inverse(u.element), v.element)
 
     def vertices(self) -> list[Vertex]:
         """Layer-0 vertices in group enumeration order, then layer 1."""
@@ -115,11 +136,6 @@ def build(spec: SemiCayleySpec) -> np.ndarray:
     bottom_right = cay_adjacency(spec.group, spec.L)
     spokes = cay_adjacency(spec.group, spec.S)
     return np.block([[top_left, spokes], [spokes.T, bottom_right]])
-
-
-def spoke_matrix(spec: SemiCayleySpec) -> np.ndarray:
-    """The n x n cross-layer block C with C[x, y] = 1 iff y * x^{-1} in S."""
-    return cay_adjacency(spec.group, spec.S)
 
 
 # -- Cayley graphs over index-2 abelian extensions ---------------------------

@@ -24,12 +24,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .characters import CycloValue, character_matrix
+from .characters import CycloValue
 from .errors import ConsistencyError, ValidationError
 from .graphs import SemiCayleySpec, Vertex, build
 from .groups import Element
-from .spectra import Spectrum, eigen_gcd, spectrum
-from .transfer import oracle_expm, transfer_entry
+from .spectra import eigen_gcd
+from .transfer import oracle_expm, transfer_entry, transfer_sums
 
 MAGNITUDE_TOL = 1e-8
 PATH_AGREEMENT_TOL = 1e-8
@@ -118,15 +118,14 @@ def necessary_conditions(spec: SemiCayleySpec, u: Vertex, v: Vertex) -> str | No
     if u == v:
         raise ValidationError("vertices must be distinct; the diagonal is the periodicity question")
     group = spec.group
-    a = group.mul(group.inverse(u.element), v.element)
-    order = group.element_order(a)
+    order = group.element_order(spec.connecting_element(u, v))
     if u.layer == v.layer:
         if group.order % 2 == 1:
             return "same-layer transfer is impossible over an odd-order group"
         if order != 2:
             return f"connecting element has order {order}, not 2"
     else:
-        if group.is_inverse_closed(spec.S) and order not in (1, 2):
+        if spec.s_inverse_closed and order not in (1, 2):
             return f"S is inverse-closed but the connecting element has order {order}"
     return None
 
@@ -158,7 +157,7 @@ def _vec_render(vec: dict[int, Fraction]) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-def _phase_conditions(spect: Spectrum, a: Element, layer: int) -> list[tuple[dict, int]]:
+def _phase_conditions(spec: SemiCayleySpec, a: Element, layer: int) -> list[tuple[dict, int]]:
     """Alignment constraints d*t in pi*(2Z + parity) implied by |H_uv(t)| = 1.
 
     Each certified eigenvalue gap from the reference eigenvalue of the layer
@@ -166,7 +165,7 @@ def _phase_conditions(spect: Spectrum, a: Element, layer: int) -> list[tuple[dic
     data is not certified integral are skipped, which keeps the refuter sound.
     Only valid for connecting elements of order 1 or 2.
     """
-    spec = spect.spec
+    spect = spec.spectrum
     group = spec.group
     n_exp = group.exponent
     chi_a = group.char_exponents[:, group.index(a)]
@@ -277,10 +276,10 @@ def refute_phases(conditions: list[tuple[dict, int]]) -> str | None:
 # -- exact deciders (R = L) ------------------------------------------------------
 
 
-def _integral_lambdas(spect: Spectrum) -> list[tuple[int, int]] | None:
-    if not spect.is_integral:
+def _integral_lambdas(spec: SemiCayleySpec) -> list[tuple[int, int]] | None:
+    if not spec.spectrum.is_integral:
         return None
-    return [(p.lambda_plus_exact, p.lambda_minus_exact) for p in spect.pairs]
+    return [(p.lambda_plus_exact, p.lambda_minus_exact) for p in spec.spectrum.pairs]
 
 
 def _character_signs(group, a: Element) -> np.ndarray:
@@ -291,8 +290,8 @@ def _character_signs(group, a: Element) -> np.ndarray:
     return np.where(chi_a == 0, 1, -1)
 
 
-def _confirmed(spec, spect, u, v, t) -> dict:
-    check = verify_at_time(spec, u, v, t, tol=MAGNITUDE_TOL, spect=spect)
+def _confirmed(spec, u, v, t) -> dict:
+    check = verify_at_time(spec, u, v, t, tol=MAGNITUDE_TOL)
     if not check["pass"]:
         raise ConsistencyError(
             f"synthesized transfer time failed numeric confirmation: |H| = {check['magnitude']}"
@@ -303,9 +302,7 @@ def _confirmed(spec, spect, u, v, t) -> dict:
     }
 
 
-def decide_same_layer_rl(
-    spec: SemiCayleySpec, u: Vertex, v: Vertex, spect: Spectrum | None = None, confirm: bool = True
-) -> PstVerdict:
+def decide_same_layer_rl(spec: SemiCayleySpec, u: Vertex, v: Vertex) -> PstVerdict:
     """Exact same-layer decision for R = L graphs.
 
     Transfer exists iff the connecting element has order 2, the spectrum is
@@ -321,15 +318,14 @@ def decide_same_layer_rl(
         raise ValidationError("same-layer decision needs vertices on one layer")
     if u == v:
         raise ValidationError("vertices must be distinct")
-    spect = spect if spect is not None else spectrum(spec)
     group = spec.group
-    a = group.mul(group.inverse(u.element), v.element)
+    a = spec.connecting_element(u, v)
 
     order = group.element_order(a)
     if order != 2:
         return PstVerdict(u, v, "no", certificate={
             "rule": "order-2", "detail": f"connecting element has order {order}, not 2"})
-    lambdas = _integral_lambdas(spect)
+    lambdas = _integral_lambdas(spec)
     if lambdas is None:
         return PstVerdict(u, v, "no", certificate={
             "rule": "non-integral",
@@ -337,9 +333,7 @@ def decide_same_layer_rl(
     top = lambdas[0][0]
     minus_vals: set[int] = set()
     plus_gaps: list[int] = []
-    signs = _character_signs(group, a)
-    for pair, (lam_p, lam_m) in zip(spect.pairs, lambdas):
-        sign = signs[pair.index]
+    for sign, (lam_p, lam_m) in zip(_character_signs(group, a), lambdas):
         for lam in (lam_p, lam_m):
             gap = top - lam
             if sign < 0:
@@ -360,17 +354,12 @@ def decide_same_layer_rl(
             return PstVerdict(u, v, "no", certificate={
                 "rule": "valuation",
                 "detail": f"chi(a) = +1 gap {gap} has 2-adic valuation <= {k}"})
-    t_two_pi = Fraction(1, 2 ** (k + 1))
     t = math.pi / 2**k
-    certificate = {"rule": "valuation-profile", "k": k}
-    if confirm:
-        certificate["confirmation"] = _confirmed(spec, spect, u, v, t)
-    return PstVerdict(u, v, "yes", time=t, time_two_pi=t_two_pi, certificate=certificate)
+    certificate = {"rule": "valuation-profile", "k": k, "confirmation": _confirmed(spec, u, v, t)}
+    return PstVerdict(u, v, "yes", time=t, time_two_pi=Fraction(1, 2 ** (k + 1)), certificate=certificate)
 
 
-def decide_cross_layer(
-    spec: SemiCayleySpec, u: Vertex, v: Vertex, spect: Spectrum | None = None, confirm: bool = True
-) -> PstVerdict:
+def decide_cross_layer(spec: SemiCayleySpec, u: Vertex, v: Vertex) -> PstVerdict:
     """Exact cross-layer decision (complete for every spec).
 
     Transfer between layers forces R = L, no character may vanish on S, the
@@ -387,9 +376,8 @@ def decide_cross_layer(
     v = spec.validate_vertex(v)
     if u.layer == v.layer:
         raise ValidationError("cross-layer decision needs vertices on different layers")
-    spect = spect if spect is not None else spectrum(spec)
+    spect = spec.spectrum
     group = spec.group
-    a = group.mul(group.inverse(u.element), v.element)
 
     zero_indices = sorted(spect.chi_s_zero_indices)
     if zero_indices:
@@ -399,7 +387,7 @@ def decide_cross_layer(
     if spec.R != spec.L:
         return PstVerdict(u, v, "no", certificate={
             "rule": "r-neq-l", "detail": "cross-layer transfer forces R = L"})
-    lambdas = _integral_lambdas(spect)
+    lambdas = _integral_lambdas(spec)
     if lambdas is None:
         return PstVerdict(u, v, "no", certificate={
             "rule": "non-integral",
@@ -411,7 +399,7 @@ def decide_cross_layer(
                 "rule": "spoke-valuation",
                 "detail": f"nu2|chi(S)| differs from nu2|S| = {k} at character {pair.index}"})
     top = lambdas[0][0]
-    chi_a_exponents = group.char_exponents[:, group.index(a)]
+    chi_a_exponents = group.char_exponents[:, group.index(spec.connecting_element(u, v))]
     for pair, (lam_p, lam_m) in zip(spect.pairs, lambdas):
         abs_s = (lam_p - lam_m) // 2
         chi_a = CycloValue.root(chi_a_exponents[pair.index], group.exponent)
@@ -436,28 +424,21 @@ def decide_cross_layer(
                 return PstVerdict(u, v, "no", certificate={
                     "rule": "valuation",
                     "detail": f"+1-sign gap {gap} has 2-adic valuation < {k + 2}"})
-    t_two_pi = Fraction(1, 2 ** (k + 2))
     t = math.pi / 2 ** (k + 1)
-    certificate = {"rule": "valuation-profile", "k": k}
-    if confirm:
-        certificate["confirmation"] = _confirmed(spec, spect, u, v, t)
-    return PstVerdict(u, v, "yes", time=t, time_two_pi=t_two_pi, certificate=certificate)
+    certificate = {"rule": "valuation-profile", "k": k, "confirmation": _confirmed(spec, u, v, t)}
+    return PstVerdict(u, v, "yes", time=t, time_two_pi=Fraction(1, 2 ** (k + 2)), certificate=certificate)
 
 
 # -- numeric confirmation and scans ----------------------------------------------
 
 
-def verify_at_time(
-    spec: SemiCayleySpec, u: Vertex, v: Vertex, t: float, tol: float = MAGNITUDE_TOL,
-    spect: Spectrum | None = None,
-) -> dict:
+def verify_at_time(spec: SemiCayleySpec, u: Vertex, v: Vertex, t: float, tol: float = MAGNITUDE_TOL) -> dict:
     """|H_uv(t)| through both transfer paths; passes iff both reach 1 - tol."""
     if t < 0:
         raise ValidationError("time must be nonnegative")
     u = spec.validate_vertex(u)
     v = spec.validate_vertex(v)
-    spect = spect if spect is not None else spectrum(spec)
-    mag_spectral = float(abs(transfer_entry(spec, u, v, t, spect)))
+    mag_spectral = float(abs(transfer_entry(spec, u, v, t)))
     full = oracle_expm(build(spec), t)
     mag_oracle = float(abs(full[spec.vertex_index(u), spec.vertex_index(v)]))
     if abs(mag_spectral - mag_oracle) > PATH_AGREEMENT_TOL:
@@ -473,47 +454,28 @@ def verify_at_time(
     }
 
 
-def _scan_magnitudes(spect: Spectrum, a: Element, r: int, s: int, ts: np.ndarray) -> np.ndarray:
-    group = spect.spec.group
-    W = character_matrix(group)
-    chi_a = W[:, group.index(a)]
-    lam_p = np.array([p.lambda_plus for p in spect.pairs])
-    lam_m = np.array([p.lambda_minus for p in spect.pairs])
-    coef_p = np.array([p.coefficient(r, s, +1) for p in spect.pairs], dtype=complex)
-    coef_m = np.array([p.coefficient(r, s, -1) for p in spect.pairs], dtype=complex)
-    values = (chi_a * coef_p) @ np.exp(-1j * np.outer(lam_p, ts))
-    values += (chi_a * coef_m) @ np.exp(-1j * np.outer(lam_m, ts))
-    return np.abs(values) / group.order
-
-
-def _scan_horizon(spect: Spectrum) -> tuple[float, str]:
+def _scan_times(spec: SemiCayleySpec) -> tuple[np.ndarray, float, str]:
     # beyond one period the magnitudes repeat; without an exact period use 2*pi
-    if spect.is_integral:
-        try:
-            return 2 * math.pi / eigen_gcd(spect.spec, spect), "2*pi / gcd of eigenvalue gaps"
-        except ValidationError:
-            pass
-    return 2 * math.pi, "2*pi (no exact period available)"
+    try:
+        horizon, note = 2 * math.pi / eigen_gcd(spec), "2*pi / gcd of eigenvalue gaps"
+    except ValidationError:
+        horizon, note = 2 * math.pi, "2*pi (no exact period available)"
+    return np.linspace(horizon / DEFAULT_SCAN_SAMPLES, horizon, DEFAULT_SCAN_SAMPLES), horizon, note
 
 
-def scan_pair(
-    spec: SemiCayleySpec, u: Vertex, v: Vertex, samples: int = DEFAULT_SCAN_SAMPLES,
-    spect: Spectrum | None = None,
-) -> dict:
+def _scan_magnitudes(spec: SemiCayleySpec, u: Vertex, v: Vertex, ts: np.ndarray) -> np.ndarray:
+    return np.abs(transfer_sums(spec, u, v, ts)) / spec.n
+
+
+def scan_pair(spec: SemiCayleySpec, u: Vertex, v: Vertex) -> dict:
     """Max |H_uv| over a uniform time grid: numeric evidence, not proof."""
-    spect = spect if spect is not None else spectrum(spec)
-    u = spec.validate_vertex(u)
-    v = spec.validate_vertex(v)
-    group = spec.group
-    a = group.mul(group.inverse(u.element), v.element)
-    horizon, horizon_note = _scan_horizon(spect)
-    ts = np.linspace(horizon / samples, horizon, samples)
-    mags = _scan_magnitudes(spect, a, u.layer, v.layer, ts)
+    ts, horizon, horizon_note = _scan_times(spec)
+    mags = _scan_magnitudes(spec, u, v, ts)
     best = int(np.argmax(mags))
     return {
         "max_magnitude": float(mags[best]),
         "argmax_time": float(ts[best]),
-        "samples": samples,
+        "samples": DEFAULT_SCAN_SAMPLES,
         "horizon": horizon,
         "horizon_rule": horizon_note,
     }
@@ -522,42 +484,32 @@ def scan_pair(
 # -- top-level analyses ------------------------------------------------------------
 
 
-def decide_pair(
-    spec: SemiCayleySpec, u: Vertex, v: Vertex, spect: Spectrum | None = None,
-    samples: int = DEFAULT_SCAN_SAMPLES, confirm: bool = True,
-) -> PstVerdict:
+def decide_pair(spec: SemiCayleySpec, u: Vertex, v: Vertex) -> PstVerdict:
     """Full decision stack for one ordered pair of distinct vertices."""
-    spect = spect if spect is not None else spectrum(spec)
     reason = necessary_conditions(spec, u, v)
     if reason is not None:
         return PstVerdict(u, v, "no", certificate={"rule": "necessary-condition", "detail": reason})
     if u.layer != v.layer:
-        return decide_cross_layer(spec, u, v, spect, confirm=confirm)
+        return decide_cross_layer(spec, u, v)
     if spec.R == spec.L:
-        return decide_same_layer_rl(spec, u, v, spect, confirm=confirm)
-    group = spec.group
-    a = group.mul(group.inverse(u.element), v.element)
-    obstruction = refute_phases(_phase_conditions(spect, a, u.layer))
+        return decide_same_layer_rl(spec, u, v)
+    obstruction = refute_phases(_phase_conditions(spec, spec.connecting_element(u, v), u.layer))
     if obstruction is not None:
         return PstVerdict(u, v, "no", certificate={"rule": "phase-obstruction", "detail": obstruction})
     return PstVerdict(u, v, "undecided", certificate={
         "rule": "numeric-scan",
         "detail": "same-layer pair with R != L is outside the exact characterizations",
-        "scan": scan_pair(spec, u, v, samples=samples, spect=spect),
+        "scan": scan_pair(spec, u, v),
     })
 
 
-def find_pst(
-    spec: SemiCayleySpec, samples: int = DEFAULT_SCAN_SAMPLES, confirm: bool = True,
-    spect: Spectrum | None = None,
-) -> list[PstVerdict]:
+def find_pst(spec: SemiCayleySpec) -> list[PstVerdict]:
     """Decide every vertex pair up to translation symmetry.
 
     H_uv(t) depends only on (g^{-1} h, layers), so one representative per
     (connecting element, layer pair) is decided, ordered by layer pair
     (0,0), (1,1), (0,1), (1,0) and then by element enumeration index.
     """
-    spect = spect if spect is not None else spectrum(spec)
     group = spec.group
     verdicts = []
     for r, s in ((0, 0), (1, 1), (0, 1), (1, 0)):
@@ -566,13 +518,11 @@ def find_pst(
                 continue
             u = Vertex(group.identity, r)
             v = Vertex(a, s)
-            verdicts.append(decide_pair(spec, u, v, spect, samples, confirm))
+            verdicts.append(decide_pair(spec, u, v))
     return verdicts
 
 
-def periodicity(
-    spec: SemiCayleySpec, samples: int = DEFAULT_SCAN_SAMPLES, spect: Spectrum | None = None
-) -> PeriodReport:
+def periodicity(spec: SemiCayleySpec) -> PeriodReport:
     """Periodicity of the whole graph.
 
     For R = L this is exact: periodic iff integral, with minimum period
@@ -580,7 +530,6 @@ def periodicity(
     certify non-periodicity; otherwise the question is reported undecided
     with scan evidence (max over t of the worse of the two diagonal entries).
     """
-    spect = spect if spect is not None else spectrum(spec)
     group = spec.group
     if not spec.R and not spec.L and not spec.S:
         return PeriodReport(
@@ -588,8 +537,8 @@ def periodicity(
             certificate={"detail": "empty graph: H(t) is the identity at every t, so every t is a period"},
         )
     if spec.R == spec.L:
-        if spect.is_integral:
-            m = eigen_gcd(spec, spect)
+        if spec.spectrum.is_integral:
+            m = eigen_gcd(spec)
             return PeriodReport(
                 periodic=True, min_period_two_pi=Fraction(1, m), min_period=2 * math.pi / m,
                 method="theorem", certificate={"eigen_gcd": m},
@@ -599,21 +548,20 @@ def periodicity(
             certificate={"detail": "spectrum is not integral, which is equivalent to aperiodicity when R = L"},
         )
     for layer in (0, 1):
-        obstruction = refute_phases(_phase_conditions(spect, group.identity, layer))
+        obstruction = refute_phases(_phase_conditions(spec, group.identity, layer))
         if obstruction is not None:
             return PeriodReport(
                 periodic=False, method="phase-obstruction",
                 certificate={"layer": layer, "detail": obstruction},
             )
-    horizon, horizon_note = _scan_horizon(spect)
-    ts = np.linspace(horizon / samples, horizon, samples)
-    diag0 = _scan_magnitudes(spect, group.identity, 0, 0, ts)
-    diag1 = _scan_magnitudes(spect, group.identity, 1, 1, ts)
+    ts, horizon, horizon_note = _scan_times(spec)
+    diag0 = _scan_magnitudes(spec, Vertex(group.identity, 0), Vertex(group.identity, 0), ts)
+    diag1 = _scan_magnitudes(spec, Vertex(group.identity, 1), Vertex(group.identity, 1), ts)
     worst = np.minimum(diag0, diag1)
     # |H_uu| ~ 1 near t = 0 for every graph; revival evidence only counts
     # after the diagonal has genuinely left its initial neighbourhood
     departed = np.nonzero(worst < 0.9)[0]
-    scan: dict = {"samples": samples, "horizon": horizon, "horizon_rule": horizon_note}
+    scan: dict = {"samples": DEFAULT_SCAN_SAMPLES, "horizon": horizon, "horizon_rule": horizon_note}
     if departed.size:
         start = int(departed[0])
         while start + 1 < worst.size and worst[start + 1] <= worst[start]:

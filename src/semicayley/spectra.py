@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characters import CycloValue, char_sum, character_matrix
+from .characters import CycloValue, character_matrix
 from .errors import ValidationError
 from .graphs import SemiCayleySpec
 from .groups import Element
@@ -66,7 +66,6 @@ class EigenPair:
 
 @dataclass(frozen=True)
 class Spectrum:
-    spec: SemiCayleySpec
     pairs: tuple[EigenPair, ...]
 
     @property
@@ -82,6 +81,12 @@ class Spectrum:
 
     @property
     def is_integral(self) -> bool:
+        """Exact integrality certificate for the whole spectrum.
+
+        True iff every character has integral chi(R), chi(L) and |chi(S)| and
+        the discriminant is a perfect square matching the parity of
+        chi(R) + chi(L).
+        """
         return all(p.exact for p in self.pairs)
 
     def to_json(self) -> dict:
@@ -161,32 +166,36 @@ def _eigen_pair(index: int, chi: Element, chi_r, chi_l, chi_s) -> EigenPair:
     )
 
 
+def _char_sums(group, subset) -> list[CycloValue]:
+    # chi(subset) for every character: the subset is indexed once and each
+    # sum is a bincount of one row of the character-exponent table
+    rows = group.char_exponents[:, group.indices(subset)]
+    return [CycloValue(group.exponent, np.bincount(row, minlength=group.exponent)) for row in rows]
+
+
 def spectrum(spec: SemiCayleySpec) -> Spectrum:
-    """Closed-form eigen-data for every character of the group."""
+    """Closed-form eigen-data for every character of the group.
+
+    Computes afresh on every call; spec.spectrum keeps one result per spec.
+    """
     group = spec.group
-    pairs = []
-    for i, chi in enumerate(group.elements()):
-        chi_r = char_sum(group, chi, spec.R)
-        chi_l = char_sum(group, chi, spec.L)
-        chi_s = char_sum(group, chi, spec.S)
-        pairs.append(_eigen_pair(i, chi, chi_r, chi_l, chi_s))
-    return Spectrum(spec, tuple(pairs))
+    sums = zip(group.elements(), _char_sums(group, spec.R), _char_sums(group, spec.L), _char_sums(group, spec.S))
+    return Spectrum(tuple(_eigen_pair(i, *chis) for i, chis in enumerate(sums)))
 
 
-def eigenvectors(spec: SemiCayleySpec, spect: Spectrum | None = None) -> tuple[np.ndarray, np.ndarray]:
+def eigenvectors(spec: SemiCayleySpec) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form orthonormal eigenbasis.
 
     Returns (values, vectors): column 2i of vectors is the +branch of
     character i, column 2i+1 the -branch, with values aligned.
     """
-    spect = spect if spect is not None else spectrum(spec)
     group = spec.group
     n = group.order
     W = character_matrix(group)
     inv_perm = [group.index(group.inverse(g)) for g in group.elements()]
     values = np.empty(2 * n)
     vectors = np.empty((2 * n, 2 * n), dtype=complex)
-    for p in spect.pairs:
+    for p in spec.spectrum.pairs:
         chi_at_inverse = W[p.index, inv_perm]
         if p.chi_s_is_zero:
             weights = (((1.0, 0.0), p.lambda_plus), ((0.0, 1.0), p.lambda_minus))
@@ -206,19 +215,18 @@ def eigenvectors(spec: SemiCayleySpec, spect: Spectrum | None = None) -> tuple[n
     return values, vectors
 
 
-def projectors(spec: SemiCayleySpec, spect: Spectrum | None = None) -> list[np.ndarray]:
+def projectors(spec: SemiCayleySpec) -> list[np.ndarray]:
     """Rank-one spectral projectors, ordered (char 0, +), (char 0, -), ...
 
     Each projector is Hermitian with block structure built from the character
     Gram block B[r, s] = chi(g_r^{-1} g_s); their eigenvalue order matches
     eigenvectors().
     """
-    spect = spect if spect is not None else spectrum(spec)
     group = spec.group
     n = group.order
     W = character_matrix(group)
     out = []
-    for p in spect.pairs:
+    for p in spec.spectrum.pairs:
         gram = np.outer(W[p.index].conj(), W[p.index])
         for sign in (1, -1):
             c = p.coefficient(0, 0, sign)
@@ -229,19 +237,9 @@ def projectors(spec: SemiCayleySpec, spect: Spectrum | None = None) -> list[np.n
     return out
 
 
-def is_integral(spec: SemiCayleySpec, spect: Spectrum | None = None) -> bool:
-    """Exact integrality certificate for the whole spectrum.
-
-    True iff every character has integral chi(R), chi(L) and |chi(S)| and the
-    discriminant is a perfect square matching the parity of chi(R) + chi(L).
-    """
-    spect = spect if spect is not None else spectrum(spec)
-    return spect.is_integral
-
-
-def eigen_gcd(spec: SemiCayleySpec, spect: Spectrum | None = None) -> int:
+def eigen_gcd(spec: SemiCayleySpec) -> int:
     """gcd of the gaps between the top eigenvalue and the rest of the spectrum."""
-    spect = spect if spect is not None else spectrum(spec)
+    spect = spec.spectrum
     if not spect.is_integral:
         raise ValidationError("spectrum not integral")
     top = spect.pairs[0].lambda_plus_exact

@@ -20,17 +20,16 @@ import numpy as np
 
 from .characters import character_matrix
 from .errors import ValidationError
-from .graphs import SemiCayleySpec, Vertex, cay_adjacency, spoke_matrix
-from .spectra import Spectrum, spectrum
+from .graphs import SemiCayleySpec, Vertex, cay_adjacency
 
 
-def transfer_matrix(spec: SemiCayleySpec, t: float, spect: Spectrum | None = None) -> np.ndarray:
+def transfer_matrix(spec: SemiCayleySpec, t: float) -> np.ndarray:
     """H(t) as the character sum of exp(-i lambda t) times the projectors.
 
     Assembled blockwise: each character contributes its Gram block weighted by
     the c/d/e coefficient combinations, summed in character order.
     """
-    spect = spect if spect is not None else spectrum(spec)
+    spect = spec.spectrum
     group = spec.group
     n = group.order
     W = character_matrix(group)
@@ -57,22 +56,30 @@ def transfer_matrix(spec: SemiCayleySpec, t: float, spect: Spectrum | None = Non
     )
 
 
-def transfer_entry(spec: SemiCayleySpec, u: Vertex, v: Vertex, t: float,
-                   spect: Spectrum | None = None) -> complex:
-    """Single entry of H(t) via the four-case character formula."""
-    spect = spect if spect is not None else spectrum(spec)
-    group = spec.group
+def transfer_sums(spec: SemiCayleySpec, u: Vertex, v: Vertex, ts: np.ndarray) -> np.ndarray:
+    """n * H_uv(t) for every time in ts: the four-case character formula.
+
+    The sum over characters chi of chi(a) (w+ exp(-i lambda+ t) + w-
+    exp(-i lambda- t)), with a = g^{-1} h the connecting element and w+- the
+    weights of the (u.layer, v.layer) case; callers divide by n = |G|.
+    """
     u = spec.validate_vertex(u)
     v = spec.validate_vertex(v)
-    a = group.mul(group.inverse(u.element), v.element)
-    W = character_matrix(group)
-    chi_a = W[:, group.index(a)]
-    total = 0j
-    for p in spect.pairs:
-        term = p.coefficient(u.layer, v.layer, +1) * np.exp(-1j * p.lambda_plus * t)
-        term += p.coefficient(u.layer, v.layer, -1) * np.exp(-1j * p.lambda_minus * t)
-        total += term * chi_a[p.index]
-    return complex(total / group.order)
+    group = spec.group
+    pairs = spec.spectrum.pairs
+    chi_a = character_matrix(group)[:, group.index(spec.connecting_element(u, v))]
+    lam_p = np.array([p.lambda_plus for p in pairs])
+    lam_m = np.array([p.lambda_minus for p in pairs])
+    coef_p = np.array([p.coefficient(u.layer, v.layer, +1) for p in pairs], dtype=complex)
+    coef_m = np.array([p.coefficient(u.layer, v.layer, -1) for p in pairs], dtype=complex)
+    values = (chi_a * coef_p) @ np.exp(-1j * np.outer(lam_p, ts))
+    values += (chi_a * coef_m) @ np.exp(-1j * np.outer(lam_m, ts))
+    return values
+
+
+def transfer_entry(spec: SemiCayleySpec, u: Vertex, v: Vertex, t: float) -> complex:
+    """Single entry of H(t): the one-time case of transfer_sums."""
+    return complex(transfer_sums(spec, u, v, np.array([t]))[0] / spec.n)
 
 
 def oracle_expm(adjacency: np.ndarray, t: float) -> np.ndarray:
@@ -129,7 +136,7 @@ def block_transfer_rl(spec: SemiCayleySpec, t: float) -> np.ndarray:
     if spec.R != spec.L:
         raise ValidationError("block transfer formula requires R = L")
     layer = cay_adjacency(spec.group, spec.R).astype(float)
-    spokes = spoke_matrix(spec).astype(float)
+    spokes = cay_adjacency(spec.group, spec.S).astype(float)
     vals, vecs = np.linalg.eigh(layer)
     h_layer = (vecs * np.exp(-1j * vals * t)) @ vecs.T
     cos_part, sinc_part = _matrix_cos_sinc(spokes @ spokes.T, t)

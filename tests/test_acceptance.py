@@ -182,8 +182,7 @@ def test_criterion_6_known_transfer_reproduction():
             assert verdict.certificate["confirmation"]["magnitude_oracle"] >= 1 - 1e-8
 
         for spec in (k2, c4, q3):
-            spect = spectrum(spec)
-            period = 2 * math.pi / sc.eigen_gcd(spec, spect)
+            period = 2 * math.pi / sc.eigen_gcd(spec)
             scan_max = _oracle_scan_classification(spec, period)
             verdicts = {}
             for verdict in find_pst(spec):
@@ -246,11 +245,8 @@ def test_criterion_8_property_suite(rng):
                 if (g, r) == (h, s):
                     continue
                 shift = group.element(int(rng.integers(group.order)))
-                base = decide_pair(spec, Vertex(g, r), Vertex(h, s), confirm=False)
-                moved = decide_pair(
-                    spec, Vertex(group.mul(shift, g), r), Vertex(group.mul(shift, h), s),
-                    confirm=False,
-                )
+                base = decide_pair(spec, Vertex(g, r), Vertex(h, s))
+                moved = decide_pair(spec, Vertex(group.mul(shift, g), r), Vertex(group.mul(shift, h), s))
                 assert (base.status, base.time_two_pi) == (moved.status, moved.time_two_pi)
 
         # |H_uv(t)| <= 1 + 1e-9 on random samples

@@ -11,7 +11,6 @@ from semicayley.graphs import (
     from_cayley_index2,
     identity_action,
     inversion,
-    spoke_matrix,
 )
 
 from conftest import GROUP_POOL, NONTRIVIAL_POOL, random_inverse_closed, random_spec, random_subset
@@ -268,7 +267,7 @@ def test_spec_json_round_trip(rng):
 
 def test_spoke_matrix_orientation():
     spec = make_spec(AbelianGroup([4]), [], [], [(1,)])
-    spokes = spoke_matrix(spec)
+    spokes = cay_adjacency(spec.group, spec.S)
     for x in range(4):
         for y in range(4):
             assert spokes[x, y] == (1 if (y - x) % 4 == 1 else 0)

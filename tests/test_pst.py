@@ -209,10 +209,8 @@ def test_translation_invariance(rng):
             if (g, r) == (h, s):
                 continue
             shift = group.element(int(rng.integers(group.order)))
-            base = decide_pair(spec, Vertex(g, r), Vertex(h, s), confirm=False)
-            moved = decide_pair(
-                spec, Vertex(group.mul(shift, g), r), Vertex(group.mul(shift, h), s), confirm=False
-            )
+            base = decide_pair(spec, Vertex(g, r), Vertex(h, s))
+            moved = decide_pair(spec, Vertex(group.mul(shift, g), r), Vertex(group.mul(shift, h), s))
             assert base.status == moved.status
             assert base.time_two_pi == moved.time_two_pi
 
@@ -260,7 +258,7 @@ def test_reversed_pairs_agree(rng):
         spec = random_spec(rng, equal_layers=equal_layers)
         group = spec.group
         forward = {}
-        for v in find_pst(spec, confirm=False):
+        for v in find_pst(spec):
             key = (v.source.layer, v.target.layer, v.target.element)
             forward[key] = (v.status, v.time_two_pi)
         for (r, s, a), outcome in forward.items():
@@ -323,7 +321,7 @@ def test_deciders_match_oracle_scan_on_random_integral_specs(rng):
         if not spect.is_integral or (not spec.R and not spec.S):
             continue
         done += 1
-        period = 2 * math.pi / eigen_gcd(spec, spect)
+        period = 2 * math.pi / eigen_gcd(spec)
         samples = 2000
         step = oracle_expm(build(spec), period / samples)
         current = np.eye(2 * spec.n, dtype=complex)

@@ -1,10 +1,12 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 import semicayley as sc
-from semicayley import AbelianGroup, ValidationError, build, eigen_gcd, make_spec, spectrum
+from semicayley import AbelianGroup, ValidationError, build, char_sum, eigen_gcd, make_spec, spectrum
 from semicayley.spectra import eigenvectors, projectors
 
 from conftest import random_spec
@@ -15,7 +17,7 @@ def test_c4_spectrum():
     spect = spectrum(spec)
     assert sorted(spect.eigenvalues()) == [-2.0, 0.0, 0.0, 2.0]
     assert spect.is_integral
-    assert eigen_gcd(spec, spect) == 2
+    assert eigen_gcd(spec) == 2
     exact = [(p.lambda_plus_exact, p.lambda_minus_exact) for p in spect.pairs]
     assert exact == [(2, 0), (0, -2)]
 
@@ -116,14 +118,14 @@ def test_eigenvectors_and_projectors(rng):
 
 
 def test_is_integral_examples():
-    assert sc.is_integral(make_spec(AbelianGroup([2]), [(1,)], [(1,)], [(0,)]))
-    assert not sc.is_integral(sc.cone(5))
+    assert spectrum(make_spec(AbelianGroup([2]), [(1,)], [(1,)], [(0,)])).is_integral
+    assert not spectrum(sc.cone(5)).is_integral
     full = sc.dihedral_full_coset(AbelianGroup([4]))
     spect = spectrum(full)
     assert spect.is_integral
     lams = sorted(spect.eigenvalues())
     assert lams == [-4.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 4.0]
-    assert eigen_gcd(full, spect) == 4
+    assert eigen_gcd(full) == 4
 
 
 def test_eigen_gcd_errors():
@@ -140,3 +142,52 @@ def test_spectrum_json():
     assert len(blob["characters"]) == 2
     row = blob["characters"][0]
     assert row["exact"] is True and row["lambda_plus_exact"] == 2
+
+
+def test_spectrum_character_sums_match_char_sum(rng):
+    for _ in range(20):
+        spec = random_spec(rng)
+        group = spec.group
+        for pair, chi in zip(spectrum(spec).pairs, group.elements()):
+            assert pair.char_index == chi
+            assert pair.chi_r.coeffs == char_sum(group, chi, spec.R).coeffs
+            assert pair.chi_l.coeffs == char_sum(group, chi, spec.L).coeffs
+            assert pair.chi_s.coeffs == char_sum(group, chi, spec.S).coeffs
+
+
+def test_spec_keeps_its_spectrum():
+    spec = sc.cone(6)
+    assert spec.spectrum is spec.spectrum
+    assert spec.spectrum == spectrum(spec)
+    assert spec == sc.cone(6) and hash(spec) == hash(sc.cone(6))
+
+
+def test_pst_find_job_computes_one_spectrum(monkeypatch):
+    import semicayley.spectra
+    from semicayley.cli import run
+
+    calls = []
+    original = semicayley.spectra.spectrum
+
+    def counting(spec):
+        calls.append(spec)
+        return original(spec)
+
+    monkeypatch.setattr(semicayley.spectra, "spectrum", counting)
+    report, code = run({"command": "pst-find", "graph": {"family": "hypercube", "n": 3}})
+    assert code == 0 and report["pst_found"]
+    assert len(calls) == 1
+
+
+def test_spectrum_is_freed_with_its_spec():
+    # without the cyclic collector, only refcounting can free the spectrum:
+    # a back reference from the spectrum to its spec would keep both alive
+    gc.disable()
+    try:
+        spec = sc.cone(5)
+        ref = weakref.ref(spec.spectrum)
+        assert ref() is not None
+        del spec
+        assert ref() is None
+    finally:
+        gc.enable()

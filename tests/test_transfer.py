@@ -16,6 +16,7 @@ from semicayley import (
     transfer_matrix,
 )
 from semicayley.graphs import cay_adjacency
+from semicayley.transfer import transfer_sums
 
 from conftest import random_spec
 
@@ -72,6 +73,24 @@ def test_spectral_path_equals_oracle(rng):
         h_spec = transfer_matrix(spec, t)
         h_oracle = oracle_expm(build(spec), t)
         assert np.max(np.abs(h_spec - h_oracle)) < 1e-9
+
+
+def test_entry_formula_equals_oracle(rng):
+    # transfer_sums serves transfer_entry (one time) and the scans (a grid);
+    # check it in all four layer cases against the independent oracle
+    for _ in range(10):
+        spec = random_spec(rng)
+        group = spec.group
+        ts = rng.uniform(0.0, 10.0, size=3)
+        oracles = [oracle_expm(build(spec), t) for t in ts]
+        for r in (0, 1):
+            for s in (0, 1):
+                u = Vertex(group.element(int(rng.integers(group.order))), r)
+                v = Vertex(group.element(int(rng.integers(group.order))), s)
+                want = np.array([h[spec.vertex_index(u), spec.vertex_index(v)] for h in oracles])
+                assert np.max(np.abs(transfer_sums(spec, u, v, ts) / spec.n - want)) < 1e-9
+                for t, w in zip(ts, want):
+                    assert abs(transfer_entry(spec, u, v, float(t)) - w) < 1e-9
 
 
 def test_block_path_equals_oracle(rng):
