@@ -6,10 +6,11 @@ by sign conditions in the cyclotomic ring plus valuations, and periodicity is
 equivalent to spectral integrality with minimum period 2*pi / gcd of the gaps.
 
 For R != L the theorems only constrain: cross-layer pairs are still decided
-exactly (transfer forces R = L), while same-layer pairs and periodicity fall
-back to a sound-but-incomplete exact refuter (incommensurable or parity-
-contradictory phase constraints) and, failing that, to numeric evidence from
-a time scan -- reported as undecided, never guessed.
+exactly (transfer forces R = L) and an integral spectrum proves periodicity,
+while same-layer pairs and non-integral periodicity fall back to a sound-but-
+incomplete exact refuter (incommensurable or parity-contradictory phase
+constraints) and, failing that, to numeric evidence from a time scan --
+reported as undecided, never guessed.
 
 Every positive verdict is mandatorily confirmed by both the spectral path and
 the brute-force exponential oracle: the candidate times are synthesized from
@@ -133,22 +134,6 @@ def necessary_conditions(spec: SemiCayleySpec, u: Vertex, v: Vertex) -> str | No
 # -- exact phase-constraint refuter (R != L fallback) ---------------------------
 
 
-def _squarefree_split(m: int) -> tuple[int, int]:
-    # m = f^2 * s with s squarefree
-    f, s = 1, 1
-    d = 2
-    while d * d <= m:
-        exp = 0
-        while m % d == 0:
-            m //= d
-            exp += 1
-        f *= d ** (exp // 2)
-        if exp % 2:
-            s *= d
-        d += 1
-    return f, s * m
-
-
 def _vec_render(vec: dict[int, Fraction]) -> str:
     parts = []
     for key in sorted(vec):
@@ -161,8 +146,9 @@ def _phase_conditions(spec: SemiCayleySpec, a: Element, layer: int) -> list[tupl
     """Alignment constraints d*t in pi*(2Z + parity) implied by |H_uv(t)| = 1.
 
     Each certified eigenvalue gap from the reference eigenvalue of the layer
-    is expressed exactly over the Q-basis {1} u {sqrt(squarefree)}; gaps whose
-    data is not certified integral are skipped, which keeps the refuter sound.
+    is expressed exactly over the Q-basis {1} u {sqrt(squarefree)}, from the
+    surd vectors the spectrum certified; uncertified characters are skipped,
+    which keeps the refuter sound (the trivial character is always certified).
     Only valid for connecting elements of order 1 or 2.
     """
     spect = spec.spectrum
@@ -170,53 +156,8 @@ def _phase_conditions(spec: SemiCayleySpec, a: Element, layer: int) -> list[tupl
     n_exp = group.exponent
     chi_a = group.char_exponents[:, group.index(a)]
 
-    def surd_vec(rational: Fraction, surds: list[tuple[int, Fraction]]) -> dict[int, Fraction]:
-        vec: dict[int, Fraction] = {}
-        if rational:
-            vec[1] = rational
-        for disc, scale in surds:
-            if disc == 0 or scale == 0:
-                continue
-            f, s = _squarefree_split(disc)
-            vec[s] = vec.get(s, Fraction(0)) + f * scale
-            if vec[s] == 0:
-                del vec[s]
-        return vec
-
-    def certified(pair):
-        # (sigma, disc) with lambda^{+-} = (sigma +- sqrt(disc)) / 2, or None
-        sigma = (pair.chi_r + pair.chi_l).as_integer()
-        if sigma is None:
-            return None
-        diff = pair.chi_r - pair.chi_l
-        disc = (diff * diff + 4 * pair.chi_s.abs_squared()).as_integer()
-        if disc is None:
-            return None
-        return sigma, disc
-
-    def branch_vecs(pair):
-        # exact vectors for the eigenvalues of this character that the layer
-        # entry formula actually involves, or None when not certified
-        if pair.chi_s_is_zero:
-            value = (pair.chi_r if layer == 0 else pair.chi_l).as_integer()
-            if value is None:
-                return None
-            return [surd_vec(Fraction(value), [])]
-        data = certified(pair)
-        if data is None:
-            return None
-        sigma, disc = data
-        half = Fraction(1, 2)
-        return [
-            surd_vec(Fraction(sigma, 2), [(disc, half)]),
-            surd_vec(Fraction(sigma, 2), [(disc, -half)]),
-        ]
-
-    ref_vecs = branch_vecs(spect.pairs[0])
-    if ref_vecs is None:  # cannot happen: trivial-character data is always integral
-        return []
-    reference = ref_vecs[0] if layer == 0 else ref_vecs[-1]
-
+    top = spect.pairs[0]
+    reference = top.lambda_plus_surd if layer == 0 else top.lambda_minus_surd
     conditions = []
     for pair in spect.pairs:
         numerator = chi_a[pair.index]
@@ -226,8 +167,8 @@ def _phase_conditions(spec: SemiCayleySpec, a: Element, layer: int) -> list[tupl
             parity = 1
         else:
             raise ValidationError("phase conditions need a connecting element of order 1 or 2")
-        vecs = branch_vecs(pair)
-        if vecs is None:
+        vecs = pair.layer_surds(layer)
+        if None in vecs:
             continue
         for vec in vecs:
             gap = dict(reference)
@@ -276,12 +217,6 @@ def refute_phases(conditions: list[tuple[dict, int]]) -> str | None:
 # -- exact deciders (R = L) ------------------------------------------------------
 
 
-def _integral_lambdas(spec: SemiCayleySpec) -> list[tuple[int, int]] | None:
-    if not spec.spectrum.is_integral:
-        return None
-    return [(p.lambda_plus_exact, p.lambda_minus_exact) for p in spec.spectrum.pairs]
-
-
 def _character_signs(group, a: Element) -> np.ndarray:
     """chi(a) = +-1 for every character, in enumeration order."""
     chi_a = group.char_exponents[:, group.index(a)]
@@ -325,16 +260,16 @@ def decide_same_layer_rl(spec: SemiCayleySpec, u: Vertex, v: Vertex) -> PstVerdi
     if order != 2:
         return PstVerdict(u, v, "no", certificate={
             "rule": "order-2", "detail": f"connecting element has order {order}, not 2"})
-    lambdas = _integral_lambdas(spec)
-    if lambdas is None:
+    spect = spec.spectrum
+    if not spect.is_integral:
         return PstVerdict(u, v, "no", certificate={
             "rule": "non-integral",
             "detail": "spectrum is not integral (chi(R) or |chi(S)| irrational for some character)"})
-    top = lambdas[0][0]
+    top = spect.pairs[0].lambda_plus_exact
     minus_vals: set[int] = set()
     plus_gaps: list[int] = []
-    for sign, (lam_p, lam_m) in zip(_character_signs(group, a), lambdas):
-        for lam in (lam_p, lam_m):
+    for sign, pair in zip(_character_signs(group, a), spect.pairs):
+        for lam in (pair.lambda_plus_exact, pair.lambda_minus_exact):
             gap = top - lam
             if sign < 0:
                 if gap == 0:
@@ -387,21 +322,20 @@ def decide_cross_layer(spec: SemiCayleySpec, u: Vertex, v: Vertex) -> PstVerdict
     if spec.R != spec.L:
         return PstVerdict(u, v, "no", certificate={
             "rule": "r-neq-l", "detail": "cross-layer transfer forces R = L"})
-    lambdas = _integral_lambdas(spec)
-    if lambdas is None:
+    if not spect.is_integral:
         return PstVerdict(u, v, "no", certificate={
             "rule": "non-integral",
             "detail": "spectrum is not integral (chi(R) or |chi(S)| irrational for some character)"})
     k = _v2(len(spec.S))
-    for pair, (lam_p, lam_m) in zip(spect.pairs, lambdas):
-        if _v2((lam_p - lam_m) // 2) != k:
+    for pair in spect.pairs:
+        if _v2((pair.lambda_plus_exact - pair.lambda_minus_exact) // 2) != k:
             return PstVerdict(u, v, "no", certificate={
                 "rule": "spoke-valuation",
                 "detail": f"nu2|chi(S)| differs from nu2|S| = {k} at character {pair.index}"})
-    top = lambdas[0][0]
+    top = spect.pairs[0].lambda_plus_exact
     chi_a_exponents = group.char_exponents[:, group.index(spec.connecting_element(u, v))]
-    for pair, (lam_p, lam_m) in zip(spect.pairs, lambdas):
-        abs_s = (lam_p - lam_m) // 2
+    for pair in spect.pairs:
+        abs_s = (pair.lambda_plus_exact - pair.lambda_minus_exact) // 2
         chi_a = CycloValue.root(chi_a_exponents[pair.index], group.exponent)
         spoke = pair.chi_s.conj() if u.layer == 0 else pair.chi_s
         w = (chi_a * spoke).as_integer()
@@ -413,7 +347,7 @@ def decide_cross_layer(spec: SemiCayleySpec, u: Vertex, v: Vertex) -> PstVerdict
             return PstVerdict(u, v, "no", certificate={
                 "rule": "sign",
                 "detail": f"chi(a) chi(S) is not +-|chi(S)| at character {pair.index}"})
-        gap = top - lam_p
+        gap = top - pair.lambda_plus_exact
         if sign < 0:
             if gap == 0 or _v2(gap) != k + 1:
                 return PstVerdict(u, v, "no", certificate={
@@ -522,13 +456,21 @@ def find_pst(spec: SemiCayleySpec) -> list[PstVerdict]:
     return verdicts
 
 
+def _support_gap_gcd(spec: SemiCayleySpec, layer: int) -> int:
+    # gcd of the eigenvalue gaps in the support of a layer vertex (integral spectrum)
+    values = [int(vec.get(1, 0)) for p in spec.spectrum.pairs for vec in p.layer_surds(layer)]
+    return math.gcd(*(lam - values[0] for lam in values))
+
+
 def periodicity(spec: SemiCayleySpec) -> PeriodReport:
     """Periodicity of the whole graph.
 
-    For R = L this is exact: periodic iff integral, with minimum period
-    2*pi / gcd of the eigenvalue gaps.  For R != L the exact refuter may
-    certify non-periodicity; otherwise the question is reported undecided
-    with scan evidence (max over t of the worse of the two diagonal entries).
+    An integral spectrum is periodic: |H_uu(t)| = 1 on layer r exactly at the
+    multiples of 2*pi / g_r, g_r the gcd of the gaps in its support, so the
+    minimum period is 2*pi / gcd(g_0, g_1).  A non-integral R = L spectrum is
+    aperiodic; for R != L the exact refuter may certify non-periodicity,
+    otherwise the question is reported undecided with scan evidence (max over
+    t of the worse of the two diagonal entries).
     """
     group = spec.group
     if not spec.R and not spec.L and not spec.S:
@@ -536,13 +478,14 @@ def periodicity(spec: SemiCayleySpec) -> PeriodReport:
             periodic=True, min_period_two_pi=None, min_period=None, method="degenerate",
             certificate={"detail": "empty graph: H(t) is the identity at every t, so every t is a period"},
         )
+    if spec.spectrum.is_integral:
+        gcds = [_support_gap_gcd(spec, layer) for layer in (0, 1)]
+        m = math.gcd(*gcds)
+        return PeriodReport(
+            periodic=True, min_period_two_pi=Fraction(1, m), min_period=2 * math.pi / m,
+            method="theorem", certificate={"eigen_gcd": m} if spec.R == spec.L else {"layer_gap_gcds": gcds},
+        )
     if spec.R == spec.L:
-        if spec.spectrum.is_integral:
-            m = eigen_gcd(spec)
-            return PeriodReport(
-                periodic=True, min_period_two_pi=Fraction(1, m), min_period=2 * math.pi / m,
-                method="theorem", certificate={"eigen_gcd": m},
-            )
         return PeriodReport(
             periodic=False, method="theorem",
             certificate={"detail": "spectrum is not integral, which is equivalent to aperiodicity when R = L"},

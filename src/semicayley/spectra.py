@@ -2,17 +2,22 @@
 
 Every character chi of G contributes a 2x2 block with entries chi(R), chi(S),
 conj(chi(S)), chi(L); its eigenvalue pair, eigenvector weights and spectral
-projectors are computed in closed form.  Floats drive the dynamics; exact
-integer eigenvalues are attached whenever the per-character certificate
-(integral chi(R), chi(L), |chi(S)| and a perfect-square discriminant of the
-right parity) holds, which is precisely when the state-transfer theorems
-apply.
+projectors are computed in closed form.  Floats drive the dynamics.
+
+Exactness is certified once per character, when its pair is built: the
+eigenvalues (sigma +- sqrt(disc)) / 2, sigma = chi(R) + chi(L) and disc =
+(chi(R) - chi(L))^2 + 4 |chi(S)|^2, are exact surds iff sigma and disc are
+integers, and integers iff disc is moreover a perfect square with the parity
+of sigma (chi(R) and chi(L) one by one when chi(S) = 0).  These are the two cases of a
+periodic vertex's eigenvalues (Godsil, "Periodic graphs", 2011).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -29,6 +34,10 @@ class EigenPair:
     When chi(S) = 0 the pair keeps the convention (lambda_plus, lambda_minus)
     = (chi(R), chi(L)) unsorted, so the eigenvector weights stay (1,0)/(0,1);
     otherwise lambda_plus >= lambda_minus.
+
+    The *_surd fields are the certified exact eigenvalues as vectors
+    {1: rational part, s: coefficient of sqrt(s)}, s > 1 squarefree, or None;
+    the *_exact fields are the same values as ints when both are integers.
     """
 
     index: int
@@ -40,6 +49,8 @@ class EigenPair:
     x: float
     lambda_plus: float
     lambda_minus: float
+    lambda_plus_surd: dict[int, Fraction] | None
+    lambda_minus_surd: dict[int, Fraction] | None
     lambda_plus_exact: int | None
     lambda_minus_exact: int | None
     c_plus: float
@@ -52,6 +63,15 @@ class EigenPair:
     @property
     def exact(self) -> bool:
         return self.lambda_plus_exact is not None
+
+    def layer_surds(self, layer: int) -> tuple:
+        """The exact eigenvalues in the support of a vertex of the layer.
+
+        chi(S) = 0 puts chi(R) only in layer 0 and chi(L) only in layer 1;
+        otherwise both branches are in both layers.
+        """
+        surds = (self.lambda_plus_surd, self.lambda_minus_surd)
+        return surds[layer : layer + 1] if self.chi_s_is_zero else surds
 
     def coefficient(self, r: int, s: int, sign: int) -> complex:
         """Entry-formula weight for the (r, s) layer case and the +/- branch."""
@@ -79,13 +99,14 @@ class Spectrum:
             out.extend((p.lambda_plus, p.lambda_minus))
         return out
 
-    @property
+    @cached_property
     def is_integral(self) -> bool:
         """Exact integrality certificate for the whole spectrum.
 
-        True iff every character has integral chi(R), chi(L) and |chi(S)| and
-        the discriminant is a perfect square matching the parity of
-        chi(R) + chi(L).
+        True iff every character's eigenvalues are certified integers: chi(R)
+        and chi(L) when chi(S) = 0, and otherwise an integral
+        sigma = chi(R) + chi(L) with disc = (chi(R) - chi(L))^2 + 4 |chi(S)|^2
+        a perfect square of the parity of sigma.
         """
         return all(p.exact for p in self.pairs)
 
@@ -113,38 +134,74 @@ class Spectrum:
         return {"characters": rows}
 
 
-def _exact_pair(chi_r: CycloValue, chi_l: CycloValue, chi_s: CycloValue, s_zero: bool):
-    r_int = chi_r.as_integer()
-    l_int = chi_l.as_integer()
-    if r_int is None or l_int is None:
+def _squarefree_split(m: int) -> tuple[int, int]:
+    # m = f^2 * s with s squarefree
+    f, s = 1, 1
+    d = 2
+    while d * d <= m:
+        exp = 0
+        while m % d == 0:
+            m //= d
+            exp += 1
+        f *= d ** (exp // 2)
+        if exp % 2:
+            s *= d
+        d += 1
+    return f, s * m
+
+
+def _surd(rational, root: int = 1, coeff: Fraction = Fraction(0)) -> dict[int, Fraction]:
+    # rational + coeff * sqrt(root) as a surd vector without zero entries
+    vec = {1: Fraction(rational)}
+    vec[root] = vec.get(root, 0) + coeff
+    return {key: c for key, c in vec.items() if c}
+
+
+def _surd_int(vec: dict[int, Fraction] | None) -> int | None:
+    if vec is None or set(vec) - {1} or vec.get(1, Fraction(0)).denominator != 1:
         return None
-    if s_zero:
-        return r_int, l_int
-    s_int = chi_s.abs_as_integer()
-    if s_int is None:
-        return None
-    disc = (r_int - l_int) ** 2 + 4 * s_int * s_int
-    q = math.isqrt(disc)
-    if q * q != disc or (q - (r_int + l_int)) % 2 != 0:
-        return None
-    return (r_int + l_int + q) // 2, (r_int + l_int - q) // 2
+    return int(vec.get(1, 0))
+
+
+def _certify(chi_r: CycloValue, chi_l: CycloValue, chi_s_abs2: CycloValue | None):
+    """The exact eigenvalues (lambda_plus, lambda_minus) of one character block.
+
+    Each is a surd vector or None; chi_s_abs2 = |chi(S)|^2, None when chi(S) = 0.
+    sigma is tested first: forming disc costs a product in Z[zeta_N].
+    """
+    if chi_s_abs2 is None:
+        return tuple(None if v is None else _surd(v) for v in (chi_r.as_integer(), chi_l.as_integer()))
+    sigma = (chi_r + chi_l).as_integer()
+    if sigma is None:
+        return None, None
+    diff = chi_r - chi_l
+    disc = (diff * diff + 4 * chi_s_abs2).as_integer()
+    if disc is None:
+        return None, None
+    f, root = _squarefree_split(disc)
+    mid = Fraction(sigma, 2)
+    return _surd(mid, root, Fraction(f, 2)), _surd(mid, root, Fraction(-f, 2))
 
 
 def _eigen_pair(index: int, chi: Element, chi_r, chi_l, chi_s) -> EigenPair:
     s_zero = chi_s.is_zero()
     r = chi_r.approx.real
     l = chi_l.approx.real
-    exact = _exact_pair(chi_r, chi_l, chi_s, s_zero)
+    abs2 = None if s_zero else chi_s.abs_squared()
+    surds = _certify(chi_r, chi_l, abs2)
+    ints = [_surd_int(vec) for vec in surds]
+    if None in ints:
+        ints = [None, None]
+    exact = dict(lambda_plus_surd=surds[0], lambda_minus_surd=surds[1],
+                 lambda_plus_exact=ints[0], lambda_minus_exact=ints[1])
     if s_zero:
         return EigenPair(
             index=index, char_index=chi, chi_r=chi_r, chi_l=chi_l, chi_s=chi_s,
-            chi_s_is_zero=True, x=r - l, lambda_plus=r, lambda_minus=l,
-            lambda_plus_exact=None if exact is None else exact[0],
-            lambda_minus_exact=None if exact is None else exact[1],
+            chi_s_is_zero=True, x=r - l, lambda_plus=r, lambda_minus=l, **exact,
             c_plus=1.0, c_minus=0.0, d_plus=0.0, d_minus=1.0, e_plus=0j, e_minus=0j,
         )
     x = r - l
-    s2 = chi_s.abs_squared().approx.real
+    s2 = abs2.approx.real
     disc = math.sqrt(x * x + 4.0 * s2)
     lam_p = 0.5 * (r + l + disc)
     lam_m = 0.5 * (r + l - disc)
@@ -157,9 +214,7 @@ def _eigen_pair(index: int, chi: Element, chi_r, chi_l, chi_s) -> EigenPair:
     e_plus = 2.0 * chi_s.approx.conjugate() * p / den_p
     return EigenPair(
         index=index, char_index=chi, chi_r=chi_r, chi_l=chi_l, chi_s=chi_s,
-        chi_s_is_zero=False, x=x, lambda_plus=lam_p, lambda_minus=lam_m,
-        lambda_plus_exact=None if exact is None else exact[0],
-        lambda_minus_exact=None if exact is None else exact[1],
+        chi_s_is_zero=False, x=x, lambda_plus=lam_p, lambda_minus=lam_m, **exact,
         c_plus=p * p / den_p, c_minus=m * m / den_m,
         d_plus=4.0 * s2 / den_p, d_minus=4.0 * s2 / den_m,
         e_plus=e_plus, e_minus=-e_plus,

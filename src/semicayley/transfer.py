@@ -67,7 +67,8 @@ def transfer_sums(spec: SemiCayleySpec, u: Vertex, v: Vertex, ts: np.ndarray) ->
     v = spec.validate_vertex(v)
     group = spec.group
     pairs = spec.spectrum.pairs
-    chi_a = character_matrix(group)[:, group.index(spec.connecting_element(u, v))]
+    a = group.index(spec.connecting_element(u, v))
+    chi_a = np.exp(2j * np.pi * group.char_exponents[:, a] / group.exponent)
     lam_p = np.array([p.lambda_plus for p in pairs])
     lam_m = np.array([p.lambda_minus for p in pairs])
     coef_p = np.array([p.coefficient(u.layer, v.layer, +1) for p in pairs], dtype=complex)

@@ -177,6 +177,81 @@ def test_periodicity_examples():
     assert report.periodic is True and report.min_period_two_pi is None
 
 
+Z5_RL = ((5,), [(1,), (4,)], [(2,), (3,)], [(4,)])
+Z2Z4_RL = ((2, 4), [(0, 1), (0, 3), (1, 0)], [(1, 1), (1, 3)], [(0, 0), (1, 2)])
+
+
+def _spec(data):
+    factors, r_set, l_set, s_set = data
+    return make_spec(AbelianGroup(factors), r_set, l_set, s_set)
+
+
+def test_rl_periodicity_from_integral_spectrum():
+    # SC(Z5, {+-1}, {+-2}, {4}) has spectrum {3, 1^5, (-2)^4}: both layers see
+    # every eigenvalue and the gaps have gcd 1
+    report = periodicity(_spec(Z5_RL))
+    assert report.periodic is True and report.method == "theorem"
+    assert report.min_period_two_pi == 1 and abs(report.min_period - 2 * math.pi) < 1e-12
+    assert report.certificate == {"layer_gap_gcds": [1, 1]}
+    # K2 u 2K1: layer 0 sees +-1 and layer 1 only 0, so the period is pi
+    # although the gaps of the whole spectrum {1, -1, 0, 0} have gcd 1
+    report = periodicity(make_spec(AbelianGroup([2]), [(1,)], [], []))
+    assert report.periodic is True and report.min_period_two_pi == Fraction(1, 2)
+    assert report.certificate == {"layer_gap_gcds": [2, 0]}
+
+
+def _primes_up_to(m):
+    return [q for q in range(2, m + 1) if all(q % d for d in range(2, q))]
+
+
+def test_rl_integral_periods_are_minimal_under_the_oracle(rng):
+    # every period is a multiple of the minimum one, and a shorter period
+    # P / k has k at most the spectral spread; so P is the minimum period iff
+    # every diagonal entry of H(P) is unimodular and, for each prime q up to
+    # the spread, some diagonal entry of H(P / q) is not
+    import numpy as np
+
+    from semicayley import build, oracle_expm
+
+    def min_diagonal(adjacency, t):
+        return float(np.min(np.abs(np.diag(oracle_expm(adjacency, t)))))
+
+    checked = 0
+    for _ in range(1500):
+        spec = random_spec(rng)
+        if spec.R == spec.L or not spec.spectrum.is_integral:
+            continue
+        checked += 1
+        report = periodicity(spec)
+        assert report.periodic is True and report.method == "theorem", spec
+        adjacency = build(spec)
+        lams = spec.spectrum.eigenvalues()
+        assert min_diagonal(adjacency, report.min_period) > 1 - 1e-8, spec
+        for q in _primes_up_to(round(max(lams) - min(lams))):
+            assert min_diagonal(adjacency, report.min_period / q) < 1 - 1e-6, (spec, q)
+    assert checked >= 20
+
+
+def test_deciders_read_the_certified_spectrum(monkeypatch):
+    # exactness is certified once, when the spectrum is built: deciding every
+    # same-layer pair and the periodicity reduces no cyclotomic value again
+    from semicayley.characters import CycloValue
+
+    original = CycloValue.residue
+    for data in (Z5_RL, Z2Z4_RL):
+        spec = _spec(data)
+        assert spec.spectrum.pairs  # built, and certified, before counting
+        calls = []
+        monkeypatch.setattr(CycloValue, "residue", lambda self: calls.append(self) or original(self))
+        group = spec.group
+        for layer in (0, 1):
+            for a in group.elements()[1:]:
+                decide_pair(spec, Vertex(group.identity, layer), Vertex(a, layer))
+        periodicity(spec)
+        monkeypatch.setattr(CycloValue, "residue", original)
+        assert calls == [], data
+
+
 def test_sunlet_phase_obstruction_even():
     for n in (4, 6, 10):
         spec = sc.sunlet(n)

@@ -128,6 +128,38 @@ def test_is_integral_examples():
     assert eigen_gcd(full) == 4
 
 
+def test_integral_spectrum_with_irrational_layer_sums():
+    # SC(Z5, {+-1}, {+-2}, {4}): chi(R) - chi(L) = +-sqrt(5) at every
+    # nontrivial character, yet sigma = -1 and disc = 5 + 4 = 9
+    spec = make_spec(AbelianGroup([5]), [(1,), (4,)], [(2,), (3,)], [(4,)])
+    spect = spec.spectrum
+    assert spect.is_integral and eigen_gcd(spec) == 1
+    exact = sorted(x for p in spect.pairs for x in (p.lambda_plus_exact, p.lambda_minus_exact))
+    assert exact == [-2] * 4 + [1] * 5 + [3]
+    assert spect.pairs[1].lambda_plus_surd == {1: 1} and spect.pairs[1].lambda_minus_surd == {1: -2}
+
+
+def test_surd_eigenvalues_of_the_cone():
+    # cone(5): the trivial character has eigenvalues 1 +- sqrt(26), exact
+    # surds but not integers; chi(S) = 0 elsewhere, with chi(L) = 0 exact and
+    # chi(R) = 2 cos(2 pi k / 5) irrational
+    spect = spectrum(sc.cone(5))
+    top = spect.pairs[0]
+    assert top.lambda_plus_surd == {1: 1, 26: 1} and top.lambda_minus_surd == {1: 1, 26: -1}
+    assert top.lambda_plus_exact is None and top.lambda_minus_exact is None
+    for p in spect.pairs[1:]:
+        assert p.lambda_plus_surd is None and p.lambda_minus_surd == {}
+        assert not p.exact
+
+
+def test_is_integral_matches_eigvalsh(rng):
+    # the exact certificate against floats on the random corpus
+    for _ in range(1000):
+        spec = random_spec(rng)
+        numeric = np.linalg.eigvalsh(build(spec).astype(float))
+        assert spec.spectrum.is_integral == bool(np.all(np.abs(numeric - np.round(numeric)) < 1e-6)), spec
+
+
 def test_eigen_gcd_errors():
     with pytest.raises(ValidationError, match="not integral"):
         eigen_gcd(sc.cone(5))
