@@ -39,7 +39,7 @@ from .pst import (
     verify_at_time,
 )
 from .spectra import EigenPair, Spectrum, eigen_gcd, eigenvectors, projectors, spectrum
-from .transfer import block_transfer_rl, oracle_expm, transfer_entry, transfer_matrix
+from .transfer import block_transfer_rl, oracle_column, oracle_expm, transfer_entry, transfer_matrix
 
 __all__ = [
     "AbelianGroup",
@@ -77,6 +77,7 @@ __all__ = [
     "make_spec",
     "necessary_conditions",
     "nu2",
+    "oracle_column",
     "oracle_expm",
     "periodicity",
     "projectors",

@@ -76,7 +76,10 @@ class CycloValue:
         order = int(order)
         if order < 1:
             raise ValidationError("root-of-unity order must be >= 1")
-        coeffs = tuple(int(c) for c in coeffs)
+        if isinstance(coeffs, np.ndarray) and coeffs.dtype.kind in "iu":
+            coeffs = tuple(coeffs.tolist())  # Python ints, without a per-element call
+        else:
+            coeffs = tuple(map(int, coeffs))
         if len(coeffs) != order:
             raise ValidationError(f"expected {order} coefficients, got {len(coeffs)}")
         self.order = order

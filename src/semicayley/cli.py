@@ -37,7 +37,7 @@ from .graphs import (
     join_spec,
     sunlet,
 )
-from .pst import decide_pair, find_pst, periodicity, verify_at_time
+from .pst import decide_pair, find_pst, periodicity, reduce_time, verify_at_time
 from .spectra import eigen_gcd
 from .transfer import transfer_entry, transfer_matrix
 
@@ -51,21 +51,24 @@ def parse_time(expression) -> tuple[float, Fraction | None]:
 
     Returns (seconds, pi_multiple) with pi_multiple None for decimal input.
     """
-    if isinstance(expression, (int, float)):
-        return float(expression), None
-    text = str(expression).strip()
-    match = _TIME_RE.match(text)
+    q = None
+    text = expression if isinstance(expression, (int, float)) else str(expression).strip()
+    match = _TIME_RE.match(text) if isinstance(text, str) else None
     if match:
         num = int(match.group(1)) if match.group(1) else 1
         den = int(match.group(2)) if match.group(2) else 1
         if den == 0:
             raise ValidationError("time denominator must be nonzero")
         q = Fraction(num, den)
-        return float(q) * math.pi, q
     try:
-        return float(text), None
+        value = float(q) * math.pi if q is not None else float(text)
+    except OverflowError:
+        value = math.inf
     except ValueError as exc:
         raise ValidationError(f"cannot parse time expression {expression!r}") from exc
+    if not math.isfinite(value):
+        raise ValidationError(f"time {expression!r} is not a finite float")
+    return value, q
 
 
 def _time_json(value: float, pi_multiple: Fraction | None) -> dict:
@@ -217,7 +220,7 @@ def _run_checked(config: dict) -> dict:
         v = parse_vertex(spec, config["to"])
         if "time" in config:
             t, pi_mult = parse_time(config["time"])
-            check = verify_at_time(spec, u, v, t, tol=tol)
+            check = verify_at_time(spec, u, v, reduce_time(spec, t, pi_mult), tol=tol)
             report["time"] = _time_json(t, pi_mult)
             report.update(
                 {

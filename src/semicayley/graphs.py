@@ -34,8 +34,9 @@ class SemiCayleySpec:
 
     R and L must be inverse-closed and avoid the identity; S is unconstrained
     (it may be empty, contain the identity, or fail to be inverse-closed).
-    Like the group's index tables, the spectrum is computed on first use and
-    kept on the spec; equality and hashing see only (G, R, L, S).
+    Like the group's index tables, the spectrum and the adjacency matrix are
+    computed on first use and kept on the spec; equality and hashing see only
+    (G, R, L, S).
     """
 
     group: AbelianGroup
@@ -64,6 +65,13 @@ class SemiCayleySpec:
         from . import spectra  # spectra imports this module
 
         return spectra.spectrum(self)
+
+    @cached_property
+    def adjacency(self) -> np.ndarray:
+        """build(self), read-only: the oracle's one copy of the dense adjacency."""
+        adjacency = build(self)
+        adjacency.flags.writeable = False
+        return adjacency
 
     @cached_property
     def s_inverse_closed(self) -> bool:

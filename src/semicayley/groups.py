@@ -22,13 +22,20 @@ from .errors import ValidationError
 Element = tuple[int, ...]
 
 
+# largest group order accepted: the package's dense tables are sized for
+# 2n <= ~2000 (the character-exponent table alone is order^2 int64, 8 MB at
+# 1024), so larger orders are refused before anything order-sized is built
+MAX_ORDER = 1024
+
+
 class AbelianGroup:
     """Direct product Z_{n_1} x ... x Z_{n_k} with exponent-vector elements.
 
     The factor list is kept exactly as the user presented it (no invariant
     factor normalisation), and elements enumerate in lexicographic order on
     exponent vectors.  That fixed order is part of the public contract:
-    adjacency matrices built from it are reproducible bit for bit.
+    adjacency matrices built from it are reproducible bit for bit.  Orders
+    above MAX_ORDER are rejected.
     """
 
     def __init__(self, factors: Sequence[int]) -> None:
@@ -37,8 +44,11 @@ class AbelianGroup:
             raise ValidationError("a group needs at least one cyclic factor")
         if any(n < 1 for n in factors):
             raise ValidationError(f"cyclic factor sizes must be >= 1, got {list(factors)}")
+        order = math.prod(factors)
+        if order > MAX_ORDER:
+            raise ValidationError(f"group order {order} exceeds the supported maximum {MAX_ORDER}")
         self.factors: tuple[int, ...] = factors
-        self.order: int = math.prod(factors)
+        self.order: int = order
         self.exponent: int = math.lcm(*factors)
         self.identity: Element = (0,) * len(factors)
         self.strides: tuple[int, ...] = tuple(math.prod(factors[l + 1 :]) for l in range(len(factors)))

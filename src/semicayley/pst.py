@@ -13,24 +13,29 @@ constraints) and, failing that, to numeric evidence from a time scan --
 reported as undecided, never guessed.
 
 Every positive verdict is mandatorily confirmed by both the spectral path and
-the brute-force exponential oracle: the candidate times are synthesized from
-the valuation bookkeeping, so a wrong synthesis would be caught immediately.
+the independent column oracle (a Chebyshev series of exp(-itA) e_u on the
+adjacency): the candidate times are synthesized from the valuation
+bookkeeping, so a wrong synthesis would be caught immediately.  With an
+integral spectrum H(t + 2*pi) = H(t), so a checked time is first reduced
+exactly modulo 2*pi, which keeps both paths accurate and cheap at any t.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from .characters import CycloValue
 from .errors import ConsistencyError, ValidationError
-from .graphs import SemiCayleySpec, Vertex, build
+from .graphs import SemiCayleySpec, Vertex
 from .groups import Element
 from .spectra import eigen_gcd
-from .transfer import oracle_expm, transfer_entry, transfer_sums
+from .transfer import oracle_column, transfer_entry, transfer_sums
 
 MAGNITUDE_TOL = 1e-8
 PATH_AGREEMENT_TOL = 1e-8
@@ -366,15 +371,56 @@ def decide_cross_layer(spec: SemiCayleySpec, u: Vertex, v: Vertex) -> PstVerdict
 # -- numeric confirmation and scans ----------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _pi(digits: int) -> Decimal:
+    # pi to about `digits` significant digits (the series recipe of the decimal docs)
+    with localcontext() as ctx:
+        ctx.prec = digits + 2
+        last, term, total, n, na, d, da = 0, Decimal(3), Decimal(3), 1, 0, 0, 24
+        while total != last:
+            last = total
+            n, na = n + na, na + 8
+            d, da = d + da, da + 32
+            term = term * n / d
+            total += term
+    return total
+
+
+def reduce_time(spec: SemiCayleySpec, t: float, pi_multiple: Fraction | None = None) -> float:
+    """t modulo 2*pi when the spectrum is integral (then H(t + 2*pi) = H(t)); else t.
+
+    The reduction is exact: a multiple of pi is reduced as a Fraction, and a
+    float, being a binary rational, is reduced against pi to 40 more digits
+    than its integer part has.
+    """
+    if not spec.spectrum.is_integral:
+        return t
+    if pi_multiple is not None:
+        return float(pi_multiple % 2) * math.pi
+    if t < 2 * math.pi:  # math.pi < pi: already reduced
+        return t
+    exact = Decimal(t)
+    digits = exact.adjusted() + 40
+    with localcontext() as ctx:
+        ctx.prec = digits + 2
+        return float(exact % (2 * _pi(digits)))
+
+
 def verify_at_time(spec: SemiCayleySpec, u: Vertex, v: Vertex, t: float, tol: float = MAGNITUDE_TOL) -> dict:
-    """|H_uv(t)| through both transfer paths; passes iff both reach 1 - tol."""
-    if t < 0:
-        raise ValidationError("time must be nonnegative")
+    """|H_uv(t)| through both transfer paths; passes iff both reach 1 - tol.
+
+    An integral spectrum reduces t exactly modulo 2*pi first.  The oracle
+    path is the column exp(-itA) e_u, which refuses t * rho beyond
+    transfer.COLUMN_HORIZON (rho the largest degree) with a ValidationError.
+    """
+    if not 0 <= t < math.inf:
+        raise ValidationError("time must be finite and nonnegative")
     u = spec.validate_vertex(u)
     v = spec.validate_vertex(v)
+    t = reduce_time(spec, t)
+    column = oracle_column(spec, spec.vertex_index(u), t)
+    mag_oracle = float(abs(column[spec.vertex_index(v)]))
     mag_spectral = float(abs(transfer_entry(spec, u, v, t)))
-    full = oracle_expm(build(spec), t)
-    mag_oracle = float(abs(full[spec.vertex_index(u), spec.vertex_index(v)]))
     if abs(mag_spectral - mag_oracle) > PATH_AGREEMENT_TOL:
         raise ConsistencyError(
             f"spectral and oracle paths disagree: {mag_spectral} vs {mag_oracle} at t = {t}"

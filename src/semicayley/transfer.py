@@ -1,15 +1,19 @@
 """Quantum-walk transfer matrices H(t) = exp(-i t A) on semi-Cayley graphs.
 
-Three deliberately independent computation paths:
+Deliberately independent computation paths:
 
 * the character spectral decomposition (the product),
-* a truncated-Taylor scaling-and-squaring exponential (the referee -- it
-  shares no eigen-machinery with the spectral path),
+* the referee, which shares no eigen or character data with it: one column
+  exp(-itA) e_j as a Chebyshev-Bessel series on the spec's adjacency
+  (`oracle_column`, which confirms every `yes`), and the dense
+  truncated-Taylor scaling-and-squaring exponential (`oracle_expm`, the
+  tests' referee for whole matrices),
 * the block cosine/sinc formula available when R = L.
 
-Equivalence of the three, entrywise to 1e-9, is the core QA property of the
+Equivalence of the paths, entrywise to 1e-9, is the core QA property of the
 package.  Time is a plain float here; exact rational-multiple-of-pi time
-reasoning lives in the state-transfer analysis module.
+reasoning, including the exact reduction of large times, lives in the
+state-transfer analysis module.
 """
 
 from __future__ import annotations
@@ -21,6 +25,12 @@ import numpy as np
 from .characters import character_matrix
 from .errors import ValidationError
 from .graphs import SemiCayleySpec, Vertex, cay_adjacency
+
+# largest t * rho the column oracle accepts: it costs about t * rho
+# matrix-vector products, and its rounding error grows with their number
+COLUMN_HORIZON = 1e6
+# Bessel coefficients below this are dropped: the Chebyshev vectors have norm <= 1
+_BESSEL_CUTOFF = 1e-18
 
 
 def transfer_matrix(spec: SemiCayleySpec, t: float) -> np.ndarray:
@@ -111,6 +121,73 @@ def oracle_expm(adjacency: np.ndarray, t: float) -> np.ndarray:
     for _ in range(squarings):
         result = result @ result
     return result
+
+
+def _bessel_series(x: float) -> list[float]:
+    """J_0(x), J_1(x), ..., J_K(x) for x > 0, up to the last one above the cutoff.
+
+    Miller's backward recurrence J_{k-1} = (2k / x) J_k - J_{k+1}, started at
+    k ~ x + 10 x^(1/3) + 30 where J_k(x) is negligible, rescaled before it can
+    overflow and normalised by J_0 + 2 (J_2 + J_4 + ...) = 1.  Python floats:
+    for the short series of small graphs they beat numpy's per-call cost.
+    """
+    start = int(x + 10 * x ** (1 / 3) + 30)
+    values = [0.0] * (start + 1)
+    upper, current = 0.0, 1e-30
+    values[start] = current
+    for k in range(start, 0, -1):
+        upper, current = current, 2 * k / x * current - upper
+        values[k - 1] = current
+        if abs(current) > 1e250:
+            values[k - 1 :] = [value * 1e-250 for value in values[k - 1 :]]
+            upper, current = upper * 1e-250, values[k - 1]
+    scale = values[0] + 2 * math.fsum(values[2::2])
+    last = max(k for k, value in enumerate(values) if abs(value) > _BESSEL_CUTOFF * abs(scale))
+    return [value / scale for value in values[: last + 1]]
+
+
+def oracle_column(spec: SemiCayleySpec, j: int, t: float) -> np.ndarray:
+    """Column j of exp(-itA) by its Chebyshev-Bessel series.
+
+    With rho the largest row sum of A (its infinity norm, which bounds the
+    spectral radius) and x = t * rho,
+        exp(-itA) e_j = J_0(x) e_j + 2 sum_{k>=1} (-i)^k J_k(x) T_k(A / rho) e_j,
+    where T_k(A / rho) e_j comes from the three-term Chebyshev recurrence on
+    real vectors: even k feed the real part, odd k the imaginary part.  Reads
+    the spec's adjacency only, no eigen or character data, so it is an
+    independent referee for the spectral path.  Costs about x matrix-vector
+    products; x above COLUMN_HORIZON raises ValidationError.
+    """
+    if not t >= 0:
+        raise ValidationError("time must be nonnegative")
+    adjacency = spec.adjacency
+    column = np.zeros(adjacency.shape[0])
+    column[j] = 1.0
+    rho = float(adjacency.sum(axis=1).max())
+    x = t * rho
+    if x > COLUMN_HORIZON:
+        raise ValidationError(
+            f"t * rho = {x:.6g} is beyond the oracle's accuracy and work horizon "
+            f"{COLUMN_HORIZON:.0e} (rho = {rho:g}, the largest degree); only a time of a graph "
+            "with an integral spectrum can be reduced exactly modulo its period 2*pi"
+        )
+    if x == 0:
+        return column.astype(complex)
+    bessel = _bessel_series(x)
+    twice = adjacency * (2.0 / rho)
+    previous, current = column, twice[:, j] / 2
+    real = bessel[0] * column
+    imag = np.zeros_like(column)
+    for k in range(1, len(bessel)):
+        if k > 1:
+            previous, current = current, twice @ current - previous
+        # 2 (-i)^k J_k: real +, imaginary -, real -, imaginary + for k = 0, 1, 2, 3 mod 4
+        coefficient = 2 * bessel[k] if k % 4 in (0, 3) else -2 * bessel[k]
+        if k % 2:
+            imag += coefficient * current
+        else:
+            real += coefficient * current
+    return real + 1j * imag
 
 
 def _matrix_cos_sinc(gram: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:

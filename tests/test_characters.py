@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from semicayley import AbelianGroup, CycloValue, ValidationError, char_sum, eval_character
@@ -90,6 +91,16 @@ def test_as_integer():
     assert (CycloValue.root(1, 4) + CycloValue.root(3, 4)).as_integer() == 0
     full = CycloValue(6, [1] * 6)
     assert full.as_integer() == 0
+
+
+def test_coefficients_become_python_ints():
+    generator = (c for c in (1, 0, 2, 0))
+    for coeffs in (np.array([1, 0, 2, 0]), np.array([1, 0, 2, 0], dtype=np.uint8), [1.0, 0, 2, 0], generator):
+        value = CycloValue(4, coeffs)
+        assert value.coeffs == (1, 0, 2, 0)
+        assert all(type(c) is int for c in value.coeffs)
+    with pytest.raises(ValidationError):
+        CycloValue(4, np.array([1, 0, 2]))
 
 
 def test_abs_as_integer():

@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -22,6 +23,9 @@ def test_parse_time_forms():
     assert value == 1.5 and mult is None
     with pytest.raises(ValidationError):
         parse_time("two pi")
+    for infinite in ("inf", "nan", f"{10**400} pi", 10**400):
+        with pytest.raises(ValidationError, match="not a finite float"):
+            parse_time(infinite)
 
 
 def test_parse_graph_sources():
@@ -108,6 +112,33 @@ def test_exit_codes_and_errors():
     assert code == 1
     report, code = run({"family": "sunlet", "n": 4, "command": "evolve"})
     assert code == 1  # missing time
+
+
+def test_pst_check_reduces_large_times_exactly():
+    # the 3-cube's spectrum is integral, so H(t + 2 pi) = H(t); its antipodal
+    # entry is (-i sin t)^3, one factor per coordinate of the cube
+    q3 = {"command": "pst-check", "graph": {"family": "hypercube", "n": 3},
+          "from": [[0, 0], 0], "to": [[1, 1], 1]}
+    report, code = run(dict(q3, time="100000000 pi"))  # = 0 modulo 2 pi
+    assert code == 0 and report["pass"] is False and report["magnitude"] < 1e-12
+    report, code = run(dict(q3, time="200000001/2 pi"))  # = pi/2 modulo 2 pi
+    assert code == 0 and report["pass"] is True
+    # 1e9 modulo 2 pi from a pi of 60 digits, independent of the package's own
+    pi = Fraction("3.14159265358979323846264338327950288419716939937510582097494")
+    turns = Fraction(10**9) / (2 * pi)
+    reduced = float(Fraction(10**9) - (turns.numerator // turns.denominator) * 2 * pi)
+    report, code = run(dict(q3, time="1e9"))
+    assert code == 0 and report["time"] == {"value": 1e9, "pi_multiple": None}
+    for key in ("magnitude_spectral", "magnitude_oracle"):
+        assert abs(report[key] - abs(math.sin(reduced)) ** 3) < 1e-12
+
+
+def test_pst_check_beyond_the_horizon_is_a_validation_error():
+    # sunlet(4) is not integral: no exact period, and t * rho = 3e9 > 1e6
+    report, code = run({"command": "pst-check", "graph": {"family": "sunlet", "n": 4},
+                        "from": [[0], 0], "to": [[2], 0], "time": "1e9"})
+    assert code == 1 and report["error"]["kind"] == "validation"
+    assert "horizon" in report["error"]["message"]
 
 
 def test_graph_json_round_trip():

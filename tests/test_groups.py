@@ -83,6 +83,17 @@ def test_validation_errors():
         group.validate_element((2, 0))
 
 
+def test_order_cap():
+    # refused before the element list or any index table is allocated
+    with pytest.raises(ValidationError, match="exceeds"):
+        AbelianGroup([10**12])
+    with pytest.raises(ValidationError):
+        AbelianGroup([2] * 11)
+    with pytest.raises(ValidationError):
+        sc.hypercube(12)
+    assert AbelianGroup([sc.groups.MAX_ORDER]).order == 1024
+
+
 def test_json_round_trip():
     group = AbelianGroup([2, 6])
     again = AbelianGroup.from_json(json.loads(json.dumps(group.to_json())))

@@ -316,6 +316,21 @@ def test_find_pst_q3_antipodal_only():
         assert v.status in ("yes", "no")
 
 
+def test_find_pst_builds_the_adjacency_once(monkeypatch):
+    # every yes is confirmed on the spec's one adjacency, built on first use
+    calls = []
+    original = sc.graphs.build
+
+    def counting(spec):
+        calls.append(spec)
+        return original(spec)
+
+    monkeypatch.setattr(sc.graphs, "build", counting)
+    verdicts = find_pst(sc.hypercube(3))
+    assert sum(v.status == "yes" for v in verdicts) == 2
+    assert len(calls) == 1
+
+
 def test_verdict_json():
     c4 = make_spec(AbelianGroup([2]), [(1,)], [(1,)], [(0,)])
     verdict = decide_cross_layer(c4, Vertex((0,), 0), Vertex((1,), 1))

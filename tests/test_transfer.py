@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,11 +12,13 @@ from semicayley import (
     block_transfer_rl,
     build,
     make_spec,
+    oracle_column,
     oracle_expm,
     transfer_entry,
     transfer_matrix,
 )
 from semicayley.graphs import cay_adjacency
+from semicayley.pst import reduce_time
 from semicayley.transfer import transfer_sums
 
 from conftest import random_spec
@@ -91,6 +94,59 @@ def test_entry_formula_equals_oracle(rng):
                 assert np.max(np.abs(transfer_sums(spec, u, v, ts) / spec.n - want)) < 1e-9
                 for t, w in zip(ts, want):
                     assert abs(transfer_entry(spec, u, v, float(t)) - w) < 1e-9
+
+
+def test_column_oracle_equals_dense_oracle(rng):
+    # a layer-0 and a layer-1 column hold all four (source, target) layer cases
+    for draw in range(200):
+        spec = random_spec(rng, equal_layers=draw % 2 == 0)
+        n = spec.n
+        for t in (0.0, math.pi / 8, math.pi / 2, 3.0):
+            dense = oracle_expm(build(spec), t)
+            for j in (int(rng.integers(n)), n + int(rng.integers(n))):
+                assert np.max(np.abs(oracle_column(spec, j, t) - dense[:, j])) < 1e-10
+
+
+def test_column_oracle_reads_no_spectral_data(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the column oracle must not read eigen or character data")
+
+    monkeypatch.setattr(sc.spectra, "spectrum", forbidden)
+    monkeypatch.setattr(AbelianGroup, "char_exponents", property(forbidden))
+    spec = make_spec(AbelianGroup([3, 4]), [(0, 1), (0, 3), (1, 2), (2, 2)], [(1, 0), (2, 0)], [(0, 0), (1, 3)])
+    column = oracle_column(spec, 5, 2.3)
+    assert np.max(np.abs(column - oracle_expm(build(spec), 2.3)[:, 5])) < 1e-10
+    with pytest.raises(AssertionError):
+        spec.spectrum
+
+
+def test_column_oracle_rejects_bad_times():
+    with pytest.raises(ValidationError):
+        oracle_column(sc.hypercube(3), 0, -1.0)
+    with pytest.raises(ValidationError, match="horizon"):
+        oracle_column(sc.sunlet(4), 0, 1e6)  # rho = 3
+    empty = make_spec(AbelianGroup([3]), [], [], [])
+    assert np.array_equal(oracle_column(empty, 1, 1e9), np.eye(6)[1])
+
+
+def test_reduced_time_gives_the_unreduced_magnitudes(rng):
+    # integer eigenvalues: H(t + 2 pi) = H(t), so (6 + 1/2) pi reduces to pi/2
+    pi_multiple = Fraction(13, 2)
+    t = float(pi_multiple) * math.pi
+    specs = [sc.hypercube(3), sc.dihedral_full_coset(AbelianGroup([4]))]
+    while len(specs) < 6:
+        spec = random_spec(rng, equal_layers=True)
+        if spec.spectrum.is_integral:
+            specs.append(spec)
+    for spec in specs:
+        assert reduce_time(spec, t, pi_multiple) == math.pi / 2
+        assert abs(reduce_time(spec, t) - math.pi / 2) < 1e-14
+        want = np.abs(oracle_expm(build(spec), t))
+        for j in (0, spec.n):
+            got = np.abs(oracle_column(spec, j, reduce_time(spec, t, pi_multiple)))
+            assert np.max(np.abs(got - want[:, j])) < 1e-10
+    # a non-integral spectrum has no exact period: the time stays as given
+    assert reduce_time(sc.sunlet(4), t, pi_multiple) == t
 
 
 def test_block_path_equals_oracle(rng):
