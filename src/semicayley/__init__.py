@@ -38,7 +38,7 @@ from .pst import (
     scan_pair,
     verify_at_time,
 )
-from .spectra import EigenPair, Spectrum, eigen_gcd, eigenvectors, projectors, spectrum
+from .spectra import EigenPair, Spectrum, eigen_gcd, spectrum
 from .transfer import block_transfer_rl, oracle_column, oracle_expm, transfer_entry, transfer_matrix
 
 __all__ = [
@@ -66,7 +66,6 @@ __all__ = [
     "dihedral_full_coset",
     "dihedral_involutions",
     "eigen_gcd",
-    "eigenvectors",
     "eval_character",
     "find_pst",
     "from_cayley_index2",
@@ -80,7 +79,6 @@ __all__ = [
     "oracle_column",
     "oracle_expm",
     "periodicity",
-    "projectors",
     "scan_pair",
     "spectrum",
     "sunlet",

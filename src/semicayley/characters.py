@@ -200,14 +200,6 @@ class CycloValue:
             return None
         return res[0]
 
-    def abs_as_integer(self) -> int | None:
-        """Exact |value| when it is an integer, else None."""
-        m = self.abs_squared().as_integer()
-        if m is None:
-            return None
-        s = math.isqrt(m)
-        return s if s * s == m else None
-
     def __repr__(self) -> str:
         return f"CycloValue(order={self.order}, coeffs={list(self.coeffs)})"
 

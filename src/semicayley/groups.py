@@ -143,12 +143,9 @@ class AbelianGroup:
         """Validate and deduplicate a collection of elements."""
         return frozenset(self.validate_element(g) for g in elements)
 
-    def subset_inverse(self, xs: Iterable[Element]) -> frozenset[Element]:
-        return frozenset(self.inverse(g) for g in xs)
-
     def is_inverse_closed(self, xs: Iterable[Element]) -> bool:
         xs = self.subset(xs)
-        return xs == self.subset_inverse(xs)
+        return xs == frozenset(self.inverse(g) for g in xs)
 
     # -- serialization -------------------------------------------------------
 

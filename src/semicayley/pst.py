@@ -1,16 +1,50 @@
 """Perfect state transfer and periodicity decisions for semi-Cayley graphs.
 
-The exact characterizations cover R = L completely: same-layer transfer is
-decided by 2-adic valuation profiles of eigenvalue gaps, cross-layer transfer
-by sign conditions in the cyclotomic ring plus valuations, and periodicity is
-equivalent to spectral integrality with minimum period 2*pi / gcd of the gaps.
+Every verdict is exact, for every spec.  Cross-layer transfer is decided by
+sign conditions in the cyclotomic ring plus 2-adic valuations (it forces
+R = L).  Same-layer transfer and periodicity rest on one theorem:
 
-For R != L the theorems only constrain: cross-layer pairs are still decided
-exactly (transfer forces R = L) and an integral spectrum proves periodicity,
-while same-layer pairs and non-integral periodicity fall back to a sound-but-
-incomplete exact refuter (incommensurable or parity-contradictory phase
-constraints) and, failing that, to numeric evidence from a time scan --
-reported as undecided, never guessed.
+    A vertex of SC(G, R, L, S) is periodic iff every eigenvalue in its
+    support is an integer.
+
+The support of a layer-0 vertex holds lambda+-(chi) for each character with
+chi(S) != 0 (both weights are positive) and chi(R) when chi(S) = 0; layer 1
+holds chi(L) instead of chi(R).  An integral support makes H_uu(2 pi) = 1.
+Conversely, by Godsil ("Periodic graphs", Electron. J. Combin. 18(1), 2011)
+the support of a periodic vertex is integral or consists of numbers
+(a + b_theta sqrt(D)) / 2 with integers a, b_theta and one squarefree D > 1.
+Suppose the second case for a layer-0 vertex (layer 1 is the same argument
+with R and L exchanged).  Rational support eigenvalues have b = 0, hence all
+equal a / 2.  Recall that R and L are inverse-closed (character sums are
+real), avoid the identity (sum over chi of chi(R) is 0), and that a Galois
+conjugate of a character sum is the sum of another character.
+
+* S empty: the support is {chi(R)} and holds |R|, so a = 2 |R|.  A conjugate
+  pair |R| +- c sqrt(D) of character sums, both at most |R|, forces c = 0.
+  So chi(R) = |R| for every chi, whence R = {} and the support {0} is
+  integral.
+* S nonempty, disc0 = (|R| - |L|)^2 + 4 |S|^2 a square: lambda+-(chi_0) are
+  two distinct rational support eigenvalues, which is impossible.
+* Otherwise lambda+-(chi_0) = (|R| + |L| +- sqrt(disc0)) / 2, so
+  a = |R| + |L|.  When chi(S) != 0, sigma = chi(R) + chi(L) = a + c sqrt(D)
+  has the conjugate a - c sqrt(D), both sums at most |R| + |L|, so c = 0 and
+  chi = 1 on R and L.  When chi(S) = 0, chi(R) has rational part a / 2.  The
+  rational part of sum_chi chi(R) = 0 is then N1 |R| + N0 (|R| + |L|) / 2,
+  N1 >= 1 characters with chi(S) != 0 and N0 with chi(S) = 0, so R = {} and
+  N0 |L| = 0; if N0 = 0, every chi is 1 on L.  Either way R = L = {}, and
+  disc0 = 4 |S|^2 is a square: a contradiction.
+
+So the graph is periodic iff its spectrum is integral (every eigenvalue is
+in some layer's support), with minimum period 2 pi / gcd(g0, g1), g_r the
+gcd of the gaps in the support of layer r.  Transfer u -> v at tau makes u
+periodic at 2 tau, so a same-layer pair needs an integral layer support.
+Then, with a = u^-1 v of order 2, |H_uv(t)| = 1 iff every support term
+chi(a) exp(-i lambda t) has one phase (the weights are positive and sum to
+1), that is, iff each gap g = lambda_0 - lambda satisfies g t in
+pi (2Z + [chi(a) = -1]).  With t = pi s this is solvable iff the chi(a) = -1
+gaps share one 2-adic valuation k and the other nonzero gaps exceed it; the
+solutions are then s in (1 + 2Z) / G, G the gcd of the gaps, so pi / G is
+the least transfer time.
 
 Every positive verdict is mandatorily confirmed by both the spectral path and
 the independent column oracle (a Chebyshev series of exp(-itA) e_u on the
@@ -33,18 +67,23 @@ import numpy as np
 from .characters import CycloValue
 from .errors import ConsistencyError, ValidationError
 from .graphs import SemiCayleySpec, Vertex
-from .groups import Element
 from .spectra import eigen_gcd
 from .transfer import oracle_column, transfer_entry, transfer_sums
 
 MAGNITUDE_TOL = 1e-8
 PATH_AGREEMENT_TOL = 1e-8
-DEFAULT_SCAN_SAMPLES = 10_000
+SCAN_SAMPLES = 10_000
 
 
 def _v2(n: int) -> int:
     n = abs(int(n))
     return (n & -n).bit_length() - 1
+
+
+def _v2_array(gaps: np.ndarray) -> np.ndarray:
+    # 2-adic valuations of nonzero int64 entries (-1 for zero): the lowest set
+    # bit is a power of two, so its float exponent is exact
+    return np.frexp(gaps & -gaps)[1] - 1
 
 
 def nu2(q) -> int | float:
@@ -59,10 +98,9 @@ def nu2(q) -> int | float:
 class PstVerdict:
     """Decision record for one ordered vertex pair.
 
-    status "yes" carries the witnessing time (as an exact multiple of 2*pi
-    and as a float) and the numeric confirmation magnitudes from both
-    transfer paths; "no" carries the condition that failed; "undecided"
-    carries scan evidence.
+    status "yes" carries the least witnessing time (as an exact multiple of
+    2*pi and as a float) and the numeric confirmation magnitudes from both
+    transfer paths; "no" carries the condition that failed.
     """
 
     source: Vertex
@@ -91,7 +129,14 @@ class PstVerdict:
 
 @dataclass(frozen=True)
 class PeriodReport:
-    periodic: bool | None
+    """Periodicity of a whole graph, decided exactly.
+
+    periodic is True with the minimum period (as an exact multiple of 2*pi
+    and as a float; None for the empty graph, where every t is a period), or
+    False; method names the rule, "theorem" or "degenerate".
+    """
+
+    periodic: bool
     min_period_two_pi: Fraction | None = None
     min_period: float | None = None
     method: str = "theorem"
@@ -136,98 +181,28 @@ def necessary_conditions(spec: SemiCayleySpec, u: Vertex, v: Vertex) -> str | No
     return None
 
 
-# -- exact phase-constraint refuter (R != L fallback) ---------------------------
+# -- exact deciders ----------------------------------------------------------------
 
 
-def _vec_render(vec: dict[int, Fraction]) -> str:
-    parts = []
-    for key in sorted(vec):
-        coeff = vec[key]
-        parts.append(str(coeff) if key == 1 else f"{coeff}*sqrt({key})")
-    return " + ".join(parts) if parts else "0"
+def refute_phases(gaps: np.ndarray, minus: np.ndarray) -> str | None:
+    """Why no t > 0 has gaps * t in pi * (2Z + minus), or None if one does.
 
-
-def _phase_conditions(spec: SemiCayleySpec, a: Element, layer: int) -> list[tuple[dict, int]]:
-    """Alignment constraints d*t in pi*(2Z + parity) implied by |H_uv(t)| = 1.
-
-    Each certified eigenvalue gap from the reference eigenvalue of the layer
-    is expressed exactly over the Q-basis {1} u {sqrt(squarefree)}, from the
-    surd vectors the spectrum certified; uncertified characters are skipped,
-    which keeps the refuter sound (the trivial character is always certified).
-    Only valid for connecting elements of order 1 or 2.
+    gaps are integers and minus flags the chi(a) = -1 entries.  A solution
+    needs one 2-adic valuation k on the flagged gaps, none of them zero, and
+    a valuation above k on the other nonzero gaps; that is also enough.
     """
-    spect = spec.spectrum
-    group = spec.group
-    n_exp = group.exponent
-    chi_a = group.char_exponents[:, group.index(a)]
-
-    top = spect.pairs[0]
-    reference = top.lambda_plus_surd if layer == 0 else top.lambda_minus_surd
-    conditions = []
-    for pair in spect.pairs:
-        numerator = chi_a[pair.index]
-        if numerator == 0:
-            parity = 0
-        elif 2 * numerator % n_exp == 0:
-            parity = 1
-        else:
-            raise ValidationError("phase conditions need a connecting element of order 1 or 2")
-        vecs = pair.layer_surds(layer)
-        if None in vecs:
-            continue
-        for vec in vecs:
-            gap = dict(reference)
-            for key, coeff in vec.items():
-                gap[key] = gap.get(key, Fraction(0)) - coeff
-                if gap[key] == 0:
-                    del gap[key]
-            conditions.append((gap, parity))
-    return conditions
-
-
-def refute_phases(conditions: list[tuple[dict, int]]) -> str | None:
-    """Certificate that no t > 0 satisfies all constraints, or None.
-
-    Distinct squarefree surds are linearly independent over Q, so two
-    constraint values with non-proportional coordinate vectors are
-    incommensurable and their time grids meet only at t = 0; proportional
-    values can still clash through their +-1 parities.
-    """
-    nonzero = []
-    for vec, parity in conditions:
-        if not vec:
-            if parity:
-                return "a vanishing eigenvalue gap is forced to a -1 phase"
-            continue
-        nonzero.append((vec, parity))
-    for i, (v1, p1) in enumerate(nonzero):
-        for v2, p2 in nonzero[i + 1 :]:
-            if set(v1) != set(v2):
-                return (
-                    f"incommensurable eigenvalue gaps {_vec_render(v1)} and {_vec_render(v2)}"
-                )
-            ratios = {v1[key] / v2[key] for key in v1}
-            if len(ratios) != 1:
-                return (
-                    f"incommensurable eigenvalue gaps {_vec_render(v1)} and {_vec_render(v2)}"
-                )
-            ratio = ratios.pop()
-            if (ratio.denominator * p1 - ratio.numerator * p2) % 2 != 0:
-                return (
-                    f"phase parity clash between gaps {_vec_render(v1)} and {_vec_render(v2)}"
-                )
+    flagged = gaps[minus]
+    if not flagged.all():
+        return "zero eigenvalue gap on a chi(a) = -1 character"
+    valuations = _v2_array(flagged)
+    if valuations.size == 0 or np.any(valuations != valuations[0]):
+        distinct = np.flatnonzero(np.bincount(valuations)).tolist()
+        return f"chi(a) = -1 gaps carry several 2-adic valuations {distinct}"
+    other = gaps[~minus]
+    clash = other[(other != 0) & (_v2_array(other) <= valuations[0])]
+    if clash.size:
+        return f"chi(a) = +1 gap {clash[0]} has 2-adic valuation <= {valuations[0]}"
     return None
-
-
-# -- exact deciders (R = L) ------------------------------------------------------
-
-
-def _character_signs(group, a: Element) -> np.ndarray:
-    """chi(a) = +-1 for every character, in enumeration order."""
-    chi_a = group.char_exponents[:, group.index(a)]
-    if np.any(2 * chi_a % group.exponent):
-        raise ValidationError("character sign requires an element of order 1 or 2")
-    return np.where(chi_a == 0, 1, -1)
 
 
 def _confirmed(spec, u, v, t) -> dict:
@@ -243,15 +218,14 @@ def _confirmed(spec, u, v, t) -> dict:
 
 
 def decide_same_layer_rl(spec: SemiCayleySpec, u: Vertex, v: Vertex) -> PstVerdict:
-    """Exact same-layer decision for R = L graphs.
+    """Exact same-layer decision, for every spec (R = L or not).
 
-    Transfer exists iff the connecting element has order 2, the spectrum is
-    integral, and the gaps from the top eigenvalue all share one 2-adic
-    valuation k on the chi(a) = -1 characters while exceeding k on the
-    chi(a) = +1 characters; the minimal witnessing time is then pi / 2^k.
+    Transfer exists iff the connecting element a has order 2, the support of
+    the layer is integral, and its gaps from the first support eigenvalue
+    share one 2-adic valuation k where chi(a) = -1 while exceeding k on the
+    other nonzero gaps; the least witnessing time is then pi / G, G the gcd
+    of the gaps (pi / 2^k when G has no odd factor).
     """
-    if spec.R != spec.L:
-        raise ValidationError("same-layer decision procedure requires R = L")
     u = spec.validate_vertex(u)
     v = spec.validate_vertex(v)
     if u.layer != v.layer:
@@ -265,38 +239,22 @@ def decide_same_layer_rl(spec: SemiCayleySpec, u: Vertex, v: Vertex) -> PstVerdi
     if order != 2:
         return PstVerdict(u, v, "no", certificate={
             "rule": "order-2", "detail": f"connecting element has order {order}, not 2"})
-    spect = spec.spectrum
-    if not spect.is_integral:
-        return PstVerdict(u, v, "no", certificate={
-            "rule": "non-integral",
-            "detail": "spectrum is not integral (chi(R) or |chi(S)| irrational for some character)"})
-    top = spect.pairs[0].lambda_plus_exact
-    minus_vals: set[int] = set()
-    plus_gaps: list[int] = []
-    for sign, pair in zip(_character_signs(group, a), spect.pairs):
-        for lam in (pair.lambda_plus_exact, pair.lambda_minus_exact):
-            gap = top - lam
-            if sign < 0:
-                if gap == 0:
-                    return PstVerdict(u, v, "no", certificate={
-                        "rule": "valuation",
-                        "detail": "zero eigenvalue gap on a chi(a) = -1 character"})
-                minus_vals.add(_v2(gap))
-            else:
-                plus_gaps.append(gap)
-    if len(minus_vals) != 1:
-        return PstVerdict(u, v, "no", certificate={
-            "rule": "valuation",
-            "detail": f"chi(a) = -1 gaps carry several 2-adic valuations {sorted(minus_vals)}"})
-    k = minus_vals.pop()
-    for gap in plus_gaps:
-        if gap != 0 and _v2(gap) <= k:
-            return PstVerdict(u, v, "no", certificate={
-                "rule": "valuation",
-                "detail": f"chi(a) = +1 gap {gap} has 2-adic valuation <= {k}"})
-    t = math.pi / 2**k
+    support = spec.spectrum.layer_gaps[u.layer]
+    if support is None:
+        detail = ("spectrum is not integral (chi(R) or |chi(S)| irrational for some character)"
+                  if spec.R == spec.L else
+                  f"the support of layer {u.layer} is not integral, so its vertices are not periodic")
+        return PstVerdict(u, v, "no", certificate={"rule": "non-integral", "detail": detail})
+    gaps, chars = support
+    minus = group.char_exponents[chars, group.index(a)] != 0
+    obstruction = refute_phases(gaps, minus)
+    if obstruction is not None:
+        return PstVerdict(u, v, "no", certificate={"rule": "valuation", "detail": obstruction})
+    k = _v2(gaps[minus][0])
+    gcd = int(np.gcd.reduce(gaps))
+    t = math.pi / gcd
     certificate = {"rule": "valuation-profile", "k": k, "confirmation": _confirmed(spec, u, v, t)}
-    return PstVerdict(u, v, "yes", time=t, time_two_pi=Fraction(1, 2 ** (k + 1)), certificate=certificate)
+    return PstVerdict(u, v, "yes", time=t, time_two_pi=Fraction(1, 2 * gcd), certificate=certificate)
 
 
 def decide_cross_layer(spec: SemiCayleySpec, u: Vertex, v: Vertex) -> PstVerdict:
@@ -333,14 +291,14 @@ def decide_cross_layer(spec: SemiCayleySpec, u: Vertex, v: Vertex) -> PstVerdict
             "detail": "spectrum is not integral (chi(R) or |chi(S)| irrational for some character)"})
     k = _v2(len(spec.S))
     for pair in spect.pairs:
-        if _v2((pair.lambda_plus_exact - pair.lambda_minus_exact) // 2) != k:
+        if _v2((pair.lambda_plus_int - pair.lambda_minus_int) // 2) != k:
             return PstVerdict(u, v, "no", certificate={
                 "rule": "spoke-valuation",
                 "detail": f"nu2|chi(S)| differs from nu2|S| = {k} at character {pair.index}"})
-    top = spect.pairs[0].lambda_plus_exact
+    top = spect.pairs[0].lambda_plus_int
     chi_a_exponents = group.char_exponents[:, group.index(spec.connecting_element(u, v))]
     for pair in spect.pairs:
-        abs_s = (pair.lambda_plus_exact - pair.lambda_minus_exact) // 2
+        abs_s = (pair.lambda_plus_int - pair.lambda_minus_int) // 2
         chi_a = CycloValue.root(chi_a_exponents[pair.index], group.exponent)
         spoke = pair.chi_s.conj() if u.layer == 0 else pair.chi_s
         w = (chi_a * spoke).as_integer()
@@ -352,7 +310,7 @@ def decide_cross_layer(spec: SemiCayleySpec, u: Vertex, v: Vertex) -> PstVerdict
             return PstVerdict(u, v, "no", certificate={
                 "rule": "sign",
                 "detail": f"chi(a) chi(S) is not +-|chi(S)| at character {pair.index}"})
-        gap = top - pair.lambda_plus_exact
+        gap = top - pair.lambda_plus_int
         if sign < 0:
             if gap == 0 or _v2(gap) != k + 1:
                 return PstVerdict(u, v, "no", certificate={
@@ -434,30 +392,26 @@ def verify_at_time(spec: SemiCayleySpec, u: Vertex, v: Vertex, t: float, tol: fl
     }
 
 
-def _scan_times(spec: SemiCayleySpec) -> tuple[np.ndarray, float, str]:
-    # beyond one period the magnitudes repeat; without an exact period use 2*pi
+def scan_pair(spec: SemiCayleySpec, u: Vertex, v: Vertex) -> dict:
+    """Max |H_uv| over a uniform time grid: numeric evidence, not proof.
+
+    No decision reads it; the tests use it as a numeric referee.  The grid
+    has SCAN_SAMPLES points up to one period 2*pi / eigen_gcd when the
+    spectrum is integral, else up to 2*pi.
+    """
     try:
         horizon, note = 2 * math.pi / eigen_gcd(spec), "2*pi / gcd of eigenvalue gaps"
     except ValidationError:
         horizon, note = 2 * math.pi, "2*pi (no exact period available)"
-    return np.linspace(horizon / DEFAULT_SCAN_SAMPLES, horizon, DEFAULT_SCAN_SAMPLES), horizon, note
-
-
-def _scan_magnitudes(spec: SemiCayleySpec, u: Vertex, v: Vertex, ts: np.ndarray) -> np.ndarray:
-    return np.abs(transfer_sums(spec, u, v, ts)) / spec.n
-
-
-def scan_pair(spec: SemiCayleySpec, u: Vertex, v: Vertex) -> dict:
-    """Max |H_uv| over a uniform time grid: numeric evidence, not proof."""
-    ts, horizon, horizon_note = _scan_times(spec)
-    mags = _scan_magnitudes(spec, u, v, ts)
+    ts = np.linspace(horizon / SCAN_SAMPLES, horizon, SCAN_SAMPLES)
+    mags = np.abs(transfer_sums(spec, u, v, ts)) / spec.n
     best = int(np.argmax(mags))
     return {
         "max_magnitude": float(mags[best]),
         "argmax_time": float(ts[best]),
-        "samples": DEFAULT_SCAN_SAMPLES,
+        "samples": SCAN_SAMPLES,
         "horizon": horizon,
-        "horizon_rule": horizon_note,
+        "horizon_rule": note,
     }
 
 
@@ -471,16 +425,7 @@ def decide_pair(spec: SemiCayleySpec, u: Vertex, v: Vertex) -> PstVerdict:
         return PstVerdict(u, v, "no", certificate={"rule": "necessary-condition", "detail": reason})
     if u.layer != v.layer:
         return decide_cross_layer(spec, u, v)
-    if spec.R == spec.L:
-        return decide_same_layer_rl(spec, u, v)
-    obstruction = refute_phases(_phase_conditions(spec, spec.connecting_element(u, v), u.layer))
-    if obstruction is not None:
-        return PstVerdict(u, v, "no", certificate={"rule": "phase-obstruction", "detail": obstruction})
-    return PstVerdict(u, v, "undecided", certificate={
-        "rule": "numeric-scan",
-        "detail": "same-layer pair with R != L is outside the exact characterizations",
-        "scan": scan_pair(spec, u, v),
-    })
+    return decide_same_layer_rl(spec, u, v)
 
 
 def find_pst(spec: SemiCayleySpec) -> list[PstVerdict]:
@@ -502,70 +447,27 @@ def find_pst(spec: SemiCayleySpec) -> list[PstVerdict]:
     return verdicts
 
 
-def _support_gap_gcd(spec: SemiCayleySpec, layer: int) -> int:
-    # gcd of the eigenvalue gaps in the support of a layer vertex (integral spectrum)
-    values = [int(vec.get(1, 0)) for p in spec.spectrum.pairs for vec in p.layer_surds(layer)]
-    return math.gcd(*(lam - values[0] for lam in values))
-
-
 def periodicity(spec: SemiCayleySpec) -> PeriodReport:
     """Periodicity of the whole graph.
 
-    An integral spectrum is periodic: |H_uu(t)| = 1 on layer r exactly at the
-    multiples of 2*pi / g_r, g_r the gcd of the gaps in its support, so the
-    minimum period is 2*pi / gcd(g_0, g_1).  A non-integral R = L spectrum is
-    aperiodic; for R != L the exact refuter may certify non-periodicity,
-    otherwise the question is reported undecided with scan evidence (max over
-    t of the worse of the two diagonal entries).
+    The graph is periodic iff its spectrum is integral (the theorem of the
+    module docstring): |H_uu(t)| = 1 on layer r exactly at the multiples of
+    2*pi / g_r, g_r the gcd of the gaps in its support, so the minimum
+    period is 2*pi / gcd(g_0, g_1).
     """
-    group = spec.group
     if not spec.R and not spec.L and not spec.S:
         return PeriodReport(
             periodic=True, min_period_two_pi=None, min_period=None, method="degenerate",
             certificate={"detail": "empty graph: H(t) is the identity at every t, so every t is a period"},
         )
-    if spec.spectrum.is_integral:
-        gcds = [_support_gap_gcd(spec, layer) for layer in (0, 1)]
-        m = math.gcd(*gcds)
-        return PeriodReport(
-            periodic=True, min_period_two_pi=Fraction(1, m), min_period=2 * math.pi / m,
-            method="theorem", certificate={"eigen_gcd": m} if spec.R == spec.L else {"layer_gap_gcds": gcds},
-        )
-    if spec.R == spec.L:
+    if not spec.spectrum.is_integral:
         return PeriodReport(
             periodic=False, method="theorem",
-            certificate={"detail": "spectrum is not integral, which is equivalent to aperiodicity when R = L"},
+            certificate={"detail": "spectrum is not integral, which is equivalent to aperiodicity"},
         )
-    for layer in (0, 1):
-        obstruction = refute_phases(_phase_conditions(spec, group.identity, layer))
-        if obstruction is not None:
-            return PeriodReport(
-                periodic=False, method="phase-obstruction",
-                certificate={"layer": layer, "detail": obstruction},
-            )
-    ts, horizon, horizon_note = _scan_times(spec)
-    diag0 = _scan_magnitudes(spec, Vertex(group.identity, 0), Vertex(group.identity, 0), ts)
-    diag1 = _scan_magnitudes(spec, Vertex(group.identity, 1), Vertex(group.identity, 1), ts)
-    worst = np.minimum(diag0, diag1)
-    # |H_uu| ~ 1 near t = 0 for every graph; revival evidence only counts
-    # after the diagonal has genuinely left its initial neighbourhood
-    departed = np.nonzero(worst < 0.9)[0]
-    scan: dict = {"samples": DEFAULT_SCAN_SAMPLES, "horizon": horizon, "horizon_rule": horizon_note}
-    if departed.size:
-        start = int(departed[0])
-        while start + 1 < worst.size and worst[start + 1] <= worst[start]:
-            start += 1
-        best = start + int(np.argmax(worst[start:]))
-        scan["max_min_diagonal_magnitude"] = float(worst[best])
-        scan["argmax_time"] = float(ts[best])
-        scan["departure_time"] = float(ts[start])
-    else:
-        scan["max_min_diagonal_magnitude"] = 1.0
-        scan["note"] = "diagonal magnitudes never left the initial neighbourhood"
+    gcds = [int(np.gcd.reduce(spec.spectrum.layer_gaps[layer][0])) for layer in (0, 1)]
+    m = math.gcd(*gcds)
     return PeriodReport(
-        periodic=None, method="numeric-scan",
-        certificate={
-            "detail": "R != L periodicity is outside the exact characterizations",
-            "scan": scan,
-        },
+        periodic=True, min_period_two_pi=Fraction(1, m), min_period=2 * math.pi / m,
+        method="theorem", certificate={"eigen_gcd": m} if spec.R == spec.L else {"layer_gap_gcds": gcds},
     )

@@ -1,27 +1,27 @@
 """Closed-form spectra of semi-Cayley graphs over abelian groups.
 
 Every character chi of G contributes a 2x2 block with entries chi(R), chi(S),
-conj(chi(S)), chi(L); its eigenvalue pair, eigenvector weights and spectral
+conj(chi(S)), chi(L); its eigenvalue pair and the weights of its spectral
 projectors are computed in closed form.  Floats drive the dynamics.
 
-Exactness is certified once per character, when its pair is built: the
+Integrality is certified once per character, when its pair is built: the
 eigenvalues (sigma +- sqrt(disc)) / 2, sigma = chi(R) + chi(L) and disc =
-(chi(R) - chi(L))^2 + 4 |chi(S)|^2, are exact surds iff sigma and disc are
-integers, and integers iff disc is moreover a perfect square with the parity
-of sigma (chi(R) and chi(L) one by one when chi(S) = 0).  These are the two cases of a
-periodic vertex's eigenvalues (Godsil, "Periodic graphs", 2011).
+(chi(R) - chi(L))^2 + 4 |chi(S)|^2, are integers iff sigma and disc are
+integers and disc is a perfect square (its parity then matches sigma's, the
+eigenvalues being algebraic integers); when chi(S) = 0 the branches chi(R)
+and chi(L) are certified one by one.  Periodicity and same-layer transfer
+need no more: a vertex is periodic iff its support is integral (see pst).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
-from .characters import CycloValue, character_matrix
+from .characters import CycloValue
 from .errors import ValidationError
 from .graphs import SemiCayleySpec
 from .groups import Element
@@ -35,9 +35,9 @@ class EigenPair:
     = (chi(R), chi(L)) unsorted, so the eigenvector weights stay (1,0)/(0,1);
     otherwise lambda_plus >= lambda_minus.
 
-    The *_surd fields are the certified exact eigenvalues as vectors
-    {1: rational part, s: coefficient of sqrt(s)}, s > 1 squarefree, or None;
-    the *_exact fields are the same values as ints when both are integers.
+    The *_int fields are the certified integer eigenvalues, branch by branch
+    (None when irrational); the *_exact values are the same ints when both
+    branches are integers, else None.
     """
 
     index: int
@@ -49,10 +49,8 @@ class EigenPair:
     x: float
     lambda_plus: float
     lambda_minus: float
-    lambda_plus_surd: dict[int, Fraction] | None
-    lambda_minus_surd: dict[int, Fraction] | None
-    lambda_plus_exact: int | None
-    lambda_minus_exact: int | None
+    lambda_plus_int: int | None
+    lambda_minus_int: int | None
     c_plus: float
     c_minus: float
     d_plus: float
@@ -62,16 +60,24 @@ class EigenPair:
 
     @property
     def exact(self) -> bool:
-        return self.lambda_plus_exact is not None
+        return self.lambda_plus_int is not None and self.lambda_minus_int is not None
 
-    def layer_surds(self, layer: int) -> tuple:
-        """The exact eigenvalues in the support of a vertex of the layer.
+    @property
+    def lambda_plus_exact(self) -> int | None:
+        return self.lambda_plus_int if self.exact else None
+
+    @property
+    def lambda_minus_exact(self) -> int | None:
+        return self.lambda_minus_int if self.exact else None
+
+    def layer_ints(self, layer: int) -> tuple:
+        """The certified eigenvalues in the support of a vertex of the layer.
 
         chi(S) = 0 puts chi(R) only in layer 0 and chi(L) only in layer 1;
-        otherwise both branches are in both layers.
+        otherwise both branches, with positive weights, are in both layers.
         """
-        surds = (self.lambda_plus_surd, self.lambda_minus_surd)
-        return surds[layer : layer + 1] if self.chi_s_is_zero else surds
+        ints = (self.lambda_plus_int, self.lambda_minus_int)
+        return ints[layer : layer + 1] if self.chi_s_is_zero else ints
 
     def coefficient(self, r: int, s: int, sign: int) -> complex:
         """Entry-formula weight for the (r, s) layer case and the +/- branch."""
@@ -106,9 +112,28 @@ class Spectrum:
         True iff every character's eigenvalues are certified integers: chi(R)
         and chi(L) when chi(S) = 0, and otherwise an integral
         sigma = chi(R) + chi(L) with disc = (chi(R) - chi(L))^2 + 4 |chi(S)|^2
-        a perfect square of the parity of sigma.
+        a perfect square.
         """
         return all(p.exact for p in self.pairs)
+
+    @cached_property
+    def layer_gaps(self) -> tuple:
+        """Per layer, the integer support of its vertices as (gaps, characters), or None.
+
+        One entry per support eigenvalue lambda, in character order with the
+        + branch first: the gap lambda_0 - lambda from the first one (a branch
+        of the trivial character) and the index of lambda's character.  None
+        when some support eigenvalue is irrational.
+        """
+        out = []
+        for layer in (0, 1):
+            support = [(p.index, lam) for p in self.pairs for lam in p.layer_ints(layer)]
+            if any(lam is None for _, lam in support):
+                out.append(None)
+                continue
+            chars, lams = np.array(support, dtype=np.int64).T
+            out.append((lams[0] - lams, chars))
+        return tuple(out)
 
     def to_json(self) -> dict:
         rows = []
@@ -134,53 +159,23 @@ class Spectrum:
         return {"characters": rows}
 
 
-def _squarefree_split(m: int) -> tuple[int, int]:
-    # m = f^2 * s with s squarefree
-    f, s = 1, 1
-    d = 2
-    while d * d <= m:
-        exp = 0
-        while m % d == 0:
-            m //= d
-            exp += 1
-        f *= d ** (exp // 2)
-        if exp % 2:
-            s *= d
-        d += 1
-    return f, s * m
-
-
-def _surd(rational, root: int = 1, coeff: Fraction = Fraction(0)) -> dict[int, Fraction]:
-    # rational + coeff * sqrt(root) as a surd vector without zero entries
-    vec = {1: Fraction(rational)}
-    vec[root] = vec.get(root, 0) + coeff
-    return {key: c for key, c in vec.items() if c}
-
-
-def _surd_int(vec: dict[int, Fraction] | None) -> int | None:
-    if vec is None or set(vec) - {1} or vec.get(1, Fraction(0)).denominator != 1:
-        return None
-    return int(vec.get(1, 0))
-
-
 def _certify(chi_r: CycloValue, chi_l: CycloValue, chi_s_abs2: CycloValue | None):
-    """The exact eigenvalues (lambda_plus, lambda_minus) of one character block.
+    """The integer eigenvalues (lambda_plus, lambda_minus) of one character block.
 
-    Each is a surd vector or None; chi_s_abs2 = |chi(S)|^2, None when chi(S) = 0.
+    Each is an int or None; chi_s_abs2 = |chi(S)|^2, None when chi(S) = 0.
     sigma is tested first: forming disc costs a product in Z[zeta_N].
     """
     if chi_s_abs2 is None:
-        return tuple(None if v is None else _surd(v) for v in (chi_r.as_integer(), chi_l.as_integer()))
+        return chi_r.as_integer(), chi_l.as_integer()
     sigma = (chi_r + chi_l).as_integer()
     if sigma is None:
         return None, None
     diff = chi_r - chi_l
     disc = (diff * diff + 4 * chi_s_abs2).as_integer()
-    if disc is None:
+    root = math.isqrt(disc) if disc is not None else -1
+    if root * root != disc:
         return None, None
-    f, root = _squarefree_split(disc)
-    mid = Fraction(sigma, 2)
-    return _surd(mid, root, Fraction(f, 2)), _surd(mid, root, Fraction(-f, 2))
+    return (sigma + root) // 2, (sigma - root) // 2
 
 
 def _eigen_pair(index: int, chi: Element, chi_r, chi_l, chi_s) -> EigenPair:
@@ -188,12 +183,8 @@ def _eigen_pair(index: int, chi: Element, chi_r, chi_l, chi_s) -> EigenPair:
     r = chi_r.approx.real
     l = chi_l.approx.real
     abs2 = None if s_zero else chi_s.abs_squared()
-    surds = _certify(chi_r, chi_l, abs2)
-    ints = [_surd_int(vec) for vec in surds]
-    if None in ints:
-        ints = [None, None]
-    exact = dict(lambda_plus_surd=surds[0], lambda_minus_surd=surds[1],
-                 lambda_plus_exact=ints[0], lambda_minus_exact=ints[1])
+    ints = _certify(chi_r, chi_l, abs2)
+    exact = dict(lambda_plus_int=ints[0], lambda_minus_int=ints[1])
     if s_zero:
         return EigenPair(
             index=index, char_index=chi, chi_r=chi_r, chi_l=chi_l, chi_s=chi_s,
@@ -238,69 +229,15 @@ def spectrum(spec: SemiCayleySpec) -> Spectrum:
     return Spectrum(tuple(_eigen_pair(i, *chis) for i, chis in enumerate(sums)))
 
 
-def eigenvectors(spec: SemiCayleySpec) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form orthonormal eigenbasis.
-
-    Returns (values, vectors): column 2i of vectors is the +branch of
-    character i, column 2i+1 the -branch, with values aligned.
-    """
-    group = spec.group
-    n = group.order
-    W = character_matrix(group)
-    inv_perm = [group.index(group.inverse(g)) for g in group.elements()]
-    values = np.empty(2 * n)
-    vectors = np.empty((2 * n, 2 * n), dtype=complex)
-    for p in spec.spectrum.pairs:
-        chi_at_inverse = W[p.index, inv_perm]
-        if p.chi_s_is_zero:
-            weights = (((1.0, 0.0), p.lambda_plus), ((0.0, 1.0), p.lambda_minus))
-        else:
-            disc = p.lambda_plus - p.lambda_minus
-            b = 2.0 * p.chi_s.approx
-            weights = (
-                (((p.x + disc), b), p.lambda_plus),
-                (((p.x - disc), b), p.lambda_minus),
-            )
-        for branch, ((a, b), lam) in enumerate(weights):
-            norm = math.sqrt(n * (abs(a) ** 2 + abs(b) ** 2))
-            col = 2 * p.index + branch
-            vectors[:n, col] = a * chi_at_inverse / norm
-            vectors[n:, col] = b * chi_at_inverse / norm
-            values[col] = lam
-    return values, vectors
-
-
-def projectors(spec: SemiCayleySpec) -> list[np.ndarray]:
-    """Rank-one spectral projectors, ordered (char 0, +), (char 0, -), ...
-
-    Each projector is Hermitian with block structure built from the character
-    Gram block B[r, s] = chi(g_r^{-1} g_s); their eigenvalue order matches
-    eigenvectors().
-    """
-    group = spec.group
-    n = group.order
-    W = character_matrix(group)
-    out = []
-    for p in spec.spectrum.pairs:
-        gram = np.outer(W[p.index].conj(), W[p.index])
-        for sign in (1, -1):
-            c = p.coefficient(0, 0, sign)
-            d = p.coefficient(1, 1, sign)
-            e = p.coefficient(0, 1, sign)
-            block = np.block([[c * gram, e * gram], [np.conj(e) * gram, d * gram]]) / n
-            out.append(block)
-    return out
-
-
 def eigen_gcd(spec: SemiCayleySpec) -> int:
     """gcd of the gaps between the top eigenvalue and the rest of the spectrum."""
     spect = spec.spectrum
     if not spect.is_integral:
         raise ValidationError("spectrum not integral")
-    top = spect.pairs[0].lambda_plus_exact
+    top = spect.pairs[0].lambda_plus_int
     gaps = []
     for p in spect.pairs:
-        for lam in (p.lambda_plus_exact, p.lambda_minus_exact):
+        for lam in (p.lambda_plus_int, p.lambda_minus_int):
             if lam != top:
                 gaps.append(abs(top - lam))
     if not gaps:

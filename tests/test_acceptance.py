@@ -85,15 +85,9 @@ def test_criterion_3_sunlets_no_pst_not_periodic():
         for n in range(3, 13):
             verdicts = find_pst(sc.sunlet(n))
             assert all(v.status == "no" for v in verdicts), f"sunlet({n}) unexpected verdict"
+            # 1 +- sqrt(2) at the trivial character: not integral, so aperiodic
             report = periodicity(sc.sunlet(n))
-            assert report.periodic is not True
-            if n % 2 == 0 or n in (3, 9):
-                # the character argument refutes periodicity exactly here
-                assert report.periodic is False, f"sunlet({n}) should be exactly aperiodic"
-            else:
-                # outside every exact tool in scope: undecided + strong negative evidence
-                scan = report.certificate["scan"]
-                assert scan["max_min_diagonal_magnitude"] < 1.0 - 1e-3
+            assert report.periodic is False, f"sunlet({n}) should be exactly aperiodic"
 
 
 def test_criterion_4_cone_eigenvalues_and_odd_pst():

@@ -2,6 +2,7 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from semicayley import ValidationError
@@ -48,7 +49,7 @@ def test_run_sunlet_pst_find():
     assert code == 0
     assert report["pst_found"] is False
     assert report["summary"]["yes"] == 0
-    assert report["summary"]["undecided"] == 0
+    assert report["summary"] == {"yes": 0, "no": len(report["verdicts"])}
     assert report["periodicity"]["periodic"] is False
 
 
@@ -131,6 +132,23 @@ def test_pst_check_reduces_large_times_exactly():
     assert code == 0 and report["time"] == {"value": 1e9, "pi_multiple": None}
     for key in ("magnitude_spectral", "magnitude_oracle"):
         assert abs(report[key] - abs(math.sin(reduced)) ** 3) < 1e-12
+
+
+def test_evolve_reduces_large_times_exactly():
+    # hypercube(9) is integral, so H(100000000 pi) = H(0) = I: the antipodal
+    # entry is exactly 0 and the whole matrix is the identity
+    q9 = {"command": "evolve", "graph": {"family": "hypercube", "n": 9}, "time": "100000000 pi",
+          "from": [[0] * 8, 0], "to": [[1] * 8, 1]}
+    report, code = run(q9)
+    assert code == 0 and report["magnitude"] < 1e-12
+    assert report["time"] == {"value": 1e8 * math.pi, "pi_multiple": "100000000"}
+    report, code = run({"command": "evolve", "graph": {"family": "hypercube", "n": 3}, "time": "100000001 pi"})
+    assert code == 0 and report["time"]["pi_multiple"] == "100000001"
+    # (-i sin pi)^3 = 0 off the diagonal and (cos pi)^3 = -1 on it, coordinate by coordinate
+    entries = np.array([[complex(e["re"], e["im"]) for e in row] for row in report["entries"]])
+    diagonal = np.diag(np.diag(entries))
+    assert np.max(np.abs(entries - diagonal)) < 1e-12
+    assert np.max(np.abs(np.diag(entries) + 1)) < 1e-12
 
 
 def test_pst_check_beyond_the_horizon_is_a_validation_error():
@@ -225,7 +243,8 @@ def test_format_from_config(tmp_path, capsys):
     code = main(["--config", str(config_path)])
     assert code == 0
     out = capsys.readouterr().out
-    assert "undecided by exact methods" in out
+    # 1 +- sqrt(2) at the trivial character: aperiodic by the theorem
+    assert "periodic: no (theorem)" in out
     # the flag still wins over the config field
     code = main(["--config", str(config_path), "--format", "json"])
     assert code == 0

@@ -1,7 +1,7 @@
 """Golden reports: fixed CLI configs must keep giving the recorded reports.
 
 golden_reports.json holds about twenty configs covering all five commands
-(the undecided verdicts of an R != L graph, a validation error, pst-check
+(the same-layer verdicts of an R != L graph, a validation error, pst-check
 with and without a time, evolve for one entry and for the whole matrix),
 each with the exit code and the report the CLI gave when it was recorded.
 Exact fields must be equal; floats must agree within 1e-12.

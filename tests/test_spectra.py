@@ -7,7 +7,7 @@ import pytest
 
 import semicayley as sc
 from semicayley import AbelianGroup, ValidationError, build, char_sum, eigen_gcd, make_spec, spectrum
-from semicayley.spectra import eigenvectors, projectors
+from semicayley.characters import character_matrix
 
 from conftest import random_spec
 
@@ -99,6 +99,59 @@ def test_coefficient_identities(rng):
                 assert p.e_plus != p.e_minus
 
 
+def eigenvectors(spec):
+    """Closed-form orthonormal eigenbasis, a referee for the spectrum.
+
+    Returns (values, vectors): column 2i of vectors is the +branch of
+    character i, column 2i+1 the -branch, with values aligned.
+    """
+    group = spec.group
+    n = group.order
+    W = character_matrix(group)
+    inv_perm = [group.index(group.inverse(g)) for g in group.elements()]
+    values = np.empty(2 * n)
+    vectors = np.empty((2 * n, 2 * n), dtype=complex)
+    for p in spec.spectrum.pairs:
+        chi_at_inverse = W[p.index, inv_perm]
+        if p.chi_s_is_zero:
+            weights = (((1.0, 0.0), p.lambda_plus), ((0.0, 1.0), p.lambda_minus))
+        else:
+            disc = p.lambda_plus - p.lambda_minus
+            b = 2.0 * p.chi_s.approx
+            weights = (
+                (((p.x + disc), b), p.lambda_plus),
+                (((p.x - disc), b), p.lambda_minus),
+            )
+        for branch, ((a, b), lam) in enumerate(weights):
+            norm = math.sqrt(n * (abs(a) ** 2 + abs(b) ** 2))
+            col = 2 * p.index + branch
+            vectors[:n, col] = a * chi_at_inverse / norm
+            vectors[n:, col] = b * chi_at_inverse / norm
+            values[col] = lam
+    return values, vectors
+
+
+def projectors(spec):
+    """Rank-one spectral projectors, ordered (char 0, +), (char 0, -), ...
+
+    Each projector is Hermitian with block structure built from the character
+    Gram block B[r, s] = chi(g_r^{-1} g_s); their eigenvalue order matches
+    eigenvectors().
+    """
+    group = spec.group
+    n = group.order
+    W = character_matrix(group)
+    out = []
+    for p in spec.spectrum.pairs:
+        gram = np.outer(W[p.index].conj(), W[p.index])
+        for sign in (1, -1):
+            c = p.coefficient(0, 0, sign)
+            d = p.coefficient(1, 1, sign)
+            e = p.coefficient(0, 1, sign)
+            out.append(np.block([[c * gram, e * gram], [np.conj(e) * gram, d * gram]]) / n)
+    return out
+
+
 def test_eigenvectors_and_projectors(rng):
     for _ in range(8):
         spec = random_spec(rng)
@@ -136,20 +189,21 @@ def test_integral_spectrum_with_irrational_layer_sums():
     assert spect.is_integral and eigen_gcd(spec) == 1
     exact = sorted(x for p in spect.pairs for x in (p.lambda_plus_exact, p.lambda_minus_exact))
     assert exact == [-2] * 4 + [1] * 5 + [3]
-    assert spect.pairs[1].lambda_plus_surd == {1: 1} and spect.pairs[1].lambda_minus_surd == {1: -2}
+    assert spect.pairs[1].lambda_plus_int == 1 and spect.pairs[1].lambda_minus_int == -2
 
 
 def test_surd_eigenvalues_of_the_cone():
-    # cone(5): the trivial character has eigenvalues 1 +- sqrt(26), exact
-    # surds but not integers; chi(S) = 0 elsewhere, with chi(L) = 0 exact and
-    # chi(R) = 2 cos(2 pi k / 5) irrational
+    # cone(5): the trivial character has eigenvalues 1 +- sqrt(26), surds
+    # and not integers; chi(S) = 0 elsewhere, where the branches are certified
+    # one by one: chi(L) = 0 is an integer, chi(R) = 2 cos(2 pi k / 5) is not
     spect = spectrum(sc.cone(5))
     top = spect.pairs[0]
-    assert top.lambda_plus_surd == {1: 1, 26: 1} and top.lambda_minus_surd == {1: 1, 26: -1}
+    assert top.lambda_plus_int is None and top.lambda_minus_int is None
     assert top.lambda_plus_exact is None and top.lambda_minus_exact is None
     for p in spect.pairs[1:]:
-        assert p.lambda_plus_surd is None and p.lambda_minus_surd == {}
-        assert not p.exact
+        assert p.lambda_plus_int is None and p.lambda_minus_int == 0
+        assert not p.exact and p.lambda_minus_exact is None
+    assert spect.layer_gaps == (None, None)
 
 
 def test_is_integral_matches_eigvalsh(rng):
