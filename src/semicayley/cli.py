@@ -83,55 +83,63 @@ def parse_vertex(spec: SemiCayleySpec, obj) -> Vertex:
             raise ValidationError(f"cannot parse vertex {obj!r}: expected [[exponents],layer]") from exc
     try:
         element, layer = obj
+        element, layer = tuple(int(x) for x in element), int(layer)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"vertex must be [[exponents],layer], got {obj!r}") from exc
-    return spec.validate_vertex(Vertex(tuple(int(x) for x in element), int(layer)))
+    return spec.validate_vertex(Vertex(element, layer))
+
+
+def _field(obj: dict, key: str, parse, default=None):
+    """parse(obj[key]), or parse(default) for an absent key; a bad field is a ValidationError naming it."""
+    if not isinstance(obj, dict) or (key not in obj and default is None):
+        raise ValidationError(f"missing field {key!r}")
+    try:
+        return parse(obj.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"field {key!r}: {exc}") from exc
 
 
 def _family_spec(obj: dict) -> SemiCayleySpec:
     name = obj["family"]
     if name == "sunlet":
-        return sunlet(int(obj["n"]))
+        return sunlet(_field(obj, "n", int))
     if name == "cone":
-        return cone(int(obj["n"]))
+        return cone(_field(obj, "n", int))
     if name == "hypercube":
-        return hypercube(int(obj["n"]))
+        return hypercube(_field(obj, "n", int))
     if name == "join":
-        group = AbelianGroup.from_json(obj["group"])
-        return join_spec(group, obj.get("R", []), obj.get("L", []))
+        group = _field(obj, "group", AbelianGroup.from_json)
+        return join_spec(group, _field(obj, "R", list, []), _field(obj, "L", list, []))
     if name == "dihedral-full-coset":
-        return dihedral_full_coset(AbelianGroup(obj["A"]))
+        return dihedral_full_coset(_field(obj, "A", AbelianGroup))
     if name == "dihedral-involutions":
-        return dihedral_involutions(AbelianGroup(obj["A"]))
+        return dihedral_involutions(_field(obj, "A", AbelianGroup))
     if name == "dicyclic-full-coset":
-        return dicyclic_full_coset(AbelianGroup(obj["A"]), tuple(obj["y"]))
-    if name == "dihedral":
-        spec, _ = generalized_dihedral(AbelianGroup(obj["A"]), obj.get("T1", []), obj.get("T2", []))
-        return spec
-    if name == "dicyclic":
-        spec, _ = generalized_dicyclic(
-            AbelianGroup(obj["A"]), tuple(obj["y"]), obj.get("T1", []), obj.get("T2", [])
-        )
-        return spec
+        return dicyclic_full_coset(_field(obj, "A", AbelianGroup), _field(obj, "y", tuple))
+    if name in ("dihedral", "dicyclic"):
+        A = _field(obj, "A", AbelianGroup)
+        T1, T2 = _field(obj, "T1", list, []), _field(obj, "T2", list, [])
+        if name == "dihedral":
+            return generalized_dihedral(A, T1, T2)[0]
+        return generalized_dicyclic(A, _field(obj, "y", tuple), T1, T2)[0]
     raise ValidationError(f"unknown family {name!r}")
 
 
 def _index2_spec(obj: dict) -> SemiCayleySpec:
-    subgroup = AbelianGroup.from_json(obj["H"])
+    subgroup = _field(obj, "H", AbelianGroup.from_json)
     action = obj.get("sigma", "identity")
     if action == "identity":
         sigma = identity_action(subgroup)
     elif action == "inversion":
         sigma = inversion(subgroup)
     elif isinstance(action, list):
-        sigma = {tuple(src): tuple(dst) for src, dst in action}
+        sigma = _field(obj, "sigma", lambda pairs: {tuple(src): tuple(dst) for src, dst in pairs})
     else:
         raise ValidationError(f"sigma must be 'identity', 'inversion' or a pair list, got {action!r}")
-    spec, _ = from_cayley_index2(
-        subgroup, sigma, tuple(obj.get("x_square", subgroup.identity)),
-        obj.get("T1", []), obj.get("T2", []),
-    )
-    return spec
+    return from_cayley_index2(
+        subgroup, sigma, _field(obj, "x_square", tuple, subgroup.identity),
+        _field(obj, "T1", list, []), _field(obj, "T2", list, []),
+    )[0]
 
 
 def parse_graph(obj) -> SemiCayleySpec:
@@ -179,7 +187,6 @@ def _run_checked(config: dict) -> dict:
     if command not in COMMANDS:
         raise ValidationError(f"command must be one of {list(COMMANDS)}, got {command!r}")
     spec = _resolve_graph(config)
-    tol = float(config.get("tolerance", 1e-8))
     report: dict = {"command": command, "graph": spec.to_json()}
 
     if command == "spectrum":
@@ -221,6 +228,7 @@ def _run_checked(config: dict) -> dict:
         v = parse_vertex(spec, config["to"])
         if "time" in config:
             t, pi_mult = parse_time(config["time"])
+            tol = _field(config, "tolerance", float, 1e-8)
             check = verify_at_time(spec, u, v, reduce_time(spec, t, pi_mult), tol=tol)
             report["time"] = _time_json(t, pi_mult)
             report.update(

@@ -149,56 +149,6 @@ def build(spec: SemiCayleySpec) -> np.ndarray:
 # -- Cayley graphs over index-2 abelian extensions ---------------------------
 
 
-class Index2Extension:
-    """The group H u xH determined by an automorphism sigma and x^2 in H.
-
-    Elements are pairs (eps, h) standing for x^eps * h.  Associativity forces
-    sigma to be an involution fixing x^2; both are validated.
-    """
-
-    def __init__(self, subgroup: AbelianGroup, sigma: Callable[[Element], Element], x_square: Element):
-        self.subgroup = subgroup
-        self.x_square = subgroup.validate_element(x_square)
-        # sigma as a permutation of enumeration indices: g_i -> g_perm[i]
-        self._perm = np.array([subgroup.index(sigma(g)) for g in subgroup.elements()], dtype=np.int64)
-        n = subgroup.order
-        everything = np.arange(n)
-        if not np.array_equal(np.sort(self._perm), everything):
-            raise ValidationError("x-action is not a bijection of the subgroup")
-        sums = subgroup.add_indices(everything[:, None], everything[None, :])
-        if not np.array_equal(self._perm[sums], sums[np.ix_(self._perm, self._perm)]):
-            raise ValidationError("x-action is not an automorphism of the subgroup")
-        if not np.array_equal(self._perm[self._perm], everything):
-            raise ValidationError("x-action must be an involution (sigma^2 = id)")
-        x_index = subgroup.index(self.x_square)
-        if self._perm[x_index] != x_index:
-            raise ValidationError("x-action must fix x^2")
-
-    def sigma(self, h: Element) -> Element:
-        return self.subgroup.element(int(self._perm[self.subgroup.index(h)]))
-
-    def mul(self, a: tuple[int, Element], b: tuple[int, Element]) -> tuple[int, Element]:
-        eps, h = a
-        delta, k = b
-        moved = self.sigma(h) if delta else h
-        out = self.subgroup.mul(moved, k)
-        if eps and delta:
-            out = self.subgroup.mul(self.x_square, out)
-        return ((eps + delta) % 2, out)
-
-    def inverse(self, a: tuple[int, Element]) -> tuple[int, Element]:
-        eps, h = a
-        if not eps:
-            return (0, self.subgroup.inverse(h))
-        inv = self.subgroup.mul(
-            self.subgroup.inverse(self.sigma(h)), self.subgroup.inverse(self.x_square)
-        )
-        return (1, inv)
-
-    def elements(self) -> list[tuple[int, Element]]:
-        return [(eps, h) for eps in (0, 1) for h in self.subgroup.elements()]
-
-
 def from_cayley_index2(
     subgroup: AbelianGroup,
     x_action: Callable[[Element], Element] | dict,
@@ -209,43 +159,50 @@ def from_cayley_index2(
     """Decompose Cay(G, T1 u xT2) over G = H u xH as a semi-Cayley graph.
 
     The extension is described by the data the decomposition needs: the
-    automorphism h -> x^{-1} h x of H and the element x^2 of H.  T1 must be
-    inverse-closed without the identity, and xT2 is checked for inverse
-    closure by explicit multiplication in the extension.
+    automorphism sigma(h) = x^{-1} h x of H (a callable or a dict over all of
+    H), which associativity forces to be an involution fixing x^2, and x^2.
+    T1 must be inverse-closed without the identity; xT2 is checked for
+    inverse closure in closed form, as (x t)^{-1} = x sigma(t)^{-1} x^{-2}.
 
     Returns the spec and the vertex bijection: entry j of the returned list
-    is the extension element identified with vertex j of the spec's vertex
-    order ((h, 0) <-> h and (h, 1) <-> x*h).  Relabelling the extension's
-    Cayley adjacency through it reproduces build(spec) entry for entry.
+    is the extension element (eps, h) = x^eps h identified with vertex j of
+    the spec's vertex order ((h, 0) <-> h and (h, 1) <-> x*h).  Relabelling
+    the extension's Cayley adjacency through it reproduces build(spec).
     """
     if isinstance(x_action, dict):
         mapping = {subgroup.validate_element(k): v for k, v in x_action.items()}
+        if len(mapping) != subgroup.order:
+            raise ValidationError("x-action pair list must map every element of the subgroup")
         x_action = lambda g: mapping[g]
-    ext = Index2Extension(subgroup, x_action, x_square)
-    T1 = subgroup.subset(T1)
-    T2 = subgroup.subset(T2)
+    x_square = subgroup.validate_element(x_square)
+    elements = subgroup.elements()
+    # sigma as a permutation of enumeration indices: g_i -> g_perm[i]
+    perm = np.array([subgroup.index(x_action(g)) for g in elements], dtype=np.int64)
+    everything = np.arange(subgroup.order)
+    if not np.array_equal(np.sort(perm), everything):
+        raise ValidationError("x-action is not a bijection of the subgroup")
+    sums = subgroup.add_indices(everything[:, None], everything[None, :])
+    if not np.array_equal(perm[sums], sums[np.ix_(perm, perm)]):
+        raise ValidationError("x-action is not an automorphism of the subgroup")
+    if not np.array_equal(perm[perm], everything):
+        raise ValidationError("x-action must be an involution (sigma^2 = id)")
+    if perm[subgroup.index(x_square)] != subgroup.index(x_square):
+        raise ValidationError("x-action must fix x^2")
+    sigma = lambda h: elements[perm[subgroup.index(h)]]
+    T1, T2 = subgroup.subset(T1), subgroup.subset(T2)
     if subgroup.identity in T1:
         raise ValidationError("connection set must not contain the identity")
     if not subgroup.is_inverse_closed(T1):
         raise ValidationError("connection part T1 must be inverse-closed")
-    coset_part = [(1, t) for t in T2]
-    for t in coset_part:
-        if ext.inverse(t) not in coset_part:
-            raise ValidationError("connection coset part xT2 is not inverse-closed")
+    if any(subgroup.mul(subgroup.inverse(sigma(t)), subgroup.inverse(x_square)) not in T2 for t in T2):
+        raise ValidationError("connection coset part xT2 is not inverse-closed")
 
-    x = (1, subgroup.identity)
     # Edge rules through the bijection (h,0) <-> h, (h,1) <-> x*h:
     #   (h,0)~(k,0)  iff k h^{-1} in T1, so R = T1
     #   (h,1)~(k,1)  iff (xk)(xh)^{-1} in T1, i.e. k h^{-1} in sigma(T1)
     #   (h,0)~(k,1)  iff (xk) h^{-1} in xT2, i.e. k h^{-1} in T2
-    R = T1
-    L = subgroup.subset(ext.sigma(t) for t in T1)
-    S = T2
-    spec = SemiCayleySpec(subgroup, R, L, S)
-    bijection = [(0, h) for h in subgroup.elements()] + [
-        ext.mul(x, (0, h)) for h in subgroup.elements()
-    ]
-    return spec, bijection
+    spec = SemiCayleySpec(subgroup, T1, subgroup.subset(sigma(t) for t in T1), T2)
+    return spec, [(0, h) for h in elements] + [(1, h) for h in elements]
 
 
 def inversion(group: AbelianGroup) -> Callable[[Element], Element]:

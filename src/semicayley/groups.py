@@ -39,7 +39,10 @@ class AbelianGroup:
     """
 
     def __init__(self, factors: Sequence[int]) -> None:
-        factors = tuple(int(n) for n in factors)
+        try:
+            factors = tuple(int(n) for n in factors)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"cyclic factor sizes must be integers, got {factors!r}") from exc
         if not factors:
             raise ValidationError("a group needs at least one cyclic factor")
         if any(n < 1 for n in factors):
@@ -83,7 +86,10 @@ class AbelianGroup:
         return np.array(list(xs), dtype=np.int64) @ np.array(self.strides, dtype=np.int64)
 
     def validate_element(self, g: Iterable[int]) -> Element:
-        g = tuple(int(x) for x in g)
+        try:
+            g = tuple(int(x) for x in g)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"element {g!r} must be a list of integer exponents") from exc
         if len(g) != len(self.factors):
             raise ValidationError(
                 f"element {list(g)} has {len(g)} coordinates, group has {len(self.factors)} factors"

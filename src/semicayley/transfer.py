@@ -2,7 +2,8 @@
 
 Deliberately independent computation paths:
 
-* the character spectral decomposition (the product),
+* the character formula for n * H_(g,r),(h,s)(t), a function of the layers
+  and a = g^{-1} h alone (the product), behind every entry, matrix and scan,
 * the referee, which shares no eigen or character data with it: one column
   exp(-itA) e_j as a Chebyshev-Bessel series on the spec's adjacency
   (`oracle_column`, which confirms every `yes`), and the dense
@@ -22,7 +23,6 @@ import math
 
 import numpy as np
 
-from .characters import character_matrix
 from .errors import ValidationError
 from .graphs import SemiCayleySpec, Vertex, cay_adjacency
 
@@ -34,36 +34,33 @@ _BESSEL_CUTOFF = 1e-18
 
 
 def transfer_matrix(spec: SemiCayleySpec, t: float) -> np.ndarray:
-    """H(t) as the character sum of exp(-i lambda t) times the projectors.
+    """H(t) blockwise from the entry formula of transfer_sums.
 
-    Assembled blockwise: each character contributes its Gram block weighted by
-    the c/d/e coefficient combinations, summed in character order.
+    H_(g,r),(h,s)(t) depends only on the layers and a = g^{-1} h, so each
+    (r, s) block evaluates the formula once for all n connecting elements and
+    reads entry (g, h) through the difference-index table index(g^{-1} h).
     """
-    spect = spec.spectrum
     group = spec.group
-    n = group.order
-    W = character_matrix(group)
-    lam_p = np.array([p.lambda_plus for p in spect.pairs])
-    lam_m = np.array([p.lambda_minus for p in spect.pairs])
-    phase_p = np.exp(-1j * lam_p * t)
-    phase_m = np.exp(-1j * lam_m * t)
+    everything = np.arange(group.order)
+    inverses = (-group.coords % np.array(group.factors)) @ np.array(group.strides)
+    differences = group.add_indices(inverses[:, None], everything)
+    blocks = [[_entry_sums(spec, r, s, everything, np.array([t]))[differences, 0] for s in (0, 1)] for r in (0, 1)]
+    return np.block(blocks) / spec.n
 
-    def weighted(sign_plus: np.ndarray, sign_minus: np.ndarray) -> np.ndarray:
-        f = sign_plus * phase_p + sign_minus * phase_m
-        return (W.conj().T * f) @ W / n
 
-    c_p = np.array([p.c_plus for p in spect.pairs], dtype=complex)
-    c_m = np.array([p.c_minus for p in spect.pairs], dtype=complex)
-    d_p = np.array([p.d_plus for p in spect.pairs], dtype=complex)
-    d_m = np.array([p.d_minus for p in spect.pairs], dtype=complex)
-    e_p = np.array([p.e_plus for p in spect.pairs])
-    e_m = np.array([p.e_minus for p in spect.pairs])
-    return np.block(
-        [
-            [weighted(c_p, c_m), weighted(e_p, e_m)],
-            [weighted(e_p.conj(), e_m.conj()), weighted(d_p, d_m)],
-        ]
-    )
+def _entry_sums(spec: SemiCayleySpec, r: int, s: int, a, ts: np.ndarray) -> np.ndarray:
+    # n * H_(e,r),(g_a,s)(t) for the element index a (an int, or an array for a leading axis)
+    group = spec.group
+    pairs = spec.spectrum.pairs
+    # char_exponents is symmetric, so row a holds chi(g_a) for every character
+    chi_a = np.exp(2j * np.pi * group.char_exponents[a] / group.exponent)
+    lam_p = np.array([p.lambda_plus for p in pairs])
+    lam_m = np.array([p.lambda_minus for p in pairs])
+    coef_p = np.array([p.coefficient(r, s, +1) for p in pairs], dtype=complex)
+    coef_m = np.array([p.coefficient(r, s, -1) for p in pairs], dtype=complex)
+    values = (chi_a * coef_p) @ np.exp(-1j * np.outer(lam_p, ts))
+    values += (chi_a * coef_m) @ np.exp(-1j * np.outer(lam_m, ts))
+    return values
 
 
 def transfer_sums(spec: SemiCayleySpec, u: Vertex, v: Vertex, ts: np.ndarray) -> np.ndarray:
@@ -75,17 +72,8 @@ def transfer_sums(spec: SemiCayleySpec, u: Vertex, v: Vertex, ts: np.ndarray) ->
     """
     u = spec.validate_vertex(u)
     v = spec.validate_vertex(v)
-    group = spec.group
-    pairs = spec.spectrum.pairs
-    a = group.index(spec.connecting_element(u, v))
-    chi_a = np.exp(2j * np.pi * group.char_exponents[:, a] / group.exponent)
-    lam_p = np.array([p.lambda_plus for p in pairs])
-    lam_m = np.array([p.lambda_minus for p in pairs])
-    coef_p = np.array([p.coefficient(u.layer, v.layer, +1) for p in pairs], dtype=complex)
-    coef_m = np.array([p.coefficient(u.layer, v.layer, -1) for p in pairs], dtype=complex)
-    values = (chi_a * coef_p) @ np.exp(-1j * np.outer(lam_p, ts))
-    values += (chi_a * coef_m) @ np.exp(-1j * np.outer(lam_m, ts))
-    return values
+    a = spec.group.index(spec.connecting_element(u, v))
+    return _entry_sums(spec, u.layer, v.layer, a, ts)
 
 
 def transfer_entry(spec: SemiCayleySpec, u: Vertex, v: Vertex, t: float) -> complex:

@@ -115,6 +115,43 @@ def test_exit_codes_and_errors():
     assert code == 1  # missing time
 
 
+_C4 = {"group": {"factors": [2]}, "R": [[1]], "L": [[1]], "S": [[0]]}
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"command": "spectrum", "family": "sunlet"},
+        {"command": "spectrum", "family": "sunlet", "n": "abc"},
+        {"command": "spectrum", "family": "dihedral"},
+        {"command": "spectrum", "family": "join"},
+        {"command": "pst-check", "graph": _C4, "from": [[0], 0], "to": [[1], 1], "time": "1/2 pi",
+         "tolerance": "abc"},
+        {"command": "pst-check", "graph": _C4, "from": [["a"], 0], "to": [[1], 1]},
+        {"command": "pst-check", "graph": _C4, "from": [5, 0], "to": [[1], 1]},
+        {"command": "pst-check", "graph": _C4, "from": [[0], "x"], "to": [[1], 1]},
+        {"command": "spectrum", "graph": {"group": {"factors": ["x"]}, "R": [], "L": [], "S": []}},
+        {"command": "spectrum", "family": "dihedral-full-coset", "A": ["x"]},
+        {"command": "spectrum", "cayley_index2": {"H": {"factors": [3]}, "sigma": [[[0], [0]], [[1], [2]]]}},
+    ],
+)
+def test_malformed_input_is_a_validation_error(config):
+    report, code = run(config)
+    assert code == 1 and report["error"]["kind"] == "validation", report
+
+
+def test_tolerance_is_read_only_by_pst_check():
+    report, code = run({"command": "period", "graph": _C4, "tolerance": "abc"})
+    assert code == 0 and report["periodicity"]["periodic"] is True
+
+
+def test_main_prints_the_validation_error(capsys):
+    code = main(["spectrum", "--graph", '{"family": "sunlet", "n": "abc"}'])
+    assert code == 1
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["kind"] == "validation" and "'n'" in error["message"]
+
+
 def test_pst_check_reduces_large_times_exactly():
     # the 3-cube's spectrum is integral, so H(t + 2 pi) = H(t); its antipodal
     # entry is (-i sin t)^3, one factor per coordinate of the cube

@@ -138,8 +138,8 @@ def test_spec_validation():
 
 
 def _extension_relabel_matches(subgroup, sigma, x_square, t1, t2):
-    spec, bijection = from_cayley_index2(subgroup, sigma, x_square, t1, t2)
-
+    # the referee's own group law; returns None when it finds xT2 not
+    # inverse-closed, after checking that from_cayley_index2 rejects it too
     def emul(p, q):
         (e1, h1), (e2, h2) = p, q
         moved = sigma(h1) if e2 else h1
@@ -156,7 +156,11 @@ def _extension_relabel_matches(subgroup, sigma, x_square, t1, t2):
 
     connection = [(0, t) for t in subgroup.subset(t1)]
     connection += [emul((1, subgroup.identity), (0, t)) for t in subgroup.subset(t2)]
-    assert all(einv(t) in connection for t in connection)
+    if not all(einv(t) in connection for t in connection):
+        with pytest.raises(ValidationError, match="xT2 is not inverse-closed"):
+            from_cayley_index2(subgroup, sigma, x_square, t1, t2)
+        return None
+    spec, bijection = from_cayley_index2(subgroup, sigma, x_square, t1, t2)
 
     elems = [(0, h) for h in subgroup.elements()] + [(1, h) for h in subgroup.elements()]
     size = len(elems)
@@ -178,8 +182,8 @@ def test_index2_dihedral_relabel():
 
 def test_index2_dicyclic_relabel():
     z4 = AbelianGroup([4])
-    _extension_relabel_matches(z4, inversion(z4), (2,), [(1,), (3,)], [(1,), (3,)])
-    _extension_relabel_matches(z4, inversion(z4), (2,), [(2,)], z4.elements())
+    assert _extension_relabel_matches(z4, inversion(z4), (2,), [(1,), (3,)], [(1,), (3,)]) is not None
+    assert _extension_relabel_matches(z4, inversion(z4), (2,), [(2,)], z4.elements()) is not None
 
 
 def test_index2_abelian_relabel():
@@ -200,7 +204,26 @@ def test_index2_random_dihedral(rng):
         group = AbelianGroup(factors)
         t1 = random_inverse_closed(group, rng)
         t2 = random_subset(group, rng)
-        _extension_relabel_matches(group, inversion(group), group.identity, t1, t2)
+        assert _extension_relabel_matches(group, inversion(group), group.identity, t1, t2) is not None
+
+
+def test_abelian_index2_is_the_central_case(rng):
+    accepted = {True: 0, False: 0}
+    for _ in range(10):
+        group = AbelianGroup(NONTRIVIAL_POOL[int(rng.integers(len(NONTRIVIAL_POOL)))])
+        x_square = group.element(int(rng.integers(group.order)))
+        t1 = random_inverse_closed(group, rng)
+        # with x central, (x t)^{-1} = x t^{-1} x^{-2}: close T2 under that involution
+        t2 = set()
+        for t in random_subset(group, rng):
+            t2 |= {t, group.mul(group.inverse(t), group.inverse(x_square))}
+        spec, bijection = sc.abelian_index2(group, x_square, t1, t2)
+        assert (spec, bijection) == from_cayley_index2(group, identity_action(group), x_square, t1, t2)
+        assert spec.R == spec.L == group.subset(t1)
+        assert _extension_relabel_matches(group, identity_action(group), x_square, t1, t2) == spec
+        raw = random_subset(group, rng)
+        accepted[_extension_relabel_matches(group, identity_action(group), x_square, t1, raw) is not None] += 1
+    assert accepted[False] >= 1
 
 
 def test_index2_validation():
@@ -215,6 +238,8 @@ def test_index2_validation():
     with pytest.raises(ValidationError, match="involution"):
         # g -> 2g is an automorphism of Z5 fixing x^2 = 0, but has order 4
         from_cayley_index2(AbelianGroup([5]), lambda g: (2 * g[0] % 5,), (0,), [], [])
+    with pytest.raises(ValidationError, match="every element"):
+        from_cayley_index2(z4, {(0,): (0,), (1,): (3,), (2,): (2,)}, (0,), [], [])  # misses (3,)
     with pytest.raises(ValidationError):
         from_cayley_index2(z4, inversion(z4), (2,), [], [(0,)])  # xT2 not inverse-closed
     with pytest.raises(ValidationError):

@@ -558,23 +558,35 @@ def test_r_neq_l_refutations_stay_below_the_scan_bound(corpus):
     assert pairs >= 100 and periods >= 50
 
 
-def test_same_layer_transfer_times_are_minimal(rng):
+def _assert_least_transfer_times(spec, yes):
     # the transfer times of a pair are the odd multiples of the least one,
     # which is at least pi / spread; so the reported t is the least iff H_uv
     # is not unimodular at t / q for each prime q up to the spectral spread
     from semicayley import build, oracle_expm
 
+    lams = spec.spectrum.eigenvalues()
+    adjacency = build(spec)
+    for v in yes:
+        u_index, v_index = spec.vertex_index(v.source), spec.vertex_index(v.target)
+        for q in _primes_up_to(round(max(lams) - min(lams))):
+            assert abs(oracle_expm(adjacency, v.time / q)[u_index, v_index]) < 1 - 1e-8, (spec, v, q)
+
+
+def test_same_layer_transfer_times_are_minimal(rng):
     checked = {True: 0, False: 0}
     for draw in range(600):
         spec = random_spec(rng, equal_layers=draw % 2 == 0)
         yes = [v for v in find_pst(spec) if v.status == "yes" and _same_layer(v)]
-        if not yes:
-            continue
-        lams = spec.spectrum.eigenvalues()
-        adjacency = build(spec)
-        for v in yes:
-            u_index, v_index = spec.vertex_index(v.source), spec.vertex_index(v.target)
-            for q in _primes_up_to(round(max(lams) - min(lams))):
-                assert abs(oracle_expm(adjacency, v.time / q)[u_index, v_index]) < 1 - 1e-8, (spec, v, q)
-            checked[spec.R == spec.L] += 1
+        _assert_least_transfer_times(spec, yes)
+        checked[spec.R == spec.L] += bool(yes)
     assert checked[True] >= 10 and checked[False] >= 1
+
+
+def test_cross_layer_transfer_times_are_minimal(rng):
+    checked = 0
+    for _ in range(600):
+        spec = random_spec(rng, equal_layers=True)
+        yes = [v for v in find_pst(spec) if v.status == "yes" and not _same_layer(v)]
+        _assert_least_transfer_times(spec, yes)
+        checked += len(yes)
+    assert checked >= 100

@@ -78,6 +78,21 @@ def test_spectral_path_equals_oracle(rng):
         assert np.max(np.abs(h_spec - h_oracle)) < 1e-9
 
 
+def test_transfer_matrix_is_one_value_per_connecting_element(rng):
+    # H_(g,r),(h,s)(t) depends only on the layers and a = g^{-1} h, so each
+    # block must be its first row (g = identity) gathered through index(a)
+    for _ in range(50):
+        spec = random_spec(rng)
+        group, n = spec.group, spec.n
+        elems = group.elements()
+        differences = np.array([[group.index(group.mul(group.inverse(g), h)) for h in elems] for g in elems])
+        h = transfer_matrix(spec, float(rng.uniform(0.0, 10.0)))
+        for r in (0, 1):
+            for s in (0, 1):
+                block = h[r * n : (r + 1) * n, s * n : (s + 1) * n]
+                assert np.array_equal(block, block[0][differences]), (spec, r, s)
+
+
 def test_entry_formula_equals_oracle(rng):
     # transfer_sums serves transfer_entry (one time) and the scans (a grid);
     # check it in all four layer cases against the independent oracle
