@@ -54,6 +54,12 @@ def _exact_polydiv(num: list[int], den: tuple[int, ...]) -> list[int]:
     return quot
 
 
+@lru_cache(maxsize=None)
+def _roots_of_unity(order: int) -> tuple[complex, ...]:
+    # exp(2 pi i j / order) for j = 0 .. order - 1, the terms of every approx
+    return tuple(cmath.exp(2j * math.pi * j / order) for j in range(order))
+
+
 def _reduce_mod(coeffs: Iterable[int], den: tuple[int, ...]) -> tuple[int, ...]:
     # remainder of coeffs modulo the monic polynomial den
     rem = list(coeffs)
@@ -109,10 +115,8 @@ class CycloValue:
     @property
     def approx(self) -> complex:
         if self._approx is None:
-            n = self.order
-            self._approx = sum(
-                c * cmath.exp(2j * math.pi * j / n) for j, c in enumerate(self.coeffs) if c
-            ) + 0j
+            roots = _roots_of_unity(self.order)
+            self._approx = sum(c * root for c, root in zip(self.coeffs, roots) if c) + 0j
         return self._approx
 
     def _coerce(self, other) -> "CycloValue":

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import re
 import sys
 from fractions import Fraction
@@ -83,7 +84,7 @@ def parse_vertex(spec: SemiCayleySpec, obj) -> Vertex:
             raise ValidationError(f"cannot parse vertex {obj!r}: expected [[exponents],layer]") from exc
     try:
         element, layer = obj
-        element, layer = tuple(int(x) for x in element), int(layer)
+        element, layer = tuple(map(operator.index, element)), operator.index(layer)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"vertex must be [[exponents],layer], got {obj!r}") from exc
     return spec.validate_vertex(Vertex(element, layer))
@@ -102,11 +103,11 @@ def _field(obj: dict, key: str, parse, default=None):
 def _family_spec(obj: dict) -> SemiCayleySpec:
     name = obj["family"]
     if name == "sunlet":
-        return sunlet(_field(obj, "n", int))
+        return sunlet(_field(obj, "n", operator.index))
     if name == "cone":
-        return cone(_field(obj, "n", int))
+        return cone(_field(obj, "n", operator.index))
     if name == "hypercube":
-        return hypercube(_field(obj, "n", int))
+        return hypercube(_field(obj, "n", operator.index))
     if name == "join":
         group = _field(obj, "group", AbelianGroup.from_json)
         return join_spec(group, _field(obj, "R", list, []), _field(obj, "L", list, []))

@@ -92,10 +92,9 @@ class SemiCayleySpec:
 
     def validate_vertex(self, v) -> Vertex:
         element, layer = v
-        layer = int(layer)
         if layer not in (0, 1):
-            raise ValidationError(f"vertex layer must be 0 or 1, got {layer}")
-        return Vertex(self.group.validate_element(element), layer)
+            raise ValidationError(f"vertex layer must be 0 or 1, got {layer!r}")
+        return Vertex(self.group.validate_element(element), int(layer))
 
     def is_regular(self) -> bool:
         return len(self.R) == len(self.L)

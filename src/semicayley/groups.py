@@ -11,6 +11,7 @@ be shared freely across threads.
 from __future__ import annotations
 
 import math
+import operator
 from functools import cached_property
 from itertools import product
 from typing import Iterable, Sequence
@@ -40,8 +41,8 @@ class AbelianGroup:
 
     def __init__(self, factors: Sequence[int]) -> None:
         try:
-            factors = tuple(int(n) for n in factors)
-        except (TypeError, ValueError) as exc:
+            factors = tuple(map(operator.index, factors))
+        except TypeError as exc:
             raise ValidationError(f"cyclic factor sizes must be integers, got {factors!r}") from exc
         if not factors:
             raise ValidationError("a group needs at least one cyclic factor")
@@ -87,8 +88,8 @@ class AbelianGroup:
 
     def validate_element(self, g: Iterable[int]) -> Element:
         try:
-            g = tuple(int(x) for x in g)
-        except (TypeError, ValueError) as exc:
+            g = tuple(map(operator.index, g))
+        except TypeError as exc:
             raise ValidationError(f"element {g!r} must be a list of integer exponents") from exc
         if len(g) != len(self.factors):
             raise ValidationError(

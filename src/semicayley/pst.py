@@ -290,11 +290,10 @@ def decide_cross_layer(spec: SemiCayleySpec, u: Vertex, v: Vertex) -> PstVerdict
             "rule": "non-integral",
             "detail": "spectrum is not integral (chi(R) or |chi(S)| irrational for some character)"})
     k = _v2(len(spec.S))
-    for pair in spect.pairs:
-        if _v2((pair.lambda_plus_int - pair.lambda_minus_int) // 2) != k:
-            return PstVerdict(u, v, "no", certificate={
-                "rule": "spoke-valuation",
-                "detail": f"nu2|chi(S)| differs from nu2|S| = {k} at character {pair.index}"})
+    if spect.spoke_valuation_break is not None:
+        return PstVerdict(u, v, "no", certificate={
+            "rule": "spoke-valuation",
+            "detail": f"nu2|chi(S)| differs from nu2|S| = {k} at character {spect.spoke_valuation_break}"})
     top = spect.pairs[0].lambda_plus_int
     chi_a_exponents = group.char_exponents[:, group.index(spec.connecting_element(u, v))]
     for pair in spect.pairs:

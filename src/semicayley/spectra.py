@@ -4,13 +4,27 @@ Every character chi of G contributes a 2x2 block with entries chi(R), chi(S),
 conj(chi(S)), chi(L); its eigenvalue pair and the weights of its spectral
 projectors are computed in closed form.  Floats drive the dynamics.
 
-Integrality is certified once per character, when its pair is built: the
-eigenvalues (sigma +- sqrt(disc)) / 2, sigma = chi(R) + chi(L) and disc =
-(chi(R) - chi(L))^2 + 4 |chi(S)|^2, are integers iff sigma and disc are
-integers and disc is a perfect square (its parity then matches sigma's, the
-eigenvalues being algebraic integers); when chi(S) = 0 the branches chi(R)
-and chi(L) are certified one by one.  Periodicity and same-layer transfer
-need no more: a vertex is periodic iff its support is integral (see pst).
+Integrality is certified once per rational class of characters, when the
+spectrum is built: the eigenvalues (sigma +- sqrt(disc)) / 2, sigma =
+chi(R) + chi(L) and disc = (chi(R) - chi(L))^2 + 4 |chi(S)|^2, are integers
+iff sigma and disc are integers and disc is a perfect square (its parity
+then matches sigma's, the eigenvalues being algebraic integers); when
+chi(S) = 0 the branches chi(R) and chi(L) are certified one by one.  The
+class of chi is {chi^k : gcd(k, N) = 1}, N the exponent of G, and
+chi^k(X) = sigma_k(chi(X)) for the automorphism sigma_k: zeta_N -> zeta_N^k
+of Q(zeta_N).  sigma_k fixes exactly the rationals and commutes with complex
+conjugation, so "chi(S) = 0" and "sigma and disc are integers, disc a
+square" hold for the whole class or for none of it, with the same integers:
+one representative (the least index) is certified and its results are
+copied.  Z_512 has 10 classes for 512 characters; Z_2^k only classes of
+size 1.  Periodicity and same-layer transfer need no more: a vertex is
+periodic iff its support is integral (see pst).
+
+The floats differ across a class and are computed for every character, on
+n x N integer coefficient matrices (one bincount per subset; |chi(S)|^2 =
+chi(S S^-1) is one weighted bincount over the difference multiset), summed
+against the roots of unity in the order of CycloValue.approx, so they are
+the per-character floats bit for bit.
 """
 
 from __future__ import annotations
@@ -21,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .characters import CycloValue
+from .characters import CycloValue, _roots_of_unity
 from .errors import ValidationError
 from .graphs import SemiCayleySpec
 from .groups import Element
@@ -135,6 +149,19 @@ class Spectrum:
             out.append((lams[0] - lams, chars))
         return tuple(out)
 
+    @cached_property
+    def spoke_valuation_break(self) -> int | None:
+        """First character where nu2((lambda+ - lambda-) / 2) differs from the trivial one's, or None.
+
+        Read for an integral spectrum with chi(S) != 0 everywhere and R = L,
+        where (lambda+ - lambda-) / 2 = |chi(S)| and the trivial character's
+        is |S|.  Equal valuations are equal lowest set bits.
+        """
+        halves = np.array([(p.lambda_plus_int - p.lambda_minus_int) // 2 for p in self.pairs], dtype=np.int64)
+        lowest = halves & -halves
+        breaks = np.flatnonzero(lowest != lowest[0])
+        return int(breaks[0]) if breaks.size else None
+
     def to_json(self) -> dict:
         rows = []
         for p in self.pairs:
@@ -178,12 +205,9 @@ def _certify(chi_r: CycloValue, chi_l: CycloValue, chi_s_abs2: CycloValue | None
     return (sigma + root) // 2, (sigma - root) // 2
 
 
-def _eigen_pair(index: int, chi: Element, chi_r, chi_l, chi_s) -> EigenPair:
-    s_zero = chi_s.is_zero()
-    r = chi_r.approx.real
-    l = chi_l.approx.real
-    abs2 = None if s_zero else chi_s.abs_squared()
-    ints = _certify(chi_r, chi_l, abs2)
+def _eigen_pair(index, chi, chi_r, chi_l, chi_s, s_zero, ints, approx) -> EigenPair:
+    # approx holds the floats of chi(R), chi(L), chi(S) and |chi(S)|^2
+    r, l, s, s2 = approx
     exact = dict(lambda_plus_int=ints[0], lambda_minus_int=ints[1])
     if s_zero:
         return EigenPair(
@@ -192,7 +216,6 @@ def _eigen_pair(index: int, chi: Element, chi_r, chi_l, chi_s) -> EigenPair:
             c_plus=1.0, c_minus=0.0, d_plus=0.0, d_minus=1.0, e_plus=0j, e_minus=0j,
         )
     x = r - l
-    s2 = abs2.approx.real
     disc = math.sqrt(x * x + 4.0 * s2)
     lam_p = 0.5 * (r + l + disc)
     lam_m = 0.5 * (r + l - disc)
@@ -202,7 +225,7 @@ def _eigen_pair(index: int, chi: Element, chi_r, chi_l, chi_s) -> EigenPair:
     den_m = m * m + 4.0 * s2
     # conj(chi(S)), not chi(S): the eigenvector weights pair with the vertex
     # functions chi(g^{-1}), and the oracle arbitrates the orientation
-    e_plus = 2.0 * chi_s.approx.conjugate() * p / den_p
+    e_plus = 2.0 * s.conjugate() * p / den_p
     return EigenPair(
         index=index, char_index=chi, chi_r=chi_r, chi_l=chi_l, chi_s=chi_s,
         chi_s_is_zero=False, x=x, lambda_plus=lam_p, lambda_minus=lam_m, **exact,
@@ -212,21 +235,69 @@ def _eigen_pair(index: int, chi: Element, chi_r, chi_l, chi_s) -> EigenPair:
     )
 
 
-def _char_sums(group, subset) -> list[CycloValue]:
-    # chi(subset) for every character: the subset is indexed once and each
-    # sum is a bincount of one row of the character-exponent table
-    rows = group.char_exponents[:, group.indices(subset)]
-    return [CycloValue(group.exponent, np.bincount(row, minlength=group.exponent)) for row in rows]
+def _coefficient_rows(group, columns: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+    # n x N: row i holds the coefficients of chi_i summed over the element
+    # indices `columns` (with multiplicities `weights`), one bincount in all
+    n, order = group.order, group.exponent
+    keys = group.char_exponents[:, columns] + order * np.arange(n)[:, None]
+    if weights is not None:
+        weights = np.broadcast_to(weights, keys.shape).ravel()
+    counts = np.bincount(keys.ravel(), weights=weights, minlength=n * order)
+    return counts.astype(np.int64, copy=False).reshape(n, order)
+
+
+def _abs_squared_rows(group, s: np.ndarray) -> np.ndarray:
+    # |chi(S)|^2 = chi(S S^-1): the coefficient rows of the difference multiset,
+    # counted once over S x S and then summed with its multiplicities
+    inverse = (-group.coords[s] % np.array(group.factors)) @ np.array(group.strides)
+    multiplicity = np.bincount(group.add_indices(s[:, None], inverse[None, :]).ravel(), minlength=group.order)
+    support = np.flatnonzero(multiplicity)
+    return _coefficient_rows(group, support, multiplicity[support])
+
+
+def _approx(rows: np.ndarray) -> list[complex]:
+    # CycloValue.approx of every row, bit for bit: the same left-to-right sum.
+    # Adding 0.0 to the first term clears a signed zero, as Python's sum from 0
+    # does, so no partial sum is -0.0 and the zero terms that approx skips
+    # change nothing
+    terms = rows * np.array(_roots_of_unity(rows.shape[1]))
+    terms[:, 0] += 0.0
+    np.add.accumulate(terms, axis=1, out=terms)
+    return terms[:, -1].tolist()
+
+
+def _class_representatives(group) -> list[int]:
+    # the least index of each character's rational class {chi^k : gcd(k, N) = 1}
+    order = group.exponent
+    units = np.array([k for k in range(1, order + 1) if math.gcd(k, order) == 1], dtype=np.int64)
+    powers = units[:, None, None] * group.coords % np.array(group.factors)
+    return (powers @ np.array(group.strides)).min(axis=0).tolist()
 
 
 def spectrum(spec: SemiCayleySpec) -> Spectrum:
     """Closed-form eigen-data for every character of the group.
 
-    Computes afresh on every call; spec.spectrum keeps one result per spec.
+    Certifies one representative per rational class and copies its integers
+    to the class; computes afresh on every call, and spec.spectrum keeps one
+    result per spec.
     """
     group = spec.group
-    sums = zip(group.elements(), _char_sums(group, spec.R), _char_sums(group, spec.L), _char_sums(group, spec.S))
-    return Spectrum(tuple(_eigen_pair(i, *chis) for i, chis in enumerate(sums)))
+    order = group.exponent
+    rows = [_coefficient_rows(group, group.indices(xs)) for xs in (spec.R, spec.L, spec.S)]
+    abs2_rows = _abs_squared_rows(group, group.indices(spec.S))
+    r, l, s, s2 = (_approx(m) for m in (*rows, abs2_rows))
+    certified = {}
+    pairs = []
+    for i, (chi, rep) in enumerate(zip(group.elements(), _class_representatives(group))):
+        chi_r, chi_l, chi_s = (CycloValue(order, m[i]) for m in rows)
+        if rep == i:
+            s_zero = chi_s.is_zero()
+            abs2 = None if s_zero else CycloValue(order, abs2_rows[i])
+            certified[i] = s_zero, _certify(chi_r, chi_l, abs2)
+        s_zero, ints = certified[rep]
+        approx = r[i].real, l[i].real, s[i], s2[i].real
+        pairs.append(_eigen_pair(i, chi, chi_r, chi_l, chi_s, s_zero, ints, approx))
+    return Spectrum(tuple(pairs))
 
 
 def eigen_gcd(spec: SemiCayleySpec) -> int:

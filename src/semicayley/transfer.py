@@ -23,6 +23,7 @@ import math
 
 import numpy as np
 
+from .characters import character_matrix
 from .errors import ValidationError
 from .graphs import SemiCayleySpec, Vertex, cay_adjacency
 
@@ -41,19 +42,17 @@ def transfer_matrix(spec: SemiCayleySpec, t: float) -> np.ndarray:
     reads entry (g, h) through the difference-index table index(g^{-1} h).
     """
     group = spec.group
-    everything = np.arange(group.order)
     inverses = (-group.coords % np.array(group.factors)) @ np.array(group.strides)
-    differences = group.add_indices(inverses[:, None], everything)
-    blocks = [[_entry_sums(spec, r, s, everything, np.array([t]))[differences, 0] for s in (0, 1)] for r in (0, 1)]
+    differences = group.add_indices(inverses[:, None], np.arange(group.order))
+    table = character_matrix(group)
+    blocks = [[_entry_sums(spec, r, s, table, np.array([t]))[differences, 0] for s in (0, 1)] for r in (0, 1)]
     return np.block(blocks) / spec.n
 
 
-def _entry_sums(spec: SemiCayleySpec, r: int, s: int, a, ts: np.ndarray) -> np.ndarray:
-    # n * H_(e,r),(g_a,s)(t) for the element index a (an int, or an array for a leading axis)
-    group = spec.group
+def _entry_sums(spec: SemiCayleySpec, r: int, s: int, chi_a: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    # n * H_(e,r),(g_a,s)(t) from chi_a = chi(g_a) over every character: row a
+    # of the character table (which is symmetric), or the table for every a
     pairs = spec.spectrum.pairs
-    # char_exponents is symmetric, so row a holds chi(g_a) for every character
-    chi_a = np.exp(2j * np.pi * group.char_exponents[a] / group.exponent)
     lam_p = np.array([p.lambda_plus for p in pairs])
     lam_m = np.array([p.lambda_minus for p in pairs])
     coef_p = np.array([p.coefficient(r, s, +1) for p in pairs], dtype=complex)
@@ -72,8 +71,10 @@ def transfer_sums(spec: SemiCayleySpec, u: Vertex, v: Vertex, ts: np.ndarray) ->
     """
     u = spec.validate_vertex(u)
     v = spec.validate_vertex(v)
-    a = spec.group.index(spec.connecting_element(u, v))
-    return _entry_sums(spec, u.layer, v.layer, a, ts)
+    group = spec.group
+    a = group.index(spec.connecting_element(u, v))
+    chi_a = np.exp(2j * np.pi * group.char_exponents[a] / group.exponent)
+    return _entry_sums(spec, u.layer, v.layer, chi_a, ts)
 
 
 def transfer_entry(spec: SemiCayleySpec, u: Vertex, v: Vertex, t: float) -> complex:

@@ -140,6 +140,25 @@ def test_malformed_input_is_a_validation_error(config):
     assert code == 1 and report["error"]["kind"] == "validation", report
 
 
+@pytest.mark.parametrize(
+    "config, named",
+    [
+        ({"command": "spectrum", "family": "sunlet", "n": 4.7}, "field 'n'"),
+        ({"command": "spectrum", "graph": {"group": {"factors": [2.9]}, "R": [], "L": [], "S": [[0.6]]}},
+         "cyclic factor sizes"),
+        ({"command": "spectrum", "graph": {"group": {"factors": [2]}, "R": [], "L": [], "S": [[0.6]]}},
+         "element [0.6]"),
+        ({"command": "pst-check", "graph": _C4, "from": [[0.9], 0], "to": [[0], 1.5]}, "vertex"),
+    ],
+    ids=["family-size", "group-factor", "subset-element", "vertex"],
+)
+def test_non_integer_numbers_are_rejected_not_truncated(config, named):
+    # int() would truncate each of these to a valid input and answer for it
+    report, code = run(config)
+    assert code == 1 and report["error"]["kind"] == "validation", report
+    assert named in report["error"]["message"]
+
+
 def test_tolerance_is_read_only_by_pst_check():
     report, code = run({"command": "period", "graph": _C4, "tolerance": "abc"})
     assert code == 0 and report["periodicity"]["periodic"] is True

@@ -123,8 +123,9 @@ def test_vertex_indexing():
     assert len(vertices) == 8
     for i, v in enumerate(vertices):
         assert spec.vertex_index(v) == i
-    with pytest.raises(ValidationError):
-        spec.validate_vertex(Vertex((0,), 2))
+    for layer in (2, 1.5, "x"):  # 1.5 is refused, not truncated to layer 1
+        with pytest.raises(ValidationError, match="layer must be 0 or 1"):
+            spec.validate_vertex(Vertex((0,), layer))
 
 
 def test_spec_validation():

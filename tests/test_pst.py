@@ -135,6 +135,37 @@ def test_cross_layer_needs_equal_layers_certificate():
     assert verdict.status == "no" and verdict.certificate["rule"] == "r-neq-l"
 
 
+def test_cross_layer_spoke_valuation():
+    # SC(Z3, {1, 2}, {1, 2}, {1, 2}): |chi(S)| = |w + w^2| = 1 off the trivial
+    # character, and nu2(1) = 0 differs from nu2|S| = 1
+    spec = make_spec(AbelianGroup([3]), [(1,), (2,)], [(1,), (2,)], [(1,), (2,)])
+    verdict = decide_cross_layer(spec, Vertex((0,), 0), Vertex((0,), 1))
+    assert verdict.status == "no" and verdict.certificate == {
+        "rule": "spoke-valuation", "detail": "nu2|chi(S)| differs from nu2|S| = 1 at character 1"}
+
+
+def test_spoke_valuation_names_the_first_differing_character(rng):
+    # against the per-character loop, on every R = L draw that reaches the rule
+    reached = 0
+    for _ in range(400):
+        spec = random_spec(rng, equal_layers=True)
+        group = spec.group
+        verdict = decide_cross_layer(spec, Vertex(group.identity, 0), Vertex(group.identity, 1))
+        if verdict.certificate["rule"] in ("chi-s-zero", "non-integral"):
+            continue
+        reached += 1
+        k = nu2(len(spec.S))
+        breaks = [p.index for p in spec.spectrum.pairs
+                  if nu2((p.lambda_plus_int - p.lambda_minus_int) // 2) != k]
+        if breaks:
+            assert verdict.certificate == {
+                "rule": "spoke-valuation",
+                "detail": f"nu2|chi(S)| differs from nu2|S| = {k} at character {breaks[0]}"}, spec
+        else:
+            assert verdict.certificate["rule"] != "spoke-valuation", spec
+    assert reached > 50
+
+
 def test_cross_layer_directed_matching():
     # S = {1} over Z4 pairs (x,0) with (x+1,1): four disjoint edges, PST at pi/2.
     # chi(S) is properly complex here, exercising the exact sign orientation.

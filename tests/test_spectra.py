@@ -9,7 +9,7 @@ import semicayley as sc
 from semicayley import AbelianGroup, ValidationError, build, char_sum, eigen_gcd, make_spec, spectrum
 from semicayley.characters import character_matrix
 
-from conftest import random_spec
+from conftest import random_inverse_closed, random_spec, random_subset
 
 
 def test_c4_spectrum():
@@ -277,3 +277,108 @@ def test_spectrum_is_freed_with_its_spec():
         assert ref() is None
     finally:
         gc.enable()
+
+
+def _referee_ints(group, chi, spec):
+    # the certifier applied to this one character, from fresh character sums
+    chi_r, chi_l, chi_s = (char_sum(group, chi, xs) for xs in (spec.R, spec.L, spec.S))
+    if chi_s.is_zero():
+        return True, chi_r.as_integer(), chi_l.as_integer()
+    sigma = (chi_r + chi_l).as_integer()
+    if sigma is None:
+        return False, None, None
+    diff = chi_r - chi_l
+    disc = (diff * diff + 4 * chi_s.abs_squared()).as_integer()
+    if disc is None or math.isqrt(disc) ** 2 != disc:
+        return False, None, None
+    root = math.isqrt(disc)
+    return False, (sigma + root) // 2, (sigma - root) // 2
+
+
+def _large_exponent_specs(rng, count):
+    pool = [(60,), (2, 12), (512,)]
+    for k in range(count):
+        group = AbelianGroup(pool[k % len(pool)])
+        prob = 0.05 if group.order > 100 else 0.3
+        r_set = random_inverse_closed(group, rng, prob)
+        l_set = r_set if k % 2 else random_inverse_closed(group, rng, prob)
+        yield make_spec(group, r_set, l_set, random_subset(group, rng, prob))
+
+
+def test_class_certificates_match_a_per_character_referee(rng):
+    # one representative per rational class is certified and its integers are
+    # copied: the Galois conjugates of an integer are that integer
+    specs = [random_spec(rng) for _ in range(300)] + list(_large_exponent_specs(rng, 6))
+    for spec in specs:
+        group = spec.group
+        for p in spectrum(spec).pairs:
+            expected = _referee_ints(group, p.char_index, spec)
+            assert (p.chi_s_is_zero, p.lambda_plus_int, p.lambda_minus_int) == expected, (spec, p.index)
+
+
+def test_spectrum_certifies_once_per_rational_class(rng, monkeypatch):
+    # Z_512 has 10 rational classes (one per divisor of 512); each
+    # representative needs at most 3 reductions: is_zero, sigma and disc
+    from semicayley.characters import CycloValue
+
+    group = AbelianGroup([512])
+    spec = make_spec(group, random_inverse_closed(group, rng, 0.1),
+                     random_inverse_closed(group, rng, 0.1), random_subset(group, rng, 0.1))
+    assert spec.R != spec.L
+    original = CycloValue.residue
+    calls = []
+    monkeypatch.setattr(CycloValue, "residue", lambda self: calls.append(self) or original(self))
+    spectrum(spec)
+    assert 10 <= len(calls) <= 3 * 10
+
+
+_FLOAT_FIELDS = ("x", "lambda_plus", "lambda_minus", "c_plus", "c_minus", "d_plus", "d_minus", "e_plus", "e_minus")
+
+
+def _referee_floats(group, chi, spec, s_zero):
+    # the closed forms evaluated on fresh CycloValue approximations
+    chi_r, chi_l, chi_s = (char_sum(group, chi, xs) for xs in (spec.R, spec.L, spec.S))
+    r, l = chi_r.approx.real, chi_l.approx.real
+    if s_zero:
+        return dict(x=r - l, lambda_plus=r, lambda_minus=l, c_plus=1.0, c_minus=0.0,
+                    d_plus=0.0, d_minus=1.0, e_plus=0j, e_minus=0j)
+    x = r - l
+    s2 = chi_s.abs_squared().approx.real
+    disc = math.sqrt(x * x + 4.0 * s2)
+    p, m = x + disc, x - disc
+    den_p, den_m = p * p + 4.0 * s2, m * m + 4.0 * s2
+    e_plus = 2.0 * chi_s.approx.conjugate() * p / den_p
+    return dict(x=x, lambda_plus=0.5 * (r + l + disc), lambda_minus=0.5 * (r + l - disc),
+                c_plus=p * p / den_p, c_minus=m * m / den_m, d_plus=4.0 * s2 / den_p,
+                d_minus=4.0 * s2 / den_m, e_plus=e_plus, e_minus=-e_plus)
+
+
+def _hex(value):
+    # float.hex tells 0.0 from -0.0
+    if isinstance(value, complex):
+        return value.real.hex(), value.imag.hex()
+    return float(value).hex()
+
+
+def _edge_specs(rng):
+    trivial = AbelianGroup([1])
+    yield make_spec(trivial, [], [], [])
+    yield make_spec(trivial, [], [], [(0,)])
+    for factors in ((2, 12), (60,)):
+        group = AbelianGroup(factors)
+        r_set = random_inverse_closed(group, rng, 0.3)
+        l_set = random_inverse_closed(group, rng, 0.3)
+        yield make_spec(group, r_set, l_set, [])  # S empty
+        yield make_spec(group, r_set, l_set, group.elements())  # S = G
+        yield make_spec(group, [], [], random_subset(group, rng, 0.3))  # R = L empty
+        yield make_spec(group, r_set, l_set, random_subset(group, rng, 0.3))
+        yield make_spec(group, r_set, r_set, random_subset(group, rng, 0.3))
+
+
+def test_spectrum_floats_are_the_per_character_floats_bit_for_bit(rng):
+    for spec in _edge_specs(rng):
+        group = spec.group
+        for p in spectrum(spec).pairs:
+            expected = _referee_floats(group, p.char_index, spec, p.chi_s_is_zero)
+            for name in _FLOAT_FIELDS:
+                assert _hex(getattr(p, name)) == _hex(expected[name]), (spec, p.index, name)

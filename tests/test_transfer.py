@@ -93,6 +93,17 @@ def test_transfer_matrix_is_one_value_per_connecting_element(rng):
                 assert np.array_equal(block, block[0][differences]), (spec, r, s)
 
 
+def test_transfer_matrix_builds_one_character_table(monkeypatch):
+    import semicayley.transfer
+    from semicayley.characters import character_matrix
+
+    calls = []
+    counting = lambda group: calls.append(group) or character_matrix(group)  # noqa: E731
+    monkeypatch.setattr(semicayley.transfer, "character_matrix", counting)
+    transfer_matrix(sc.hypercube(3), 0.7)
+    assert len(calls) == 1
+
+
 def test_entry_formula_equals_oracle(rng):
     # transfer_sums serves transfer_entry (one time) and the scans (a grid);
     # check it in all four layer cases against the independent oracle
