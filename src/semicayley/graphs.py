@@ -34,6 +34,8 @@ class SemiCayleySpec:
 
     R and L must be inverse-closed and avoid the identity; S is unconstrained
     (it may be empty, contain the identity, or fail to be inverse-closed).
+    Each subset is validated and deduplicated into a frozenset, and an
+    invalid element is a ValidationError prefixed with its subset's name.
     Like the group's index tables, the spectrum and the adjacency matrix are
     computed on first use and kept on the spec; equality and hashing see only
     (G, R, L, S).
@@ -46,14 +48,17 @@ class SemiCayleySpec:
 
     def __post_init__(self):
         g = self.group
-        for name, xs in (("R", self.R), ("L", self.L)):
-            xs = g.subset(xs)
-            object.__setattr__(self, name, xs)
+        for name in ("R", "L", "S"):
+            try:
+                object.__setattr__(self, name, g.subset(getattr(self, name)))
+            except ValidationError as exc:
+                raise ValidationError(f"{name}: {exc}") from exc
+        for name in ("R", "L"):
+            xs = getattr(self, name)
             if g.identity in xs:
                 raise ValidationError(f"{name} must not contain the identity")
             if not g.is_inverse_closed(xs):
                 raise ValidationError(f"{name} must be inverse-closed")
-        object.__setattr__(self, "S", g.subset(self.S))
 
     @property
     def n(self) -> int:
@@ -117,7 +122,8 @@ class SemiCayleySpec:
 
 
 def make_spec(group: AbelianGroup, R, L, S) -> SemiCayleySpec:
-    return SemiCayleySpec(group, group.subset(R), group.subset(L), group.subset(S))
+    """SC(group, R, L, S) from any collections of elements (validated by the spec)."""
+    return SemiCayleySpec(group, R, L, S)
 
 
 def cay_adjacency(group: AbelianGroup, connection: Iterable[Element]) -> np.ndarray:

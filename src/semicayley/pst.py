@@ -64,7 +64,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .characters import CycloValue
 from .errors import ConsistencyError, ValidationError
 from .graphs import SemiCayleySpec, Vertex
 from .spectra import eigen_gcd
@@ -157,6 +156,29 @@ class PeriodReport:
 # -- necessary conditions ------------------------------------------------------
 
 
+def _orders(group, columns: np.ndarray) -> np.ndarray:
+    # order of each indexed element: the lcm over the factors of n / gcd(n, x)
+    factors = np.array(group.factors, dtype=np.int64)
+    return np.lcm.reduce(factors // np.gcd(factors, group.coords[columns]), axis=1)
+
+
+def _screen(spec: SemiCayleySpec, same_layer: bool, orders: np.ndarray) -> list[str | None]:
+    # the failure reason of necessary_conditions for connecting elements of these orders
+    if same_layer:
+        if spec.group.order % 2 == 1:
+            return ["same-layer transfer is impossible over an odd-order group"] * len(orders)
+        return [None if o == 2 else f"connecting element has order {o}, not 2" for o in orders.tolist()]
+    if spec.s_inverse_closed:
+        return [None if o <= 2 else f"S is inverse-closed but the connecting element has order {o}"
+                for o in orders.tolist()]
+    return [None] * len(orders)
+
+
+def _column(spec: SemiCayleySpec, u: Vertex, v: Vertex) -> np.ndarray:
+    # the index of the connecting element of (u, v), as a one-entry index array
+    return np.array([spec.group.index(spec.connecting_element(u, v))], dtype=np.int64)
+
+
 def necessary_conditions(spec: SemiCayleySpec, u: Vertex, v: Vertex) -> str | None:
     """Cheap exact pre-filters; returns the failure reason or None.
 
@@ -168,41 +190,115 @@ def necessary_conditions(spec: SemiCayleySpec, u: Vertex, v: Vertex) -> str | No
     v = spec.validate_vertex(v)
     if u == v:
         raise ValidationError("vertices must be distinct; the diagonal is the periodicity question")
-    group = spec.group
-    order = group.element_order(spec.connecting_element(u, v))
-    if u.layer == v.layer:
-        if group.order % 2 == 1:
-            return "same-layer transfer is impossible over an odd-order group"
-        if order != 2:
-            return f"connecting element has order {order}, not 2"
-    else:
-        if spec.s_inverse_closed and order not in (1, 2):
-            return f"S is inverse-closed but the connecting element has order {order}"
-    return None
+    return _screen(spec, u.layer == v.layer, _orders(spec.group, _column(spec, u, v)))[0]
 
 
-# -- exact deciders ----------------------------------------------------------------
+# -- the decision core -------------------------------------------------------------
+#
+# _verdicts decides one layer case (r, s) for an array of connecting-element
+# indices at once: find_pst passes every element, the single-pair deciders
+# one.  The per-case deciders return one outcome per index, a `no`
+# certificate (a dict) or the pair (k, m) of a `yes` at t = pi / m.
+
+_NOT_INTEGRAL = "spectrum is not integral (chi(R) or |chi(S)| irrational for some character)"
+
+# first failing check of a character in the cross-layer sign test
+_SIGN, _MINUS_GAP, _PLUS_GAP = 1, 2, 3
 
 
-def refute_phases(gaps: np.ndarray, minus: np.ndarray) -> str | None:
-    """Why no t > 0 has gaps * t in pi * (2Z + minus), or None if one does.
+def refute_phases(gaps: np.ndarray, minus: np.ndarray) -> list[str | None]:
+    """Per column of minus: why no t > 0 has gaps * t in pi * (2Z + minus), or None if one does.
 
-    gaps are integers and minus flags the chi(a) = -1 entries.  A solution
-    needs one 2-adic valuation k on the flagged gaps, none of them zero, and
-    a valuation above k on the other nonzero gaps; that is also enough.
+    gaps are integers and column j of minus flags the chi(a_j) = -1 entries.
+    A solution needs one 2-adic valuation k on the flagged gaps, none of them
+    zero, and a valuation above k on the other nonzero gaps; that is also
+    enough.
     """
-    flagged = gaps[minus]
-    if not flagged.all():
-        return "zero eigenvalue gap on a chi(a) = -1 character"
-    valuations = _v2_array(flagged)
-    if valuations.size == 0 or np.any(valuations != valuations[0]):
-        distinct = np.flatnonzero(np.bincount(valuations)).tolist()
-        return f"chi(a) = -1 gaps carry several 2-adic valuations {distinct}"
-    other = gaps[~minus]
-    clash = other[(other != 0) & (_v2_array(other) <= valuations[0])]
-    if clash.size:
-        return f"chi(a) = +1 gap {clash[0]} has 2-adic valuation <= {valuations[0]}"
+    nonzero = gaps != 0
+    valuations = _v2_array(gaps).astype(np.int8)[:, None]  # -1 on zero gaps
+    zero_flagged = (minus & ~nonzero[:, None]).any(axis=0).tolist()
+    k = np.where(minus, valuations, np.int8(127)).min(axis=0)
+    uniform = (k == np.where(minus, valuations, np.int8(-1)).max(axis=0)).tolist()
+    clash = ~minus & nonzero[:, None] & (valuations <= k)
+    clash_gaps = np.where(clash.any(axis=0), gaps[clash.argmax(axis=0)], 0).tolist()
+    out = []
+    for j, k_j in enumerate(k.tolist()):
+        if zero_flagged[j]:
+            out.append("zero eigenvalue gap on a chi(a) = -1 character")
+        elif not uniform[j]:
+            distinct = np.flatnonzero(np.bincount(valuations[minus[:, j], 0])).tolist()
+            out.append(f"chi(a) = -1 gaps carry several 2-adic valuations {distinct}")
+        elif clash_gaps[j]:
+            out.append(f"chi(a) = +1 gap {clash_gaps[j]} has 2-adic valuation <= {k_j}")
+        else:
+            out.append(None)
+    return out
+
+
+def _same_layer(spec: SemiCayleySpec, layer: int, columns: np.ndarray) -> list:
+    # connecting elements of order 2 within one layer
+    support = spec.spectrum.layer_gaps[layer]
+    if support is None:
+        detail = (_NOT_INTEGRAL if spec.R == spec.L else
+                  f"the support of layer {layer} is not integral, so its vertices are not periodic")
+        return [{"rule": "non-integral", "detail": detail} for _ in range(len(columns))]
+    gaps, chars = support
+    minus = (spec.group.char_exponents[:, columns] != 0)[chars]
+    ks = _v2_array(gaps)[minus.argmax(axis=0)].tolist()  # the valuation of the first flagged gap
+    m = int(np.gcd.reduce(gaps))
+    return [(k, m) if obstruction is None else {"rule": "valuation", "detail": obstruction}
+            for obstruction, k in zip(refute_phases(gaps, minus), ks)]
+
+
+def _cross_layer_rule(spec: SemiCayleySpec) -> dict | None:
+    # the cross-layer rules that read only the spec, in the order they are checked
+    spect = spec.spectrum
+    zero_indices = sorted(spect.chi_s_zero_indices)
+    if zero_indices:
+        return {"rule": "chi-s-zero", "detail": f"chi(S) = 0 for character indices {zero_indices}"}
+    if spec.R != spec.L:
+        return {"rule": "r-neq-l", "detail": "cross-layer transfer forces R = L"}
+    if not spect.is_integral:
+        return {"rule": "non-integral", "detail": _NOT_INTEGRAL}
+    if spect.spoke_valuation_break is not None:
+        return {"rule": "spoke-valuation",
+                "detail": f"nu2|chi(S)| differs from nu2|S| = {_v2(len(spec.S))} "
+                          f"at character {spect.spoke_valuation_break}"}
     return None
+
+
+def _cross_layer(spec: SemiCayleySpec, source_layer: int, columns: np.ndarray) -> list:
+    # connecting elements from one layer to the other
+    rule = _cross_layer_rule(spec)
+    if rule is not None:
+        return [dict(rule) for _ in range(len(columns))]
+    spect = spec.spectrum
+    k = _v2(len(spec.S))
+    lams = np.array([p.lambda_plus_int for p in spect.pairs], dtype=np.int64)
+    gaps = lams[0] - lams
+    valuations = _v2_array(gaps)
+    plus_code = np.where((gaps == 0) | (valuations >= k + 2), 0, _PLUS_GAP).astype(np.int8)
+    minus_code = np.where((gaps != 0) & (valuations == k + 1), 0, _MINUS_GAP).astype(np.int8)
+    # chi(a) chi(S) / |chi(S)| = +-1 iff E[chi, a] is the sign exponent; from
+    # layer 1 the spoke is chi(S) itself, whose exponents are the negated ones
+    signs = spect.sign_exponents
+    if source_layer == 1:
+        signs = np.where(signs < 0, -1, -signs % spec.group.exponent)
+    chi_a = spec.group.char_exponents[:, columns]
+    codes = np.where(chi_a == signs[:, :1], plus_code[:, None],
+                     np.where(chi_a == signs[:, 1:], minus_code[:, None], _SIGN))
+    first = (codes != 0).argmax(axis=0)  # 0 for a column without a failure, whose code is then 0
+    out = []
+    for i, code in zip(first.tolist(), codes[first, np.arange(len(columns))].tolist()):
+        if code == _SIGN:
+            out.append({"rule": "sign", "detail": f"chi(a) chi(S) is not +-|chi(S)| at character {i}"})
+        elif code == _MINUS_GAP:
+            out.append({"rule": "valuation", "detail": f"-1-sign gap {gaps[i]} misses 2-adic valuation {k + 1}"})
+        elif code == _PLUS_GAP:
+            out.append({"rule": "valuation", "detail": f"+1-sign gap {gaps[i]} has 2-adic valuation < {k + 2}"})
+        else:
+            out.append((k, 2 ** (k + 1)))
+    return out
 
 
 def _confirmed(spec, u, v, t) -> dict:
@@ -215,6 +311,43 @@ def _confirmed(spec, u, v, t) -> dict:
         "magnitude_spectral": check["magnitude_spectral"],
         "magnitude_oracle": check["magnitude_oracle"],
     }
+
+
+def _verdicts(spec: SemiCayleySpec, r: int, s: int, pairs: list, columns: np.ndarray, screen: bool) -> list[PstVerdict]:
+    """Verdicts on the pairs (u, v) from layer r to layer s, columns[j] indexing the connecting element of pairs[j].
+
+    With screen the necessary conditions come first, as in decide_pair;
+    without, a same-layer element of order other than 2 fails the decider's
+    own order-2 rule.  Every `yes` is confirmed numerically on its pair.
+    """
+    orders = _orders(spec.group, columns)
+    reasons = _screen(spec, r == s, orders) if screen else [None] * len(columns)
+    outcomes: list = []
+    for reason, order in zip(reasons, orders.tolist()):
+        if reason is not None:
+            outcomes.append({"rule": "necessary-condition", "detail": reason})
+        elif r == s and order != 2:
+            outcomes.append({"rule": "order-2", "detail": f"connecting element has order {order}, not 2"})
+        else:
+            outcomes.append(None)
+    open_ = [j for j, outcome in enumerate(outcomes) if outcome is None]
+    if open_:
+        decided = (_same_layer if r == s else _cross_layer)(spec, r, columns[open_])
+        for j, outcome in zip(open_, decided):
+            outcomes[j] = outcome
+    verdicts = []
+    for (u, v), outcome in zip(pairs, outcomes):
+        if isinstance(outcome, dict):
+            verdicts.append(PstVerdict(u, v, "no", certificate=outcome))
+            continue
+        k, m = outcome
+        t = math.pi / m
+        certificate = {"rule": "valuation-profile", "k": k, "confirmation": _confirmed(spec, u, v, t)}
+        verdicts.append(PstVerdict(u, v, "yes", time=t, time_two_pi=Fraction(1, 2 * m), certificate=certificate))
+    return verdicts
+
+
+# -- exact deciders ----------------------------------------------------------------
 
 
 def decide_same_layer_rl(spec: SemiCayleySpec, u: Vertex, v: Vertex) -> PstVerdict:
@@ -232,29 +365,7 @@ def decide_same_layer_rl(spec: SemiCayleySpec, u: Vertex, v: Vertex) -> PstVerdi
         raise ValidationError("same-layer decision needs vertices on one layer")
     if u == v:
         raise ValidationError("vertices must be distinct")
-    group = spec.group
-    a = spec.connecting_element(u, v)
-
-    order = group.element_order(a)
-    if order != 2:
-        return PstVerdict(u, v, "no", certificate={
-            "rule": "order-2", "detail": f"connecting element has order {order}, not 2"})
-    support = spec.spectrum.layer_gaps[u.layer]
-    if support is None:
-        detail = ("spectrum is not integral (chi(R) or |chi(S)| irrational for some character)"
-                  if spec.R == spec.L else
-                  f"the support of layer {u.layer} is not integral, so its vertices are not periodic")
-        return PstVerdict(u, v, "no", certificate={"rule": "non-integral", "detail": detail})
-    gaps, chars = support
-    minus = group.char_exponents[chars, group.index(a)] != 0
-    obstruction = refute_phases(gaps, minus)
-    if obstruction is not None:
-        return PstVerdict(u, v, "no", certificate={"rule": "valuation", "detail": obstruction})
-    k = _v2(gaps[minus][0])
-    gcd = int(np.gcd.reduce(gaps))
-    t = math.pi / gcd
-    certificate = {"rule": "valuation-profile", "k": k, "confirmation": _confirmed(spec, u, v, t)}
-    return PstVerdict(u, v, "yes", time=t, time_two_pi=Fraction(1, 2 * gcd), certificate=certificate)
+    return _verdicts(spec, u.layer, v.layer, [(u, v)], _column(spec, u, v), screen=False)[0]
 
 
 def decide_cross_layer(spec: SemiCayleySpec, u: Vertex, v: Vertex) -> PstVerdict:
@@ -274,55 +385,7 @@ def decide_cross_layer(spec: SemiCayleySpec, u: Vertex, v: Vertex) -> PstVerdict
     v = spec.validate_vertex(v)
     if u.layer == v.layer:
         raise ValidationError("cross-layer decision needs vertices on different layers")
-    spect = spec.spectrum
-    group = spec.group
-
-    zero_indices = sorted(spect.chi_s_zero_indices)
-    if zero_indices:
-        return PstVerdict(u, v, "no", certificate={
-            "rule": "chi-s-zero",
-            "detail": f"chi(S) = 0 for character indices {zero_indices}"})
-    if spec.R != spec.L:
-        return PstVerdict(u, v, "no", certificate={
-            "rule": "r-neq-l", "detail": "cross-layer transfer forces R = L"})
-    if not spect.is_integral:
-        return PstVerdict(u, v, "no", certificate={
-            "rule": "non-integral",
-            "detail": "spectrum is not integral (chi(R) or |chi(S)| irrational for some character)"})
-    k = _v2(len(spec.S))
-    if spect.spoke_valuation_break is not None:
-        return PstVerdict(u, v, "no", certificate={
-            "rule": "spoke-valuation",
-            "detail": f"nu2|chi(S)| differs from nu2|S| = {k} at character {spect.spoke_valuation_break}"})
-    top = spect.pairs[0].lambda_plus_int
-    chi_a_exponents = group.char_exponents[:, group.index(spec.connecting_element(u, v))]
-    for pair in spect.pairs:
-        abs_s = (pair.lambda_plus_int - pair.lambda_minus_int) // 2
-        chi_a = CycloValue.root(chi_a_exponents[pair.index], group.exponent)
-        spoke = pair.chi_s.conj() if u.layer == 0 else pair.chi_s
-        w = (chi_a * spoke).as_integer()
-        if w == abs_s:
-            sign = 1
-        elif w == -abs_s:
-            sign = -1
-        else:
-            return PstVerdict(u, v, "no", certificate={
-                "rule": "sign",
-                "detail": f"chi(a) chi(S) is not +-|chi(S)| at character {pair.index}"})
-        gap = top - pair.lambda_plus_int
-        if sign < 0:
-            if gap == 0 or _v2(gap) != k + 1:
-                return PstVerdict(u, v, "no", certificate={
-                    "rule": "valuation",
-                    "detail": f"-1-sign gap {gap} misses 2-adic valuation {k + 1}"})
-        else:
-            if gap != 0 and _v2(gap) < k + 2:
-                return PstVerdict(u, v, "no", certificate={
-                    "rule": "valuation",
-                    "detail": f"+1-sign gap {gap} has 2-adic valuation < {k + 2}"})
-    t = math.pi / 2 ** (k + 1)
-    certificate = {"rule": "valuation-profile", "k": k, "confirmation": _confirmed(spec, u, v, t)}
-    return PstVerdict(u, v, "yes", time=t, time_two_pi=Fraction(1, 2 ** (k + 2)), certificate=certificate)
+    return _verdicts(spec, u.layer, v.layer, [(u, v)], _column(spec, u, v), screen=False)[0]
 
 
 # -- numeric confirmation and scans ----------------------------------------------
@@ -418,31 +481,37 @@ def scan_pair(spec: SemiCayleySpec, u: Vertex, v: Vertex) -> dict:
 
 
 def decide_pair(spec: SemiCayleySpec, u: Vertex, v: Vertex) -> PstVerdict:
-    """Full decision stack for one ordered pair of distinct vertices."""
-    reason = necessary_conditions(spec, u, v)
-    if reason is not None:
-        return PstVerdict(u, v, "no", certificate={"rule": "necessary-condition", "detail": reason})
-    if u.layer != v.layer:
-        return decide_cross_layer(spec, u, v)
-    return decide_same_layer_rl(spec, u, v)
+    """Full decision stack for one ordered pair of distinct vertices.
+
+    The necessary conditions come first, then the same-layer or cross-layer
+    rules; the verdict is find_pst's for the connecting element of (u, v).
+    """
+    u = spec.validate_vertex(u)
+    v = spec.validate_vertex(v)
+    if u == v:
+        raise ValidationError("vertices must be distinct; the diagonal is the periodicity question")
+    return _verdicts(spec, u.layer, v.layer, [(u, v)], _column(spec, u, v), screen=True)[0]
 
 
 def find_pst(spec: SemiCayleySpec) -> list[PstVerdict]:
     """Decide every vertex pair up to translation symmetry.
 
-    H_uv(t) depends only on (g^{-1} h, layers), so one representative per
-    (connecting element, layer pair) is decided, ordered by layer pair
-    (0,0), (1,1), (0,1), (1,0) and then by element enumeration index.
+    H_uv(t) depends only on (g^{-1} h, layers), so one representative pair
+    (e, r) -> (a, s) per connecting element a and layer pair is decided,
+    ordered by layer pair (0,0), (1,1), (0,1), (1,0) and then by element
+    enumeration index.  The verdicts are decide_pair's, but each layer pair
+    decides all its elements at once on the index arrays of the group and
+    the spectrum; the one per-pair computation left is the oracle
+    confirmation of a `yes`.
     """
     group = spec.group
+    elements = group.elements()
     verdicts = []
     for r, s in ((0, 0), (1, 1), (0, 1), (1, 0)):
-        for a in group.elements():
-            if r == s and a == group.identity:
-                continue
-            u = Vertex(group.identity, r)
-            v = Vertex(a, s)
-            verdicts.append(decide_pair(spec, u, v))
+        columns = np.arange(1 if r == s else 0, group.order)
+        u = Vertex(group.identity, r)
+        pairs = [(u, Vertex(elements[a], s)) for a in columns.tolist()]
+        verdicts += _verdicts(spec, r, s, pairs, columns, screen=True)
     return verdicts
 
 

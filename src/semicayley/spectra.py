@@ -29,6 +29,7 @@ the per-character floats bit for bit.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -108,7 +109,7 @@ class EigenPair:
 class Spectrum:
     pairs: tuple[EigenPair, ...]
 
-    @property
+    @cached_property
     def chi_s_zero_indices(self) -> frozenset[int]:
         """Indices of characters vanishing on S (the set X of the theory)."""
         return frozenset(p.index for p in self.pairs if p.chi_s_is_zero)
@@ -161,6 +162,28 @@ class Spectrum:
         lowest = halves & -halves
         breaks = np.flatnonzero(lowest != lowest[0])
         return int(breaks[0]) if breaks.size else None
+
+    @cached_property
+    def sign_exponents(self) -> np.ndarray:
+        """Per character, the e in Z_N with conj(chi(S)) zeta_N^e = +|chi(S)| and then -|chi(S)|.
+
+        An n x 2 int64 table, -1 where no e exists.  Read, like
+        spoke_valuation_break, for an integral spectrum with chi(S) != 0
+        everywhere and R = L, where |chi(S)| = (lambda+ - lambda-) / 2.  The
+        float phase of chi(S) proposes e and one exact product in Z[zeta_N]
+        confirms it; the roots zeta_N^e are distinct, so no other e can hold.
+        """
+        order = self.pairs[0].chi_s.order
+        table = np.full((len(self.pairs), 2), -1, dtype=np.int64)
+        for p in self.pairs:
+            spoke = p.chi_s.conj()
+            abs_s = (p.lambda_plus_int - p.lambda_minus_int) // 2
+            turns = order * cmath.phase(p.chi_s.approx) / (2 * math.pi)
+            for column, (target, shift) in enumerate(((abs_s, 0), (-abs_s, order / 2))):
+                e = round(turns + shift) % order
+                if (CycloValue.root(e, order) * spoke).as_integer() == target:
+                    table[p.index, column] = e
+        return table
 
     def to_json(self) -> dict:
         rows = []
@@ -290,6 +313,7 @@ def spectrum(spec: SemiCayleySpec) -> Spectrum:
     pairs = []
     for i, (chi, rep) in enumerate(zip(group.elements(), _class_representatives(group))):
         chi_r, chi_l, chi_s = (CycloValue(order, m[i]) for m in rows)
+        chi_r._approx, chi_l._approx, chi_s._approx = r[i], l[i], s[i]  # the floats CycloValue.approx would sum
         if rep == i:
             s_zero = chi_s.is_zero()
             abs2 = None if s_zero else CycloValue(order, abs2_rows[i])

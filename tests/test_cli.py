@@ -159,6 +159,20 @@ def test_non_integer_numbers_are_rejected_not_truncated(config, named):
     assert named in report["error"]["message"]
 
 
+@pytest.mark.parametrize("subset", ["R", "L", "S"])
+@pytest.mark.parametrize(
+    "element, complaint",
+    [([0.6], "element [0.6] must be a list of integer exponents"), ([5], "element [5] out of range")],
+    ids=["non-integer", "out-of-range"],
+)
+def test_element_errors_name_their_subset(subset, element, complaint):
+    graph = {"group": {"factors": [2]}, "R": [], "L": [], "S": []}
+    graph[subset] = [element]
+    report, code = run({"command": "spectrum", "graph": graph})
+    assert code == 1 and report["error"]["kind"] == "validation", report
+    assert report["error"]["message"].startswith(f"{subset}: {complaint}")
+
+
 def test_tolerance_is_read_only_by_pst_check():
     report, code = run({"command": "period", "graph": _C4, "tolerance": "abc"})
     assert code == 0 and report["periodicity"]["periodic"] is True

@@ -621,3 +621,170 @@ def test_cross_layer_transfer_times_are_minimal(rng):
         _assert_least_transfer_times(spec, yes)
         checked += len(yes)
     assert checked >= 100
+
+
+# -- the decision core against a per-pair referee ------------------------------
+
+
+def _referee(spec, u, v):
+    """The verdict JSON of one pair, without the numeric confirmation, decided
+    rule by rule in Python: per-element orders and character values, and the
+    cross-layer sign test as one exact product in Z[zeta_N] per character."""
+    from semicayley import eval_character
+
+    group, pairs = spec.group, spec.spectrum.pairs
+    a = group.mul(group.inverse(u.element), v.element)
+    order = group.element_order(a)
+    head = {"from": [list(u.element), u.layer], "to": [list(v.element), v.layer]}
+
+    def no(rule, detail):
+        return {**head, "status": "no", "time": None, "certificate": {"rule": rule, "detail": detail}}
+
+    def yes(k, m):
+        time = {"value": math.pi / m, "pi_multiple": str(Fraction(1, m))}
+        return {**head, "status": "yes", "time": time, "certificate": {"rule": "valuation-profile", "k": k}}
+
+    if u.layer == v.layer:
+        if group.order % 2:
+            return no("necessary-condition", "same-layer transfer is impossible over an odd-order group")
+        if order != 2:
+            return no("necessary-condition", f"connecting element has order {order}, not 2")
+        support = [(p, lam) for p in pairs for lam in p.layer_ints(u.layer)]
+        if any(lam is None for _, lam in support):
+            return no("non-integral", "spectrum is not integral (chi(R) or |chi(S)| irrational for some character)"
+                      if spec.R == spec.L else
+                      f"the support of layer {u.layer} is not integral, so its vertices are not periodic")
+        gaps = [support[0][1] - lam for _, lam in support]
+        minus = [2 * eval_character(group, p.char_index, a).numerator == group.exponent for p, _ in support]
+        flagged = [g for g, m in zip(gaps, minus) if m]
+        if 0 in flagged:
+            return no("valuation", "zero eigenvalue gap on a chi(a) = -1 character")
+        valuations = sorted({nu2(g) for g in flagged})
+        if len(valuations) != 1:
+            return no("valuation", f"chi(a) = -1 gaps carry several 2-adic valuations {valuations}")
+        k = valuations[0]
+        clash = [g for g, m in zip(gaps, minus) if not m and g and nu2(g) <= k]
+        if clash:
+            return no("valuation", f"chi(a) = +1 gap {clash[0]} has 2-adic valuation <= {k}")
+        return yes(k, math.gcd(*gaps))
+
+    if spec.s_inverse_closed and order > 2:
+        return no("necessary-condition", f"S is inverse-closed but the connecting element has order {order}")
+    zero = [p.index for p in pairs if p.chi_s_is_zero]
+    if zero:
+        return no("chi-s-zero", f"chi(S) = 0 for character indices {zero}")
+    if spec.R != spec.L:
+        return no("r-neq-l", "cross-layer transfer forces R = L")
+    if not all(p.exact for p in pairs):
+        return no("non-integral", "spectrum is not integral (chi(R) or |chi(S)| irrational for some character)")
+    k = nu2(len(spec.S))
+    breaks = [p.index for p in pairs if nu2((p.lambda_plus_int - p.lambda_minus_int) // 2) != k]
+    if breaks:
+        return no("spoke-valuation", f"nu2|chi(S)| differs from nu2|S| = {k} at character {breaks[0]}")
+    top = pairs[0].lambda_plus_int
+    for p in pairs:
+        abs_s = (p.lambda_plus_int - p.lambda_minus_int) // 2
+        spoke = p.chi_s.conj() if u.layer == 0 else p.chi_s
+        w = (eval_character(group, p.char_index, a).as_cyclo() * spoke).as_integer()
+        gap = top - p.lambda_plus_int
+        if w not in (abs_s, -abs_s):
+            return no("sign", f"chi(a) chi(S) is not +-|chi(S)| at character {p.index}")
+        if w < 0 and (gap == 0 or nu2(gap) != k + 1):
+            return no("valuation", f"-1-sign gap {gap} misses 2-adic valuation {k + 1}")
+        if w > 0 and gap != 0 and nu2(gap) < k + 2:
+            return no("valuation", f"+1-sign gap {gap} has 2-adic valuation < {k + 2}")
+    return yes(k, 2 ** (k + 1))
+
+
+def _unconfirmed(verdict):
+    blob = verdict.to_json()
+    blob["certificate"] = {key: value for key, value in blob["certificate"].items() if key != "confirmation"}
+    return blob
+
+
+def _assert_matches_referee(spec, verdicts):
+    for verdict in verdicts:
+        assert _unconfirmed(verdict) == _referee(spec, verdict.source, verdict.target), (spec, verdict)
+
+
+def test_find_pst_matches_the_per_pair_referee_on_the_corpus(corpus):
+    rules = set()
+    for spec, verdicts, _ in corpus:
+        _assert_matches_referee(spec, verdicts)
+        rules.update(v.certificate["rule"] for v in verdicts)
+    assert rules == {"necessary-condition", "non-integral", "valuation", "valuation-profile",
+                     "chi-s-zero", "r-neq-l", "spoke-valuation", "sign"}
+
+
+@pytest.mark.parametrize("spec", [
+    sc.hypercube(5),
+    sc.dihedral_involutions(AbelianGroup([4])),
+    sc.dihedral_involutions(AbelianGroup([2, 4])),
+    sc.sunlet(8),
+    sc.cone(6),
+    sc.join_spec(AbelianGroup([512]), [(1,), (511,)], [(2,), (510,)]),
+], ids=["hypercube-5", "dihedral-involutions-4", "dihedral-involutions-2x4", "sunlet-8", "cone-6", "join-512"])
+def test_find_pst_matches_the_per_pair_referee_on_families(spec):
+    _assert_matches_referee(spec, find_pst(spec))
+
+
+def test_decide_pair_from_any_source_is_the_find_pst_verdict(rng):
+    # translation invariance: (g, r) -> (g a, s) gets the verdict of (e, r) -> (a, s),
+    # reported for the pair that was asked
+    for draw in range(40):
+        spec = random_spec(rng, equal_layers=draw % 2 == 0)
+        group = spec.group
+        for verdict in find_pst(spec):
+            g = group.element(int(rng.integers(group.order)))
+            u = Vertex(g, verdict.source.layer)
+            v = Vertex(group.mul(g, verdict.target.element), verdict.target.layer)
+            expected = _unconfirmed(verdict)
+            expected["from"], expected["to"] = [list(u.element), u.layer], [list(v.element), v.layer]
+            assert _unconfirmed(decide_pair(spec, u, v)) == expected, (spec, u, v)
+
+
+def _sign_exponent_specs():
+    # R = L with integral character sums and chi(S) != 0 at every character:
+    # S = {x} gives chi(S) = zeta^e, S = {0, y} with y of order 3 gives
+    # 1 + omega^j in {2, -omega^2, -omega}
+    for factors, r_set, shifts, third in (
+        ((60,), [(10,), (50,)], [(7,), (30,), (45,)], (20,)),
+        ((2, 12), [(1, 3), (1, 9), (0, 6)], [(1, 1), (0, 6), (1, 5)], (0, 4)),
+        ((8,), [(2,), (6,), (4,)], [(1,), (4,), (3,)], None),
+        ((15,), [(5,), (10,)], [(4,), (6,)], (5,)),  # odd N: -1 is no root, so one sign at most
+    ):
+        group = AbelianGroup(factors)
+        for x in shifts:
+            yield make_spec(group, r_set, r_set, [x])
+        if third is not None:
+            yield make_spec(group, [], [], [group.identity, third])
+
+
+def test_sign_exponents_match_a_brute_force_over_the_roots():
+    from semicayley.characters import CycloValue
+
+    for spec in _sign_exponent_specs():
+        spect = spec.spectrum
+        assert spect.is_integral and not spect.chi_s_zero_indices, spec
+        order = spec.group.exponent
+        for p in spect.pairs:
+            abs_s = (p.lambda_plus_int - p.lambda_minus_int) // 2
+            values = [(CycloValue.root(e, order) * p.chi_s.conj()).as_integer() for e in range(order)]
+            expected = [next((e for e, w in enumerate(values) if w == target), -1) for target in (abs_s, -abs_s)]
+            assert spect.sign_exponents[p.index].tolist() == expected, (spec, p.index)
+            if order % 2:
+                assert -1 in expected, (spec, p.index)
+
+
+def test_find_pst_validates_elements_per_yes_not_per_pair(monkeypatch):
+    # the pairs are built from the group's own elements and decided on index
+    # arrays; only the oracle confirmation of a yes validates its vertices
+    spec = sc.hypercube(7)
+    assert spec.spectrum.pairs and spec.s_inverse_closed in (True, False)  # per-spec state first
+    calls = []
+    original = AbelianGroup.validate_element
+    monkeypatch.setattr(AbelianGroup, "validate_element", lambda self, g: calls.append(g) or original(self, g))
+    verdicts = find_pst(spec)
+    yes = [v for v in verdicts if v.status == "yes"]
+    assert len(verdicts) == 4 * spec.n - 2 and len(yes) == 2
+    assert len(calls) <= 25 * len(yes)

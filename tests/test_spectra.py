@@ -382,3 +382,15 @@ def test_spectrum_floats_are_the_per_character_floats_bit_for_bit(rng):
             expected = _referee_floats(group, p.char_index, spec, p.chi_s_is_zero)
             for name in _FLOAT_FIELDS:
                 assert _hex(getattr(p, name)) == _hex(expected[name]), (spec, p.index, name)
+
+
+def test_spectrum_seeds_the_floats_of_its_character_sums(rng):
+    # Spectrum.to_json reads chi(S).approx: spectrum hands over its array
+    # floats, the ones approx would sum, so no pair recomputes them
+    from semicayley.characters import CycloValue
+
+    for spec in _edge_specs(rng):
+        for p in spectrum(spec).pairs:
+            for value in (p.chi_r, p.chi_l, p.chi_s):
+                assert value._approx is not None, (spec, p.index)
+                assert _hex(value._approx) == _hex(CycloValue(value.order, value.coeffs).approx), (spec, p.index)
