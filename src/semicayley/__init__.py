@@ -38,14 +38,13 @@ from .pst import (
     scan_pair,
     verify_at_time,
 )
-from .spectra import EigenPair, Spectrum, eigen_gcd, spectrum
+from .spectra import Spectrum, eigen_gcd, spectrum
 from .transfer import block_transfer_rl, oracle_column, oracle_expm, transfer_entry, transfer_matrix
 
 __all__ = [
     "AbelianGroup",
     "ConsistencyError",
     "CycloValue",
-    "EigenPair",
     "PeriodReport",
     "PstVerdict",
     "Root",

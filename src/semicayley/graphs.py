@@ -35,8 +35,10 @@ class SemiCayleySpec:
     R and L must be inverse-closed and avoid the identity; S is unconstrained
     (it may be empty, contain the identity, or fail to be inverse-closed).
     Each subset is validated and deduplicated into a frozenset, and an
-    invalid element is a ValidationError prefixed with its subset's name.
-    Like the group's index tables, the spectrum and the adjacency matrix are
+    invalid element is a ValidationError prefixed with its subset's name;
+    its enumeration indices are then read once from the validated elements
+    (subset_indices), and every later check and table works on them.  Like
+    the group's index tables, the spectrum and the adjacency matrix are
     computed on first use and kept on the spec; equality and hashing see only
     (G, R, L, S).
     """
@@ -54,11 +56,28 @@ class SemiCayleySpec:
             except ValidationError as exc:
                 raise ValidationError(f"{name}: {exc}") from exc
         for name in ("R", "L"):
-            xs = getattr(self, name)
-            if g.identity in xs:
+            if g.identity in getattr(self, name):
                 raise ValidationError(f"{name} must not contain the identity")
-            if not g.is_inverse_closed(xs):
+            if not self._inverse_closed(name):
                 raise ValidationError(f"{name} must be inverse-closed")
+
+    @cached_property
+    def subset_indices(self) -> dict[str, np.ndarray]:
+        """Sorted enumeration indices of R, L and S by name, read-only."""
+        strides = np.array(self.group.strides, dtype=np.int64)
+        out = {}
+        for name in ("R", "L", "S"):
+            xs = getattr(self, name)
+            indices = np.sort(np.array(list(xs), dtype=np.int64).reshape(len(xs), len(strides)) @ strides)
+            indices.flags.writeable = False
+            out[name] = indices
+        return out
+
+    def _inverse_closed(self, name: str) -> bool:
+        # the inverse indices come from the group's coordinates
+        group, xs = self.group, self.subset_indices[name]
+        inverses = (-group.coords[xs] % np.array(group.factors)) @ np.array(group.strides)
+        return np.array_equal(np.sort(inverses), xs)
 
     @property
     def n(self) -> int:
@@ -66,7 +85,7 @@ class SemiCayleySpec:
 
     @cached_property
     def spectrum(self) -> "Spectrum":
-        """Closed-form per-character eigen-data (see spectra.spectrum)."""
+        """Closed-form eigen-data of every character, as columns (see spectra.spectrum)."""
         from . import spectra  # spectra imports this module
 
         return spectra.spectrum(self)
@@ -80,7 +99,7 @@ class SemiCayleySpec:
 
     @cached_property
     def s_inverse_closed(self) -> bool:
-        return self.group.is_inverse_closed(self.S)
+        return self._inverse_closed("S")
 
     def connecting_element(self, u: Vertex, v: Vertex) -> Element:
         """a = g^{-1} h for u = (g, r), v = (h, s): H_uv(t) depends only on a and the layers."""

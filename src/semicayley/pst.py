@@ -274,8 +274,7 @@ def _cross_layer(spec: SemiCayleySpec, source_layer: int, columns: np.ndarray) -
         return [dict(rule) for _ in range(len(columns))]
     spect = spec.spectrum
     k = _v2(len(spec.S))
-    lams = np.array([p.lambda_plus_int for p in spect.pairs], dtype=np.int64)
-    gaps = lams[0] - lams
+    gaps = spect.ints[0, 0] - spect.ints[0]
     valuations = _v2_array(gaps)
     plus_code = np.where((gaps == 0) | (valuations >= k + 2), 0, _PLUS_GAP).astype(np.int8)
     minus_code = np.where((gaps != 0) & (valuations == k + 1), 0, _MINUS_GAP).astype(np.int8)

@@ -2,7 +2,17 @@
 
 Every character chi of G contributes a 2x2 block with entries chi(R), chi(S),
 conj(chi(S)), chi(L); its eigenvalue pair and the weights of its spectral
-projectors are computed in closed form.  Floats drive the dynamics.
+projectors have closed forms in chi(R), chi(L) and chi(S).  A Spectrum holds
+them as columns, one entry per character in enumeration order, and no
+object per character.  Floats drive the dynamics.
+
+The floats are computed for every character at once, on n x N integer
+coefficient matrices (one bincount per subset; |chi(S)|^2 = chi(S S^-1) is
+one weighted bincount over the difference multiset), summed against the
+roots of unity in the order of CycloValue.approx.  The closed forms then run
+elementwise in the order of Python's scalar arithmetic, complex products and
+quotients split into CPython's real and imaginary formulas, so every float
+is the per-character float bit for bit, signed zeros included.
 
 Integrality is certified once per rational class of characters, when the
 spectrum is built: the eigenvalues (sigma +- sqrt(disc)) / 2, sigma =
@@ -15,23 +25,21 @@ chi^k(X) = sigma_k(chi(X)) for the automorphism sigma_k: zeta_N -> zeta_N^k
 of Q(zeta_N).  sigma_k fixes exactly the rationals and commutes with complex
 conjugation, so "chi(S) = 0" and "sigma and disc are integers, disc a
 square" hold for the whole class or for none of it, with the same integers:
-one representative (the least index) is certified and its results are
-copied.  Z_512 has 10 classes for 512 characters; Z_2^k only classes of
-size 1.  Periodicity and same-layer transfer need no more: a vertex is
-periodic iff its support is integral (see pst).
-
-The floats differ across a class and are computed for every character, on
-n x N integer coefficient matrices (one bincount per subset; |chi(S)|^2 =
-chi(S S^-1) is one weighted bincount over the difference multiset), summed
-against the roots of unity in the order of CycloValue.approx, so they are
-the per-character floats bit for bit.
+one representative (the least index) is certified in exact arithmetic and
+its results are copied.  Z_512 has 10 classes for 512 characters; Z_2^k
+only classes of size 1.  The cross-layer sign exponents follow the same
+way: conj(chi(S)) zeta_N^e = +-|chi(S)|, an integer, gives
+conj(chi^k(S)) zeta_N^(k e) = +-|chi(S)| under sigma_k, so one exact product
+per representative fixes them for its class.  Periodicity and same-layer
+transfer need no more: a vertex is periodic iff its support is integral
+(see pst).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -39,86 +47,49 @@ import numpy as np
 from .characters import CycloValue, _roots_of_unity
 from .errors import ValidationError
 from .graphs import SemiCayleySpec
-from .groups import Element
 
 
-@dataclass(frozen=True)
-class EigenPair:
-    """Eigen-data of one character block.
+@dataclass(frozen=True, eq=False)
+class Spectrum:
+    """Eigen-data of every character, as columns indexed by character.
 
-    When chi(S) = 0 the pair keeps the convention (lambda_plus, lambda_minus)
-    = (chi(R), chi(L)) unsorted, so the eigenvector weights stay (1,0)/(0,1);
-    otherwise lambda_plus >= lambda_minus.
-
-    The *_int fields are the certified integer eigenvalues, branch by branch
-    (None when irrational); the *_exact values are the same ints when both
-    branches are integers, else None.
+    Character i is the one indexed by the exponent vector char_index[i].
+    Arrays of shape (2, n) hold the + branch in row 0 and the - branch in
+    row 1.  When chi(S) = 0 the pair keeps the convention (lambda+, lambda-)
+    = (chi(R), chi(L)) unsorted, so the weights stay c = (1, 0), d = (0, 1)
+    and e = 0; otherwise lambda+ >= lambda-.  ints holds the certified
+    integer eigenvalues, branch by branch, where certified is True (0
+    elsewhere).  The weights of the entry formula are c for the layer case
+    (0, 0), d for (1, 1), e for (0, 1) and conj(e) for (1, 0).
     """
 
-    index: int
-    char_index: Element
-    chi_r: CycloValue
-    chi_l: CycloValue
-    chi_s: CycloValue
-    chi_s_is_zero: bool
-    x: float
-    lambda_plus: float
-    lambda_minus: float
-    lambda_plus_int: int | None
-    lambda_minus_int: int | None
-    c_plus: float
-    c_minus: float
-    d_plus: float
-    d_minus: float
-    e_plus: complex
-    e_minus: complex
+    order: int  # N, the exponent of G
+    char_index: np.ndarray  # n x factors
+    coeffs: np.ndarray  # 3 x n x N: chi(R), chi(L), chi(S) as coefficients of powers of zeta_N
+    chi_s: np.ndarray  # complex chi(S), the CycloValue.approx of its coefficients
+    chi_s_zero: np.ndarray  # bool, chi(S) = 0 exactly
+    lambdas: np.ndarray  # 2 x n float
+    ints: np.ndarray  # 2 x n int64
+    certified: np.ndarray  # 2 x n bool
+    c: np.ndarray  # 2 x n float
+    d: np.ndarray  # 2 x n float
+    e: np.ndarray  # 2 x n complex
+    class_rep: np.ndarray  # the least index of each character's rational class
+    class_power: np.ndarray  # k with chi_i = chi_rep^k, gcd(k, N) = 1
 
-    @property
-    def exact(self) -> bool:
-        return self.lambda_plus_int is not None and self.lambda_minus_int is not None
-
-    @property
-    def lambda_plus_exact(self) -> int | None:
-        return self.lambda_plus_int if self.exact else None
-
-    @property
-    def lambda_minus_exact(self) -> int | None:
-        return self.lambda_minus_int if self.exact else None
-
-    def layer_ints(self, layer: int) -> tuple:
-        """The certified eigenvalues in the support of a vertex of the layer.
-
-        chi(S) = 0 puts chi(R) only in layer 0 and chi(L) only in layer 1;
-        otherwise both branches, with positive weights, are in both layers.
-        """
-        ints = (self.lambda_plus_int, self.lambda_minus_int)
-        return ints[layer : layer + 1] if self.chi_s_is_zero else ints
-
-    def coefficient(self, r: int, s: int, sign: int) -> complex:
-        """Entry-formula weight for the (r, s) layer case and the +/- branch."""
-        if r == 0 and s == 0:
-            return self.c_plus if sign > 0 else self.c_minus
-        if r == 1 and s == 1:
-            return self.d_plus if sign > 0 else self.d_minus
-        if r == 0 and s == 1:
-            return self.e_plus if sign > 0 else self.e_minus
-        return self.e_plus.conjugate() if sign > 0 else self.e_minus.conjugate()
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    pairs: tuple[EigenPair, ...]
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Spectrum):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
     @cached_property
     def chi_s_zero_indices(self) -> frozenset[int]:
         """Indices of characters vanishing on S (the set X of the theory)."""
-        return frozenset(p.index for p in self.pairs if p.chi_s_is_zero)
+        return frozenset(np.flatnonzero(self.chi_s_zero).tolist())
 
     def eigenvalues(self) -> list[float]:
-        out: list[float] = []
-        for p in self.pairs:
-            out.extend((p.lambda_plus, p.lambda_minus))
-        return out
+        """lambda+ and lambda- of every character in turn."""
+        return self.lambdas.T.ravel().tolist()
 
     @cached_property
     def is_integral(self) -> bool:
@@ -129,12 +100,14 @@ class Spectrum:
         sigma = chi(R) + chi(L) with disc = (chi(R) - chi(L))^2 + 4 |chi(S)|^2
         a perfect square.
         """
-        return all(p.exact for p in self.pairs)
+        return bool(self.certified.all())
 
     @cached_property
     def layer_gaps(self) -> tuple:
         """Per layer, the integer support of its vertices as (gaps, characters), or None.
 
+        chi(S) = 0 puts chi(R) only in layer 0 and chi(L) only in layer 1;
+        otherwise both branches, with positive weights, are in both layers.
         One entry per support eigenvalue lambda, in character order with the
         + branch first: the gap lambda_0 - lambda from the first one (a branch
         of the trivial character) and the index of lambda's character.  None
@@ -142,12 +115,12 @@ class Spectrum:
         """
         out = []
         for layer in (0, 1):
-            support = [(p.index, lam) for p in self.pairs for lam in p.layer_ints(layer)]
-            if any(lam is None for _, lam in support):
+            support = (~self.chi_s_zero | (np.arange(2)[:, None] == layer)).T
+            if not self.certified.T[support].all():
                 out.append(None)
                 continue
-            chars, lams = np.array(support, dtype=np.int64).T
-            out.append((lams[0] - lams, chars))
+            lams = self.ints.T[support]
+            out.append((lams[0] - lams, np.nonzero(support)[0]))
         return tuple(out)
 
     @cached_property
@@ -158,7 +131,7 @@ class Spectrum:
         where (lambda+ - lambda-) / 2 = |chi(S)| and the trivial character's
         is |S|.  Equal valuations are equal lowest set bits.
         """
-        halves = np.array([(p.lambda_plus_int - p.lambda_minus_int) // 2 for p in self.pairs], dtype=np.int64)
+        halves = (self.ints[0] - self.ints[1]) // 2
         lowest = halves & -halves
         breaks = np.flatnonzero(lowest != lowest[0])
         return int(breaks[0]) if breaks.size else None
@@ -169,41 +142,48 @@ class Spectrum:
 
         An n x 2 int64 table, -1 where no e exists.  Read, like
         spoke_valuation_break, for an integral spectrum with chi(S) != 0
-        everywhere and R = L, where |chi(S)| = (lambda+ - lambda-) / 2.  The
-        float phase of chi(S) proposes e and one exact product in Z[zeta_N]
-        confirms it; the roots zeta_N^e are distinct, so no other e can hold.
+        everywhere and R = L, where |chi(S)| = (lambda+ - lambda-) / 2.  For a
+        class representative the float phase of chi(S) proposes e and one
+        exact product in Z[zeta_N] confirms it; the roots zeta_N^e are
+        distinct, so no other e can hold.  chi_rep^k then takes k e modulo N
+        (see the module docstring), and no e for none.
         """
-        order = self.pairs[0].chi_s.order
-        table = np.full((len(self.pairs), 2), -1, dtype=np.int64)
-        for p in self.pairs:
-            spoke = p.chi_s.conj()
-            abs_s = (p.lambda_plus_int - p.lambda_minus_int) // 2
-            turns = order * cmath.phase(p.chi_s.approx) / (2 * math.pi)
-            for column, (target, shift) in enumerate(((abs_s, 0), (-abs_s, order / 2))):
+        order = self.order
+        abs_s = ((self.ints[0] - self.ints[1]) // 2).tolist()
+        table = np.full((len(abs_s), 2), -1, dtype=np.int64)
+        for rep in set(self.class_rep.tolist()):
+            spoke = CycloValue(order, self.coeffs[2, rep]).conj()
+            turns = order * cmath.phase(self.chi_s[rep]) / (2 * math.pi)
+            for column, (target, shift) in enumerate(((abs_s[rep], 0), (-abs_s[rep], order / 2))):
                 e = round(turns + shift) % order
                 if (CycloValue.root(e, order) * spoke).as_integer() == target:
-                    table[p.index, column] = e
-        return table
+                    table[rep, column] = e
+        table = table[self.class_rep]
+        return np.where(table < 0, -1, table * self.class_power[:, None] % order)
 
     def to_json(self) -> dict:
+        exact = self.certified.all(axis=0).tolist()
+        chars, coeffs, chi_s = self.char_index.tolist(), self.coeffs[2].tolist(), self.chi_s.tolist()
+        (lam_p, lam_m), (int_p, int_m) = self.lambdas.tolist(), self.ints.tolist()
+        (c_p, c_m), (d_p, d_m), (e_p, e_m) = self.c.tolist(), self.d.tolist(), self.e.tolist()
         rows = []
-        for p in self.pairs:
+        for i, ok in enumerate(exact):
             rows.append(
                 {
-                    "index": p.index,
-                    "char_index": list(p.char_index),
-                    "lambda_plus": p.lambda_plus,
-                    "lambda_minus": p.lambda_minus,
-                    "exact": p.exact,
-                    "lambda_plus_exact": p.lambda_plus_exact,
-                    "lambda_minus_exact": p.lambda_minus_exact,
-                    "chi_s": p.chi_s.to_json(),
-                    "c_plus": p.c_plus,
-                    "c_minus": p.c_minus,
-                    "d_plus": p.d_plus,
-                    "d_minus": p.d_minus,
-                    "e_plus": {"re": p.e_plus.real, "im": p.e_plus.imag},
-                    "e_minus": {"re": p.e_minus.real, "im": p.e_minus.imag},
+                    "index": i,
+                    "char_index": chars[i],
+                    "lambda_plus": lam_p[i],
+                    "lambda_minus": lam_m[i],
+                    "exact": ok,
+                    "lambda_plus_exact": int_p[i] if ok else None,
+                    "lambda_minus_exact": int_m[i] if ok else None,
+                    "chi_s": {"N": self.order, "coeffs": coeffs[i], "re": chi_s[i].real, "im": chi_s[i].imag},
+                    "c_plus": c_p[i],
+                    "c_minus": c_m[i],
+                    "d_plus": d_p[i],
+                    "d_minus": d_m[i],
+                    "e_plus": {"re": e_p[i].real, "im": e_p[i].imag},
+                    "e_minus": {"re": e_m[i].real, "im": e_m[i].imag},
                 }
             )
         return {"characters": rows}
@@ -228,34 +208,24 @@ def _certify(chi_r: CycloValue, chi_l: CycloValue, chi_s_abs2: CycloValue | None
     return (sigma + root) // 2, (sigma - root) // 2
 
 
-def _eigen_pair(index, chi, chi_r, chi_l, chi_s, s_zero, ints, approx) -> EigenPair:
-    # approx holds the floats of chi(R), chi(L), chi(S) and |chi(S)|^2
-    r, l, s, s2 = approx
-    exact = dict(lambda_plus_int=ints[0], lambda_minus_int=ints[1])
-    if s_zero:
-        return EigenPair(
-            index=index, char_index=chi, chi_r=chi_r, chi_l=chi_l, chi_s=chi_s,
-            chi_s_is_zero=True, x=r - l, lambda_plus=r, lambda_minus=l, **exact,
-            c_plus=1.0, c_minus=0.0, d_plus=0.0, d_minus=1.0, e_plus=0j, e_minus=0j,
-        )
+def _closed_forms(r, l, s, s2):
+    # eigenvalues and weights (each + row over - row) of the blocks with
+    # chi(S) != 0, from the floats of chi(R), chi(L), chi(S) and |chi(S)|^2
     x = r - l
-    disc = math.sqrt(x * x + 4.0 * s2)
-    lam_p = 0.5 * (r + l + disc)
-    lam_m = 0.5 * (r + l - disc)
-    p = x + disc
-    m = x - disc
-    den_p = p * p + 4.0 * s2
-    den_m = m * m + 4.0 * s2
-    # conj(chi(S)), not chi(S): the eigenvector weights pair with the vertex
-    # functions chi(g^{-1}), and the oracle arbitrates the orientation
-    e_plus = 2.0 * s.conjugate() * p / den_p
-    return EigenPair(
-        index=index, char_index=chi, chi_r=chi_r, chi_l=chi_l, chi_s=chi_s,
-        chi_s_is_zero=False, x=x, lambda_plus=lam_p, lambda_minus=lam_m, **exact,
-        c_plus=p * p / den_p, c_minus=m * m / den_m,
-        d_plus=4.0 * s2 / den_p, d_minus=4.0 * s2 / den_m,
-        e_plus=e_plus, e_minus=-e_plus,
-    )
+    disc = np.sqrt(x * x + 4.0 * s2)
+    p, m = x + disc, x - disc
+    den_p, den_m = p * p + 4.0 * s2, m * m + 4.0 * s2
+    # e+ = 2.0 * conj(chi(S)) * p / den_p as CPython computes it, each float
+    # operand promoted to a complex with imaginary part 0.0.  conj(chi(S)),
+    # not chi(S): the eigenvector weights pair with the vertex functions
+    # chi(g^{-1}), and the oracle arbitrates the orientation
+    re, im = 2.0 * s.real - 0.0 * -s.imag, 2.0 * -s.imag + 0.0 * s.real
+    re, im = re * p - im * 0.0, re * 0.0 + im * p
+    e = np.empty((2, len(x)), dtype=complex)
+    e[0].real, e[0].imag = (re + im * 0.0) / den_p, (im - re * 0.0) / den_p
+    e[1] = -e[0]
+    lambdas = np.array([0.5 * (r + l + disc), 0.5 * (r + l - disc)])
+    return lambdas, np.array([p * p / den_p, m * m / den_m]), np.array([4.0 * s2 / den_p, 4.0 * s2 / den_m]), e
 
 
 def _coefficient_rows(group, columns: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
@@ -278,7 +248,7 @@ def _abs_squared_rows(group, s: np.ndarray) -> np.ndarray:
     return _coefficient_rows(group, support, multiplicity[support])
 
 
-def _approx(rows: np.ndarray) -> list[complex]:
+def _approx(rows: np.ndarray) -> np.ndarray:
     # CycloValue.approx of every row, bit for bit: the same left-to-right sum.
     # Adding 0.0 to the first term clears a signed zero, as Python's sum from 0
     # does, so no partial sum is -0.0 and the zero terms that approx skips
@@ -286,15 +256,18 @@ def _approx(rows: np.ndarray) -> list[complex]:
     terms = rows * np.array(_roots_of_unity(rows.shape[1]))
     terms[:, 0] += 0.0
     np.add.accumulate(terms, axis=1, out=terms)
-    return terms[:, -1].tolist()
+    return terms[:, -1].copy()
 
 
-def _class_representatives(group) -> list[int]:
-    # the least index of each character's rational class {chi^k : gcd(k, N) = 1}
+def _rational_classes(group) -> tuple[np.ndarray, np.ndarray]:
+    # per character chi_i, the least index rep of its rational class
+    # {chi^k : gcd(k, N) = 1} and a unit k with chi_rep^k = chi_i
     order = group.exponent
-    units = np.array([k for k in range(1, order + 1) if math.gcd(k, order) == 1], dtype=np.int64)
-    powers = units[:, None, None] * group.coords % np.array(group.factors)
-    return (powers @ np.array(group.strides)).min(axis=0).tolist()
+    units = [k for k in range(1, order + 1) if math.gcd(k, order) == 1]
+    powers = (np.array(units)[:, None, None] * group.coords % np.array(group.factors)) @ np.array(group.strides)
+    # the argmin u has chi_i^u = chi_rep, so k is the inverse of u modulo N
+    inverses = np.array([pow(k, -1, order) for k in units], dtype=np.int64)
+    return powers.min(axis=0), inverses[powers.argmin(axis=0)]
 
 
 def spectrum(spec: SemiCayleySpec) -> Spectrum:
@@ -305,23 +278,35 @@ def spectrum(spec: SemiCayleySpec) -> Spectrum:
     result per spec.
     """
     group = spec.group
-    order = group.exponent
-    rows = [_coefficient_rows(group, group.indices(xs)) for xs in (spec.R, spec.L, spec.S)]
-    abs2_rows = _abs_squared_rows(group, group.indices(spec.S))
-    r, l, s, s2 = (_approx(m) for m in (*rows, abs2_rows))
-    certified = {}
-    pairs = []
-    for i, (chi, rep) in enumerate(zip(group.elements(), _class_representatives(group))):
-        chi_r, chi_l, chi_s = (CycloValue(order, m[i]) for m in rows)
-        chi_r._approx, chi_l._approx, chi_s._approx = r[i], l[i], s[i]  # the floats CycloValue.approx would sum
-        if rep == i:
-            s_zero = chi_s.is_zero()
-            abs2 = None if s_zero else CycloValue(order, abs2_rows[i])
-            certified[i] = s_zero, _certify(chi_r, chi_l, abs2)
-        s_zero, ints = certified[rep]
-        approx = r[i].real, l[i].real, s[i], s2[i].real
-        pairs.append(_eigen_pair(i, chi, chi_r, chi_l, chi_s, s_zero, ints, approx))
-    return Spectrum(tuple(pairs))
+    n, order = group.order, group.exponent
+    coeffs = np.stack([_coefficient_rows(group, spec.subset_indices[name]) for name in ("R", "L", "S")])
+    abs2_rows = _abs_squared_rows(group, spec.subset_indices["S"])
+    class_rep, class_power = _rational_classes(group)
+    # certified at each representative, then read by every member of its class
+    chi_s_zero = np.zeros(n, dtype=bool)
+    ints = np.zeros((2, n), dtype=np.int64)
+    certified = np.zeros((2, n), dtype=bool)
+    for rep in set(class_rep.tolist()):
+        chi_r, chi_l, chi_s = (CycloValue(order, rows[rep]) for rows in coeffs)
+        chi_s_zero[rep] = s_zero = chi_s.is_zero()
+        for branch, value in enumerate(_certify(chi_r, chi_l, None if s_zero else CycloValue(order, abs2_rows[rep]))):
+            if value is not None:
+                ints[branch, rep], certified[branch, rep] = value, True
+    chi_s_zero, ints, certified = chi_s_zero[class_rep], ints[:, class_rep], certified[:, class_rep]
+
+    r, l, s, s2 = (_approx(rows) for rows in (*coeffs, abs2_rows))
+    r, l, s2 = r.real, l.real, s2.real
+    nonzero = ~chi_s_zero
+    lambdas = np.array([r, l])  # the chi(S) = 0 convention, unsorted
+    c, d, e = np.zeros((2, n)), np.zeros((2, n)), np.zeros((2, n), dtype=complex)
+    c[0], d[1] = 1.0, 1.0
+    lambdas[:, nonzero], c[:, nonzero], d[:, nonzero], e[:, nonzero] = _closed_forms(
+        r[nonzero], l[nonzero], s[nonzero], s2[nonzero])
+    return Spectrum(
+        order=order, char_index=group.coords, coeffs=coeffs, chi_s=s, chi_s_zero=chi_s_zero,
+        lambdas=lambdas, ints=ints, certified=certified, c=c, d=d, e=e,
+        class_rep=class_rep, class_power=class_power,
+    )
 
 
 def eigen_gcd(spec: SemiCayleySpec) -> int:
@@ -329,12 +314,7 @@ def eigen_gcd(spec: SemiCayleySpec) -> int:
     spect = spec.spectrum
     if not spect.is_integral:
         raise ValidationError("spectrum not integral")
-    top = spect.pairs[0].lambda_plus_int
-    gaps = []
-    for p in spect.pairs:
-        for lam in (p.lambda_plus_int, p.lambda_minus_int):
-            if lam != top:
-                gaps.append(abs(top - lam))
-    if not gaps:
+    gcd = int(np.gcd.reduce(np.abs(spect.ints[0, 0] - spect.ints), axis=None))
+    if gcd == 0:
         raise ValidationError("constant spectrum has no eigenvalue gaps")
-    return math.gcd(*gaps)
+    return gcd

@@ -52,11 +52,13 @@ def transfer_matrix(spec: SemiCayleySpec, t: float) -> np.ndarray:
 def _entry_sums(spec: SemiCayleySpec, r: int, s: int, chi_a: np.ndarray, ts: np.ndarray) -> np.ndarray:
     # n * H_(e,r),(g_a,s)(t) from chi_a = chi(g_a) over every character: row a
     # of the character table (which is symmetric), or the table for every a
-    pairs = spec.spectrum.pairs
-    lam_p = np.array([p.lambda_plus for p in pairs])
-    lam_m = np.array([p.lambda_minus for p in pairs])
-    coef_p = np.array([p.coefficient(r, s, +1) for p in pairs], dtype=complex)
-    coef_m = np.array([p.coefficient(r, s, -1) for p in pairs], dtype=complex)
+    spect = spec.spectrum
+    if r == s:
+        weights = spect.d if r else spect.c
+    else:
+        weights = spect.e.conj() if r else spect.e
+    lam_p, lam_m = spect.lambdas
+    coef_p, coef_m = weights.astype(complex)  # contiguous complex rows, one per branch
     values = (chi_a * coef_p) @ np.exp(-1j * np.outer(lam_p, ts))
     values += (chi_a * coef_m) @ np.exp(-1j * np.outer(lam_m, ts))
     return values

@@ -94,11 +94,11 @@ def test_criterion_4_cone_eigenvalues_and_odd_pst():
     with criterion(4, "cone(n): top eigenvalue formulas, zero minus-branch, no odd-n transfer"):
         for n in range(3, 11):
             spect = spectrum(sc.cone(n))
-            top = spect.pairs[0]
-            assert abs(top.lambda_plus - (1 + math.sqrt(1 + n * n))) < 1e-9
-            assert abs(top.lambda_minus - (1 - math.sqrt(1 + n * n))) < 1e-9
-            for pair in spect.pairs[1:]:
-                assert pair.lambda_minus == 0.0
+            lam_p, lam_m = spect.lambdas
+            assert abs(lam_p[0] - (1 + math.sqrt(1 + n * n))) < 1e-9
+            assert abs(lam_m[0] - (1 - math.sqrt(1 + n * n))) < 1e-9
+            for i in range(1, n):
+                assert lam_m[i] == 0.0
             if n % 2 == 1:
                 verdicts = find_pst(sc.cone(n))
                 assert all(v.status == "no" for v in verdicts), f"cone({n}) unexpected verdict"
@@ -275,7 +275,8 @@ def test_criterion_8_property_suite(rng):
         # coefficient laws per character
         for _ in range(10):
             spec = random_spec(rng)
-            for pair in spectrum(spec).pairs:
-                assert abs(pair.c_plus + pair.c_minus - 1.0) < 1e-12
-                if not pair.chi_s_is_zero:
-                    assert abs(pair.e_plus + pair.e_minus) < 1e-12
+            spect = spectrum(spec)
+            for i in range(spec.n):
+                assert abs(spect.c[0, i] + spect.c[1, i] - 1.0) < 1e-12
+                if not spect.chi_s_zero[i]:
+                    assert abs(spect.e[0, i] + spect.e[1, i]) < 1e-12

@@ -155,8 +155,8 @@ def test_spoke_valuation_names_the_first_differing_character(rng):
             continue
         reached += 1
         k = nu2(len(spec.S))
-        breaks = [p.index for p in spec.spectrum.pairs
-                  if nu2((p.lambda_plus_int - p.lambda_minus_int) // 2) != k]
+        lam_p, lam_m = spec.spectrum.ints.tolist()
+        breaks = [i for i, (plus, minus) in enumerate(zip(lam_p, lam_m)) if nu2((plus - minus) // 2) != k]
         if breaks:
             assert verdict.certificate == {
                 "rule": "spoke-valuation",
@@ -278,7 +278,7 @@ def test_deciders_read_the_certified_spectrum(monkeypatch):
     original = CycloValue.residue
     for data in (Z5_RL, Z2Z4_RL):
         spec = _spec(data)
-        assert spec.spectrum.pairs  # built, and certified, before counting
+        assert spec.spectrum.is_integral in (True, False)  # built, and certified, before counting
         calls = []
         monkeypatch.setattr(CycloValue, "residue", lambda self: calls.append(self) or original(self))
         group = spec.group
@@ -533,13 +533,13 @@ def _layer_scans(spec):
     except ValidationError:
         horizon = 2 * math.pi
     ts = np.linspace(horizon / SCAN_SAMPLES, horizon, SCAN_SAMPLES)
-    pairs = spec.spectrum.pairs
-    phases = [np.exp(-1j * np.outer([p.lambda_plus for p in pairs], ts)),
-              np.exp(-1j * np.outer([p.lambda_minus for p in pairs], ts))]
+    spect = spec.spectrum
+    phases = [np.exp(-1j * np.outer(spect.lambdas[0], ts)),
+              np.exp(-1j * np.outer(spect.lambdas[1], ts))]
     characters = character_matrix(spec.group)
     scans = []
     for layer in (0, 1):
-        weights = [np.array([p.coefficient(layer, layer, sign).real for p in pairs]) for sign in (1, -1)]
+        weights = spect.d if layer else spect.c
         f = weights[0][:, None] * phases[0] + weights[1][:, None] * phases[1]
         scans.append(np.abs(characters.T @ f) / spec.n)
     return scans
@@ -630,9 +630,13 @@ def _referee(spec, u, v):
     """The verdict JSON of one pair, without the numeric confirmation, decided
     rule by rule in Python: per-element orders and character values, and the
     cross-layer sign test as one exact product in Z[zeta_N] per character."""
-    from semicayley import eval_character
+    from semicayley import char_sum, eval_character
 
-    group, pairs = spec.group, spec.spectrum.pairs
+    group, spect = spec.group, spec.spectrum
+    chars = group.elements()
+    zero_s = spect.chi_s_zero.tolist()
+    ints = [[int(x) if ok else None for x, ok in zip(row, mask)] for row, mask in zip(spect.ints, spect.certified)]
+    lam_p, lam_m = ints
     a = group.mul(group.inverse(u.element), v.element)
     order = group.element_order(a)
     head = {"from": [list(u.element), u.layer], "to": [list(v.element), v.layer]}
@@ -649,13 +653,15 @@ def _referee(spec, u, v):
             return no("necessary-condition", "same-layer transfer is impossible over an odd-order group")
         if order != 2:
             return no("necessary-condition", f"connecting element has order {order}, not 2")
-        support = [(p, lam) for p in pairs for lam in p.layer_ints(u.layer)]
+        # chi(S) = 0 puts chi(R) only in layer 0 and chi(L) only in layer 1
+        support = [(chi, lam) for chi, zero, pair in zip(chars, zero_s, zip(lam_p, lam_m))
+                   for lam in (pair[u.layer : u.layer + 1] if zero else pair)]
         if any(lam is None for _, lam in support):
             return no("non-integral", "spectrum is not integral (chi(R) or |chi(S)| irrational for some character)"
                       if spec.R == spec.L else
                       f"the support of layer {u.layer} is not integral, so its vertices are not periodic")
         gaps = [support[0][1] - lam for _, lam in support]
-        minus = [2 * eval_character(group, p.char_index, a).numerator == group.exponent for p, _ in support]
+        minus = [2 * eval_character(group, chi, a).numerator == group.exponent for chi, _ in support]
         flagged = [g for g, m in zip(gaps, minus) if m]
         if 0 in flagged:
             return no("valuation", "zero eigenvalue gap on a chi(a) = -1 character")
@@ -670,25 +676,26 @@ def _referee(spec, u, v):
 
     if spec.s_inverse_closed and order > 2:
         return no("necessary-condition", f"S is inverse-closed but the connecting element has order {order}")
-    zero = [p.index for p in pairs if p.chi_s_is_zero]
+    zero = [i for i, z in enumerate(zero_s) if z]
     if zero:
         return no("chi-s-zero", f"chi(S) = 0 for character indices {zero}")
     if spec.R != spec.L:
         return no("r-neq-l", "cross-layer transfer forces R = L")
-    if not all(p.exact for p in pairs):
+    if None in lam_p + lam_m:
         return no("non-integral", "spectrum is not integral (chi(R) or |chi(S)| irrational for some character)")
     k = nu2(len(spec.S))
-    breaks = [p.index for p in pairs if nu2((p.lambda_plus_int - p.lambda_minus_int) // 2) != k]
+    breaks = [i for i, (plus, minus) in enumerate(zip(lam_p, lam_m)) if nu2((plus - minus) // 2) != k]
     if breaks:
         return no("spoke-valuation", f"nu2|chi(S)| differs from nu2|S| = {k} at character {breaks[0]}")
-    top = pairs[0].lambda_plus_int
-    for p in pairs:
-        abs_s = (p.lambda_plus_int - p.lambda_minus_int) // 2
-        spoke = p.chi_s.conj() if u.layer == 0 else p.chi_s
-        w = (eval_character(group, p.char_index, a).as_cyclo() * spoke).as_integer()
-        gap = top - p.lambda_plus_int
+    top = lam_p[0]
+    for i, chi in enumerate(chars):
+        abs_s = (lam_p[i] - lam_m[i]) // 2
+        chi_s = char_sum(group, chi, spec.S)
+        spoke = chi_s.conj() if u.layer == 0 else chi_s
+        w = (eval_character(group, chi, a).as_cyclo() * spoke).as_integer()
+        gap = top - lam_p[i]
         if w not in (abs_s, -abs_s):
-            return no("sign", f"chi(a) chi(S) is not +-|chi(S)| at character {p.index}")
+            return no("sign", f"chi(a) chi(S) is not +-|chi(S)| at character {i}")
         if w < 0 and (gap == 0 or nu2(gap) != k + 1):
             return no("valuation", f"-1-sign gap {gap} misses 2-adic valuation {k + 1}")
         if w > 0 and gap != 0 and nu2(gap) < k + 2:
@@ -761,26 +768,27 @@ def _sign_exponent_specs():
 
 
 def test_sign_exponents_match_a_brute_force_over_the_roots():
-    from semicayley.characters import CycloValue
+    from semicayley.characters import CycloValue, char_sum
 
     for spec in _sign_exponent_specs():
         spect = spec.spectrum
         assert spect.is_integral and not spect.chi_s_zero_indices, spec
-        order = spec.group.exponent
-        for p in spect.pairs:
-            abs_s = (p.lambda_plus_int - p.lambda_minus_int) // 2
-            values = [(CycloValue.root(e, order) * p.chi_s.conj()).as_integer() for e in range(order)]
+        group, order = spec.group, spec.group.exponent
+        for i, chi in enumerate(group.elements()):
+            abs_s = int(spect.ints[0, i] - spect.ints[1, i]) // 2
+            spoke = char_sum(group, chi, spec.S).conj()
+            values = [(CycloValue.root(e, order) * spoke).as_integer() for e in range(order)]
             expected = [next((e for e, w in enumerate(values) if w == target), -1) for target in (abs_s, -abs_s)]
-            assert spect.sign_exponents[p.index].tolist() == expected, (spec, p.index)
+            assert spect.sign_exponents[i].tolist() == expected, (spec, i)
             if order % 2:
-                assert -1 in expected, (spec, p.index)
+                assert -1 in expected, (spec, i)
 
 
 def test_find_pst_validates_elements_per_yes_not_per_pair(monkeypatch):
     # the pairs are built from the group's own elements and decided on index
     # arrays; only the oracle confirmation of a yes validates its vertices
     spec = sc.hypercube(7)
-    assert spec.spectrum.pairs and spec.s_inverse_closed in (True, False)  # per-spec state first
+    assert spec.spectrum.is_integral and spec.s_inverse_closed in (True, False)  # per-spec state first
     calls = []
     original = AbelianGroup.validate_element
     monkeypatch.setattr(AbelianGroup, "validate_element", lambda self, g: calls.append(g) or original(self, g))

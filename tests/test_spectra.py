@@ -1,4 +1,5 @@
 import gc
+import json
 import math
 import weakref
 
@@ -18,20 +19,20 @@ def test_c4_spectrum():
     assert sorted(spect.eigenvalues()) == [-2.0, 0.0, 0.0, 2.0]
     assert spect.is_integral
     assert eigen_gcd(spec) == 2
-    exact = [(p.lambda_plus_exact, p.lambda_minus_exact) for p in spect.pairs]
-    assert exact == [(2, 0), (0, -2)]
+    assert spect.certified.all()
+    assert spect.ints.T.tolist() == [[2, 0], [0, -2]]
 
 
 def test_cone_eigenvalue_formulas():
     for n in (3, 4, 5, 6, 7, 8):
         spect = spectrum(sc.cone(n))
-        top = spect.pairs[0]
-        assert abs(top.lambda_plus - (1 + math.sqrt(1 + n * n))) < 1e-9
-        assert abs(top.lambda_minus - (1 - math.sqrt(1 + n * n))) < 1e-9
-        for p in spect.pairs[1:]:
-            assert p.chi_s_is_zero
-            assert abs(p.lambda_plus - 2 * math.cos(2 * math.pi * p.index / n)) < 1e-9
-            assert p.lambda_minus == 0.0
+        lam_p, lam_m = spect.lambdas
+        assert abs(lam_p[0] - (1 + math.sqrt(1 + n * n))) < 1e-9
+        assert abs(lam_m[0] - (1 - math.sqrt(1 + n * n))) < 1e-9
+        for i in range(1, n):
+            assert spect.chi_s_zero[i]
+            assert abs(lam_p[i] - 2 * math.cos(2 * math.pi * i / n)) < 1e-9
+            assert lam_m[i] == 0.0
     assert not spectrum(sc.cone(5)).is_integral
 
 
@@ -43,10 +44,9 @@ def test_join_top_eigenvalues(rng):
         n = spec.n
         r_size, l_size = len(spec.R), len(spec.L)
         disc = math.sqrt((r_size - l_size) ** 2 + 4 * n * n)
-        assert abs(spect.pairs[0].lambda_plus - (r_size + l_size + disc) / 2) < 1e-9
-        assert abs(spect.pairs[0].lambda_minus - (r_size + l_size - disc) / 2) < 1e-9
-        for p in spect.pairs[1:]:
-            assert p.chi_s_is_zero  # chi(G) = 0 for nontrivial characters
+        assert abs(spect.lambdas[0, 0] - (r_size + l_size + disc) / 2) < 1e-9
+        assert abs(spect.lambdas[1, 0] - (r_size + l_size - disc) / 2) < 1e-9
+        assert spect.chi_s_zero[1:].all()  # chi(G) = 0 for nontrivial characters
 
 
 def test_spectrum_matches_numeric(rng):
@@ -60,43 +60,42 @@ def test_spectrum_matches_numeric(rng):
 def test_trace_and_determinant_per_character(rng):
     for _ in range(10):
         spec = random_spec(rng)
-        for p in spectrum(spec).pairs:
-            chi_r = p.chi_r.approx.real
-            chi_l = p.chi_l.approx.real
-            s2 = p.chi_s.abs_squared().approx.real
-            assert abs((p.lambda_plus + p.lambda_minus) - (chi_r + chi_l)) < 1e-9
-            assert abs(p.lambda_plus * p.lambda_minus - (chi_r * chi_l - s2)) < 1e-9
-            if not p.chi_s_is_zero:
-                assert p.lambda_plus >= p.lambda_minus
+        spect = spectrum(spec)
+        for i, chi in enumerate(spec.group.elements()):
+            chi_r, chi_l, chi_s = (char_sum(spec.group, chi, xs) for xs in (spec.R, spec.L, spec.S))
+            chi_r, chi_l, s2 = chi_r.approx.real, chi_l.approx.real, chi_s.abs_squared().approx.real
+            lam_p, lam_m = spect.lambdas[:, i]
+            assert abs((lam_p + lam_m) - (chi_r + chi_l)) < 1e-9
+            assert abs(lam_p * lam_m - (chi_r * chi_l - s2)) < 1e-9
+            if not spect.chi_s_zero[i]:
+                assert lam_p >= lam_m
 
 
 def test_coefficient_conventions():
     # chi(S) = 0 convention
     spect = spectrum(sc.cone(4))
-    for p in spect.pairs[1:]:
-        assert (p.c_plus, p.c_minus, p.d_plus, p.d_minus) == (1.0, 0.0, 0.0, 1.0)
-        assert p.e_plus == 0 and p.e_minus == 0
+    for i in range(1, 4):
+        assert (*spect.c[:, i], *spect.d[:, i]) == (1.0, 0.0, 0.0, 1.0)
+        assert spect.e[0, i] == 0 and spect.e[1, i] == 0
     # R = L forces the balanced split
     spec = make_spec(AbelianGroup([2]), [(1,)], [(1,)], [(0,)])
-    for p in spectrum(spec).pairs:
-        assert abs(p.c_plus - 0.5) < 1e-12 and abs(p.c_minus - 0.5) < 1e-12
-        assert abs(p.d_plus - 0.5) < 1e-12 and abs(p.d_minus - 0.5) < 1e-12
-        assert abs(abs(p.e_plus) - 0.5) < 1e-12
+    spect = spectrum(spec)
+    assert np.all(np.abs(spect.c - 0.5) < 1e-12)
+    assert np.all(np.abs(spect.d - 0.5) < 1e-12)
+    assert np.all(np.abs(np.abs(spect.e[0]) - 0.5) < 1e-12)
     # derived 2x2 values for the trivial character of C4
-    top = spectrum(spec).pairs[0]
-    assert abs(top.e_plus - 0.5) < 1e-12
+    assert abs(spect.e[0, 0] - 0.5) < 1e-12
 
 
 def test_coefficient_identities(rng):
     for _ in range(10):
         spec = random_spec(rng)
-        for p in spectrum(spec).pairs:
-            assert abs(p.c_plus + p.c_minus - 1.0) < 1e-12
-            assert 0.0 < p.d_plus + p.d_minus <= 1.0 + 1e-12
-            assert abs(p.e_plus + p.e_minus) < 1e-12 or p.chi_s_is_zero
-            assert abs(p.e_plus) <= 0.5 + 1e-12
-            if not p.chi_s_is_zero:
-                assert p.e_plus != p.e_minus
+        spect = spectrum(spec)
+        assert np.all(np.abs(spect.c.sum(axis=0) - 1.0) < 1e-12)
+        assert np.all((0.0 < spect.d.sum(axis=0)) & (spect.d.sum(axis=0) <= 1.0 + 1e-12))
+        assert np.all((np.abs(spect.e.sum(axis=0)) < 1e-12) | spect.chi_s_zero)
+        assert np.all(np.abs(spect.e[0]) <= 0.5 + 1e-12)
+        assert np.all((spect.e[0] != spect.e[1]) | spect.chi_s_zero)
 
 
 def eigenvectors(spec):
@@ -109,22 +108,25 @@ def eigenvectors(spec):
     n = group.order
     W = character_matrix(group)
     inv_perm = [group.index(group.inverse(g)) for g in group.elements()]
+    spect = spec.spectrum
     values = np.empty(2 * n)
     vectors = np.empty((2 * n, 2 * n), dtype=complex)
-    for p in spec.spectrum.pairs:
-        chi_at_inverse = W[p.index, inv_perm]
-        if p.chi_s_is_zero:
-            weights = (((1.0, 0.0), p.lambda_plus), ((0.0, 1.0), p.lambda_minus))
+    for i, chi in enumerate(group.elements()):
+        chi_at_inverse = W[i, inv_perm]
+        lam_p, lam_m = spect.lambdas[:, i]
+        if spect.chi_s_zero[i]:
+            weights = (((1.0, 0.0), lam_p), ((0.0, 1.0), lam_m))
         else:
-            disc = p.lambda_plus - p.lambda_minus
-            b = 2.0 * p.chi_s.approx
+            x = char_sum(group, chi, spec.R).approx.real - char_sum(group, chi, spec.L).approx.real
+            disc = lam_p - lam_m
+            b = 2.0 * spect.chi_s[i]
             weights = (
-                (((p.x + disc), b), p.lambda_plus),
-                (((p.x - disc), b), p.lambda_minus),
+                (((x + disc), b), lam_p),
+                (((x - disc), b), lam_m),
             )
         for branch, ((a, b), lam) in enumerate(weights):
             norm = math.sqrt(n * (abs(a) ** 2 + abs(b) ** 2))
-            col = 2 * p.index + branch
+            col = 2 * i + branch
             vectors[:n, col] = a * chi_at_inverse / norm
             vectors[n:, col] = b * chi_at_inverse / norm
             values[col] = lam
@@ -141,13 +143,12 @@ def projectors(spec):
     group = spec.group
     n = group.order
     W = character_matrix(group)
+    spect = spec.spectrum
     out = []
-    for p in spec.spectrum.pairs:
-        gram = np.outer(W[p.index].conj(), W[p.index])
-        for sign in (1, -1):
-            c = p.coefficient(0, 0, sign)
-            d = p.coefficient(1, 1, sign)
-            e = p.coefficient(0, 1, sign)
+    for i in range(n):
+        gram = np.outer(W[i].conj(), W[i])
+        for branch in (0, 1):
+            c, d, e = spect.c[branch, i], spect.d[branch, i], spect.e[branch, i]
             out.append(np.block([[c * gram, e * gram], [np.conj(e) * gram, d * gram]]) / n)
     return out
 
@@ -187,9 +188,9 @@ def test_integral_spectrum_with_irrational_layer_sums():
     spec = make_spec(AbelianGroup([5]), [(1,), (4,)], [(2,), (3,)], [(4,)])
     spect = spec.spectrum
     assert spect.is_integral and eigen_gcd(spec) == 1
-    exact = sorted(x for p in spect.pairs for x in (p.lambda_plus_exact, p.lambda_minus_exact))
-    assert exact == [-2] * 4 + [1] * 5 + [3]
-    assert spect.pairs[1].lambda_plus_int == 1 and spect.pairs[1].lambda_minus_int == -2
+    assert spect.certified.all()
+    assert sorted(spect.ints.ravel().tolist()) == [-2] * 4 + [1] * 5 + [3]
+    assert spect.ints[:, 1].tolist() == [1, -2]
 
 
 def test_surd_eigenvalues_of_the_cone():
@@ -197,12 +198,12 @@ def test_surd_eigenvalues_of_the_cone():
     # and not integers; chi(S) = 0 elsewhere, where the branches are certified
     # one by one: chi(L) = 0 is an integer, chi(R) = 2 cos(2 pi k / 5) is not
     spect = spectrum(sc.cone(5))
-    top = spect.pairs[0]
-    assert top.lambda_plus_int is None and top.lambda_minus_int is None
-    assert top.lambda_plus_exact is None and top.lambda_minus_exact is None
-    for p in spect.pairs[1:]:
-        assert p.lambda_plus_int is None and p.lambda_minus_int == 0
-        assert not p.exact and p.lambda_minus_exact is None
+    rows = spect.to_json()["characters"]
+    assert not spect.certified[:, 0].any()
+    assert rows[0]["lambda_plus_exact"] is None and rows[0]["lambda_minus_exact"] is None
+    for i in range(1, 5):
+        assert not spect.certified[0, i] and spect.certified[1, i] and spect.ints[1, i] == 0
+        assert not rows[i]["exact"] and rows[i]["lambda_minus_exact"] is None
     assert spect.layer_gaps == (None, None)
 
 
@@ -234,11 +235,11 @@ def test_spectrum_character_sums_match_char_sum(rng):
     for _ in range(20):
         spec = random_spec(rng)
         group = spec.group
-        for pair, chi in zip(spectrum(spec).pairs, group.elements()):
-            assert pair.char_index == chi
-            assert pair.chi_r.coeffs == char_sum(group, chi, spec.R).coeffs
-            assert pair.chi_l.coeffs == char_sum(group, chi, spec.L).coeffs
-            assert pair.chi_s.coeffs == char_sum(group, chi, spec.S).coeffs
+        spect = spectrum(spec)
+        for i, chi in enumerate(group.elements()):
+            assert tuple(spect.char_index[i].tolist()) == chi
+            for rows, xs in zip(spect.coeffs, (spec.R, spec.L, spec.S)):
+                assert tuple(rows[i].tolist()) == char_sum(group, chi, xs).coeffs
 
 
 def test_spec_keeps_its_spectrum():
@@ -311,9 +312,10 @@ def test_class_certificates_match_a_per_character_referee(rng):
     specs = [random_spec(rng) for _ in range(300)] + list(_large_exponent_specs(rng, 6))
     for spec in specs:
         group = spec.group
-        for p in spectrum(spec).pairs:
-            expected = _referee_ints(group, p.char_index, spec)
-            assert (p.chi_s_is_zero, p.lambda_plus_int, p.lambda_minus_int) == expected, (spec, p.index)
+        spect = spectrum(spec)
+        for i, chi in enumerate(group.elements()):
+            ints = [int(x) if ok else None for x, ok in zip(spect.ints[:, i], spect.certified[:, i])]
+            assert (spect.chi_s_zero[i], *ints) == _referee_ints(group, chi, spec), (spec, i)
 
 
 def test_spectrum_certifies_once_per_rational_class(rng, monkeypatch):
@@ -332,7 +334,10 @@ def test_spectrum_certifies_once_per_rational_class(rng, monkeypatch):
     assert 10 <= len(calls) <= 3 * 10
 
 
-_FLOAT_FIELDS = ("x", "lambda_plus", "lambda_minus", "c_plus", "c_minus", "d_plus", "d_minus", "e_plus", "e_minus")
+# the float columns of a Spectrum, by their per-character names: (array, branch row)
+_FLOAT_FIELDS = {"lambda_plus": ("lambdas", 0), "lambda_minus": ("lambdas", 1), "c_plus": ("c", 0),
+                 "c_minus": ("c", 1), "d_plus": ("d", 0), "d_minus": ("d", 1), "e_plus": ("e", 0),
+                 "e_minus": ("e", 1)}
 
 
 def _referee_floats(group, chi, spec, s_zero):
@@ -378,19 +383,64 @@ def _edge_specs(rng):
 def test_spectrum_floats_are_the_per_character_floats_bit_for_bit(rng):
     for spec in _edge_specs(rng):
         group = spec.group
-        for p in spectrum(spec).pairs:
-            expected = _referee_floats(group, p.char_index, spec, p.chi_s_is_zero)
-            for name in _FLOAT_FIELDS:
-                assert _hex(getattr(p, name)) == _hex(expected[name]), (spec, p.index, name)
+        spect = spectrum(spec)
+        for i, chi in enumerate(group.elements()):
+            expected = _referee_floats(group, chi, spec, spect.chi_s_zero[i])
+            for name, (array, branch) in _FLOAT_FIELDS.items():
+                assert _hex(getattr(spect, array)[branch, i].item()) == _hex(expected[name]), (spec, i, name)
 
 
-def test_spectrum_seeds_the_floats_of_its_character_sums(rng):
-    # Spectrum.to_json reads chi(S).approx: spectrum hands over its array
-    # floats, the ones approx would sum, so no pair recomputes them
+def _referee_json(spec):
+    # the spectrum report built one character at a time from fresh character
+    # sums: chi_s carries CycloValue.approx itself
+    group = spec.group
+    rows = []
+    for i, chi in enumerate(group.elements()):
+        s_zero, plus, minus = _referee_ints(group, chi, spec)
+        floats = _referee_floats(group, chi, spec, s_zero)
+        exact = plus is not None and minus is not None
+        e_plus, e_minus = floats["e_plus"], floats["e_minus"]
+        rows.append({
+            "index": i,
+            "char_index": list(chi),
+            "lambda_plus": floats["lambda_plus"],
+            "lambda_minus": floats["lambda_minus"],
+            "exact": exact,
+            "lambda_plus_exact": plus if exact else None,
+            "lambda_minus_exact": minus if exact else None,
+            "chi_s": char_sum(group, chi, spec.S).to_json(),
+            "c_plus": floats["c_plus"],
+            "c_minus": floats["c_minus"],
+            "d_plus": floats["d_plus"],
+            "d_minus": floats["d_minus"],
+            "e_plus": {"re": e_plus.real, "im": e_plus.imag},
+            "e_minus": {"re": e_minus.real, "im": e_minus.imag},
+        })
+    return {"characters": rows}
+
+
+def test_spectrum_json_text_matches_a_per_character_referee(rng):
+    # the text tells -0.0 from 0.0 and shows every last bit of a float
+    specs = list(_edge_specs(rng)) + [random_spec(rng) for _ in range(200)]
+    for spec in specs:
+        assert json.dumps(spectrum(spec).to_json()) == json.dumps(_referee_json(spec)), spec
+
+
+def test_sign_exponents_cost_two_exact_products_per_class(monkeypatch):
+    # SC(Z_512, {}, {}, {1}): chi_j(S) = zeta^j, so every character has a sign
+    # exponent; the 10 rational classes need one exact product per column
+    # each, and no character outside a representative gets a CycloValue
     from semicayley.characters import CycloValue
 
-    for spec in _edge_specs(rng):
-        for p in spectrum(spec).pairs:
-            for value in (p.chi_r, p.chi_l, p.chi_s):
-                assert value._approx is not None, (spec, p.index)
-                assert _hex(value._approx) == _hex(CycloValue(value.order, value.coeffs).approx), (spec, p.index)
+    group = AbelianGroup([512])
+    spec = make_spec(group, [], [], [(1,)])
+    original_init, original_residue = CycloValue.__init__, CycloValue.residue
+    built, reduced = [], []
+    monkeypatch.setattr(CycloValue, "__init__", lambda self, *a: built.append(1) or original_init(self, *a))
+    spect = spec.spectrum
+    monkeypatch.setattr(CycloValue, "residue", lambda self: reduced.append(1) or original_residue(self))
+    table = spect.sign_exponents
+    assert len(reduced) <= 2 * 10  # one rational class per divisor of 512
+    assert len(built) <= 200
+    # conj(zeta^j) zeta^e = +1 at e = j and -1 at e = j + 256
+    assert table.tolist() == [[j, (j + 256) % 512] for j in range(512)]
