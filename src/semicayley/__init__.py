@@ -39,7 +39,7 @@ from .pst import (
     verify_at_time,
 )
 from .spectra import Spectrum, eigen_gcd, spectrum
-from .transfer import block_transfer_rl, oracle_column, oracle_expm, transfer_entry, transfer_matrix
+from .transfer import block_transfer_rl, oracle_column, oracle_expm, transfer_entry, transfer_matrix, transfer_rows
 
 __all__ = [
     "AbelianGroup",
@@ -83,5 +83,6 @@ __all__ = [
     "sunlet",
     "transfer_entry",
     "transfer_matrix",
+    "transfer_rows",
     "verify_at_time",
 ]

@@ -208,8 +208,11 @@ class CycloValue:
         return f"CycloValue(order={self.order}, coeffs={list(self.coeffs)})"
 
     def to_json(self) -> dict:
+        """The nonzero terms, value = sum of coefficients[k] * zeta_N^exponents[k], and the float."""
         a = self.approx
-        return {"N": self.order, "coeffs": list(self.coeffs), "re": a.real, "im": a.imag}
+        exponents = [j for j, c in enumerate(self.coeffs) if c]
+        coefficients = [self.coeffs[j] for j in exponents]
+        return {"N": self.order, "exponents": exponents, "coefficients": coefficients, "re": a.real, "im": a.imag}
 
 
 class Root(NamedTuple):

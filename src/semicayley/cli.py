@@ -7,6 +7,16 @@ command).  Reports are deterministic: identical configs produce byte-identical
 JSON.  Times are carried as exact rational multiples of pi wherever they are
 exact; floats are derived fields.
 
+Each field is printed in the form the computation has, so a report grows
+linearly with the group order n:
+
+* `spectrum` gives chi(S) of each character as its nonzero terms,
+  chi(S) = sum of coefficients[k] * zeta_N^exponents[k], exponents ascending
+  (at most min(|S|, N) terms), plus its float `re`, `im`;
+* `evolve` without `from`/`to` gives H(t) as `rows`, the 2 x 2 x n values
+  rows[r][s][k] = H_(e,r),(g_k,s)(t) with g_k the k-th element in
+  enumeration order; entry (g, r), (h, s) is rows[r][s][index(g^-1 h)].
+
 Exit codes: 0 success, 1 validation error, 2 internal consistency error.
 """
 
@@ -40,7 +50,7 @@ from .graphs import (
 )
 from .pst import decide_pair, find_pst, periodicity, reduce_time, verify_at_time
 from .spectra import eigen_gcd
-from .transfer import transfer_entry, transfer_matrix
+from .transfer import transfer_entry, transfer_rows
 
 COMMANDS = ("spectrum", "evolve", "pst-check", "pst-find", "period")
 
@@ -215,10 +225,9 @@ def _run_checked(config: dict) -> dict:
             report["entry"] = {"re": value.real, "im": value.imag}
             report["magnitude"] = abs(value)
             return report
-        matrix = transfer_matrix(spec, t)
-        report["entries"] = [
-            [{"re": matrix[i, j].real, "im": matrix[i, j].imag} for j in range(matrix.shape[1])]
-            for i in range(matrix.shape[0])
+        report["rows"] = [
+            [[{"re": value.real, "im": value.imag} for value in row] for row in pair]
+            for pair in transfer_rows(spec, t).tolist()
         ]
         return report
 
@@ -293,8 +302,11 @@ def render_text(report: dict) -> str:
     if "entry" in report:
         entry = report["entry"]
         lines.append(f"entry: {entry['re']:.12g} + {entry['im']:.12g}i (|.| = {report['magnitude']:.12g})")
-    if "entries" in report:
-        lines.append(f"transfer matrix at t = {report['time']['value']:.12g}: {len(report['entries'])}x{len(report['entries'])} entries (see JSON format)")
+    if "rows" in report:
+        lines.append(
+            f"transfer matrix at t = {report['time']['value']:.12g}: 2 x 2 rows of {len(report['rows'][0][0])} "
+            "values, H_(g,r),(h,s) = rows[r][s][index(g^-1 h)] (see JSON format)"
+        )
     if "verdict" in report:
         lines.append(_verdict_line(report["verdict"]))
     if "verdicts" in report:

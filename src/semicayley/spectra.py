@@ -162,8 +162,14 @@ class Spectrum:
         return np.where(table < 0, -1, table * self.class_power[:, None] % order)
 
     def to_json(self) -> dict:
+        """One row per character; chi(S) as its nonzero terms, the form of CycloValue.to_json."""
         exact = self.certified.all(axis=0).tolist()
-        chars, coeffs, chi_s = self.char_index.tolist(), self.coeffs[2].tolist(), self.chi_s.tolist()
+        chars, chi_s = self.char_index.tolist(), self.chi_s.tolist()
+        # the nonzero coefficients of chi(S), row by row and in ascending
+        # exponent within a row; row i owns terms bounds[i] to bounds[i + 1]
+        which, exponents = np.nonzero(self.coeffs[2])
+        bounds = np.searchsorted(which, np.arange(len(exact) + 1)).tolist()
+        coefficients, exponents = self.coeffs[2][which, exponents].tolist(), exponents.tolist()
         (lam_p, lam_m), (int_p, int_m) = self.lambdas.tolist(), self.ints.tolist()
         (c_p, c_m), (d_p, d_m), (e_p, e_m) = self.c.tolist(), self.d.tolist(), self.e.tolist()
         rows = []
@@ -177,7 +183,13 @@ class Spectrum:
                     "exact": ok,
                     "lambda_plus_exact": int_p[i] if ok else None,
                     "lambda_minus_exact": int_m[i] if ok else None,
-                    "chi_s": {"N": self.order, "coeffs": coeffs[i], "re": chi_s[i].real, "im": chi_s[i].imag},
+                    "chi_s": {
+                        "N": self.order,
+                        "exponents": exponents[bounds[i] : bounds[i + 1]],
+                        "coefficients": coefficients[bounds[i] : bounds[i + 1]],
+                        "re": chi_s[i].real,
+                        "im": chi_s[i].imag,
+                    },
                     "c_plus": c_p[i],
                     "c_minus": c_m[i],
                     "d_plus": d_p[i],

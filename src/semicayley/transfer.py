@@ -3,7 +3,9 @@
 Deliberately independent computation paths:
 
 * the character formula for n * H_(g,r),(h,s)(t), a function of the layers
-  and a = g^{-1} h alone (the product), behind every entry, matrix and scan,
+  and a = g^{-1} h alone (the product), behind every entry and scan and
+  behind `transfer_rows`, the 4n values H_(e,r),(a,s)(t) that hold all of
+  H(t); `transfer_matrix` only gathers them through index(g^{-1} h),
 * the referee, which shares no eigen or character data with it: one column
   exp(-itA) e_j as a Chebyshev-Bessel series on the spec's adjacency
   (`oracle_column`, which confirms every `yes`), and the dense
@@ -34,19 +36,26 @@ COLUMN_HORIZON = 1e6
 _BESSEL_CUTOFF = 1e-18
 
 
-def transfer_matrix(spec: SemiCayleySpec, t: float) -> np.ndarray:
-    """H(t) blockwise from the entry formula of transfer_sums.
+def transfer_rows(spec: SemiCayleySpec, t: float) -> np.ndarray:
+    """The 2 x 2 x n array rows[r, s, k] = H_(e,r),(g_k,s)(t), g_k the k-th element.
 
-    H_(g,r),(h,s)(t) depends only on the layers and a = g^{-1} h, so each
-    (r, s) block evaluates the formula once for all n connecting elements and
-    reads entry (g, h) through the difference-index table index(g^{-1} h).
+    H_(g,r),(h,s)(t) depends only on the layers and a = g^{-1} h, so these
+    4n values are all of H(t): entry (g, r), (h, s) is rows[r, s, index(a)].
+    The entry formula of transfer_sums runs once per layer case, for every
+    connecting element at once, on one character table.
     """
+    table = character_matrix(spec.group)
+    ts = np.array([t])
+    return np.array([[_entry_sums(spec, r, s, table, ts)[:, 0] for s in (0, 1)] for r in (0, 1)]) / spec.n
+
+
+def transfer_matrix(spec: SemiCayleySpec, t: float) -> np.ndarray:
+    """H(t) as a 2n x 2n matrix: transfer_rows gathered through index(g^{-1} h)."""
     group = spec.group
     inverses = (-group.coords % np.array(group.factors)) @ np.array(group.strides)
     differences = group.add_indices(inverses[:, None], np.arange(group.order))
-    table = character_matrix(group)
-    blocks = [[_entry_sums(spec, r, s, table, np.array([t]))[differences, 0] for s in (0, 1)] for r in (0, 1)]
-    return np.block(blocks) / spec.n
+    # rows[r, s, differences[g, h]] at [r, g, s, h], then one row per vertex (g, r)
+    return transfer_rows(spec, t)[:, :, differences].transpose(0, 2, 1, 3).reshape(2 * spec.n, 2 * spec.n)
 
 
 def _entry_sums(spec: SemiCayleySpec, r: int, s: int, chi_a: np.ndarray, ts: np.ndarray) -> np.ndarray:

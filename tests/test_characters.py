@@ -190,7 +190,7 @@ def test_order_mismatch_raises():
 def test_json_shape():
     value = CycloValue.root(1, 4)
     blob = value.to_json()
-    assert blob["N"] == 4 and blob["coeffs"] == [0, 1, 0, 0]
+    assert blob["N"] == 4 and blob["exponents"] == [1] and blob["coefficients"] == [1]
     assert abs(blob["re"]) < 1e-12 and abs(blob["im"] - 1) < 1e-12
 
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -88,14 +89,27 @@ def test_run_pst_check_decider_mode():
     assert report["verdict"]["time"]["pi_multiple"] == "1/2"
 
 
+def _full_matrix(report):
+    # H(t) as a 2n x 2n complex matrix from the report's rows: entry (g, r),
+    # (h, s) is rows[r][s][index(g^-1 h)], elements in enumeration order
+    factors = report["graph"]["group"]["factors"]
+    elements = list(itertools.product(*map(range, factors)))
+    index = {g: k for k, g in enumerate(elements)}
+    rows = [[[complex(value["re"], value["im"]) for value in row] for row in pair] for pair in report["rows"]]
+    return np.array([
+        [rows[r][s][index[tuple((y - x) % f for x, y, f in zip(g, h, factors))]] for s in (0, 1) for h in elements]
+        for r in (0, 1) for g in elements
+    ])
+
+
 def test_run_spectrum_and_evolve():
     report, code = run({"family": "hypercube", "n": 1, "command": "spectrum"})
     assert code == 0
     assert report["integral"] is True and report["eigen_gcd"] == 2
     report, code = run({"family": "hypercube", "n": 1, "command": "evolve", "time": 0.0})
     assert code == 0
-    entries = report["entries"]
-    assert entries[0][0]["re"] == 1.0 and abs(entries[0][1]["re"]) < 1e-12
+    entries = _full_matrix(report)
+    assert entries[0][0].real == 1.0 and abs(entries[0][1].real) < 1e-12
     report, code = run(
         {"family": "hypercube", "n": 1, "command": "evolve", "time": "1/2 pi",
          "from": [[0], 0], "to": [[0], 1]}
@@ -215,10 +229,21 @@ def test_evolve_reduces_large_times_exactly():
     report, code = run({"command": "evolve", "graph": {"family": "hypercube", "n": 3}, "time": "100000001 pi"})
     assert code == 0 and report["time"]["pi_multiple"] == "100000001"
     # (-i sin pi)^3 = 0 off the diagonal and (cos pi)^3 = -1 on it, coordinate by coordinate
-    entries = np.array([[complex(e["re"], e["im"]) for e in row] for row in report["entries"]])
+    entries = _full_matrix(report)
     diagonal = np.diag(np.diag(entries))
     assert np.max(np.abs(entries - diagonal)) < 1e-12
     assert np.max(np.abs(np.diag(entries) + 1)) < 1e-12
+
+
+def test_full_matrix_evolve_report_is_linear_in_n():
+    # H(t) is printed as its 4n values, so the report grows like n, not n^2:
+    # the bytes per group element of hypercube(3..9) (n = 4 .. 256) stay in one band
+    per_element = []
+    for k in range(3, 10):
+        report, code = run({"command": "evolve", "graph": {"family": "hypercube", "n": k}, "time": "1/3 pi"})
+        assert code == 0
+        per_element.append(len(json.dumps(report, indent=2, sort_keys=True)) / 2 ** (k - 1))
+    assert max(per_element) < 1.5 * min(per_element), per_element
 
 
 def test_pst_check_beyond_the_horizon_is_a_validation_error():

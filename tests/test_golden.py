@@ -2,16 +2,19 @@
 
 golden_reports.json holds about twenty configs covering all five commands
 (the same-layer verdicts of an R != L graph, a validation error, pst-check
-with and without a time, evolve for one entry and for the whole matrix),
-each with the exit code and the report the CLI gave when it was recorded.
-Exact fields must be equal; floats must agree within 1e-12.
+with and without a time, evolve for one entry and for the whole matrix,
+which is reported as its 2 x 2 x n rows), each with the exit code and the
+report the CLI gave when it was recorded.  Exact fields must be equal;
+floats must agree within 1e-12.
 
-After a deliberate change to a report, re-record with
-`PYTHONPATH=src python tests/test_golden.py`.
+After a deliberate change to a report, re-record the cases it changes with
+`PYTHONPATH=src python tests/test_golden.py 0 6` (case indices), or every
+case with no argument.
 """
 
 import json
 import os
+import sys
 
 import pytest
 
@@ -99,6 +102,10 @@ def test_golden_report(index):
 
 
 if __name__ == "__main__":
+    # with case indices as arguments only those cases are re-recorded
+    chosen = {int(arg) for arg in sys.argv[1:]} or set(range(len(CONFIGS)))
+    kept = _golden() if sys.argv[1:] else [None] * len(CONFIGS)
+    entries = [_report(config) if i in chosen else kept[i] for i, config in enumerate(CONFIGS)]
     with open(DATA, "w", encoding="utf-8") as handle:
-        json.dump([_report(config) for config in CONFIGS], handle, indent=1, sort_keys=True)
+        json.dump(entries, handle, indent=1, sort_keys=True)
         handle.write("\n")

@@ -426,6 +426,30 @@ def test_spectrum_json_text_matches_a_per_character_referee(rng):
         assert json.dumps(spectrum(spec).to_json()) == json.dumps(_referee_json(spec)), spec
 
 
+def test_spectrum_json_lists_the_nonzero_terms_of_chi_s(rng):
+    # chi(S) is a sum of |S| roots of unity, so a row holds at most
+    # min(|S|, N) terms, each with a nonzero coefficient
+    z12 = AbelianGroup([12])
+    every = make_spec(z12, random_inverse_closed(z12, rng), random_inverse_closed(z12, rng), z12.elements())
+    specs = list(_edge_specs(rng)) + [random_spec(rng) for _ in range(200)] + [every]
+    for spec in specs:
+        group = spec.group
+        for chi, row in zip(group.elements(), spectrum(spec).to_json()["characters"]):
+            terms = row["chi_s"]
+            exponents, coefficients = terms["exponents"], terms["coefficients"]
+            assert len(exponents) == len(coefficients) <= min(len(spec.S), group.exponent), (spec, chi)
+            assert 0 not in coefficients and exponents == sorted(set(exponents)), (spec, chi)
+            dense = [0] * group.exponent
+            for exponent, coefficient in zip(exponents, coefficients):
+                dense[exponent] = coefficient
+            assert tuple(dense) == char_sum(group, chi, spec.S).coeffs, (spec, chi)
+    # chi_k(Z_12) = sum over j of zeta^(jk): each multiple of d = gcd(k, 12) d times
+    for k, row in enumerate(spectrum(every).to_json()["characters"]):
+        d = math.gcd(k, 12)
+        assert row["chi_s"]["exponents"] == list(range(0, 12, d))
+        assert row["chi_s"]["coefficients"] == [d] * (12 // d)
+
+
 def test_sign_exponents_cost_two_exact_products_per_class(monkeypatch):
     # SC(Z_512, {}, {}, {1}): chi_j(S) = zeta^j, so every character has a sign
     # exponent; the 10 rational classes need one exact product per column

@@ -16,6 +16,7 @@ from semicayley import (
     oracle_expm,
     transfer_entry,
     transfer_matrix,
+    transfer_rows,
 )
 from semicayley.graphs import cay_adjacency
 from semicayley.pst import reduce_time
@@ -91,6 +92,22 @@ def test_transfer_matrix_is_one_value_per_connecting_element(rng):
             for s in (0, 1):
                 block = h[r * n : (r + 1) * n, s * n : (s + 1) * n]
                 assert np.array_equal(block, block[0][differences]), (spec, r, s)
+
+
+def test_transfer_rows_gathered_are_the_matrix(rng):
+    # rows[r, s, k] = H_(e,r),(g_k,s)(t) holds all of H(t): entry (g, r), (h, s)
+    # is rows[r, s, index(g^{-1} h)], gathered here through the group law
+    for _ in range(50):
+        spec = random_spec(rng)
+        group, n = spec.group, spec.n
+        elems = group.elements()
+        differences = np.array([[group.index(group.mul(group.inverse(g), h)) for h in elems] for g in elems])
+        t = float(rng.uniform(0.0, 10.0))
+        rows = transfer_rows(spec, t)
+        assert rows.shape == (2, 2, n)
+        gathered = np.block([[rows[r, s][differences] for s in (0, 1)] for r in (0, 1)])
+        assert np.array_equal(gathered, transfer_matrix(spec, t)), spec
+        assert np.max(np.abs(gathered - oracle_expm(build(spec), t))) < 1e-9, spec
 
 
 def test_transfer_matrix_builds_one_character_table(monkeypatch):
