@@ -73,6 +73,28 @@ def _reduce_mod(coeffs: Iterable[int], den: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(rem[:dn])
 
 
+@lru_cache(maxsize=None)
+def _residue_table(order: int) -> np.ndarray:
+    """N x phi(N) table T whose row j holds the residue of x^j modulo Phi_N.
+
+    A coefficient row c over zeta_N has the residue c @ T, so one product
+    reduces any number of rows.  Row j follows from row j - 1 by a shift and
+    one subtraction of Phi_N, which is monic.  Stored as int8 when it fits
+    (every N <= 1024 has max|T| <= 5), so a cached table costs N phi(N) bytes.
+    """
+    poly = np.array(cyclotomic_polynomial(order)[:-1], dtype=np.int64)
+    degree = len(poly)
+    table = np.zeros((order, degree), dtype=np.int64)
+    table[:degree] = np.eye(degree, dtype=np.int64)
+    for j in range(degree, order):
+        table[j, 1:] = table[j - 1, :-1]
+        table[j] -= table[j - 1, -1] * poly
+    if np.abs(table).max() <= 127:
+        table = table.astype(np.int8)
+    table.flags.writeable = False
+    return table
+
+
 class CycloValue:
     """Exact element of Z[zeta_N]: coeffs[j] multiplies exp(2*pi*i*j/N)."""
 

@@ -206,48 +206,62 @@ _NOT_INTEGRAL = "spectrum is not integral (chi(R) or |chi(S)| irrational for som
 _SIGN, _MINUS_GAP, _PLUS_GAP = 1, 2, 3
 
 
-def refute_phases(gaps: np.ndarray, minus: np.ndarray) -> list[str | None]:
+def refute_phases(gaps: np.ndarray, minus: np.ndarray) -> tuple[list[str | None], list[int]]:
     """Per column of minus: why no t > 0 has gaps * t in pi * (2Z + minus), or None if one does.
 
-    gaps are integers and column j of minus flags the chi(a_j) = -1 entries.
-    A solution needs one 2-adic valuation k on the flagged gaps, none of them
-    zero, and a valuation above k on the other nonzero gaps; that is also
-    enough.
+    gaps are integers, a row of two per character (see Spectrum.layer_gaps),
+    and minus[i, j] flags chi_i(a_j) = -1 for both gaps of row i.  A solution
+    needs one 2-adic valuation k on the flagged gaps, none of them zero, and
+    a valuation above k on the other nonzero gaps; that is also enough.  Also
+    returns each column's k, the least valuation of a flagged gap (-1 for a
+    zero gap), which is the valuation of them all where no obstruction is
+    found.
     """
-    nonzero = gaps != 0
-    valuations = _v2_array(gaps).astype(np.int8)[:, None]  # -1 on zero gaps
-    zero_flagged = (minus & ~nonzero[:, None]).any(axis=0).tolist()
-    k = np.where(minus, valuations, np.int8(127)).min(axis=0)
-    uniform = (k == np.where(minus, valuations, np.int8(-1)).max(axis=0)).tolist()
-    clash = ~minus & nonzero[:, None] & (valuations <= k)
-    clash_gaps = np.where(clash.any(axis=0), gaps[clash.argmax(axis=0)], 0).tolist()
+    valuations = _v2_array(gaps).astype(np.int8)  # -1 on zero gaps
+    valuations_nonzero = np.where(gaps != 0, valuations, np.int8(127))
+    low_nonzero = valuations_nonzero.min(axis=1)
+    k = np.where(minus, valuations.min(axis=1)[:, None], np.int8(127)).min(axis=0)
+    zero_flagged = k < 0
+    uniform = k == np.where(minus, valuations.max(axis=1)[:, None], np.int8(-1)).max(axis=0)
+    # the first character with an unflagged nonzero gap of valuation <= k, and
+    # its first such gap: the + gap or else the - gap
+    clash = ~minus & (low_nonzero[:, None] <= k)
+    which = clash.argmax(axis=0)
+    branch = (valuations_nonzero[which, 0] > k).astype(np.int64)
+    clash_gaps = np.where(clash.any(axis=0), gaps[which, branch], 0).tolist()
+    distinct = {}
+    mixed = np.flatnonzero(~zero_flagged & ~uniform)
+    if mixed.size:
+        # each character's gap valuations as bits: a mixed column flags no
+        # zero gap, so ORing its flagged characters gives its valuations
+        powers = np.left_shift(1, np.maximum(valuations, 0).astype(np.int64))
+        bits = powers[:, 0] | powers[:, 1]
+        masks = np.bitwise_or.reduce(np.where(minus[:, mixed], bits[:, None], 0), axis=0).tolist()
+        distinct = {j: [v for v in range(mask.bit_length()) if mask >> v & 1] for j, mask in zip(mixed.tolist(), masks)}
     out = []
-    for j, k_j in enumerate(k.tolist()):
-        if zero_flagged[j]:
+    for j, (k_j, zero) in enumerate(zip(k.tolist(), zero_flagged.tolist())):
+        if zero:
             out.append("zero eigenvalue gap on a chi(a) = -1 character")
-        elif not uniform[j]:
-            distinct = np.flatnonzero(np.bincount(valuations[minus[:, j], 0])).tolist()
-            out.append(f"chi(a) = -1 gaps carry several 2-adic valuations {distinct}")
+        elif j in distinct:
+            out.append(f"chi(a) = -1 gaps carry several 2-adic valuations {distinct[j]}")
         elif clash_gaps[j]:
             out.append(f"chi(a) = +1 gap {clash_gaps[j]} has 2-adic valuation <= {k_j}")
         else:
             out.append(None)
-    return out
+    return out, k.tolist()
 
 
 def _same_layer(spec: SemiCayleySpec, layer: int, columns: np.ndarray) -> list:
     # connecting elements of order 2 within one layer
-    support = spec.spectrum.layer_gaps[layer]
-    if support is None:
+    gaps = spec.spectrum.layer_gaps[layer]
+    if gaps is None:
         detail = (_NOT_INTEGRAL if spec.R == spec.L else
                   f"the support of layer {layer} is not integral, so its vertices are not periodic")
         return [{"rule": "non-integral", "detail": detail} for _ in range(len(columns))]
-    gaps, chars = support
-    minus = (spec.group.char_exponents[:, columns] != 0)[chars]
-    ks = _v2_array(gaps)[minus.argmax(axis=0)].tolist()  # the valuation of the first flagged gap
-    m = int(np.gcd.reduce(gaps))
+    minus = spec.group.char_exponents[:, columns] != 0
+    m = int(np.gcd.reduce(gaps, axis=None))
     return [(k, m) if obstruction is None else {"rule": "valuation", "detail": obstruction}
-            for obstruction, k in zip(refute_phases(gaps, minus), ks)]
+            for obstruction, k in zip(*refute_phases(gaps, minus))]
 
 
 def _cross_layer_rule(spec: SemiCayleySpec) -> dict | None:
@@ -532,7 +546,7 @@ def periodicity(spec: SemiCayleySpec) -> PeriodReport:
             periodic=False, method="theorem",
             certificate={"detail": "spectrum is not integral, which is equivalent to aperiodicity"},
         )
-    gcds = [int(np.gcd.reduce(spec.spectrum.layer_gaps[layer][0])) for layer in (0, 1)]
+    gcds = [int(np.gcd.reduce(spec.spectrum.layer_gaps[layer], axis=None)) for layer in (0, 1)]
     m = math.gcd(*gcds)
     return PeriodReport(
         periodic=True, min_period_two_pi=Fraction(1, m), min_period=2 * math.pi / m,

@@ -7,8 +7,8 @@ them as columns, one entry per character in enumeration order, and no
 object per character.  Floats drive the dynamics.
 
 The floats are computed for every character at once, on n x N integer
-coefficient matrices (one bincount per subset; |chi(S)|^2 = chi(S S^-1) is
-one weighted bincount over the difference multiset), summed against the
+coefficient matrices (one bincount for R, L and S; |chi(S)|^2 = chi(S S^-1)
+is one weighted bincount over the difference multiset), summed against the
 roots of unity in the order of CycloValue.approx.  The closed forms then run
 elementwise in the order of Python's scalar arithmetic, complex products and
 quotients split into CPython's real and imaginary formulas, so every float
@@ -25,27 +25,36 @@ chi^k(X) = sigma_k(chi(X)) for the automorphism sigma_k: zeta_N -> zeta_N^k
 of Q(zeta_N).  sigma_k fixes exactly the rationals and commutes with complex
 conjugation, so "chi(S) = 0" and "sigma and disc are integers, disc a
 square" hold for the whole class or for none of it, with the same integers:
-one representative (the least index) is certified in exact arithmetic and
-its results are copied.  Z_512 has 10 classes for 512 characters; Z_2^k
-only classes of size 1.  The cross-layer sign exponents follow the same
-way: conj(chi(S)) zeta_N^e = +-|chi(S)|, an integer, gives
-conj(chi^k(S)) zeta_N^(k e) = +-|chi(S)| under sigma_k, so one exact product
-per representative fixes them for its class.  Periodicity and same-layer
-transfer need no more: a vertex is periodic iff its support is integral
-(see pst).
+one representative (the least index) is certified and its results are
+copied.  Z_512 has 10 classes for 512 characters; Z_2^k only classes of
+size 1.
+
+The certificate is exact and has no per-class arithmetic: a value in
+Z[zeta_N] is an integer iff its residue modulo the N-th cyclotomic
+polynomial is constant, and the residues of any number of coefficient rows
+are one product with the table of x^j modulo Phi_N (_certify).  The rows of
+chi(R), chi(L), chi(S), sigma and disc at every representative go through
+one such product.  disc needs no multiplication in Z[zeta_N] either: it is
+chi(w) for the group-ring element w = (1_R - 1_L)^2 + 4 S S^-1, whose rows
+are one weighted bincount (4 |chi(S)|^2, already at hand, when R = L).  The
+cross-layer sign exponents follow the same way: conj(chi(S)) zeta_N^e =
++-|chi(S)|, an integer, gives conj(chi^k(S)) zeta_N^(k e) = +-|chi(S)|
+under sigma_k, so one exact value per representative and sign fixes them
+for its class, and one product confirms them all.  Periodicity and
+same-layer transfer need no more: a vertex is periodic iff its support is
+integral (see pst).
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
 
-from .characters import CycloValue, _roots_of_unity
-from .errors import ValidationError
+from .characters import _residue_table, _roots_of_unity
+from .errors import ConsistencyError, ValidationError
 from .graphs import SemiCayleySpec
 
 
@@ -104,23 +113,24 @@ class Spectrum:
 
     @cached_property
     def layer_gaps(self) -> tuple:
-        """Per layer, the integer support of its vertices as (gaps, characters), or None.
+        """Per layer, the integer support gaps of its vertices, one row per character, or None.
 
         chi(S) = 0 puts chi(R) only in layer 0 and chi(L) only in layer 1;
         otherwise both branches, with positive weights, are in both layers.
-        One entry per support eigenvalue lambda, in character order with the
-        + branch first: the gap lambda_0 - lambda from the first one (a branch
-        of the trivial character) and the index of lambda's character.  None
-        when some support eigenvalue is irrational.
+        Row i holds lambda_0 - lambda for the + and - branch of character i
+        in the support, or twice for its one branch where chi(S) = 0, lambda_0
+        being the first of them all (a branch of the trivial character).  A
+        repeated gap changes no minimum, maximum, set or gcd of the gaps.
+        None when some support eigenvalue is irrational.
         """
         out = []
         for layer in (0, 1):
-            support = (~self.chi_s_zero | (np.arange(2)[:, None] == layer)).T
-            if not self.certified.T[support].all():
+            branches = np.where(self.chi_s_zero, layer, np.arange(2)[:, None])
+            if not np.take_along_axis(self.certified, branches, axis=0).all():
                 out.append(None)
                 continue
-            lams = self.ints.T[support]
-            out.append((lams[0] - lams, np.nonzero(support)[0]))
+            lams = np.take_along_axis(self.ints, branches, axis=0).T
+            out.append(lams[0, 0] - lams)
         return tuple(out)
 
     @cached_property
@@ -144,21 +154,22 @@ class Spectrum:
         spoke_valuation_break, for an integral spectrum with chi(S) != 0
         everywhere and R = L, where |chi(S)| = (lambda+ - lambda-) / 2.  For a
         class representative the float phase of chi(S) proposes e and one
-        exact product in Z[zeta_N] confirms it; the roots zeta_N^e are
-        distinct, so no other e can hold.  chi_rep^k then takes k e modulo N
-        (see the module docstring), and no e for none.
+        exact reduction confirms it; the roots zeta_N^e are distinct, so no
+        other e can hold.  conj(chi(S)) zeta_N^e has the coefficient of chi(S)
+        at e - j on zeta_N^j, so both proposals of every representative are
+        gathered as coefficient rows and confirmed in one _certify product.
+        chi_rep^k then takes k e modulo N (see the module docstring), and no
+        e for none.
         """
         order = self.order
-        abs_s = ((self.ints[0] - self.ints[1]) // 2).tolist()
-        table = np.full((len(abs_s), 2), -1, dtype=np.int64)
-        for rep in set(self.class_rep.tolist()):
-            spoke = CycloValue(order, self.coeffs[2, rep]).conj()
-            turns = order * cmath.phase(self.chi_s[rep]) / (2 * math.pi)
-            for column, (target, shift) in enumerate(((abs_s[rep], 0), (-abs_s[rep], order / 2))):
-                e = round(turns + shift) % order
-                if (CycloValue.root(e, order) * spoke).as_integer() == target:
-                    table[rep, column] = e
-        table = table[self.class_rep]
+        reps = np.flatnonzero(self.class_rep == np.arange(len(self.class_rep)))
+        abs_s = (self.ints[0, reps] - self.ints[1, reps]) // 2
+        turns = order * np.angle(self.chi_s[reps]) / (2 * math.pi)
+        e = np.round(turns[:, None] + np.array([0, order / 2])).astype(np.int64) % order
+        spokes = self.coeffs[2][reps[:, None, None], (e[:, :, None] - np.arange(order)) % order]
+        rational, value = _certify(spokes.reshape(-1, order), order)
+        confirmed = rational.reshape(-1, 2) & (value.reshape(-1, 2) == np.stack([abs_s, -abs_s], axis=1))
+        table = np.where(confirmed, e, -1)[np.searchsorted(reps, self.class_rep)]
         return np.where(table < 0, -1, table * self.class_power[:, None] % order)
 
     def to_json(self) -> dict:
@@ -201,23 +212,24 @@ class Spectrum:
         return {"characters": rows}
 
 
-def _certify(chi_r: CycloValue, chi_l: CycloValue, chi_s_abs2: CycloValue | None):
-    """The integer eigenvalues (lambda_plus, lambda_minus) of one character block.
+def _certify(rows: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Which coefficient rows over zeta_N are rational integers, and their values.
 
-    Each is an int or None; chi_s_abs2 = |chi(S)|^2, None when chi(S) = 0.
-    sigma is tested first: forming disc costs a product in Z[zeta_N].
+    Row c has the residue c @ T modulo Phi_N, T = _residue_table(N).  The
+    powers zeta_N^0 .. zeta_N^(phi(N)-1) are a Q-basis of Q(zeta_N), so the
+    value is rational iff the residue is (v, 0, ..., 0), and then, being an
+    algebraic integer, it is the integer v.  Every row goes through one
+    float64 product, which is exact while no partial sum reaches 2^53: each
+    is at most the row's L1 norm times max|T|.  max|T| <= 5 for every
+    N <= 1024, and the rows of spectrum have L1 norm at most 8 n^2 (disc, a
+    sum of (|R| + |L|)^2 + 4 |S|^2 roots), so every sum stays below 4.2e7;
+    a product whose rows could pass 2^53 raises ConsistencyError instead.
     """
-    if chi_s_abs2 is None:
-        return chi_r.as_integer(), chi_l.as_integer()
-    sigma = (chi_r + chi_l).as_integer()
-    if sigma is None:
-        return None, None
-    diff = chi_r - chi_l
-    disc = (diff * diff + 4 * chi_s_abs2).as_integer()
-    root = math.isqrt(disc) if disc is not None else -1
-    if root * root != disc:
-        return None, None
-    return (sigma + root) // 2, (sigma - root) // 2
+    table = _residue_table(order)
+    if np.abs(rows).sum(axis=1).max(initial=0) * int(np.abs(table).max()) >= 2**53:
+        raise ConsistencyError(f"coefficient rows too large for an exact float64 reduction modulo Phi_{order}")
+    residues = rows.astype(np.float64) @ table.astype(np.float64)
+    return ~residues[:, 1:].any(axis=1), residues[:, 0].astype(np.int64)
 
 
 def _closed_forms(r, l, s, s2):
@@ -240,24 +252,39 @@ def _closed_forms(r, l, s, s2):
     return lambdas, np.array([p * p / den_p, m * m / den_m]), np.array([4.0 * s2 / den_p, 4.0 * s2 / den_m]), e
 
 
-def _coefficient_rows(group, columns: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
-    # n x N: row i holds the coefficients of chi_i summed over the element
-    # indices `columns` (with multiplicities `weights`), one bincount in all
-    n, order = group.order, group.exponent
-    keys = group.char_exponents[:, columns] + order * np.arange(n)[:, None]
+def _coefficient_rows(group, subsets: list, weights: np.ndarray | None = None,
+                      chars: np.ndarray | slice = slice(None)) -> np.ndarray:
+    # len(subsets) x m x N: row i of block b holds the coefficients of chi_i
+    # (i over chars, every character by default) summed over the element
+    # indices subsets[b], with the multiplicities `weights` laid out as the
+    # concatenated subsets: one bincount in all
+    order = group.exponent
+    exponents = group.char_exponents[chars]
+    m = len(exponents)
+    columns = np.concatenate(subsets)
+    block = np.repeat(np.arange(len(subsets)), [len(xs) for xs in subsets])
+    keys = exponents[:, columns] + order * (np.arange(m)[:, None] + m * block)
     if weights is not None:
         weights = np.broadcast_to(weights, keys.shape).ravel()
-    counts = np.bincount(keys.ravel(), weights=weights, minlength=n * order)
-    return counts.astype(np.int64, copy=False).reshape(n, order)
+    counts = np.bincount(keys.ravel(), weights=weights, minlength=len(subsets) * m * order)
+    return counts.astype(np.int64, copy=False).reshape(len(subsets), m, order)
 
 
-def _abs_squared_rows(group, s: np.ndarray) -> np.ndarray:
-    # |chi(S)|^2 = chi(S S^-1): the coefficient rows of the difference multiset,
-    # counted once over S x S and then summed with its multiplicities
-    inverse = (-group.coords[s] % np.array(group.factors)) @ np.array(group.strides)
-    multiplicity = np.bincount(group.add_indices(s[:, None], inverse[None, :]).ravel(), minlength=group.order)
-    support = np.flatnonzero(multiplicity)
-    return _coefficient_rows(group, support, multiplicity[support])
+def _group_product(group, a: np.ndarray, b: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+    # integer weights over G of the group-ring product of the elements indexed
+    # by a and by b, the pair (a_i, b_j) counted weights[i, j] times (once by
+    # default): chi of the product is the product of the chi for every character
+    keys = group.add_indices(a[:, None], b[None, :]).ravel()
+    if weights is not None:
+        weights = weights.ravel()
+    return np.bincount(keys, weights=weights, minlength=group.order).astype(np.int64, copy=False)
+
+
+def _ring_rows(group, element: np.ndarray, chars: np.ndarray | slice = slice(None)) -> np.ndarray:
+    # m x N: the coefficient rows of chi(element) for a group-ring element given
+    # as integer weights over G, one row per character in chars
+    support = np.flatnonzero(element)
+    return _coefficient_rows(group, [support], element[support], chars)[0]
 
 
 def _approx(rows: np.ndarray) -> np.ndarray:
@@ -271,40 +298,54 @@ def _approx(rows: np.ndarray) -> np.ndarray:
     return terms[:, -1].copy()
 
 
-def _rational_classes(group) -> tuple[np.ndarray, np.ndarray]:
+def _rational_classes(group) -> tuple[np.ndarray, ...]:
     # per character chi_i, the least index rep of its rational class
-    # {chi^k : gcd(k, N) = 1} and a unit k with chi_rep^k = chi_i
+    # {chi^k : gcd(k, N) = 1} and a unit k with chi_rep^k = chi_i; then the
+    # representatives in index order and each character's position among them
     order = group.exponent
     units = [k for k in range(1, order + 1) if math.gcd(k, order) == 1]
     powers = (np.array(units)[:, None, None] * group.coords % np.array(group.factors)) @ np.array(group.strides)
     # the argmin u has chi_i^u = chi_rep, so k is the inverse of u modulo N
     inverses = np.array([pow(k, -1, order) for k in units], dtype=np.int64)
-    return powers.min(axis=0), inverses[powers.argmin(axis=0)]
+    class_rep, class_power = powers.min(axis=0), inverses[powers.argmin(axis=0)]
+    reps = np.flatnonzero(class_rep == np.arange(group.order))
+    return class_rep, class_power, reps, np.searchsorted(reps, class_rep)
 
 
 def spectrum(spec: SemiCayleySpec) -> Spectrum:
     """Closed-form eigen-data for every character of the group.
 
-    Certifies one representative per rational class and copies its integers
-    to the class; computes afresh on every call, and spec.spectrum keeps one
-    result per spec.
+    Certifies one representative per rational class, all of them in one
+    _certify product, and copies its integers to the class; computes afresh
+    on every call, and spec.spectrum keeps one result per spec.
     """
     group = spec.group
     n, order = group.order, group.exponent
-    coeffs = np.stack([_coefficient_rows(group, spec.subset_indices[name]) for name in ("R", "L", "S")])
-    abs2_rows = _abs_squared_rows(group, spec.subset_indices["S"])
-    class_rep, class_power = _rational_classes(group)
+    indices = spec.subset_indices
+    coeffs = _coefficient_rows(group, [indices["R"], indices["L"], indices["S"]])
+    s_inverse = (-group.coords[indices["S"]] % np.array(group.factors)) @ np.array(group.strides)
+    s_s_inverse = _group_product(group, indices["S"], s_inverse)
+    abs2_rows = _ring_rows(group, s_s_inverse)  # |chi(S)|^2 = chi(S S^-1)
+    class_rep, class_power, reps, slot = _rational_classes(group)
+
     # certified at each representative, then read by every member of its class
-    chi_s_zero = np.zeros(n, dtype=bool)
-    ints = np.zeros((2, n), dtype=np.int64)
-    certified = np.zeros((2, n), dtype=bool)
-    for rep in set(class_rep.tolist()):
-        chi_r, chi_l, chi_s = (CycloValue(order, rows[rep]) for rows in coeffs)
-        chi_s_zero[rep] = s_zero = chi_s.is_zero()
-        for branch, value in enumerate(_certify(chi_r, chi_l, None if s_zero else CycloValue(order, abs2_rows[rep]))):
-            if value is not None:
-                ints[branch, rep], certified[branch, rep] = value, True
-    chi_s_zero, ints, certified = chi_s_zero[class_rep], ints[:, class_rep], certified[:, class_rep]
+    if spec.R == spec.L:
+        disc = 4 * abs2_rows[reps]
+    else:  # disc = chi((1_R - 1_L)^2 + 4 S S^-1), 1_R - 1_L supported on R xor L
+        diff = np.bincount(indices["R"], minlength=n) - np.bincount(indices["L"], minlength=n)
+        support = np.flatnonzero(diff)
+        diff_squared = _group_product(group, support, support, np.outer(diff[support], diff[support]))
+        disc = _ring_rows(group, diff_squared + 4 * s_s_inverse, reps)
+    at_reps = coeffs[:, reps]  # chi(R), chi(L), chi(S), then sigma and disc
+    rows = np.concatenate([*at_reps, at_reps[0] + at_reps[1], disc])
+    rational, value = (a.reshape(5, -1) for a in _certify(rows, order))
+    chi_s_zero = rational[2] & (value[2] == 0)
+    # disc < 2^53, so the float root of a square is exact and root^2 decides
+    root = np.rint(np.sqrt(np.maximum(value[4], 0))).astype(np.int64)
+    square = rational[3] & rational[4] & (root * root == value[4])
+    certified = np.where(chi_s_zero, rational[:2], square)
+    ints = np.where(certified, np.where(chi_s_zero, value[:2], [(value[3] + root) // 2, (value[3] - root) // 2]), 0)
+    chi_s_zero, ints, certified = chi_s_zero[slot], ints[:, slot], certified[:, slot]
 
     r, l, s, s2 = (_approx(rows) for rows in (*coeffs, abs2_rows))
     r, l, s2 = r.real, l.real, s2.real

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from semicayley import AbelianGroup, CycloValue, ValidationError, char_sum, eval_character
-from semicayley.characters import cyclotomic_polynomial
+from semicayley.characters import _reduce_mod, _residue_table, cyclotomic_polynomial
 
 from conftest import GROUP_POOL, random_subset
 
@@ -18,6 +18,21 @@ def test_cyclotomic_polynomials_known():
     assert cyclotomic_polynomial(6) == (1, -1, 1)
     assert cyclotomic_polynomial(8) == (1, 0, 0, 0, 1)
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
+
+
+def test_residue_table_rows_are_the_reduced_powers():
+    # row j is x^j modulo Phi_N; Phi_105 is the first cyclotomic polynomial
+    # with a coefficient -2, yet the reduced powers stay within +-5 to N = 1024
+    for order in (1, 2, 12, 60, 105, 210):
+        phi = cyclotomic_polynomial(order)
+        table = _residue_table(order)
+        assert table.shape == (order, len(phi) - 1)
+        for j in range(order):
+            power = [0] * order
+            power[j] = 1
+            assert tuple(table[j].tolist()) == _reduce_mod(power, phi), (order, j)
+        assert np.abs(table).max() <= 5
+    assert -2 in cyclotomic_polynomial(105)
 
 
 def test_eval_character_examples():

@@ -20,7 +20,7 @@ from semicayley import (
     verify_at_time,
 )
 
-from conftest import random_spec
+from conftest import random_inverse_closed, random_spec, random_subset
 
 
 def test_nu2_examples():
@@ -441,7 +441,7 @@ def test_deciders_match_oracle_scan_on_random_integral_specs(rng):
     from semicayley import build, oracle_expm, spectrum
     from semicayley.spectra import eigen_gcd
 
-    from conftest import random_spec
+    from conftest import random_inverse_closed, random_spec, random_subset
 
     done = 0
     while done < 8:
@@ -782,6 +782,46 @@ def test_sign_exponents_match_a_brute_force_over_the_roots():
             assert spect.sign_exponents[i].tolist() == expected, (spec, i)
             if order % 2:
                 assert -1 in expected, (spec, i)
+
+
+def _sign_edge_specs(rng):
+    # Phi_105 has a coefficient -2 and -1 is no 105th root of unity; factors
+    # 1 leave the characters unchanged; S = G with R = L = G - {e} vanishes off
+    # the trivial character, and so does an empty S everywhere
+    z105 = AbelianGroup([105])
+    yield make_spec(z105, [], [], [(1,)])
+    r_set = random_inverse_closed(z105, rng, 0.1)
+    yield make_spec(z105, r_set, r_set, [(0,), (35,)])
+    yield make_spec(z105, r_set, r_set, random_subset(z105, rng, 0.1))
+    for factors in ((1,), (2, 1)):
+        group = AbelianGroup(factors)
+        for _ in range(3):
+            r_set = random_inverse_closed(group, rng)
+            yield make_spec(group, r_set, r_set, random_subset(group, rng))
+    for factors in ((12,), (2, 2, 2)):
+        group = AbelianGroup(factors)
+        yield make_spec(group, group.elements()[1:], group.elements()[1:], group.elements())
+        yield make_spec(group, [], [], [])
+
+
+def test_sign_exponents_match_the_exact_referee_on_edge_groups(rng):
+    # where chi(S) = 0 every e gives 0 and any of them may be reported; else
+    # the roots zeta^e are distinct and at most one e holds.  The referee
+    # decides every e exactly, after floats skip those far from the target
+    from semicayley.characters import CycloValue, char_sum
+
+    for spec in _sign_edge_specs(rng):
+        spect = spec.spectrum
+        group, order = spec.group, spec.group.exponent
+        for i, chi in enumerate(group.elements()):
+            abs_s = int(spect.ints[0, i] - spect.ints[1, i]) // 2
+            spoke = char_sum(group, chi, spec.S).conj()
+            for column, target in enumerate((abs_s, -abs_s)):
+                valid = {e for e in range(order)
+                         if abs(spoke.approx * np.exp(2j * np.pi * e / order) - target) < 1e-6
+                         and (CycloValue.root(e, order) * spoke).as_integer() == target}
+                got = int(spect.sign_exponents[i, column])
+                assert got in valid if valid else got == -1, (spec, i, column, got, valid)
 
 
 def test_find_pst_validates_elements_per_yes_not_per_pair(monkeypatch):

@@ -318,20 +318,74 @@ def test_class_certificates_match_a_per_character_referee(rng):
             assert (spect.chi_s_zero[i], *ints) == _referee_ints(group, chi, spec), (spec, i)
 
 
-def test_spectrum_certifies_once_per_rational_class(rng, monkeypatch):
-    # Z_512 has 10 rational classes (one per divisor of 512); each
-    # representative needs at most 3 reductions: is_zero, sigma and disc
+def _count_exact_work(monkeypatch):
+    # records the rows of every _certify product and every CycloValue built
+    import semicayley.spectra
     from semicayley.characters import CycloValue
 
+    products, built = [], []
+    certify, init = semicayley.spectra._certify, CycloValue.__init__
+    monkeypatch.setattr(semicayley.spectra, "_certify",
+                        lambda rows, order: products.append(rows.shape) or certify(rows, order))
+    monkeypatch.setattr(CycloValue, "__init__", lambda self, *a: built.append(1) or init(self, *a))
+    return products, built
+
+
+def test_spectrum_certifies_once_per_rational_class(rng, monkeypatch):
+    # Z_512 has 10 rational classes (one per divisor of 512); one product
+    # reduces chi(R), chi(L), chi(S), sigma and disc of each representative,
+    # and no character gets exact work of its own
     group = AbelianGroup([512])
     spec = make_spec(group, random_inverse_closed(group, rng, 0.1),
                      random_inverse_closed(group, rng, 0.1), random_subset(group, rng, 0.1))
     assert spec.R != spec.L
-    original = CycloValue.residue
-    calls = []
-    monkeypatch.setattr(CycloValue, "residue", lambda self: calls.append(self) or original(self))
+    products, built = _count_exact_work(monkeypatch)
     spectrum(spec)
-    assert 10 <= len(calls) <= 3 * 10
+    assert products == [(5 * 10, 512)]
+    assert built == []
+
+
+def test_array_certifier_matches_the_per_character_referee(rng):
+    # Phi_105 has a coefficient -2; factors 1 leave the characters unchanged;
+    # S = G with R = L = G - {e} vanishes off the trivial character
+    z105 = AbelianGroup([105])
+    specs = [make_spec(z105, random_inverse_closed(z105, rng, 0.1), random_inverse_closed(z105, rng, 0.1),
+                       random_subset(z105, rng, 0.1)) for _ in range(3)]
+    r_set = random_inverse_closed(z105, rng, 0.1)
+    specs.append(make_spec(z105, r_set, r_set, random_subset(z105, rng, 0.1)))
+    specs.append(make_spec(z105, [], [], [(1,)]))
+    for factors in ((1,), (2, 1)):
+        group = AbelianGroup(factors)
+        specs += [make_spec(group, random_inverse_closed(group, rng), random_inverse_closed(group, rng),
+                            random_subset(group, rng)) for _ in range(3)]
+    for factors in ((12,), (2, 2, 2)):
+        group = AbelianGroup(factors)
+        specs.append(make_spec(group, group.elements()[1:], group.elements()[1:], group.elements()))
+    for factors in ((1,), (12,), (2, 2, 2), (105,)):
+        specs.append(make_spec(AbelianGroup(factors), [], [], []))
+    for spec in specs:
+        group = spec.group
+        spect = spectrum(spec)
+        for i, chi in enumerate(group.elements()):
+            ints = [int(x) if ok else None for x, ok in zip(spect.ints[:, i], spect.certified[:, i])]
+            assert (spect.chi_s_zero[i], *ints) == _referee_ints(group, chi, spec), (spec, i)
+
+
+def test_certify_reduces_exactly_and_refuses_rows_past_2_53():
+    from semicayley.characters import _residue_table
+    from semicayley.errors import ConsistencyError
+    from semicayley.spectra import _certify
+
+    # zeta_3 + zeta_3^2 = -1, and 1 + zeta_3 = -zeta_3^2 is no integer
+    rational, value = _certify(np.array([[0, 7, 7], [0, 2**40, 2**40], [1, 1, 0]]), 3)
+    assert rational.tolist() == [True, True, False] and value[:2].tolist() == [-7, -2**40]
+    # every partial sum of a product is at most the row's L1 norm times max|T|,
+    # which must stay below 2^53 for float64 to add integers exactly
+    top = int(np.abs(_residue_table(105)).max())
+    limit = -(-2**53 // top)  # the least L1 norm that could reach 2^53
+    assert _certify(np.array([[0] * 104 + [limit - 1]]), 105)[0].tolist() == [False]
+    with pytest.raises(ConsistencyError):
+        _certify(np.array([[0] * 104 + [limit]]), 105)
 
 
 # the float columns of a Spectrum, by their per-character names: (array, branch row)
@@ -452,19 +506,14 @@ def test_spectrum_json_lists_the_nonzero_terms_of_chi_s(rng):
 
 def test_sign_exponents_cost_two_exact_products_per_class(monkeypatch):
     # SC(Z_512, {}, {}, {1}): chi_j(S) = zeta^j, so every character has a sign
-    # exponent; the 10 rational classes need one exact product per column
-    # each, and no character outside a representative gets a CycloValue
-    from semicayley.characters import CycloValue
-
+    # exponent; each of the 10 rational classes needs one exact product per
+    # column, all of them reduced at once, and no character gets a CycloValue
     group = AbelianGroup([512])
     spec = make_spec(group, [], [], [(1,)])
-    original_init, original_residue = CycloValue.__init__, CycloValue.residue
-    built, reduced = [], []
-    monkeypatch.setattr(CycloValue, "__init__", lambda self, *a: built.append(1) or original_init(self, *a))
     spect = spec.spectrum
-    monkeypatch.setattr(CycloValue, "residue", lambda self: reduced.append(1) or original_residue(self))
+    products, built = _count_exact_work(monkeypatch)
     table = spect.sign_exponents
-    assert len(reduced) <= 2 * 10  # one rational class per divisor of 512
-    assert len(built) <= 200
+    assert products == [(2 * 10, 512)]  # one rational class per divisor of 512
+    assert built == []
     # conj(zeta^j) zeta^e = +1 at e = j and -1 at e = j + 256
     assert table.tolist() == [[j, (j + 256) % 512] for j in range(512)]
