@@ -64,20 +64,16 @@ class SemiCayleySpec:
     @cached_property
     def subset_indices(self) -> dict[str, np.ndarray]:
         """Sorted enumeration indices of R, L and S by name, read-only."""
-        strides = np.array(self.group.strides, dtype=np.int64)
         out = {}
         for name in ("R", "L", "S"):
-            xs = getattr(self, name)
-            indices = np.sort(np.array(list(xs), dtype=np.int64).reshape(len(xs), len(strides)) @ strides)
+            indices = _sorted_indices(self.group, getattr(self, name))
             indices.flags.writeable = False
             out[name] = indices
         return out
 
     def _inverse_closed(self, name: str) -> bool:
-        # the inverse indices come from the group's coordinates
-        group, xs = self.group, self.subset_indices[name]
-        inverses = (-group.coords[xs] % np.array(group.factors)) @ np.array(group.strides)
-        return np.array_equal(np.sort(inverses), xs)
+        xs = self.subset_indices[name]
+        return np.array_equal(np.sort(_inverse_indices(self.group, xs)), xs)
 
     @property
     def n(self) -> int:
@@ -145,6 +141,16 @@ def make_spec(group: AbelianGroup, R, L, S) -> SemiCayleySpec:
     return SemiCayleySpec(group, R, L, S)
 
 
+def _sorted_indices(group: AbelianGroup, xs: frozenset[Element]) -> np.ndarray:
+    # enumeration indices of validated elements, sorted
+    return np.sort(np.array(list(xs), dtype=np.int64).reshape(len(xs), len(group.factors)) @ np.array(group.strides))
+
+
+def _inverse_indices(group: AbelianGroup, indices: np.ndarray) -> np.ndarray:
+    # index of g_i^{-1} for every index i, from the group's coordinates
+    return (-group.coords[indices] % np.array(group.factors)) @ np.array(group.strides)
+
+
 def cay_adjacency(group: AbelianGroup, connection: Iterable[Element]) -> np.ndarray:
     """n x n 0/1 matrix with entry (x, y) = 1 iff y * x^{-1} is in the set.
 
@@ -159,15 +165,21 @@ def cay_adjacency(group: AbelianGroup, connection: Iterable[Element]) -> np.ndar
 
 
 def build(spec: SemiCayleySpec) -> np.ndarray:
-    """Dense 2n x 2n adjacency matrix of SC(G, R, L, S).
+    """Dense 2n x 2n float64 adjacency matrix of SC(G, R, L, S).
 
     Row/column order: layer-0 vertices in group enumeration order, then
-    layer-1 vertices.
+    layer-1 vertices.  One array, filled by the index arithmetic of
+    cay_adjacency for each of the three edge rules.
     """
-    top_left = cay_adjacency(spec.group, spec.R)
-    bottom_right = cay_adjacency(spec.group, spec.L)
-    spokes = cay_adjacency(spec.group, spec.S)
-    return np.block([[top_left, spokes], [spokes.T, bottom_right]])
+    group, n, indices = spec.group, spec.n, spec.subset_indices
+    rows = np.arange(n)[:, None]
+    out = np.zeros((2 * n, 2 * n))
+    out[rows, group.add_indices(rows, indices["R"][None, :])] = 1
+    out[n + rows, n + group.add_indices(rows, indices["L"][None, :])] = 1
+    spokes = group.add_indices(rows, indices["S"][None, :])
+    out[rows, n + spokes] = 1
+    out[n + spokes, rows] = 1
+    return out
 
 
 # -- Cayley graphs over index-2 abelian extensions ---------------------------
@@ -198,7 +210,7 @@ def from_cayley_index2(
         if len(mapping) != subgroup.order:
             raise ValidationError("x-action pair list must map every element of the subgroup")
         x_action = lambda g: mapping[g]
-    x_square = subgroup.validate_element(x_square)
+    square = subgroup.index(x_square)
     elements = subgroup.elements()
     # sigma as a permutation of enumeration indices: g_i -> g_perm[i]
     perm = np.array([subgroup.index(x_action(g)) for g in elements], dtype=np.int64)
@@ -210,22 +222,23 @@ def from_cayley_index2(
         raise ValidationError("x-action is not an automorphism of the subgroup")
     if not np.array_equal(perm[perm], everything):
         raise ValidationError("x-action must be an involution (sigma^2 = id)")
-    if perm[subgroup.index(x_square)] != subgroup.index(x_square):
+    if perm[square] != square:
         raise ValidationError("x-action must fix x^2")
-    sigma = lambda h: elements[perm[subgroup.index(h)]]
     T1, T2 = subgroup.subset(T1), subgroup.subset(T2)
     if subgroup.identity in T1:
         raise ValidationError("connection set must not contain the identity")
-    if not subgroup.is_inverse_closed(T1):
+    t1, t2 = _sorted_indices(subgroup, T1), _sorted_indices(subgroup, T2)
+    if not np.array_equal(np.sort(_inverse_indices(subgroup, t1)), t1):
         raise ValidationError("connection part T1 must be inverse-closed")
-    if any(subgroup.mul(subgroup.inverse(sigma(t)), subgroup.inverse(x_square)) not in T2 for t in T2):
+    # T2 must be closed under the bijection t -> sigma(t)^{-1} x^{-2} = (sigma(t) x^2)^{-1}
+    if not np.array_equal(np.sort(_inverse_indices(subgroup, subgroup.add_indices(perm[t2], square))), t2):
         raise ValidationError("connection coset part xT2 is not inverse-closed")
 
     # Edge rules through the bijection (h,0) <-> h, (h,1) <-> x*h:
     #   (h,0)~(k,0)  iff k h^{-1} in T1, so R = T1
     #   (h,1)~(k,1)  iff (xk)(xh)^{-1} in T1, i.e. k h^{-1} in sigma(T1)
     #   (h,0)~(k,1)  iff (xk) h^{-1} in xT2, i.e. k h^{-1} in T2
-    spec = SemiCayleySpec(subgroup, T1, subgroup.subset(sigma(t) for t in T1), T2)
+    spec = SemiCayleySpec(subgroup, T1, [elements[i] for i in perm[t1]], T2)
     return spec, [(0, h) for h in elements] + [(1, h) for h in elements]
 
 
@@ -290,7 +303,8 @@ def dihedral_full_coset(A: AbelianGroup) -> SemiCayleySpec:
 
 def dihedral_involutions(A: AbelianGroup) -> SemiCayleySpec:
     """Cay(Dih(A, x), xA u {involutions of A}) as a semi-Cayley graph."""
-    invs = [g for g in A.elements() if A.element_order(g) == 2]
+    # g has order 2 iff g != e and g^2 = e
+    invs = [A.element(i) for i in np.flatnonzero(A.coords.any(axis=1) & ~(2 * A.coords % A.factors).any(axis=1))]
     spec, _ = generalized_dihedral(A, invs, A.elements())
     return spec
 

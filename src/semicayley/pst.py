@@ -47,8 +47,8 @@ solutions are then s in (1 + 2Z) / G, G the gcd of the gaps, so pi / G is
 the least transfer time.
 
 Every positive verdict is mandatorily confirmed by both the spectral path and
-the independent column oracle (a Chebyshev series of exp(-itA) e_u on the
-adjacency): the candidate times are synthesized from the valuation
+the independent column oracle (exp(-itA) e_u by Lanczos on the adjacency):
+the candidate times are synthesized from the valuation
 bookkeeping, so a wrong synthesis would be caught immediately.  With an
 integral spectrum H(t + 2*pi) = H(t), so a checked time is first reduced
 exactly modulo 2*pi, which keeps both paths accurate and cheap at any t.
@@ -443,7 +443,8 @@ def verify_at_time(spec: SemiCayleySpec, u: Vertex, v: Vertex, t: float, tol: fl
     """|H_uv(t)| through both transfer paths; passes iff both reach 1 - tol.
 
     An integral spectrum reduces t exactly modulo 2*pi first.  The oracle
-    path is the column exp(-itA) e_u, which refuses t * rho beyond
+    path is the column exp(-itA) e_u by Lanczos, within 1e-10 of the exact
+    column (see transfer.oracle_column); it refuses t * rho beyond
     transfer.COLUMN_HORIZON (rho the largest degree) with a ValidationError.
     """
     if not 0 <= t < math.inf:

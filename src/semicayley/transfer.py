@@ -7,8 +7,9 @@ Deliberately independent computation paths:
   behind `transfer_rows`, the 4n values H_(e,r),(a,s)(t) that hold all of
   H(t); `transfer_matrix` only gathers them through index(g^{-1} h),
 * the referee, which shares no eigen or character data with it: one column
-  exp(-itA) e_j as a Chebyshev-Bessel series on the spec's adjacency
-  (`oracle_column`, which confirms every `yes`), and the dense
+  exp(-itA) e_j by Lanczos on the spec's adjacency (`oracle_column`, which
+  confirms every `yes` in as many products as e_j has distinct eigenvalues
+  in its support, and never more than 2n), and the dense
   truncated-Taylor scaling-and-squaring exponential (`oracle_expm`, the
   tests' referee for whole matrices),
 * the block cosine/sinc formula available when R = L.
@@ -29,11 +30,14 @@ from .characters import character_matrix
 from .errors import ValidationError
 from .graphs import SemiCayleySpec, Vertex, cay_adjacency
 
-# largest t * rho the column oracle accepts: it costs about t * rho
-# matrix-vector products, and its rounding error grows with their number
+# largest t * rho the column oracle accepts.  Its work stops growing with t at
+# 2n products, but a rounding error of eps * rho in its tridiagonal matrix
+# moves the phases exp(-i t lambda) by about t * rho * eps, 2e-10 here
 COLUMN_HORIZON = 1e6
-# Bessel coefficients below this are dropped: the Chebyshev vectors have norm <= 1
-_BESSEL_CUTOFF = 1e-18
+# the column oracle's two error budgets (see oracle_column), 100x and 1e6x
+# under the path agreement tolerance 1e-8 of the state-transfer module
+_INVARIANCE_TOL = 1e-10
+_CAP_TOL = 1e-14
 
 
 def transfer_rows(spec: SemiCayleySpec, t: float) -> np.ndarray:
@@ -123,46 +127,53 @@ def oracle_expm(adjacency: np.ndarray, t: float) -> np.ndarray:
     return result
 
 
-def _bessel_series(x: float) -> list[float]:
-    """J_0(x), J_1(x), ..., J_K(x) for x > 0, up to the last one above the cutoff.
+def _lanczos_steps(x: float, size: int) -> int:
+    """Least m with 4 * sum_{k >= m} |J_k(x)| <= _CAP_TOL by Kapteyn's bound, at most size.
 
-    Miller's backward recurrence J_{k-1} = (2k / x) J_k - J_{k+1}, started at
-    k ~ x + 10 x^(1/3) + 30 where J_k(x) is negligible, rescaled before it can
-    overflow and normalised by J_0 + 2 (J_2 + J_4 + ...) = 1.  Python floats:
-    for the short series of small graphs they beat numpy's per-call cost.
+    Kapteyn: |J_k(x)| <= x^k e^r / (k + r)^k with r = sqrt(k^2 - x^2) for k >= x,
+    and consecutive bounds shrink by at least the factor x / (k + r) from k on.
     """
-    start = int(x + 10 * x ** (1 / 3) + 30)
-    values = [0.0] * (start + 1)
-    upper, current = 0.0, 1e-30
-    values[start] = current
-    for k in range(start, 0, -1):
-        upper, current = current, 2 * k / x * current - upper
-        values[k - 1] = current
-        if abs(current) > 1e250:
-            values[k - 1 :] = [value * 1e-250 for value in values[k - 1 :]]
-            upper, current = upper * 1e-250, values[k - 1]
-    scale = values[0] + 2 * math.fsum(values[2::2])
-    last = max(k for k, value in enumerate(values) if abs(value) > _BESSEL_CUTOFF * abs(scale))
-    return [value / scale for value in values[: last + 1]]
+    k = np.arange(math.floor(x) + 1, size + 1, dtype=float)
+    r = np.sqrt(k * k - x * x)
+    ratio = x / (k + r)
+    log_tail = math.log(4) + k * np.log(ratio) + r - np.log1p(-ratio)
+    below = np.flatnonzero(log_tail <= math.log(_CAP_TOL))
+    return int(k[below[0]]) if below.size else size
 
 
 def oracle_column(spec: SemiCayleySpec, j: int, t: float) -> np.ndarray:
-    """Column j of exp(-itA) by its Chebyshev-Bessel series.
+    """Column j of exp(-itA) by Lanczos on the spec's adjacency, started at e_j.
 
-    With rho the largest row sum of A (its infinity norm, which bounds the
-    spectral radius) and x = t * rho,
-        exp(-itA) e_j = J_0(x) e_j + 2 sum_{k>=1} (-i)^k J_k(x) T_k(A / rho) e_j,
-    where T_k(A / rho) e_j comes from the three-term Chebyshev recurrence on
-    real vectors: even k feed the real part, odd k the imaginary part.  Reads
-    the spec's adjacency only, no eigen or character data, so it is an
-    independent referee for the spectral path.  Costs about x matrix-vector
-    products; x above COLUMN_HORIZON raises ValidationError.
+    Each step multiplies the newest basis vector by A (the first reads row j,
+    which is A e_j as A is symmetric), subtracts the three-term recurrence and then one
+    classical Gram-Schmidt pass over the whole stored basis.  After m steps,
+    A V = V T + beta_m v_{m+1} e_m^T with T tridiagonal, and the column is
+    V exp(-itT) e_1, from np.linalg.eigh of the m x m matrix T.  Reads the
+    spec's adjacency only, no eigen or character data, so it is an
+    independent referee for the spectral path.  Two stopping rules, each
+    with a proven bound on the error in exact arithmetic:
+
+    * invariance: stop at the first step with t * beta_m <= _INVARIANCE_TOL.
+      The error solves E' = -iA E - i beta_m v_{m+1} e_m^T exp(-itT) e_1 from
+      E(0) = 0, so its norm is at most t * beta_m (A is symmetric).  The
+      Krylov space of e_j has as many dimensions as e_j has distinct
+      eigenvalues in its support: 10 steps on hypercube(9), 4 on the
+      dihedral graph of Z_256.
+    * cap: take at most min(2n, m_x) steps (see _lanczos_steps).  V p(T) e_1
+      = p(A) e_j for every polynomial p of degree below m, and A and T have
+      their eigenvalues in [-rho, rho], rho the largest row sum of A; so the
+      error is at most twice max |exp(-it lambda) - p(lambda)| on [-rho, rho]
+      for the best such p, at most twice the Chebyshev-Bessel tail
+      2 sum_{k >= m} |J_k(x)|, x = t rho.  m_x makes that 4 sum at most
+      _CAP_TOL; after 2n steps the Krylov space is the whole space.
+
+    So the products stop growing with t at 2n.  x above COLUMN_HORIZON raises
+    ValidationError.
     """
     if not t >= 0:
         raise ValidationError("time must be nonnegative")
     adjacency = spec.adjacency
-    column = np.zeros(adjacency.shape[0])
-    column[j] = 1.0
+    size = adjacency.shape[0]
     rho = float(adjacency.sum(axis=1).max())
     x = t * rho
     if x > COLUMN_HORIZON:
@@ -171,23 +182,30 @@ def oracle_column(spec: SemiCayleySpec, j: int, t: float) -> np.ndarray:
             f"{COLUMN_HORIZON:.0e} (rho = {rho:g}, the largest degree); only a time of a graph "
             "with an integral spectrum can be reduced exactly modulo its period 2*pi"
         )
+    column = np.zeros(size, dtype=complex)
+    column[j] = 1.0
     if x == 0:
-        return column.astype(complex)
-    bessel = _bessel_series(x)
-    twice = adjacency * (2.0 / rho)
-    previous, current = column, twice[:, j] / 2
-    real = bessel[0] * column
-    imag = np.zeros_like(column)
-    for k in range(1, len(bessel)):
-        if k > 1:
-            previous, current = current, twice @ current - previous
-        # 2 (-i)^k J_k: real +, imaginary -, real -, imaginary + for k = 0, 1, 2, 3 mod 4
-        coefficient = 2 * bessel[k] if k % 4 in (0, 3) else -2 * bessel[k]
-        if k % 2:
-            imag += coefficient * current
-        else:
-            real += coefficient * current
-    return real + 1j * imag
+        return column
+    steps = _lanczos_steps(x, size)
+    basis = np.empty((steps, size))
+    alpha, beta = np.zeros(steps), np.zeros(steps)
+    basis[0] = column.real
+    for k in range(steps):
+        w = np.array(adjacency[j]) if k == 0 else adjacency @ basis[k]
+        alpha[k] = basis[k] @ w
+        w -= alpha[k] * basis[k]
+        if k:
+            w -= beta[k - 1] * basis[k - 1]
+        w -= basis[: k + 1].T @ (basis[: k + 1] @ w)
+        beta[k] = math.sqrt(w @ w)
+        if t * beta[k] <= _INVARIANCE_TOL or k + 1 == steps:
+            break
+        basis[k + 1] = w / beta[k]
+    m = k + 1
+    # eigh reads the lower triangle: T's diagonal and subdiagonal
+    vals, vecs = np.linalg.eigh(np.diag(alpha[:m]) + np.diag(beta[: m - 1], -1))
+    weights = vecs @ (np.exp(-1j * t * vals) * vecs[0])
+    return weights.real @ basis[:m] + 1j * (weights.imag @ basis[:m])
 
 
 def _matrix_cos_sinc(gram: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:

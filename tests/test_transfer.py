@@ -20,7 +20,7 @@ from semicayley import (
 )
 from semicayley.graphs import cay_adjacency
 from semicayley.pst import reduce_time
-from semicayley.transfer import transfer_sums
+from semicayley.transfer import _lanczos_steps, transfer_sums
 
 from conftest import random_spec
 
@@ -170,6 +170,87 @@ def test_column_oracle_rejects_bad_times():
         oracle_column(sc.sunlet(4), 0, 1e6)  # rho = 3
     empty = make_spec(AbelianGroup([3]), [], [], [])
     assert np.array_equal(oracle_column(empty, 1, 1e9), np.eye(6)[1])
+
+
+def _eigh_column(spec, j, t):
+    values, vectors = np.linalg.eigh(build(spec))
+    return vectors @ (np.exp(-1j * t * values) * vectors[j])
+
+
+def test_column_oracle_at_the_horizon():
+    # non-integral spectra, so no reduction: t * rho = 9.9e5 straight through
+    for spec in (sc.cone(256), sc.sunlet(256)):
+        t = 9.9e5 / spec.adjacency.sum(axis=1).max()
+        for j in (0, spec.n):
+            assert np.max(np.abs(oracle_column(spec, j, t) - _eigh_column(spec, j, t))) < 1e-9
+
+
+def test_capped_column_oracle():
+    # sunlet(256) from a cycle vertex has a Krylov space of about n / 2
+    # dimensions, far beyond the cap of 35 steps at t * rho = 10
+    spec = sc.sunlet(256)
+    assert _lanczos_steps(10.0, 2 * spec.n) < 2 * spec.n
+    t = 10.0 / 3
+    for j in (0, spec.n):
+        assert np.max(np.abs(oracle_column(spec, j, t) - _eigh_column(spec, j, t))) < 1e-12
+
+
+class _CountingMatrix(np.ndarray):
+    products = 0
+
+    def __matmul__(self, other):
+        _CountingMatrix.products += 1
+        return np.asarray(self) @ other
+
+
+def test_column_oracle_products_stop_at_the_krylov_dimension():
+    # the column of e_j spans as many dimensions as e_j has distinct
+    # eigenvalues in its support: 10 on the 9-cube, at most 5 on the dihedral
+    # graph, although t * rho is about 450 at t = 50 pi / 2
+    t = 50 * math.pi / 2
+    for spec, most in ((sc.hypercube(9), 10), (sc.dihedral_involutions(AbelianGroup([256])), 5)):
+        adjacency = build(spec).view(_CountingMatrix)
+        adjacency.flags.writeable = False
+        spec.__dict__["adjacency"] = adjacency
+        for j in (0, spec.n):
+            _CountingMatrix.products = 0
+            column = oracle_column(spec, j, t)
+            assert _CountingMatrix.products <= most
+            assert np.max(np.abs(column - _eigh_column(spec, j, t))) < 1e-10
+
+
+def _bessel_series(x):
+    """J_0(x), ..., J_K(x) by Miller's backward recurrence, up to the last above 1e-18.
+
+    J_{k-1} = (2k / x) J_k - J_{k+1} from k ~ x + 10 x^(1/3) + 30, where J_k(x)
+    is negligible, rescaled before it can overflow and normalised by
+    J_0 + 2 (J_2 + J_4 + ...) = 1: the series the Chebyshev column oracle summed.
+    """
+    start = int(x + 10 * x ** (1 / 3) + 30)
+    values = [0.0] * (start + 1)
+    upper, current = 0.0, 1e-30
+    values[start] = current
+    for k in range(start, 0, -1):
+        upper, current = current, 2 * k / x * current - upper
+        values[k - 1] = current
+        if abs(current) > 1e250:
+            values[k - 1 :] = [value * 1e-250 for value in values[k - 1 :]]
+            upper, current = upper * 1e-250, values[k - 1]
+    scale = values[0] + 2 * math.fsum(values[2::2])
+    last = max(k for k, value in enumerate(values) if abs(value) > 1e-18 * abs(scale))
+    return [value / scale for value in values[: last + 1]]
+
+
+def test_lanczos_cap_bounds_the_bessel_tail():
+    # the cap m leaves a tail 4 sum_{k >= m} |J_k(x)| under 1e-14, and it never
+    # takes more products (m - 1: the first step reads a column) than the
+    # Chebyshev series, which took one per Bessel term from J_2 on
+    for x in np.geomspace(0.05, 3000, 60):
+        bessel = _bessel_series(x)
+        steps = _lanczos_steps(x, 10**5)
+        assert 4 * math.fsum(abs(b) for b in bessel[steps:]) <= 1e-14, x
+        assert steps - 1 <= len(bessel) - 2, x
+    assert _lanczos_steps(3000.0, 512) == 512
 
 
 def test_reduced_time_gives_the_unreduced_magnitudes(rng):
