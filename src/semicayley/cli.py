@@ -239,6 +239,8 @@ def _run_checked(config: dict) -> dict:
         if "time" in config:
             t, pi_mult = parse_time(config["time"])
             tol = _field(config, "tolerance", float, 1e-8)
+            if not 0 <= tol < 1:  # NaN fails too
+                raise ValidationError(f"field 'tolerance': must be a number in [0, 1), got {tol!r}")
             check = verify_at_time(spec, u, v, reduce_time(spec, t, pi_mult), tol=tol)
             report["time"] = _time_json(t, pi_mult)
             report.update(

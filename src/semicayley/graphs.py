@@ -73,11 +73,16 @@ class SemiCayleySpec:
 
     def _inverse_closed(self, name: str) -> bool:
         xs = self.subset_indices[name]
-        return np.array_equal(np.sort(_inverse_indices(self.group, xs)), xs)
+        return np.array_equal(np.sort(self.group.inverse_indices(xs)), xs)
 
     @property
     def n(self) -> int:
         return self.group.order
+
+    @property
+    def max_degree(self) -> int:
+        """rho, the largest row sum of build(self): a row has |R| + |S| or |L| + |S| ones."""
+        return max(len(self.R), len(self.L)) + len(self.S)
 
     @cached_property
     def spectrum(self) -> "Spectrum":
@@ -144,11 +149,6 @@ def make_spec(group: AbelianGroup, R, L, S) -> SemiCayleySpec:
 def _sorted_indices(group: AbelianGroup, xs: frozenset[Element]) -> np.ndarray:
     # enumeration indices of validated elements, sorted
     return np.sort(np.array(list(xs), dtype=np.int64).reshape(len(xs), len(group.factors)) @ np.array(group.strides))
-
-
-def _inverse_indices(group: AbelianGroup, indices: np.ndarray) -> np.ndarray:
-    # index of g_i^{-1} for every index i, from the group's coordinates
-    return (-group.coords[indices] % np.array(group.factors)) @ np.array(group.strides)
 
 
 def cay_adjacency(group: AbelianGroup, connection: Iterable[Element]) -> np.ndarray:
@@ -228,10 +228,10 @@ def from_cayley_index2(
     if subgroup.identity in T1:
         raise ValidationError("connection set must not contain the identity")
     t1, t2 = _sorted_indices(subgroup, T1), _sorted_indices(subgroup, T2)
-    if not np.array_equal(np.sort(_inverse_indices(subgroup, t1)), t1):
+    if not np.array_equal(np.sort(subgroup.inverse_indices(t1)), t1):
         raise ValidationError("connection part T1 must be inverse-closed")
     # T2 must be closed under the bijection t -> sigma(t)^{-1} x^{-2} = (sigma(t) x^2)^{-1}
-    if not np.array_equal(np.sort(_inverse_indices(subgroup, subgroup.add_indices(perm[t2], square))), t2):
+    if not np.array_equal(np.sort(subgroup.inverse_indices(subgroup.add_indices(perm[t2], square))), t2):
         raise ValidationError("connection coset part xT2 is not inverse-closed")
 
     # Edge rules through the bijection (h,0) <-> h, (h,1) <-> x*h:
@@ -303,8 +303,7 @@ def dihedral_full_coset(A: AbelianGroup) -> SemiCayleySpec:
 
 def dihedral_involutions(A: AbelianGroup) -> SemiCayleySpec:
     """Cay(Dih(A, x), xA u {involutions of A}) as a semi-Cayley graph."""
-    # g has order 2 iff g != e and g^2 = e
-    invs = [A.element(i) for i in np.flatnonzero(A.coords.any(axis=1) & ~(2 * A.coords % A.factors).any(axis=1))]
+    invs = [A.element(i) for i in np.flatnonzero(A.orders(np.arange(A.order)) == 2)]
     spec, _ = generalized_dihedral(A, invs, A.elements())
     return spec
 

@@ -144,6 +144,15 @@ class AbelianGroup:
             out += (self.coords[i, l] + self.coords[j, l]) % n * stride
         return out
 
+    def inverse_indices(self, i: np.ndarray) -> np.ndarray:
+        """Index of g_i^{-1} for an index array i."""
+        return (-self.coords[i] % np.array(self.factors)) @ np.array(self.strides)
+
+    def orders(self, i: np.ndarray) -> np.ndarray:
+        """Order of g_i for an index array i: the lcm over the factors of n / gcd(n, x)."""
+        factors = np.array(self.factors, dtype=np.int64)
+        return np.lcm.reduce(factors // np.gcd(factors, self.coords[i]), axis=-1)
+
     # -- subsets -------------------------------------------------------------
 
     def subset(self, elements: Iterable[Iterable[int]]) -> frozenset[Element]:

@@ -74,11 +74,6 @@ PATH_AGREEMENT_TOL = 1e-8
 SCAN_SAMPLES = 10_000
 
 
-def _v2(n: int) -> int:
-    n = abs(int(n))
-    return (n & -n).bit_length() - 1
-
-
 def _v2_array(gaps: np.ndarray) -> np.ndarray:
     # 2-adic valuations of nonzero int64 entries (-1 for zero): the lowest set
     # bit is a power of two, so its float exponent is exact
@@ -90,7 +85,8 @@ def nu2(q) -> int | float:
     q = Fraction(q)
     if q == 0:
         return math.inf
-    return _v2(q.numerator) - _v2(q.denominator)
+    # the lowest set bit of n is 2^nu2(n), negative n included
+    return (q.numerator & -q.numerator).bit_length() - (q.denominator & -q.denominator).bit_length()
 
 
 @dataclass(frozen=True)
@@ -156,14 +152,9 @@ class PeriodReport:
 # -- necessary conditions ------------------------------------------------------
 
 
-def _orders(group, columns: np.ndarray) -> np.ndarray:
-    # order of each indexed element: the lcm over the factors of n / gcd(n, x)
-    factors = np.array(group.factors, dtype=np.int64)
-    return np.lcm.reduce(factors // np.gcd(factors, group.coords[columns]), axis=1)
-
-
-def _screen(spec: SemiCayleySpec, same_layer: bool, orders: np.ndarray) -> list[str | None]:
-    # the failure reason of necessary_conditions for connecting elements of these orders
+def _screen(spec: SemiCayleySpec, same_layer: bool, columns: np.ndarray) -> list[str | None]:
+    # the failure reason of necessary_conditions for the indexed connecting elements
+    orders = spec.group.orders(columns)
     if same_layer:
         if spec.group.order % 2 == 1:
             return ["same-layer transfer is impossible over an odd-order group"] * len(orders)
@@ -174,9 +165,13 @@ def _screen(spec: SemiCayleySpec, same_layer: bool, orders: np.ndarray) -> list[
     return [None] * len(orders)
 
 
-def _column(spec: SemiCayleySpec, u: Vertex, v: Vertex) -> np.ndarray:
-    # the index of the connecting element of (u, v), as a one-entry index array
-    return np.array([spec.group.index(spec.connecting_element(u, v))], dtype=np.int64)
+def _pair(spec: SemiCayleySpec, u: Vertex, v: Vertex) -> tuple[Vertex, Vertex, np.ndarray]:
+    # the validated distinct vertices and their connecting element's index as an index array
+    u = spec.validate_vertex(u)
+    v = spec.validate_vertex(v)
+    if u == v:
+        raise ValidationError("vertices must be distinct; the diagonal is the periodicity question")
+    return u, v, np.array([spec.group.index(spec.connecting_element(u, v))], dtype=np.int64)
 
 
 def necessary_conditions(spec: SemiCayleySpec, u: Vertex, v: Vertex) -> str | None:
@@ -186,19 +181,17 @@ def necessary_conditions(spec: SemiCayleySpec, u: Vertex, v: Vertex) -> str | No
     of order 2 (impossible in odd-order groups); cross-layer transfer with an
     inverse-closed S needs order 1 or 2.
     """
-    u = spec.validate_vertex(u)
-    v = spec.validate_vertex(v)
-    if u == v:
-        raise ValidationError("vertices must be distinct; the diagonal is the periodicity question")
-    return _screen(spec, u.layer == v.layer, _orders(spec.group, _column(spec, u, v)))[0]
+    u, v, column = _pair(spec, u, v)
+    return _screen(spec, u.layer == v.layer, column)[0]
 
 
 # -- the decision core -------------------------------------------------------------
 #
 # _verdicts decides one layer case (r, s) for an array of connecting-element
-# indices at once: find_pst passes every element, the single-pair deciders
-# one.  The per-case deciders return one outcome per index, a `no`
-# certificate (a dict) or the pair (k, m) of a `yes` at t = pi / m.
+# indices at once: find_pst passes every element, decide_pair one, and the
+# layer deciders call decide_pair.  The per-case deciders see the elements
+# that pass the necessary conditions and return one outcome per index, a
+# `no` certificate (a dict) or the pair (k, m) of a `yes` at t = pi / m.
 
 _NOT_INTEGRAL = "spectrum is not integral (chi(R) or |chi(S)| irrational for some character)"
 
@@ -267,17 +260,19 @@ def _same_layer(spec: SemiCayleySpec, layer: int, columns: np.ndarray) -> list:
 def _cross_layer_rule(spec: SemiCayleySpec) -> dict | None:
     # the cross-layer rules that read only the spec, in the order they are checked
     spect = spec.spectrum
-    zero_indices = sorted(spect.chi_s_zero_indices)
+    zero_indices = np.flatnonzero(spect.chi_s_zero).tolist()
     if zero_indices:
         return {"rule": "chi-s-zero", "detail": f"chi(S) = 0 for character indices {zero_indices}"}
     if spec.R != spec.L:
         return {"rule": "r-neq-l", "detail": "cross-layer transfer forces R = L"}
     if not spect.is_integral:
         return {"rule": "non-integral", "detail": _NOT_INTEGRAL}
-    if spect.spoke_valuation_break is not None:
+    # here (lambda+ - lambda-) / 2 = |chi(S)|, which is |S| at the trivial character
+    valuations = _v2_array((spect.ints[0] - spect.ints[1]) // 2)
+    breaks = np.flatnonzero(valuations != valuations[0])
+    if breaks.size:
         return {"rule": "spoke-valuation",
-                "detail": f"nu2|chi(S)| differs from nu2|S| = {_v2(len(spec.S))} "
-                          f"at character {spect.spoke_valuation_break}"}
+                "detail": f"nu2|chi(S)| differs from nu2|S| = {valuations[0]} at character {breaks[0]}"}
     return None
 
 
@@ -287,7 +282,7 @@ def _cross_layer(spec: SemiCayleySpec, source_layer: int, columns: np.ndarray) -
     if rule is not None:
         return [dict(rule) for _ in range(len(columns))]
     spect = spec.spectrum
-    k = _v2(len(spec.S))
+    k = nu2(len(spec.S))
     gaps = spect.ints[0, 0] - spect.ints[0]
     valuations = _v2_array(gaps)
     plus_code = np.where((gaps == 0) | (valuations >= k + 2), 0, _PLUS_GAP).astype(np.int8)
@@ -326,23 +321,13 @@ def _confirmed(spec, u, v, t) -> dict:
     }
 
 
-def _verdicts(spec: SemiCayleySpec, r: int, s: int, pairs: list, columns: np.ndarray, screen: bool) -> list[PstVerdict]:
+def _verdicts(spec: SemiCayleySpec, r: int, s: int, pairs: list, columns: np.ndarray) -> list[PstVerdict]:
     """Verdicts on the pairs (u, v) from layer r to layer s, columns[j] indexing the connecting element of pairs[j].
 
-    With screen the necessary conditions come first, as in decide_pair;
-    without, a same-layer element of order other than 2 fails the decider's
-    own order-2 rule.  Every `yes` is confirmed numerically on its pair.
+    Every `yes` is confirmed numerically on its pair.
     """
-    orders = _orders(spec.group, columns)
-    reasons = _screen(spec, r == s, orders) if screen else [None] * len(columns)
-    outcomes: list = []
-    for reason, order in zip(reasons, orders.tolist()):
-        if reason is not None:
-            outcomes.append({"rule": "necessary-condition", "detail": reason})
-        elif r == s and order != 2:
-            outcomes.append({"rule": "order-2", "detail": f"connecting element has order {order}, not 2"})
-        else:
-            outcomes.append(None)
+    outcomes: list = [None if reason is None else {"rule": "necessary-condition", "detail": reason}
+                      for reason in _screen(spec, r == s, columns)]
     open_ = [j for j, outcome in enumerate(outcomes) if outcome is None]
     if open_:
         decided = (_same_layer if r == s else _cross_layer)(spec, r, columns[open_])
@@ -372,13 +357,9 @@ def decide_same_layer_rl(spec: SemiCayleySpec, u: Vertex, v: Vertex) -> PstVerdi
     other nonzero gaps; the least witnessing time is then pi / G, G the gcd
     of the gaps (pi / 2^k when G has no odd factor).
     """
-    u = spec.validate_vertex(u)
-    v = spec.validate_vertex(v)
-    if u.layer != v.layer:
+    if spec.validate_vertex(u).layer != spec.validate_vertex(v).layer:
         raise ValidationError("same-layer decision needs vertices on one layer")
-    if u == v:
-        raise ValidationError("vertices must be distinct")
-    return _verdicts(spec, u.layer, v.layer, [(u, v)], _column(spec, u, v), screen=False)[0]
+    return decide_pair(spec, u, v)
 
 
 def decide_cross_layer(spec: SemiCayleySpec, u: Vertex, v: Vertex) -> PstVerdict:
@@ -394,11 +375,9 @@ def decide_cross_layer(spec: SemiCayleySpec, u: Vertex, v: Vertex) -> PstVerdict
     extension of G by the inverting involution; that is a structural aside,
     not something this decision needs.
     """
-    u = spec.validate_vertex(u)
-    v = spec.validate_vertex(v)
-    if u.layer == v.layer:
+    if spec.validate_vertex(u).layer == spec.validate_vertex(v).layer:
         raise ValidationError("cross-layer decision needs vertices on different layers")
-    return _verdicts(spec, u.layer, v.layer, [(u, v)], _column(spec, u, v), screen=False)[0]
+    return decide_pair(spec, u, v)
 
 
 # -- numeric confirmation and scans ----------------------------------------------
@@ -424,13 +403,13 @@ def reduce_time(spec: SemiCayleySpec, t: float, pi_multiple: Fraction | None = N
 
     The reduction is exact: a multiple of pi is reduced as a Fraction, and a
     float, being a binary rational, is reduced against pi to 40 more digits
-    than its integer part has.
+    than its integer part has; a negative float lands in (-2*pi, 0].
     """
     if not spec.spectrum.is_integral:
         return t
     if pi_multiple is not None:
         return float(pi_multiple % 2) * math.pi
-    if t < 2 * math.pi:  # math.pi < pi: already reduced
+    if abs(t) < 2 * math.pi:  # math.pi < pi: already reduced
         return t
     exact = Decimal(t)
     digits = exact.adjusted() + 40
@@ -500,11 +479,8 @@ def decide_pair(spec: SemiCayleySpec, u: Vertex, v: Vertex) -> PstVerdict:
     The necessary conditions come first, then the same-layer or cross-layer
     rules; the verdict is find_pst's for the connecting element of (u, v).
     """
-    u = spec.validate_vertex(u)
-    v = spec.validate_vertex(v)
-    if u == v:
-        raise ValidationError("vertices must be distinct; the diagonal is the periodicity question")
-    return _verdicts(spec, u.layer, v.layer, [(u, v)], _column(spec, u, v), screen=True)[0]
+    u, v, column = _pair(spec, u, v)
+    return _verdicts(spec, u.layer, v.layer, [(u, v)], column)[0]
 
 
 def find_pst(spec: SemiCayleySpec) -> list[PstVerdict]:
@@ -525,7 +501,7 @@ def find_pst(spec: SemiCayleySpec) -> list[PstVerdict]:
         columns = np.arange(1 if r == s else 0, group.order)
         u = Vertex(group.identity, r)
         pairs = [(u, Vertex(elements[a], s)) for a in columns.tolist()]
-        verdicts += _verdicts(spec, r, s, pairs, columns, screen=True)
+        verdicts += _verdicts(spec, r, s, pairs, columns)
     return verdicts
 
 

@@ -91,11 +91,6 @@ class Spectrum:
             return NotImplemented
         return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
-    @cached_property
-    def chi_s_zero_indices(self) -> frozenset[int]:
-        """Indices of characters vanishing on S (the set X of the theory)."""
-        return frozenset(np.flatnonzero(self.chi_s_zero).tolist())
-
     def eigenvalues(self) -> list[float]:
         """lambda+ and lambda- of every character in turn."""
         return self.lambdas.T.ravel().tolist()
@@ -134,24 +129,11 @@ class Spectrum:
         return tuple(out)
 
     @cached_property
-    def spoke_valuation_break(self) -> int | None:
-        """First character where nu2((lambda+ - lambda-) / 2) differs from the trivial one's, or None.
-
-        Read for an integral spectrum with chi(S) != 0 everywhere and R = L,
-        where (lambda+ - lambda-) / 2 = |chi(S)| and the trivial character's
-        is |S|.  Equal valuations are equal lowest set bits.
-        """
-        halves = (self.ints[0] - self.ints[1]) // 2
-        lowest = halves & -halves
-        breaks = np.flatnonzero(lowest != lowest[0])
-        return int(breaks[0]) if breaks.size else None
-
-    @cached_property
     def sign_exponents(self) -> np.ndarray:
         """Per character, the e in Z_N with conj(chi(S)) zeta_N^e = +|chi(S)| and then -|chi(S)|.
 
-        An n x 2 int64 table, -1 where no e exists.  Read, like
-        spoke_valuation_break, for an integral spectrum with chi(S) != 0
+        An n x 2 int64 table, -1 where no e exists.  Read, like the
+        spoke-valuation rule of pst, for an integral spectrum with chi(S) != 0
         everywhere and R = L, where |chi(S)| = (lambda+ - lambda-) / 2.  For a
         class representative the float phase of chi(S) proposes e and one
         exact reduction confirms it; the roots zeta_N^e are distinct, so no
@@ -323,8 +305,7 @@ def spectrum(spec: SemiCayleySpec) -> Spectrum:
     n, order = group.order, group.exponent
     indices = spec.subset_indices
     coeffs = _coefficient_rows(group, [indices["R"], indices["L"], indices["S"]])
-    s_inverse = (-group.coords[indices["S"]] % np.array(group.factors)) @ np.array(group.strides)
-    s_s_inverse = _group_product(group, indices["S"], s_inverse)
+    s_s_inverse = _group_product(group, indices["S"], group.inverse_indices(indices["S"]))
     abs2_rows = _ring_rows(group, s_s_inverse)  # |chi(S)|^2 = chi(S S^-1)
     class_rep, class_power, reps, slot = _rational_classes(group)
 

@@ -56,8 +56,8 @@ def transfer_rows(spec: SemiCayleySpec, t: float) -> np.ndarray:
 def transfer_matrix(spec: SemiCayleySpec, t: float) -> np.ndarray:
     """H(t) as a 2n x 2n matrix: transfer_rows gathered through index(g^{-1} h)."""
     group = spec.group
-    inverses = (-group.coords % np.array(group.factors)) @ np.array(group.strides)
-    differences = group.add_indices(inverses[:, None], np.arange(group.order))
+    everything = np.arange(group.order)
+    differences = group.add_indices(group.inverse_indices(everything)[:, None], everything)
     # rows[r, s, differences[g, h]] at [r, g, s, h], then one row per vertex (g, r)
     return transfer_rows(spec, t)[:, :, differences].transpose(0, 2, 1, 3).reshape(2 * spec.n, 2 * spec.n)
 
@@ -149,9 +149,9 @@ def oracle_column(spec: SemiCayleySpec, j: int, t: float) -> np.ndarray:
     classical Gram-Schmidt pass over the whole stored basis.  After m steps,
     A V = V T + beta_m v_{m+1} e_m^T with T tridiagonal, and the column is
     V exp(-itT) e_1, from np.linalg.eigh of the m x m matrix T.  Reads the
-    spec's adjacency only, no eigen or character data, so it is an
-    independent referee for the spectral path.  Two stopping rules, each
-    with a proven bound on the error in exact arithmetic:
+    spec's adjacency and largest degree only, no eigen or character data,
+    so it is an independent referee for the spectral path.  Two stopping
+    rules, each with a proven bound on the error in exact arithmetic:
 
     * invariance: stop at the first step with t * beta_m <= _INVARIANCE_TOL.
       The error solves E' = -iA E - i beta_m v_{m+1} e_m^T exp(-itT) e_1 from
@@ -174,7 +174,7 @@ def oracle_column(spec: SemiCayleySpec, j: int, t: float) -> np.ndarray:
         raise ValidationError("time must be nonnegative")
     adjacency = spec.adjacency
     size = adjacency.shape[0]
-    rho = float(adjacency.sum(axis=1).max())
+    rho = float(spec.max_degree)
     x = t * rho
     if x > COLUMN_HORIZON:
         raise ValidationError(

@@ -139,8 +139,8 @@ _C4 = {"group": {"factors": [2]}, "R": [[1]], "L": [[1]], "S": [[0]]}
         {"command": "spectrum", "family": "sunlet", "n": "abc"},
         {"command": "spectrum", "family": "dihedral"},
         {"command": "spectrum", "family": "join"},
-        {"command": "pst-check", "graph": _C4, "from": [[0], 0], "to": [[1], 1], "time": "1/2 pi",
-         "tolerance": "abc"},
+        *({"command": "pst-check", "graph": _C4, "from": [[0], 0], "to": [[1], 1], "time": "1/2 pi",
+           "tolerance": tol} for tol in ("abc", "nan", "inf", 2, 1, -1e-9)),
         {"command": "pst-check", "graph": _C4, "from": [["a"], 0], "to": [[1], 1]},
         {"command": "pst-check", "graph": _C4, "from": [5, 0], "to": [[1], 1]},
         {"command": "pst-check", "graph": _C4, "from": [[0], "x"], "to": [[1], 1]},
@@ -233,6 +233,13 @@ def test_evolve_reduces_large_times_exactly():
     diagonal = np.diag(np.diag(entries))
     assert np.max(np.abs(entries - diagonal)) < 1e-12
     assert np.max(np.abs(np.diag(entries) + 1)) < 1e-12
+    # H(-t) is the conjugate of H(t), so a large negative decimal time must
+    # reduce as accurately as its positive twin, off and on the diagonal
+    for time, target in (("100000000.3", [[1] * 8, 1]), ("123456789.123", [[0] * 8, 0])):
+        entry = dict(q9, to=target)
+        plus, _ = run(dict(entry, time=time))
+        minus, code = run(dict(entry, time="-" + time))
+        assert code == 0 and abs(minus["magnitude"] - plus["magnitude"]) < 1e-12, (time, minus, plus)
 
 
 def test_full_matrix_evolve_report_is_linear_in_n():

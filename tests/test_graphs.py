@@ -106,8 +106,12 @@ def test_cay_adjacency_matches_definition(rng):
 
 
 def test_symmetry_and_degrees(rng):
-    for _ in range(10):
-        spec = random_spec(rng)
+    families = [
+        sc.sunlet(5), sc.cone(6), sc.hypercube(1), sc.hypercube(4),
+        sc.dihedral_full_coset(AbelianGroup([3])), sc.dihedral_involutions(AbelianGroup([2, 4])),
+        sc.dicyclic_full_coset(AbelianGroup([4]), (2,)), sc.join_spec(AbelianGroup([5]), [(1,), (4,)], []),
+    ]
+    for spec in [random_spec(rng) for _ in range(10)] + families:
         adjacency = build(spec)
         assert np.array_equal(adjacency, adjacency.T)
         n = spec.n
@@ -115,6 +119,7 @@ def test_symmetry_and_degrees(rng):
         assert (degrees[:n] == len(spec.R) + len(spec.S)).all()
         assert (degrees[n:] == len(spec.L) + len(spec.S)).all()
         assert spec.is_regular() == (len(spec.R) == len(spec.L))
+        assert spec.max_degree == adjacency.sum(axis=1).max()
 
 
 def test_vertex_indexing():

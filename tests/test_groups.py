@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 import semicayley as sc
@@ -62,6 +63,14 @@ def test_order_divides_exponent():
         group = AbelianGroup(factors)
         for g in group.elements():
             assert group.exponent % group.element_order(g) == 0
+
+
+def test_index_array_law_is_the_tuple_law():
+    for factors in GROUP_POOL:
+        group = AbelianGroup(factors)
+        everything = np.arange(group.order)
+        assert group.inverse_indices(everything).tolist() == [group.index(group.inverse(g)) for g in group.elements()]
+        assert group.orders(everything).tolist() == [group.element_order(g) for g in group.elements()]
 
 
 def test_trivial_factor_allowed():

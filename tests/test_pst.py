@@ -88,9 +88,9 @@ def test_same_layer_complete_bipartite_yes():
 
 def test_same_layer_non_integral_is_no():
     spec = make_spec(AbelianGroup([5]), [(1,), (4,)], [(1,), (4,)], [(0,)])
-    # order-2 gate fails in an odd group before integrality even matters
+    # the order-2 necessary condition fails in an odd group before integrality even matters
     verdict = decide_same_layer_rl(spec, Vertex((0,), 0), Vertex((1,), 0))
-    assert verdict.status == "no" and verdict.certificate["rule"] == "order-2"
+    assert verdict.status == "no" and verdict.certificate["rule"] == "necessary-condition"
     spec8 = make_spec(AbelianGroup([8]), [(1,), (7,)], [(1,), (7,)], [(0,)])
     verdict = decide_same_layer_rl(spec8, Vertex((0,), 0), Vertex((4,), 0))
     assert verdict.status == "no" and verdict.certificate["rule"] == "non-integral"
@@ -737,7 +737,8 @@ def test_find_pst_matches_the_per_pair_referee_on_families(spec):
 
 def test_decide_pair_from_any_source_is_the_find_pst_verdict(rng):
     # translation invariance: (g, r) -> (g a, s) gets the verdict of (e, r) -> (a, s),
-    # reported for the pair that was asked
+    # reported for the pair that was asked; the layer decider of the pair's
+    # layer relation gives decide_pair's verdict, certificate included
     for draw in range(40):
         spec = random_spec(rng, equal_layers=draw % 2 == 0)
         group = spec.group
@@ -747,7 +748,10 @@ def test_decide_pair_from_any_source_is_the_find_pst_verdict(rng):
             v = Vertex(group.mul(g, verdict.target.element), verdict.target.layer)
             expected = _unconfirmed(verdict)
             expected["from"], expected["to"] = [list(u.element), u.layer], [list(v.element), v.layer]
-            assert _unconfirmed(decide_pair(spec, u, v)) == expected, (spec, u, v)
+            pair_verdict = decide_pair(spec, u, v)
+            assert _unconfirmed(pair_verdict) == expected, (spec, u, v)
+            layer_decider = decide_same_layer_rl if u.layer == v.layer else decide_cross_layer
+            assert layer_decider(spec, u, v) == pair_verdict, (spec, u, v)
 
 
 def _sign_exponent_specs():
@@ -772,7 +776,7 @@ def test_sign_exponents_match_a_brute_force_over_the_roots():
 
     for spec in _sign_exponent_specs():
         spect = spec.spectrum
-        assert spect.is_integral and not spect.chi_s_zero_indices, spec
+        assert spect.is_integral and not spect.chi_s_zero.any(), spec
         group, order = spec.group, spec.group.exponent
         for i, chi in enumerate(group.elements()):
             abs_s = int(spect.ints[0, i] - spect.ints[1, i]) // 2
