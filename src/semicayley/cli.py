@@ -25,13 +25,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import operator
 import re
 import sys
 from fractions import Fraction
 
 from .errors import ConsistencyError, ValidationError
-from .groups import AbelianGroup
+from .groups import AbelianGroup, integer
 from .graphs import (
     SemiCayleySpec,
     Vertex,
@@ -48,9 +47,9 @@ from .graphs import (
     join_spec,
     sunlet,
 )
-from .pst import decide_pair, find_pst, periodicity, reduce_time, verify_at_time
+from .pst import decide_pair, find_pst, periodicity, reduce_time, time_json, verify_at_time
 from .spectra import eigen_gcd
-from .transfer import transfer_entry, transfer_rows
+from .transfer import check_horizon, transfer_entry, transfer_rows
 
 COMMANDS = ("spectrum", "evolve", "pst-check", "pst-find", "period")
 
@@ -63,7 +62,9 @@ def parse_time(expression) -> tuple[float, Fraction | None]:
     Returns (seconds, pi_multiple) with pi_multiple None for decimal input.
     """
     q = None
-    text = expression if isinstance(expression, (int, float)) else str(expression).strip()
+    # a JSON number is read as is; anything else, true and false included, as text
+    numeric = isinstance(expression, (int, float)) and not isinstance(expression, bool)
+    text = expression if numeric else str(expression).strip()
     match = _TIME_RE.match(text) if isinstance(text, str) else None
     if match:
         num = int(match.group(1)) if match.group(1) else 1
@@ -82,10 +83,6 @@ def parse_time(expression) -> tuple[float, Fraction | None]:
     return value, q
 
 
-def _time_json(value: float, pi_multiple: Fraction | None) -> dict:
-    return {"value": value, "pi_multiple": str(pi_multiple) if pi_multiple is not None else None}
-
-
 def parse_vertex(spec: SemiCayleySpec, obj) -> Vertex:
     if isinstance(obj, str):
         try:
@@ -94,7 +91,7 @@ def parse_vertex(spec: SemiCayleySpec, obj) -> Vertex:
             raise ValidationError(f"cannot parse vertex {obj!r}: expected [[exponents],layer]") from exc
     try:
         element, layer = obj
-        element, layer = tuple(map(operator.index, element)), operator.index(layer)
+        element, layer = tuple(map(integer, element)), integer(layer)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"vertex must be [[exponents],layer], got {obj!r}") from exc
     return spec.validate_vertex(Vertex(element, layer))
@@ -110,14 +107,21 @@ def _field(obj: dict, key: str, parse, default=None):
         raise ValidationError(f"field {key!r}: {exc}") from exc
 
 
+def _real(x) -> float:
+    """float(x), refusing bool: JSON's true and false are not numbers."""
+    if isinstance(x, bool):
+        raise TypeError("a boolean is not a number")
+    return float(x)
+
+
 def _family_spec(obj: dict) -> SemiCayleySpec:
     name = obj["family"]
     if name == "sunlet":
-        return sunlet(_field(obj, "n", operator.index))
+        return sunlet(_field(obj, "n", integer))
     if name == "cone":
-        return cone(_field(obj, "n", operator.index))
+        return cone(_field(obj, "n", integer))
     if name == "hypercube":
-        return hypercube(_field(obj, "n", operator.index))
+        return hypercube(_field(obj, "n", integer))
     if name == "join":
         group = _field(obj, "group", AbelianGroup.from_json)
         return join_spec(group, _field(obj, "R", list, []), _field(obj, "L", list, []))
@@ -214,8 +218,9 @@ def _run_checked(config: dict) -> dict:
             raise ValidationError("evolve needs a time")
         t, pi_mult = parse_time(config["time"])
         report["t"] = t
-        report["time"] = _time_json(t, pi_mult)
+        report["time"] = time_json(t, pi_mult)
         t = reduce_time(spec, t, pi_mult)  # exact, so large times keep their accuracy
+        check_horizon(spec, t)  # the accuracy horizon of a time that could not be reduced
         if "from" in config or "to" in config:
             if not ("from" in config and "to" in config):
                 raise ValidationError("evolve with a queried entry needs both 'from' and 'to'")
@@ -238,11 +243,11 @@ def _run_checked(config: dict) -> dict:
         v = parse_vertex(spec, config["to"])
         if "time" in config:
             t, pi_mult = parse_time(config["time"])
-            tol = _field(config, "tolerance", float, 1e-8)
+            tol = _field(config, "tolerance", _real, 1e-8)
             if not 0 <= tol < 1:  # NaN fails too
                 raise ValidationError(f"field 'tolerance': must be a number in [0, 1), got {tol!r}")
             check = verify_at_time(spec, u, v, reduce_time(spec, t, pi_mult), tol=tol)
-            report["time"] = _time_json(t, pi_mult)
+            report["time"] = time_json(t, pi_mult)
             report.update(
                 {
                     "from": [list(u.element), u.layer],

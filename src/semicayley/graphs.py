@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .groups import AbelianGroup, Element, subset_to_json
+from .groups import MAX_ORDER, AbelianGroup, Element, subset_to_json
 
 if TYPE_CHECKING:
     from .spectra import Spectrum
@@ -66,14 +66,14 @@ class SemiCayleySpec:
         """Sorted enumeration indices of R, L and S by name, read-only."""
         out = {}
         for name in ("R", "L", "S"):
-            indices = _sorted_indices(self.group, getattr(self, name))
+            indices = self.group.index_array(getattr(self, name))
             indices.flags.writeable = False
             out[name] = indices
         return out
 
     def _inverse_closed(self, name: str) -> bool:
         xs = self.subset_indices[name]
-        return np.array_equal(np.sort(self.group.inverse_indices(xs)), xs)
+        return np.array_equal(np.sort(self.group.power_indices(xs, -1)), xs)
 
     @property
     def n(self) -> int:
@@ -102,9 +102,10 @@ class SemiCayleySpec:
     def s_inverse_closed(self) -> bool:
         return self._inverse_closed("S")
 
-    def connecting_element(self, u: Vertex, v: Vertex) -> Element:
-        """a = g^{-1} h for u = (g, r), v = (h, s): H_uv(t) depends only on a and the layers."""
-        return self.group.mul(self.group.inverse(u.element), v.element)
+    def connecting_index(self, u: Vertex, v: Vertex) -> int:
+        """Index of a = g^{-1} h for u = (g, r), v = (h, s): H_uv(t) depends only on a and the layers."""
+        group = self.group
+        return int(group.add_indices(group.power_indices(group.index(u.element), -1), group.index(v.element)))
 
     def vertices(self) -> list[Vertex]:
         """Layer-0 vertices in group enumeration order, then layer 1."""
@@ -117,7 +118,7 @@ class SemiCayleySpec:
 
     def validate_vertex(self, v) -> Vertex:
         element, layer = v
-        if layer not in (0, 1):
+        if isinstance(layer, bool) or layer not in (0, 1):  # True == 1, but not a layer
             raise ValidationError(f"vertex layer must be 0 or 1, got {layer!r}")
         return Vertex(self.group.validate_element(element), int(layer))
 
@@ -144,11 +145,6 @@ class SemiCayleySpec:
 def make_spec(group: AbelianGroup, R, L, S) -> SemiCayleySpec:
     """SC(group, R, L, S) from any collections of elements (validated by the spec)."""
     return SemiCayleySpec(group, R, L, S)
-
-
-def _sorted_indices(group: AbelianGroup, xs: frozenset[Element]) -> np.ndarray:
-    # enumeration indices of validated elements, sorted
-    return np.sort(np.array(list(xs), dtype=np.int64).reshape(len(xs), len(group.factors)) @ np.array(group.strides))
 
 
 def cay_adjacency(group: AbelianGroup, connection: Iterable[Element]) -> np.ndarray:
@@ -227,11 +223,11 @@ def from_cayley_index2(
     T1, T2 = subgroup.subset(T1), subgroup.subset(T2)
     if subgroup.identity in T1:
         raise ValidationError("connection set must not contain the identity")
-    t1, t2 = _sorted_indices(subgroup, T1), _sorted_indices(subgroup, T2)
-    if not np.array_equal(np.sort(subgroup.inverse_indices(t1)), t1):
+    t1, t2 = subgroup.index_array(T1), subgroup.index_array(T2)
+    if not np.array_equal(np.sort(subgroup.power_indices(t1, -1)), t1):
         raise ValidationError("connection part T1 must be inverse-closed")
     # T2 must be closed under the bijection t -> sigma(t)^{-1} x^{-2} = (sigma(t) x^2)^{-1}
-    if not np.array_equal(np.sort(subgroup.inverse_indices(subgroup.add_indices(perm[t2], square))), t2):
+    if not np.array_equal(np.sort(subgroup.power_indices(subgroup.add_indices(perm[t2], square), -1)), t2):
         raise ValidationError("connection coset part xT2 is not inverse-closed")
 
     # Edge rules through the bijection (h,0) <-> h, (h,1) <-> x*h:
@@ -257,8 +253,7 @@ def generalized_dihedral(A: AbelianGroup, T1, T2) -> tuple[SemiCayleySpec, list]
 
 def generalized_dicyclic(A: AbelianGroup, y: Element, T1, T2) -> tuple[SemiCayleySpec, list]:
     """Cay(Dic(A, y, x), T1 u xT2): x inverts A and x^2 = y, an involution."""
-    y = A.validate_element(y)
-    if A.element_order(y) != 2:
+    if A.orders(A.index(y)) != 2:
         raise ValidationError("x^2 must be an involution of A")
     return from_cayley_index2(A, inversion(A), y, T1, T2)
 
@@ -318,6 +313,9 @@ def hypercube(dim: int) -> SemiCayleySpec:
     """The dim-cube: two copies of the (dim-1)-cube joined by a matching."""
     if dim < 1:
         raise ValidationError("hypercube dimension must be >= 1")
+    if dim > MAX_ORDER.bit_length():  # order 2^(dim - 1) > MAX_ORDER: refused before [2] * (dim - 1)
+        order = 2 ** (dim - 1) if dim < 64 else f"2^{dim - 1}"  # digits only while they are few
+        raise ValidationError(f"group order {order} exceeds the supported maximum {MAX_ORDER}")
     if dim == 1:
         G = AbelianGroup([1])
         return make_spec(G, [], [], [G.identity])

@@ -29,6 +29,13 @@ Element = tuple[int, ...]
 MAX_ORDER = 1024
 
 
+def integer(x) -> int:
+    """operator.index(x), refusing bool: JSON's true and false are not integers."""
+    if isinstance(x, bool):
+        raise TypeError("'bool' object cannot be interpreted as an integer")
+    return operator.index(x)
+
+
 class AbelianGroup:
     """Direct product Z_{n_1} x ... x Z_{n_k} with exponent-vector elements.
 
@@ -41,7 +48,7 @@ class AbelianGroup:
 
     def __init__(self, factors: Sequence[int]) -> None:
         try:
-            factors = tuple(map(operator.index, factors))
+            factors = tuple(map(integer, factors))
         except TypeError as exc:
             raise ValidationError(f"cyclic factor sizes must be integers, got {factors!r}") from exc
         if not factors:
@@ -80,15 +87,16 @@ class AbelianGroup:
         return sum(x * s for x, s in zip(self.validate_element(g), self.strides))
 
     def indices(self, xs: Iterable[Iterable[int]]) -> np.ndarray:
-        """Enumeration indices of the distinct elements of a collection (validated)."""
-        xs = self.subset(xs)
-        if not xs:
-            return np.zeros(0, dtype=np.int64)
-        return np.array(list(xs), dtype=np.int64) @ np.array(self.strides, dtype=np.int64)
+        """Sorted enumeration indices of the distinct elements of a collection (validated)."""
+        return self.index_array(self.subset(xs))
+
+    def index_array(self, xs: frozenset[Element]) -> np.ndarray:
+        """Sorted enumeration indices of an already validated set of elements."""
+        return np.sort(np.array(list(xs), dtype=np.int64).reshape(len(xs), len(self.factors)) @ np.array(self.strides))
 
     def validate_element(self, g: Iterable[int]) -> Element:
         try:
-            g = tuple(map(operator.index, g))
+            g = tuple(map(integer, g))
         except TypeError as exc:
             raise ValidationError(f"element {g!r} must be a list of integer exponents") from exc
         if len(g) != len(self.factors):
@@ -144,9 +152,9 @@ class AbelianGroup:
             out += (self.coords[i, l] + self.coords[j, l]) % n * stride
         return out
 
-    def inverse_indices(self, i: np.ndarray) -> np.ndarray:
-        """Index of g_i^{-1} for an index array i."""
-        return (-self.coords[i] % np.array(self.factors)) @ np.array(self.strides)
+    def power_indices(self, i: np.ndarray, k) -> np.ndarray:
+        """Index of g_i^k, shaped k.shape + i.shape, for an index array i and integers k (-1: inverses)."""
+        return (np.multiply.outer(k, self.coords[i]) % np.array(self.factors)) @ np.array(self.strides)
 
     def orders(self, i: np.ndarray) -> np.ndarray:
         """Order of g_i for an index array i: the lcm over the factors of n / gcd(n, x)."""

@@ -89,6 +89,11 @@ def nu2(q) -> int | float:
     return (q.numerator & -q.numerator).bit_length() - (q.denominator & -q.denominator).bit_length()
 
 
+def time_json(value: float, pi_multiple: Fraction | None) -> dict:
+    """The report form of a time: its float and, where exact, its multiple of pi."""
+    return {"value": value, "pi_multiple": str(pi_multiple) if pi_multiple is not None else None}
+
+
 @dataclass(frozen=True)
 class PstVerdict:
     """Decision record for one ordered vertex pair.
@@ -106,20 +111,13 @@ class PstVerdict:
     certificate: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        out = {
+        return {
             "from": [list(self.source.element), self.source.layer],
             "to": [list(self.target.element), self.target.layer],
             "status": self.status,
-            "time": None,
+            "time": None if self.time is None else time_json(self.time, self.time_two_pi * 2),
             "certificate": self.certificate,
         }
-        if self.time is not None:
-            pi_multiple = self.time_two_pi * 2 if self.time_two_pi is not None else None
-            out["time"] = {
-                "value": self.time,
-                "pi_multiple": str(pi_multiple) if pi_multiple is not None else None,
-            }
-        return out
 
 
 @dataclass(frozen=True)
@@ -171,7 +169,7 @@ def _pair(spec: SemiCayleySpec, u: Vertex, v: Vertex) -> tuple[Vertex, Vertex, n
     v = spec.validate_vertex(v)
     if u == v:
         raise ValidationError("vertices must be distinct; the diagonal is the periodicity question")
-    return u, v, np.array([spec.group.index(spec.connecting_element(u, v))], dtype=np.int64)
+    return u, v, np.array([spec.connecting_index(u, v)], dtype=np.int64)
 
 
 def necessary_conditions(spec: SemiCayleySpec, u: Vertex, v: Vertex) -> str | None:

@@ -36,11 +36,11 @@ are one product with the table of x^j modulo Phi_N (_certify).  The rows of
 chi(R), chi(L), chi(S), sigma and disc at every representative go through
 one such product.  disc needs no multiplication in Z[zeta_N] either: it is
 chi(w) for the group-ring element w = (1_R - 1_L)^2 + 4 S S^-1, whose rows
-are one weighted bincount (4 |chi(S)|^2, already at hand, when R = L).  The
-cross-layer sign exponents follow the same way: conj(chi(S)) zeta_N^e =
-+-|chi(S)|, an integer, gives conj(chi^k(S)) zeta_N^(k e) = +-|chi(S)|
-under sigma_k, so one exact value per representative and sign fixes them
-for its class, and one product confirms them all.  Periodicity and
+are one weighted bincount.  The cross-layer sign exponents follow the same
+way: conj(chi(S)) zeta_N^e = +-|chi(S)|, an integer, gives conj(chi^k(S))
+zeta_N^(k e) = +-|chi(S)| under sigma_k, so one exact value per
+representative and sign fixes them for its class, and one product confirms
+them all.  Periodicity and
 same-layer transfer need no more: a vertex is periodic iff its support is
 integral (see pst).
 """
@@ -286,7 +286,7 @@ def _rational_classes(group) -> tuple[np.ndarray, ...]:
     # representatives in index order and each character's position among them
     order = group.exponent
     units = [k for k in range(1, order + 1) if math.gcd(k, order) == 1]
-    powers = (np.array(units)[:, None, None] * group.coords % np.array(group.factors)) @ np.array(group.strides)
+    powers = group.power_indices(np.arange(group.order), np.array(units))
     # the argmin u has chi_i^u = chi_rep, so k is the inverse of u modulo N
     inverses = np.array([pow(k, -1, order) for k in units], dtype=np.int64)
     class_rep, class_power = powers.min(axis=0), inverses[powers.argmin(axis=0)]
@@ -305,18 +305,16 @@ def spectrum(spec: SemiCayleySpec) -> Spectrum:
     n, order = group.order, group.exponent
     indices = spec.subset_indices
     coeffs = _coefficient_rows(group, [indices["R"], indices["L"], indices["S"]])
-    s_s_inverse = _group_product(group, indices["S"], group.inverse_indices(indices["S"]))
+    s_s_inverse = _group_product(group, indices["S"], group.power_indices(indices["S"], -1))
     abs2_rows = _ring_rows(group, s_s_inverse)  # |chi(S)|^2 = chi(S S^-1)
     class_rep, class_power, reps, slot = _rational_classes(group)
 
-    # certified at each representative, then read by every member of its class
-    if spec.R == spec.L:
-        disc = 4 * abs2_rows[reps]
-    else:  # disc = chi((1_R - 1_L)^2 + 4 S S^-1), 1_R - 1_L supported on R xor L
-        diff = np.bincount(indices["R"], minlength=n) - np.bincount(indices["L"], minlength=n)
-        support = np.flatnonzero(diff)
-        diff_squared = _group_product(group, support, support, np.outer(diff[support], diff[support]))
-        disc = _ring_rows(group, diff_squared + 4 * s_s_inverse, reps)
+    # certified at each representative, then read by every member of its class;
+    # disc = chi((1_R - 1_L)^2 + 4 S S^-1), 1_R - 1_L supported on R xor L
+    diff = np.bincount(indices["R"], minlength=n) - np.bincount(indices["L"], minlength=n)
+    support = np.flatnonzero(diff)
+    diff_squared = _group_product(group, support, support, np.outer(diff[support], diff[support]))
+    disc = _ring_rows(group, diff_squared + 4 * s_s_inverse, reps)
     at_reps = coeffs[:, reps]  # chi(R), chi(L), chi(S), then sigma and disc
     rows = np.concatenate([*at_reps, at_reps[0] + at_reps[1], disc])
     rational, value = (a.reshape(5, -1) for a in _certify(rows, order))

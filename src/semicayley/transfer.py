@@ -30,9 +30,9 @@ from .characters import character_matrix
 from .errors import ValidationError
 from .graphs import SemiCayleySpec, Vertex, cay_adjacency
 
-# largest t * rho the column oracle accepts.  Its work stops growing with t at
-# 2n products, but a rounding error of eps * rho in its tridiagonal matrix
-# moves the phases exp(-i t lambda) by about t * rho * eps, 2e-10 here
+# largest |t * rho| of an unreduced time (check_horizon).  The oracle's work stops
+# growing with t at 2n products, but a rounding error of eps * rho in an
+# eigenvalue moves the phases exp(-i t lambda) by about t * rho * eps, 2e-10 here
 COLUMN_HORIZON = 1e6
 # the column oracle's two error budgets (see oracle_column), 100x and 1e6x
 # under the path agreement tolerance 1e-8 of the state-transfer module
@@ -57,7 +57,7 @@ def transfer_matrix(spec: SemiCayleySpec, t: float) -> np.ndarray:
     """H(t) as a 2n x 2n matrix: transfer_rows gathered through index(g^{-1} h)."""
     group = spec.group
     everything = np.arange(group.order)
-    differences = group.add_indices(group.inverse_indices(everything)[:, None], everything)
+    differences = group.add_indices(group.power_indices(everything, -1)[:, None], everything)
     # rows[r, s, differences[g, h]] at [r, g, s, h], then one row per vertex (g, r)
     return transfer_rows(spec, t)[:, :, differences].transpose(0, 2, 1, 3).reshape(2 * spec.n, 2 * spec.n)
 
@@ -87,8 +87,7 @@ def transfer_sums(spec: SemiCayleySpec, u: Vertex, v: Vertex, ts: np.ndarray) ->
     u = spec.validate_vertex(u)
     v = spec.validate_vertex(v)
     group = spec.group
-    a = group.index(spec.connecting_element(u, v))
-    chi_a = np.exp(2j * np.pi * group.char_exponents[a] / group.exponent)
+    chi_a = np.exp(2j * np.pi * group.char_exponents[spec.connecting_index(u, v)] / group.exponent)
     return _entry_sums(spec, u.layer, v.layer, chi_a, ts)
 
 
@@ -141,6 +140,22 @@ def _lanczos_steps(x: float, size: int) -> int:
     return int(k[below[0]]) if below.size else size
 
 
+def check_horizon(spec: SemiCayleySpec, t: float) -> float:
+    """x = t * rho, rho the largest degree, for a time both transfer paths can still resolve.
+
+    Beyond |x| = COLUMN_HORIZON, a ValidationError.
+    """
+    rho = float(spec.max_degree)
+    x = t * rho
+    if abs(x) > COLUMN_HORIZON:
+        raise ValidationError(
+            f"t * rho = {x:.6g} is beyond the oracle's accuracy and work horizon "
+            f"{COLUMN_HORIZON:.0e} (rho = {rho:g}, the largest degree); only a time of a graph "
+            "with an integral spectrum can be reduced exactly modulo its period 2*pi"
+        )
+    return x
+
+
 def oracle_column(spec: SemiCayleySpec, j: int, t: float) -> np.ndarray:
     """Column j of exp(-itA) by Lanczos on the spec's adjacency, started at e_j.
 
@@ -168,20 +183,13 @@ def oracle_column(spec: SemiCayleySpec, j: int, t: float) -> np.ndarray:
       _CAP_TOL; after 2n steps the Krylov space is the whole space.
 
     So the products stop growing with t at 2n.  x above COLUMN_HORIZON raises
-    ValidationError.
+    ValidationError (see check_horizon).
     """
     if not t >= 0:
         raise ValidationError("time must be nonnegative")
     adjacency = spec.adjacency
     size = adjacency.shape[0]
-    rho = float(spec.max_degree)
-    x = t * rho
-    if x > COLUMN_HORIZON:
-        raise ValidationError(
-            f"t * rho = {x:.6g} is beyond the oracle's accuracy and work horizon "
-            f"{COLUMN_HORIZON:.0e} (rho = {rho:g}, the largest degree); only a time of a graph "
-            "with an integral spectrum can be reduced exactly modulo its period 2*pi"
-        )
+    x = check_horizon(spec, t)
     column = np.zeros(size, dtype=complex)
     column[j] = 1.0
     if x == 0:

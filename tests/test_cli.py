@@ -147,6 +147,17 @@ _C4 = {"group": {"factors": [2]}, "R": [[1]], "L": [[1]], "S": [[0]]}
         {"command": "spectrum", "graph": {"group": {"factors": ["x"]}, "R": [], "L": [], "S": []}},
         {"command": "spectrum", "family": "dihedral-full-coset", "A": ["x"]},
         {"command": "spectrum", "cayley_index2": {"H": {"factors": [3]}, "sigma": [[[0], [0]], [[1], [2]]]}},
+        # JSON booleans are not integers or numbers, although True == 1 in Python
+        {"command": "spectrum", "family": "hypercube", "n": True},
+        {"command": "spectrum", "graph": {"group": {"factors": [True, 2]}, "R": [], "L": [], "S": []}},
+        {"command": "spectrum", "graph": {"group": {"factors": [2]}, "R": [], "L": [], "S": [[True]]}},
+        {"command": "pst-check", "graph": _C4, "from": [[0], False], "to": [[1], 1]},
+        {"command": "pst-check", "graph": _C4, "from": [[False], 0], "to": [[1], 1]},
+        {"command": "evolve", "graph": _C4, "time": True},
+        {"command": "pst-check", "graph": _C4, "from": [[0], 0], "to": [[1], 1], "time": "1/2 pi",
+         "tolerance": False},
+        # an order of 2^(10^12 - 1), refused before anything of that size is built
+        {"command": "spectrum", "family": "hypercube", "n": 10**12},
     ],
 )
 def test_malformed_input_is_a_validation_error(config):
@@ -259,6 +270,23 @@ def test_pst_check_beyond_the_horizon_is_a_validation_error():
                         "from": [[0], 0], "to": [[2], 0], "time": "1e9"})
     assert code == 1 and report["error"]["kind"] == "validation"
     assert "horizon" in report["error"]["message"]
+
+
+def test_evolve_refuses_the_pst_check_horizon_without_an_exact_period():
+    # cone(5) is not integral and rho = 7: t = 1e17 is far past the horizon,
+    # where evolve would print noise; the refusal is pst-check's, word for word
+    entry = {"graph": {"family": "cone", "n": 5}, "from": [[0], 0], "to": [[1], 0]}
+    refused, code = run(dict(entry, command="evolve", time="1e17"))
+    assert code == 1 and refused["error"]["kind"] == "validation"
+    assert refused == run(dict(entry, command="pst-check", time="1e17"))[0]
+    assert run({"command": "evolve", "graph": entry["graph"], "time": "1e17"})[1] == 1
+    # t * rho = 999999, just inside: the entry of a dense eigendecomposition
+    t = 999999 / 7
+    report, code = run(dict(entry, command="evolve", time=str(t)))
+    vals, vecs = np.linalg.eigh(parse_graph(entry["graph"]).adjacency)
+    expected = (vecs[0] * np.exp(-1j * t * vals)) @ vecs[1]  # rows 0 and 1: [[0], 0] and [[1], 0]
+    assert code == 0
+    assert abs(complex(report["entry"]["re"], report["entry"]["im"]) - expected) < 1e-9
 
 
 def test_graph_json_round_trip():

@@ -63,6 +63,8 @@ def test_edge_rules_independent_recomputation(rng):
         for xi, x in enumerate(elems):
             for yi, y in enumerate(elems):
                 diff = group.mul(y, group.inverse(x))
+                u, v = Vertex(x, xi % 2), Vertex(y, yi // 2 % 2)
+                assert spec.connecting_index(u, v) == group.index(group.mul(group.inverse(x), y))
                 assert adjacency[xi, yi] == (1 if diff in spec.R else 0)
                 assert adjacency[n + xi, n + yi] == (1 if diff in spec.L else 0)
                 assert adjacency[xi, n + yi] == (1 if diff in spec.S else 0)
@@ -284,6 +286,11 @@ def test_named_families():
         sc.cone(2)
     with pytest.raises(ValidationError):
         sc.hypercube(0)
+    with pytest.raises(ValidationError, match="group order 2048 exceeds the supported maximum 1024"):
+        sc.hypercube(12)
+    # refused before the list of 10^12 - 1 factors is built
+    with pytest.raises(ValidationError, match=r"group order 2\^999999999999 exceeds"):
+        sc.hypercube(10**12)
 
 
 def test_spec_json_round_trip(rng):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -69,8 +70,25 @@ def test_index_array_law_is_the_tuple_law():
     for factors in GROUP_POOL:
         group = AbelianGroup(factors)
         everything = np.arange(group.order)
-        assert group.inverse_indices(everything).tolist() == [group.index(group.inverse(g)) for g in group.elements()]
+        assert group.power_indices(everything, -1).tolist() == [group.index(group.inverse(g)) for g in group.elements()]
         assert group.orders(everything).tolist() == [group.element_order(g) for g in group.elements()]
+        # g^k as the k-fold tuple product, for k = -1, 0, 2 and a unit modulo the exponent
+        unit = next(k for k in range(3, 3 + 2 * group.exponent) if math.gcd(k, group.exponent) == 1)
+        ks = [-1, 0, 2, unit]
+        expected = [[group.index(_tuple_power(group, g, k)) for g in group.elements()] for k in ks]
+        assert [group.power_indices(everything, k).tolist() for k in ks] == expected
+        assert group.power_indices(everything, np.array(ks)).tolist() == expected
+        # indices: sorted, deduplicated, and index() element by element
+        xs = group.elements()[::-2] + group.elements()[::3]
+        assert group.indices(xs).tolist() == sorted({group.index(g) for g in xs})
+        assert group.indices([]).tolist() == []
+
+
+def _tuple_power(group, g, k):
+    out = group.identity
+    for _ in range(abs(k)):
+        out = group.mul(out, g if k > 0 else group.inverse(g))
+    return out
 
 
 def test_trivial_factor_allowed():

@@ -310,6 +310,8 @@ def test_class_certificates_match_a_per_character_referee(rng):
     # one representative per rational class is certified and its integers are
     # copied: the Galois conjugates of an integer are that integer
     specs = [random_spec(rng) for _ in range(300)] + list(_large_exponent_specs(rng, 6))
+    # R = L, where disc = 4 |chi(S)|^2 comes from the same group-ring rows as for R != L
+    specs += [random_spec(rng, equal_layers=True) for _ in range(150)]
     for spec in specs:
         group = spec.group
         spect = spectrum(spec)
