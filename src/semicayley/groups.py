@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import operator
 from functools import cached_property
-from itertools import product
+from itertools import accumulate, product
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -62,7 +62,7 @@ class AbelianGroup:
         self.order: int = order
         self.exponent: int = math.lcm(*factors)
         self.identity: Element = (0,) * len(factors)
-        self.strides: tuple[int, ...] = tuple(math.prod(factors[l + 1 :]) for l in range(len(factors)))
+        self.strides: tuple[int, ...] = tuple(accumulate(reversed(factors[1:]), operator.mul, initial=1))[::-1]
         self._elements: list[Element] = [tuple(v) for v in product(*(range(n) for n in factors))]
 
     def __repr__(self) -> str:

@@ -43,13 +43,20 @@ chi(a) exp(-i lambda t) has one phase (the weights are positive and sum to
 1), that is, iff each gap g = lambda_0 - lambda satisfies g t in
 pi (2Z + [chi(a) = -1]).  With t = pi s this is solvable iff the chi(a) = -1
 gaps share one 2-adic valuation k and the other nonzero gaps exceed it; the
-solutions are then s in (1 + 2Z) / G, G the gcd of the gaps, so pi / G is
-the least transfer time.
+solutions are then s in (1 + 2Z) / G, G the gcd of the gaps.
+
+One law gives every transfer time, same-layer or cross-layer: transfer from
+a layer-r vertex u happens first at pi / g_r.  Let P be the least period of
+u and tau the least transfer time to v.  If t1 and t2 are transfer times,
+t1 - t2 is a period of u; so tau < P, else tau - P would be an earlier one.
+H is symmetric, so H(tau) e_u = gamma e_v gives H(tau) e_v = gamma e_u and
+H(2 tau) e_u = gamma^2 e_u: P divides 2 tau, and tau < P forces P = 2 tau.
+With P = 2 pi / g_r, tau = pi / g_r.  The deciders therefore only decide
+whether transfer exists; the time is the layer's.
 
 Every positive verdict is mandatorily confirmed by both the spectral path and
-the independent column oracle (exp(-itA) e_u by Lanczos on the adjacency):
-the candidate times are synthesized from the valuation
-bookkeeping, so a wrong synthesis would be caught immediately.  With an
+the independent column oracle (exp(-itA) e_u by Lanczos on the adjacency),
+so a wrong verdict or time would be caught immediately.  With an
 integral spectrum H(t + 2*pi) = H(t), so a checked time is first reduced
 exactly modulo 2*pi, which keeps both paths accurate and cheap at any t.
 """
@@ -98,7 +105,8 @@ def time_json(value: float, pi_multiple: Fraction | None) -> dict:
 class PstVerdict:
     """Decision record for one ordered vertex pair.
 
-    status "yes" carries the least witnessing time (as an exact multiple of
+    status "yes" carries the least witnessing time pi / g_r, g_r the gap gcd
+    of the source's layer (see the module docstring; as an exact multiple of
     2*pi and as a float) and the numeric confirmation magnitudes from both
     transfer paths; "no" carries the condition that failed.
     """
@@ -189,7 +197,7 @@ def necessary_conditions(spec: SemiCayleySpec, u: Vertex, v: Vertex) -> str | No
 # indices at once: find_pst passes every element, decide_pair one, and the
 # layer deciders call decide_pair.  The per-case deciders see the elements
 # that pass the necessary conditions and return one outcome per index, a
-# `no` certificate (a dict) or the pair (k, m) of a `yes` at t = pi / m.
+# `no` certificate (a dict) or the k of a `yes`, which _verdicts times.
 
 _NOT_INTEGRAL = "spectrum is not integral (chi(R) or |chi(S)| irrational for some character)"
 
@@ -249,10 +257,8 @@ def _same_layer(spec: SemiCayleySpec, layer: int, columns: np.ndarray) -> list:
         detail = (_NOT_INTEGRAL if spec.R == spec.L else
                   f"the support of layer {layer} is not integral, so its vertices are not periodic")
         return [{"rule": "non-integral", "detail": detail} for _ in range(len(columns))]
-    minus = spec.group.char_exponents[:, columns] != 0
-    m = int(np.gcd.reduce(gaps, axis=None))
-    return [(k, m) if obstruction is None else {"rule": "valuation", "detail": obstruction}
-            for obstruction, k in zip(*refute_phases(gaps, minus))]
+    return [k if obstruction is None else {"rule": "valuation", "detail": obstruction}
+            for obstruction, k in zip(*refute_phases(gaps, spec.group.char_exponents[:, columns] != 0))]
 
 
 def _cross_layer_rule(spec: SemiCayleySpec) -> dict | None:
@@ -265,8 +271,8 @@ def _cross_layer_rule(spec: SemiCayleySpec) -> dict | None:
         return {"rule": "r-neq-l", "detail": "cross-layer transfer forces R = L"}
     if not spect.is_integral:
         return {"rule": "non-integral", "detail": _NOT_INTEGRAL}
-    # here (lambda+ - lambda-) / 2 = |chi(S)|, which is |S| at the trivial character
-    valuations = _v2_array((spect.ints[0] - spect.ints[1]) // 2)
+    # here a character's two gaps differ by lambda+ - lambda- = 2 |chi(S)|, which is 2 |S| at the trivial one
+    valuations = _v2_array(np.diff(spect.layer_gaps[0])[:, 0] // 2)
     breaks = np.flatnonzero(valuations != valuations[0])
     if breaks.size:
         return {"rule": "spoke-valuation",
@@ -279,15 +285,14 @@ def _cross_layer(spec: SemiCayleySpec, source_layer: int, columns: np.ndarray) -
     rule = _cross_layer_rule(spec)
     if rule is not None:
         return [dict(rule) for _ in range(len(columns))]
-    spect = spec.spectrum
-    k = nu2(len(spec.S))
-    gaps = spect.ints[0, 0] - spect.ints[0]
-    valuations = _v2_array(gaps)
-    plus_code = np.where((gaps == 0) | (valuations >= k + 2), 0, _PLUS_GAP).astype(np.int8)
-    minus_code = np.where((gaps != 0) & (valuations == k + 1), 0, _MINUS_GAP).astype(np.int8)
+    gaps = spec.spectrum.layer_gaps[source_layer]  # lambda_0 - lambda+-, one row per character
+    k = int(_v2_array(gaps[0, 1])) - 1  # the trivial character's lambda_0 - lambda- is 2 |S|
+    valuations = _v2_array(gaps[:, 0])
+    plus_code = np.where((gaps[:, 0] == 0) | (valuations >= k + 2), 0, _PLUS_GAP).astype(np.int8)
+    minus_code = np.where((gaps[:, 0] != 0) & (valuations == k + 1), 0, _MINUS_GAP).astype(np.int8)
     # chi(a) chi(S) / |chi(S)| = +-1 iff E[chi, a] is the sign exponent; from
     # layer 1 the spoke is chi(S) itself, whose exponents are the negated ones
-    signs = spect.sign_exponents
+    signs = spec.spectrum.sign_exponents
     if source_layer == 1:
         signs = np.where(signs < 0, -1, -signs % spec.group.exponent)
     chi_a = spec.group.char_exponents[:, columns]
@@ -299,20 +304,23 @@ def _cross_layer(spec: SemiCayleySpec, source_layer: int, columns: np.ndarray) -
         if code == _SIGN:
             out.append({"rule": "sign", "detail": f"chi(a) chi(S) is not +-|chi(S)| at character {i}"})
         elif code == _MINUS_GAP:
-            out.append({"rule": "valuation", "detail": f"-1-sign gap {gaps[i]} misses 2-adic valuation {k + 1}"})
+            out.append({"rule": "valuation", "detail": f"-1-sign gap {gaps[i, 0]} misses 2-adic valuation {k + 1}"})
         elif code == _PLUS_GAP:
-            out.append({"rule": "valuation", "detail": f"+1-sign gap {gaps[i]} has 2-adic valuation < {k + 2}"})
+            out.append({"rule": "valuation", "detail": f"+1-sign gap {gaps[i, 0]} has 2-adic valuation < {k + 2}"})
         else:
-            out.append((k, 2 ** (k + 1)))
+            out.append(k)
     return out
+
+
+def _gap_gcd(spec: SemiCayleySpec, layer: int) -> int:
+    # g_r: a layer-r vertex has the least period 2 pi / g_r and transfers first at pi / g_r
+    return int(np.gcd.reduce(spec.spectrum.layer_gaps[layer], axis=None))
 
 
 def _confirmed(spec, u, v, t) -> dict:
     check = verify_at_time(spec, u, v, t, tol=MAGNITUDE_TOL)
     if not check["pass"]:
-        raise ConsistencyError(
-            f"synthesized transfer time failed numeric confirmation: |H| = {check['magnitude']}"
-        )
+        raise ConsistencyError(f"transfer time {t} failed numeric confirmation: |H| = {check['magnitude']}")
     return {
         "magnitude_spectral": check["magnitude_spectral"],
         "magnitude_oracle": check["magnitude_oracle"],
@@ -336,10 +344,10 @@ def _verdicts(spec: SemiCayleySpec, r: int, s: int, pairs: list, columns: np.nda
         if isinstance(outcome, dict):
             verdicts.append(PstVerdict(u, v, "no", certificate=outcome))
             continue
-        k, m = outcome
-        t = math.pi / m
-        certificate = {"rule": "valuation-profile", "k": k, "confirmation": _confirmed(spec, u, v, t)}
-        verdicts.append(PstVerdict(u, v, "yes", time=t, time_two_pi=Fraction(1, 2 * m), certificate=certificate))
+        g = _gap_gcd(spec, r)
+        t = math.pi / g
+        certificate = {"rule": "valuation-profile", "k": outcome, "confirmation": _confirmed(spec, u, v, t)}
+        verdicts.append(PstVerdict(u, v, "yes", time=t, time_two_pi=Fraction(1, 2 * g), certificate=certificate))
     return verdicts
 
 
@@ -367,7 +375,8 @@ def decide_cross_layer(spec: SemiCayleySpec, u: Vertex, v: Vertex) -> PstVerdict
     spectrum must be integral with nu2(|chi(S)|) constant equal to nu2(|S|),
     and the sign chi(a) chi(S)/|chi(S)| (conjugated for layer 1 -> 0) must be
     +-1 in the cyclotomic ring with the matching valuation of the top gap;
-    the witnessing time is then pi / 2^(k+1) with k = nu2(|S|).
+    the least witnessing time is then pi / g, g the gcd of the eigenvalue
+    gaps (pi / 2^(k+1), k = nu2(|S|), when g has no odd factor).
 
     A graph admitting such transfer is in fact a Cayley graph over the
     extension of G by the inverting involution; that is a structural aside,
@@ -521,7 +530,7 @@ def periodicity(spec: SemiCayleySpec) -> PeriodReport:
             periodic=False, method="theorem",
             certificate={"detail": "spectrum is not integral, which is equivalent to aperiodicity"},
         )
-    gcds = [int(np.gcd.reduce(spec.spectrum.layer_gaps[layer], axis=None)) for layer in (0, 1)]
+    gcds = [_gap_gcd(spec, layer) for layer in (0, 1)]
     m = math.gcd(*gcds)
     return PeriodReport(
         periodic=True, min_period_two_pi=Fraction(1, m), min_period=2 * math.pi / m,

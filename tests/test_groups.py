@@ -52,8 +52,10 @@ def test_group_axioms_random(rng):
 
 
 def test_enumeration_bijection():
-    for factors in GROUP_POOL:
+    for factors in [*GROUP_POOL, (3, 1, 1, 4, 1)]:
         group = AbelianGroup(factors)
+        # the mixed-radix stride of factor l is the product of the factors after it
+        assert group.strides == tuple(math.prod(factors[l + 1 :]) for l in range(len(factors)))
         assert len(group.elements()) == group.order
         for i in range(group.order):
             assert group.index(group.element(i)) == i

@@ -613,10 +613,24 @@ def test_same_layer_transfer_times_are_minimal(rng):
     assert checked[True] >= 10 and checked[False] >= 1
 
 
+# SC(G, D, D, D) for a (36, 15, 6) Menon difference set D of G = Z_2^2 x Z_3^2:
+# D is inverse-closed, avoids e and has |chi(D)| = 3 at every nontrivial chi.
+# The adjacency is J_2 (x) Cay(G, D), so (g, 0) and (g, 1) are twins; the
+# spectrum is {30, 6, 0, -6}, and the odd factor 3 of the gap gcd 6 makes the
+# least cross-layer time pi / 6, not pi / 2^(k+1).  The random draws cannot
+# reach an odd gap gcd: an odd factor q of it divides |chi(S)| at every
+# character, which by Parseval (the sum of |chi(S)|^2 is |G| |S|) needs
+# |G| >= 35 and q | |G|, while the drawn groups have order <= 12.
+MENON = [(0, 0, 0, 1), (0, 0, 0, 2), (0, 0, 1, 0), (0, 0, 1, 1), (0, 0, 2, 0), (0, 0, 2, 2), (0, 1, 0, 0),
+         (0, 1, 1, 1), (0, 1, 2, 2), (1, 0, 0, 0), (1, 0, 1, 0), (1, 0, 2, 0), (1, 1, 0, 0), (1, 1, 0, 1),
+         (1, 1, 0, 2)]
+MENON_TWINS = make_spec(AbelianGroup([2, 2, 3, 3]), MENON, MENON, MENON)
+
+
 def test_cross_layer_transfer_times_are_minimal(rng):
     checked = 0
-    for _ in range(600):
-        spec = random_spec(rng, equal_layers=True)
+    specs = [random_spec(rng, equal_layers=True) for _ in range(600)] + [MENON_TWINS]
+    for spec in specs:
         yes = [v for v in find_pst(spec) if v.status == "yes" and not _same_layer(v)]
         _assert_least_transfer_times(spec, yes)
         checked += len(yes)
@@ -700,7 +714,7 @@ def _referee(spec, u, v):
             return no("valuation", f"-1-sign gap {gap} misses 2-adic valuation {k + 1}")
         if w > 0 and gap != 0 and nu2(gap) < k + 2:
             return no("valuation", f"+1-sign gap {gap} has 2-adic valuation < {k + 2}")
-    return yes(k, 2 ** (k + 1))
+    return yes(k, math.gcd(*(top - lam for lam in lam_p + lam_m)))
 
 
 def _unconfirmed(verdict):
@@ -730,7 +744,9 @@ def test_find_pst_matches_the_per_pair_referee_on_the_corpus(corpus):
     sc.sunlet(8),
     sc.cone(6),
     sc.join_spec(AbelianGroup([512]), [(1,), (511,)], [(2,), (510,)]),
-], ids=["hypercube-5", "dihedral-involutions-4", "dihedral-involutions-2x4", "sunlet-8", "cone-6", "join-512"])
+    MENON_TWINS,
+], ids=["hypercube-5", "dihedral-involutions-4", "dihedral-involutions-2x4", "sunlet-8", "cone-6", "join-512",
+        "menon-twins-36"])
 def test_find_pst_matches_the_per_pair_referee_on_families(spec):
     _assert_matches_referee(spec, find_pst(spec))
 
