@@ -32,14 +32,12 @@ from .pst import (
     decide_pair,
     decide_same_layer_rl,
     find_pst,
-    necessary_conditions,
-    nu2,
     periodicity,
     scan_pair,
     verify_at_time,
 )
 from .spectra import Spectrum, eigen_gcd, spectrum
-from .transfer import block_transfer_rl, oracle_column, oracle_expm, transfer_entry, transfer_matrix, transfer_rows
+from .transfer import oracle_column, oracle_expm, transfer_entry, transfer_matrix, transfer_rows
 
 __all__ = [
     "AbelianGroup",
@@ -53,7 +51,6 @@ __all__ = [
     "ValidationError",
     "Vertex",
     "abelian_index2",
-    "block_transfer_rl",
     "build",
     "char_sum",
     "cone",
@@ -73,8 +70,6 @@ __all__ = [
     "hypercube",
     "join_spec",
     "make_spec",
-    "necessary_conditions",
-    "nu2",
     "oracle_column",
     "oracle_expm",
     "periodicity",

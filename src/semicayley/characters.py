@@ -1,11 +1,13 @@
 """Irreducible characters of abelian groups and exact root-of-unity sums.
 
-Character sums live in Z[zeta_N], N the group exponent, and are stored as
-integer coefficient vectors indexed by powers of zeta_N.  Addition and
-multiplication are exact (polynomial arithmetic modulo x^N - 1), and
-rationality/integrality questions are decided by reducing modulo the N-th
-cyclotomic polynomial -- never by comparing floats.  A cached complex
-approximation feeds the numeric evolution paths.
+Character sums live in Z[zeta_N], N the group exponent, as integer
+coefficient vectors indexed by powers of zeta_N, and integrality is decided
+by reducing modulo the N-th cyclotomic polynomial -- never by comparing
+floats.  The package runs `cyclotomic_polynomial`, `_residue_table` (with
+which `spectra` reduces whole arrays of rows in one product) and
+`character_matrix`.  `CycloValue` (exact arithmetic modulo x^N - 1), `Root`,
+`eval_character` and `char_sum` are the tests' referees, one value at a
+time; they stay here because the benchmark tracer names them.
 """
 
 from __future__ import annotations

@@ -47,7 +47,7 @@ from .graphs import (
     join_spec,
     sunlet,
 )
-from .pst import decide_pair, find_pst, periodicity, reduce_time, time_json, verify_at_time
+from .pst import MAGNITUDE_TOL, decide_pair, find_pst, periodicity, reduce_time, time_json, verify_at_time
 from .spectra import eigen_gcd
 from .transfer import check_horizon, transfer_entry, transfer_rows
 
@@ -243,7 +243,7 @@ def _run_checked(config: dict) -> dict:
         v = parse_vertex(spec, config["to"])
         if "time" in config:
             t, pi_mult = parse_time(config["time"])
-            tol = _field(config, "tolerance", _real, 1e-8)
+            tol = _field(config, "tolerance", _real, MAGNITUDE_TOL)
             if not 0 <= tol < 1:  # NaN fails too
                 raise ValidationError(f"field 'tolerance': must be a number in [0, 1), got {tol!r}")
             check = verify_at_time(spec, u, v, reduce_time(spec, t, pi_mult), tol=tol)
@@ -296,11 +296,11 @@ def render_text(report: dict) -> str:
         )
     if "spectrum" in report:
         for row in report["spectrum"]["characters"]:
-            tag = "exact" if row["exact"] else "float"
-            lines.append(
-                f"  chi{row['char_index']}: lambda+ = {row['lambda_plus']:.12g}, "
-                f"lambda- = {row['lambda_minus']:.12g} ({tag})"
-            )
+            if row["exact"]:
+                plus, minus, tag = row["lambda_plus_exact"], row["lambda_minus_exact"], "exact"
+            else:
+                plus, minus, tag = f"{row['lambda_plus']:.12g}", f"{row['lambda_minus']:.12g}", "float"
+            lines.append(f"  chi{row['char_index']}: lambda+ = {plus}, lambda- = {minus} ({tag})")
         lines.append(f"integral: {report['integral']}")
         if report.get("eigen_gcd") is not None:
             lines.append(f"eigenvalue gap gcd: {report['eigen_gcd']}")
@@ -351,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--n", type=int, help="size parameter for sunlet/cone/hypercube")
     parser.add_argument("--A", help="JSON factor list of the abelian group A for dihedral/dicyclic families")
     parser.add_argument("--y", help="JSON element of A: the involution x^2 for dicyclic families")
-    parser.add_argument("--tol", type=float, help="magnitude tolerance (default 1e-8)")
+    parser.add_argument("--tol", type=float, help=f"magnitude tolerance (default {MAGNITUDE_TOL:g})")
     parser.add_argument("--time", help="time as 'p/q pi' or a decimal float")
     parser.add_argument("--from", dest="source", help="vertex [[exponents],layer]")
     parser.add_argument("--to", dest="target", help="vertex [[exponents],layer]")

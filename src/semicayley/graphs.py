@@ -107,11 +107,6 @@ class SemiCayleySpec:
         group = self.group
         return int(group.add_indices(group.power_indices(group.index(u.element), -1), group.index(v.element)))
 
-    def vertices(self) -> list[Vertex]:
-        """Layer-0 vertices in group enumeration order, then layer 1."""
-        elems = self.group.elements()
-        return [Vertex(g, 0) for g in elems] + [Vertex(g, 1) for g in elems]
-
     def vertex_index(self, v: Vertex) -> int:
         v = self.validate_vertex(v)
         return v.layer * self.n + self.group.index(v.element)
@@ -121,9 +116,6 @@ class SemiCayleySpec:
         if isinstance(layer, bool) or layer not in (0, 1):  # True == 1, but not a layer
             raise ValidationError(f"vertex layer must be 0 or 1, got {layer!r}")
         return Vertex(self.group.validate_element(element), int(layer))
-
-    def is_regular(self) -> bool:
-        return len(self.R) == len(self.L)
 
     def to_json(self) -> dict:
         return {

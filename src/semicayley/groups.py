@@ -167,10 +167,6 @@ class AbelianGroup:
         """Validate and deduplicate a collection of elements."""
         return frozenset(self.validate_element(g) for g in elements)
 
-    def is_inverse_closed(self, xs: Iterable[Element]) -> bool:
-        xs = self.subset(xs)
-        return xs == frozenset(self.inverse(g) for g in xs)
-
     # -- serialization -------------------------------------------------------
 
     def to_json(self) -> dict:

@@ -87,15 +87,6 @@ def _v2_array(gaps: np.ndarray) -> np.ndarray:
     return np.frexp(gaps & -gaps)[1] - 1
 
 
-def nu2(q) -> int | float:
-    """Exact 2-adic valuation of a rational; zero maps to +infinity."""
-    q = Fraction(q)
-    if q == 0:
-        return math.inf
-    # the lowest set bit of n is 2^nu2(n), negative n included
-    return (q.numerator & -q.numerator).bit_length() - (q.denominator & -q.denominator).bit_length()
-
-
 def time_json(value: float, pi_multiple: Fraction | None) -> dict:
     """The report form of a time: its float and, where exact, its multiple of pi."""
     return {"value": value, "pi_multiple": str(pi_multiple) if pi_multiple is not None else None}
@@ -159,7 +150,9 @@ class PeriodReport:
 
 
 def _screen(spec: SemiCayleySpec, same_layer: bool, columns: np.ndarray) -> list[str | None]:
-    # the failure reason of necessary_conditions for the indexed connecting elements
+    # the failure reason of the necessary conditions for the indexed connecting elements, or None:
+    # same-layer transfer between distinct vertices needs a connecting element of order 2
+    # (none in an odd-order group); cross-layer transfer with an inverse-closed S order 1 or 2
     orders = spec.group.orders(columns)
     if same_layer:
         if spec.group.order % 2 == 1:
@@ -178,17 +171,6 @@ def _pair(spec: SemiCayleySpec, u: Vertex, v: Vertex) -> tuple[Vertex, Vertex, n
     if u == v:
         raise ValidationError("vertices must be distinct; the diagonal is the periodicity question")
     return u, v, np.array([spec.connecting_index(u, v)], dtype=np.int64)
-
-
-def necessary_conditions(spec: SemiCayleySpec, u: Vertex, v: Vertex) -> str | None:
-    """Cheap exact pre-filters; returns the failure reason or None.
-
-    Same-layer transfer between distinct vertices needs a connecting element
-    of order 2 (impossible in odd-order groups); cross-layer transfer with an
-    inverse-closed S needs order 1 or 2.
-    """
-    u, v, column = _pair(spec, u, v)
-    return _screen(spec, u.layer == v.layer, column)[0]
 
 
 # -- the decision core -------------------------------------------------------------

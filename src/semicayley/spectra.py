@@ -91,10 +91,6 @@ class Spectrum:
             return NotImplemented
         return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
-    def eigenvalues(self) -> list[float]:
-        """lambda+ and lambda- of every character in turn."""
-        return self.lambdas.T.ravel().tolist()
-
     @cached_property
     def is_integral(self) -> bool:
         """Exact integrality certificate for the whole spectrum.

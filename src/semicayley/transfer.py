@@ -11,8 +11,7 @@ Deliberately independent computation paths:
   confirms every `yes` in as many products as e_j has distinct eigenvalues
   in its support, and never more than 2n), and the dense
   truncated-Taylor scaling-and-squaring exponential (`oracle_expm`, the
-  tests' referee for whole matrices),
-* the block cosine/sinc formula available when R = L.
+  tests' referee for whole matrices).
 
 Equivalence of the paths, entrywise to 1e-9, is the core QA property of the
 package.  Time is a plain float here; exact rational-multiple-of-pi time
@@ -28,7 +27,7 @@ import numpy as np
 
 from .characters import character_matrix
 from .errors import ValidationError
-from .graphs import SemiCayleySpec, Vertex, cay_adjacency
+from .graphs import SemiCayleySpec, Vertex
 
 # largest |t * rho| of an unreduced time (check_horizon).  The oracle's work stops
 # growing with t at 2n products, but a rounding error of eps * rho in an
@@ -215,38 +214,3 @@ def oracle_column(spec: SemiCayleySpec, j: int, t: float) -> np.ndarray:
     weights = vecs @ (np.exp(-1j * t * vals) * vecs[0])
     return weights.real @ basis[:m] + 1j * (weights.imag @ basis[:m])
 
-
-def _matrix_cos_sinc(gram: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
-    # cos(t sqrt(M)) and the series sum_k (-it)^{2k+1} M^k / (2k+1)! for M = C C^T;
-    # the sinc form handles singular M (the closed inverse-sqrt form would not).
-    vals, vecs = np.linalg.eigh(gram)
-    vals = np.clip(vals, 0.0, None)
-    roots = np.sqrt(vals)
-    cos_part = (vecs * np.cos(t * roots)) @ vecs.T
-    small = roots < 1e-9
-    sinc = np.where(small, -1j * t, -1j * np.sin(t * np.where(small, 1.0, roots)) / np.where(small, 1.0, roots))
-    sin_part = (vecs * sinc) @ vecs.T
-    return cos_part, sin_part
-
-
-def block_transfer_rl(spec: SemiCayleySpec, t: float) -> np.ndarray:
-    """H(t) by the R = L block formula.
-
-    Writing A = I_2 (x) B + (P (x) C + Q (x) C^T) and using that B, C, C^T
-    commute over an abelian group, exp(-itA) factors as (I_2 (x) H_B(t))
-    times exp of the spoke part, whose even/odd series give cos(t sqrt(CC^T))
-    and the sinc factor; H_B(t) multiplies all four blocks.  Requires R = L.
-    """
-    if spec.R != spec.L:
-        raise ValidationError("block transfer formula requires R = L")
-    layer = cay_adjacency(spec.group, spec.R).astype(float)
-    spokes = cay_adjacency(spec.group, spec.S).astype(float)
-    vals, vecs = np.linalg.eigh(layer)
-    h_layer = (vecs * np.exp(-1j * vals * t)) @ vecs.T
-    cos_part, sinc_part = _matrix_cos_sinc(spokes @ spokes.T, t)
-    return np.block(
-        [
-            [h_layer @ cos_part, h_layer @ spokes @ sinc_part],
-            [h_layer @ spokes.T @ sinc_part, h_layer @ cos_part],
-        ]
-    )

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import semicayley as sc
 from semicayley import ValidationError
 from semicayley.cli import main, parse_graph, parse_time, render_text, run
 
@@ -294,6 +295,47 @@ def test_graph_json_round_trip():
     emitted = report["graph"]
     spec = parse_graph(emitted)
     assert spec.to_json() == emitted
+    # the families with group and subset fields report the library constructor's graph
+    z4, t1 = sc.AbelianGroup([4]), [(1,), (3,)]
+    families = [
+        ({"family": "join", "group": {"factors": [5]}, "R": [[1], [4]], "L": []},
+         sc.join_spec(sc.AbelianGroup([5]), [(1,), (4,)], [])),
+        ({"family": "dihedral", "A": [4], "T1": [[1], [3]], "T2": [[0]]},
+         sc.generalized_dihedral(z4, t1, [(0,)])[0]),
+        ({"family": "dicyclic", "A": [4], "y": [2], "T1": [[1], [3]], "T2": [[1], [3]]},
+         sc.generalized_dicyclic(z4, (2,), t1, t1)[0]),
+    ]
+    for family, spec in families:
+        report, code = run({"command": "period", "graph": family})
+        assert code == 0 and report["graph"] == spec.to_json(), family
+
+
+def test_sigma_pair_list_is_the_named_action():
+    inversion = [[[0], [0]], [[1], [3]], [[2], [2]], [[3], [1]]]  # g -> -g on Z_4
+    reports = []
+    for sigma in (inversion, "inversion"):
+        index2 = {"H": {"factors": [4]}, "sigma": sigma, "T1": [[1], [3]], "T2": [[0]]}
+        report, code = run({"command": "pst-find", "graph": {"cayley_index2": index2}})
+        assert code == 0
+        reports.append(report)
+    assert reports[0] == reports[1]
+    assert reports[0]["summary"] == {"yes": 2, "no": 12}
+
+
+def test_render_text_prints_exact_eigenvalues_as_integers():
+    # cone(4) has chi(S) = 0 at chi[1], where the float of lambda+ is -1.2e-16
+    report, code = run({"command": "spectrum", "family": "cone", "n": 4})
+    assert code == 0
+    lines = render_text(report).splitlines()
+    rows = report["spectrum"]["characters"]
+    assert rows[1]["exact"] and rows[1]["lambda_plus"] != 0 and rows[1]["lambda_plus_exact"] == 0
+    assert "  chi[1]: lambda+ = 0, lambda- = 0 (exact)" in lines
+    for row in rows:
+        if row["exact"]:
+            want = f"lambda+ = {row['lambda_plus_exact']}, lambda- = {row['lambda_minus_exact']} (exact)"
+        else:
+            want = f"lambda+ = {row['lambda_plus']:.12g}, lambda- = {row['lambda_minus']:.12g} (float)"
+        assert f"  chi{row['char_index']}: {want}" in lines
 
 
 def test_reports_are_byte_identical():

@@ -8,6 +8,7 @@ import semicayley as sc
 from semicayley import AbelianGroup, ValidationError
 
 from conftest import GROUP_POOL
+from referees import is_inverse_closed
 
 
 def test_mul_examples():
@@ -36,9 +37,12 @@ def test_inverse_and_order():
 
 def test_inverse_closed_examples():
     z5 = AbelianGroup([5])
-    assert z5.is_inverse_closed([(1,), (4,)])
-    assert not z5.is_inverse_closed([(1,)])
-    assert z5.is_inverse_closed([])
+    assert is_inverse_closed(z5, [(1,), (4,)])
+    assert not is_inverse_closed(z5, [(1,)])
+    assert is_inverse_closed(z5, [])
+    # the spec's index-array law agrees
+    for xs in ([(1,), (4,)], [(1,)], []):
+        assert sc.make_spec(z5, [], [], xs).s_inverse_closed == is_inverse_closed(z5, xs)
 
 
 def test_group_axioms_random(rng):

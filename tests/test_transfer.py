@@ -9,7 +9,6 @@ from semicayley import (
     AbelianGroup,
     ValidationError,
     Vertex,
-    block_transfer_rl,
     build,
     make_spec,
     oracle_column,
@@ -23,6 +22,7 @@ from semicayley.pst import reduce_time
 from semicayley.transfer import _lanczos_steps, transfer_sums
 
 from conftest import random_spec
+from referees import block_transfer_rl, vertices
 
 
 def test_identity_at_zero(rng):
@@ -335,8 +335,8 @@ def test_entry_matches_matrix(rng):
         for _ in range(6):
             i = int(rng.integers(2 * spec.n))
             j = int(rng.integers(2 * spec.n))
-            vertices = spec.vertices()
-            entry = transfer_entry(spec, vertices[i], vertices[j], t)
+            listed = vertices(spec)
+            entry = transfer_entry(spec, listed[i], listed[j], t)
             assert abs(entry - h[i, j]) < 1e-10
 
 
