@@ -1,11 +1,11 @@
 """Command-line front end.
 
-Commands: spectrum | evolve | pst-check | pst-find | period.  The graph comes
-from an inline JSON spec, a named family, or an index-2 Cayley description,
-either on the command line or in a --config file (which may also name the
-command).  Reports are deterministic: identical configs produce byte-identical
-JSON.  Times are carried as exact rational multiples of pi wherever they are
-exact; floats are derived fields.
+Commands: spectrum | evolve | pst-check | pst-find | period.  A job is one
+config object: a --config file (which may also name the command) whose fields
+the flags override.  Its `graph` (or --graph) is an inline JSON spec, a named
+family or an index-2 Cayley description.  Reports are deterministic: identical
+configs produce byte-identical JSON.  Times are carried as exact rational
+multiples of pi wherever they are exact; floats are derived fields.
 
 Each field is printed in the form the computation has, so a report grows
 linearly with the group order n:
@@ -84,11 +84,6 @@ def parse_time(expression) -> tuple[float, Fraction | None]:
 
 
 def parse_vertex(spec: SemiCayleySpec, obj) -> Vertex:
-    if isinstance(obj, str):
-        try:
-            obj = json.loads(obj)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"cannot parse vertex {obj!r}: expected [[exponents],layer]") from exc
     try:
         element, layer = obj
         element, layer = tuple(map(integer, element)), integer(layer)
@@ -135,8 +130,8 @@ def _family_spec(obj: dict) -> SemiCayleySpec:
         A = _field(obj, "A", AbelianGroup)
         T1, T2 = _field(obj, "T1", list, []), _field(obj, "T2", list, [])
         if name == "dihedral":
-            return generalized_dihedral(A, T1, T2)[0]
-        return generalized_dicyclic(A, _field(obj, "y", tuple), T1, T2)[0]
+            return generalized_dihedral(A, T1, T2)
+        return generalized_dicyclic(A, _field(obj, "y", tuple), T1, T2)
     raise ValidationError(f"unknown family {name!r}")
 
 
@@ -148,22 +143,22 @@ def _index2_spec(obj: dict) -> SemiCayleySpec:
     elif action == "inversion":
         sigma = inversion(subgroup)
     elif isinstance(action, list):
-        sigma = _field(obj, "sigma", lambda pairs: {tuple(src): tuple(dst) for src, dst in pairs})
+        # sources first (the last pair for a source wins), then coverage, then images in enumeration order
+        pairs = _field(obj, "sigma", lambda pairs: {tuple(src): tuple(dst) for src, dst in pairs})
+        images = {subgroup.index(src): dst for src, dst in pairs.items()}
+        if len(images) != subgroup.order:
+            raise ValidationError("x-action pair list must map every element of the subgroup")
+        sigma = [subgroup.index(images[i]) for i in range(subgroup.order)]
     else:
         raise ValidationError(f"sigma must be 'identity', 'inversion' or a pair list, got {action!r}")
     return from_cayley_index2(
         subgroup, sigma, _field(obj, "x_square", tuple, subgroup.identity),
         _field(obj, "T1", list, []), _field(obj, "T2", list, []),
-    )[0]
+    )
 
 
 def parse_graph(obj) -> SemiCayleySpec:
-    """Graph source: inline spec JSON, named family, or index-2 description."""
-    if isinstance(obj, str):
-        try:
-            obj = json.loads(obj)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"malformed graph JSON: {exc}") from exc
+    """A config's `graph`: inline spec JSON, named family, or index-2 description."""
     if not isinstance(obj, dict):
         raise ValidationError("graph description must be a JSON object")
     if "family" in obj:
@@ -173,17 +168,6 @@ def parse_graph(obj) -> SemiCayleySpec:
     if "group" in obj:
         return SemiCayleySpec.from_json(obj)
     raise ValidationError("graph description needs 'family', 'group' or 'cayley_index2'")
-
-
-def _resolve_graph(config: dict) -> SemiCayleySpec:
-    inline = [key for key in ("family", "cayley_index2", "group") if key in config]
-    if "graph" in config:
-        if inline:
-            raise ValidationError(f"ambiguous graph source: both 'graph' and {inline[0]!r} given")
-        return parse_graph(config["graph"])
-    if inline:
-        return parse_graph(config)
-    raise ValidationError("no graph source: provide 'graph', 'family' or 'cayley_index2'")
 
 
 def run(config: dict) -> tuple[dict, int]:
@@ -201,7 +185,9 @@ def _run_checked(config: dict) -> dict:
     command = config.get("command")
     if command not in COMMANDS:
         raise ValidationError(f"command must be one of {list(COMMANDS)}, got {command!r}")
-    spec = _resolve_graph(config)
+    if "graph" not in config:
+        raise ValidationError("missing field 'graph'")
+    spec = parse_graph(config["graph"])
     report: dict = {"command": command, "graph": spec.to_json()}
 
     if command == "spectrum":
@@ -339,18 +325,19 @@ def _verdict_line(verdict: dict) -> str:
     return f"  no PST {where} ({verdict['certificate']['rule']})"
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error exits 1, like any validation error; 2 is for bugs
+        raise ValidationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="semicayley",
         description="Spectra, quantum-walk transfer and perfect state transfer on semi-Cayley graphs",
     )
     parser.add_argument("command", nargs="?", choices=COMMANDS, help="analysis to run (may come from --config)")
     parser.add_argument("--config", help="JSON job file; explicit flags override its fields")
     parser.add_argument("--graph", help="inline graph JSON (spec, family or cayley_index2 object)")
-    parser.add_argument("--family", help="named family (sunlet, cone, hypercube, ...)")
-    parser.add_argument("--n", type=int, help="size parameter for sunlet/cone/hypercube")
-    parser.add_argument("--A", help="JSON factor list of the abelian group A for dihedral/dicyclic families")
-    parser.add_argument("--y", help="JSON element of A: the involution x^2 for dicyclic families")
     parser.add_argument("--tol", type=float, help=f"magnitude tolerance (default {MAGNITUDE_TOL:g})")
     parser.add_argument("--time", help="time as 'p/q pi' or a decimal float")
     parser.add_argument("--from", dest="source", help="vertex [[exponents],layer]")
@@ -381,43 +368,28 @@ def config_from_args(args: argparse.Namespace) -> dict:
             raise ValidationError("config file must hold a JSON object")
     if args.command:
         config["command"] = args.command
-    if args.graph and args.family:
-        raise ValidationError("give either --graph or --family, not both")
-    if args.graph or args.family:
-        for key in ("graph", "family", "cayley_index2", "group"):
-            config.pop(key, None)
-    if args.graph:
+    if args.graph is not None:
         config["graph"] = _json_flag(args.graph, "--graph")
-    if args.family:
-        family: dict = {"family": args.family}
-        if args.n is not None:
-            family["n"] = args.n
-        if args.A:
-            family["A"] = _json_flag(args.A, "--A")
-        if args.y:
-            family["y"] = _json_flag(args.y, "--y")
-        config["graph"] = family
     if args.tol is not None:
         config["tolerance"] = args.tol
     if args.time is not None:
         config["time"] = args.time
     if args.source is not None:
-        config["from"] = args.source
+        config["from"] = _json_flag(args.source, "--from")
     if args.target is not None:
-        config["to"] = args.target
+        config["to"] = _json_flag(args.target, "--to")
     return config
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         config = config_from_args(args)
+        fmt = args.format or config.get("format", "json")
+        if fmt not in ("json", "text"):
+            raise ValidationError(f"unknown format {fmt!r}")
     except ValidationError as exc:
         print(json.dumps({"error": {"kind": "validation", "message": str(exc)}}, sort_keys=True))
-        return 1
-    fmt = args.format or config.get("format", "json")
-    if fmt not in ("json", "text"):
-        print(json.dumps({"error": {"kind": "validation", "message": f"unknown format {fmt!r}"}}, sort_keys=True))
         return 1
     report, code = run(config)
     if fmt == "text":

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -175,35 +175,29 @@ def build(spec: SemiCayleySpec) -> np.ndarray:
 
 def from_cayley_index2(
     subgroup: AbelianGroup,
-    x_action: Callable[[Element], Element] | dict,
+    sigma: Sequence[int],
     x_square: Element,
     T1: Iterable[Element],
     T2: Iterable[Element],
-) -> tuple[SemiCayleySpec, list[tuple[int, Element]]]:
+) -> SemiCayleySpec:
     """Decompose Cay(G, T1 u xT2) over G = H u xH as a semi-Cayley graph.
 
-    The extension is described by the data the decomposition needs: the
-    automorphism sigma(h) = x^{-1} h x of H (a callable or a dict over all of
-    H), which associativity forces to be an involution fixing x^2, and x^2.
-    T1 must be inverse-closed without the identity; xT2 is checked for
-    inverse closure in closed form, as (x t)^{-1} = x sigma(t)^{-1} x^{-2}.
-
-    Returns the spec and the vertex bijection: entry j of the returned list
-    is the extension element (eps, h) = x^eps h identified with vertex j of
-    the spec's vertex order ((h, 0) <-> h and (h, 1) <-> x*h).  Relabelling
-    the extension's Cayley adjacency through it reproduces build(spec).
+    The extension is described by x^2 and the automorphism sigma(h) = x^{-1} h x
+    of H, as n enumeration indices with sigma(g_i) = g_sigma[i]; associativity
+    forces sigma to be an involution fixing x^2.  T1 must be inverse-closed
+    without the identity; xT2 is checked for inverse closure in closed form, as
+    (x t)^{-1} = x sigma(t)^{-1} x^{-2}.  The spec's vertex order is H, then xH:
+    (h, 0) is the element h and (h, 1) is x*h, so relabelling the extension's
+    Cayley adjacency in that order reproduces build(spec).
     """
-    if isinstance(x_action, dict):
-        mapping = {subgroup.validate_element(k): v for k, v in x_action.items()}
-        if len(mapping) != subgroup.order:
-            raise ValidationError("x-action pair list must map every element of the subgroup")
-        x_action = lambda g: mapping[g]
     square = subgroup.index(x_square)
-    elements = subgroup.elements()
-    # sigma as a permutation of enumeration indices: g_i -> g_perm[i]
-    perm = np.array([subgroup.index(x_action(g)) for g in elements], dtype=np.int64)
     everything = np.arange(subgroup.order)
-    if not np.array_equal(np.sort(perm), everything):
+    try:
+        perm = np.asarray(sigma)
+        bijective = perm.dtype.kind in "iu" and np.array_equal(np.sort(perm), everything)
+    except ValueError:  # a ragged sequence, or np.sort of a scalar
+        bijective = False
+    if not bijective:  # a float or bool sigma is refused, not truncated
         raise ValidationError("x-action is not a bijection of the subgroup")
     sums = subgroup.add_indices(everything[:, None], everything[None, :])
     if not np.array_equal(perm[sums], sums[np.ix_(perm, perm)]):
@@ -222,35 +216,34 @@ def from_cayley_index2(
     if not np.array_equal(np.sort(subgroup.power_indices(subgroup.add_indices(perm[t2], square), -1)), t2):
         raise ValidationError("connection coset part xT2 is not inverse-closed")
 
-    # Edge rules through the bijection (h,0) <-> h, (h,1) <-> x*h:
+    # Edge rules in the vertex order (h,0) <-> h, (h,1) <-> x*h:
     #   (h,0)~(k,0)  iff k h^{-1} in T1, so R = T1
     #   (h,1)~(k,1)  iff (xk)(xh)^{-1} in T1, i.e. k h^{-1} in sigma(T1)
     #   (h,0)~(k,1)  iff (xk) h^{-1} in xT2, i.e. k h^{-1} in T2
-    spec = SemiCayleySpec(subgroup, T1, [elements[i] for i in perm[t1]], T2)
-    return spec, [(0, h) for h in elements] + [(1, h) for h in elements]
+    return SemiCayleySpec(subgroup, T1, [subgroup.element(i) for i in perm[t1]], T2)
 
 
-def inversion(group: AbelianGroup) -> Callable[[Element], Element]:
-    return group.inverse
+def inversion(group: AbelianGroup) -> np.ndarray:
+    return group.power_indices(np.arange(group.order), -1)
 
 
-def identity_action(group: AbelianGroup) -> Callable[[Element], Element]:
-    return lambda g: group.validate_element(g)
+def identity_action(group: AbelianGroup) -> np.ndarray:
+    return np.arange(group.order)
 
 
-def generalized_dihedral(A: AbelianGroup, T1, T2) -> tuple[SemiCayleySpec, list]:
+def generalized_dihedral(A: AbelianGroup, T1, T2) -> SemiCayleySpec:
     """Cay(Dih(A, x), T1 u xT2): x inverts A and x^2 = 1."""
     return from_cayley_index2(A, inversion(A), A.identity, T1, T2)
 
 
-def generalized_dicyclic(A: AbelianGroup, y: Element, T1, T2) -> tuple[SemiCayleySpec, list]:
+def generalized_dicyclic(A: AbelianGroup, y: Element, T1, T2) -> SemiCayleySpec:
     """Cay(Dic(A, y, x), T1 u xT2): x inverts A and x^2 = y, an involution."""
     if A.orders(A.index(y)) != 2:
         raise ValidationError("x^2 must be an involution of A")
     return from_cayley_index2(A, inversion(A), y, T1, T2)
 
 
-def abelian_index2(H: AbelianGroup, x_square: Element, T1, T2) -> tuple[SemiCayleySpec, list]:
+def abelian_index2(H: AbelianGroup, x_square: Element, T1, T2) -> SemiCayleySpec:
     """Cay(G, T1 u xT2) for abelian G with index-2 subgroup H and central x."""
     return from_cayley_index2(H, identity_action(H), x_square, T1, T2)
 
@@ -284,21 +277,18 @@ def dihedral_full_coset(A: AbelianGroup) -> SemiCayleySpec:
 
     This is the complete bipartite graph K_{|A|,|A|} between the two layers.
     """
-    spec, _ = generalized_dihedral(A, [], A.elements())
-    return spec
+    return generalized_dihedral(A, [], A.elements())
 
 
 def dihedral_involutions(A: AbelianGroup) -> SemiCayleySpec:
     """Cay(Dih(A, x), xA u {involutions of A}) as a semi-Cayley graph."""
     invs = [A.element(i) for i in np.flatnonzero(A.orders(np.arange(A.order)) == 2)]
-    spec, _ = generalized_dihedral(A, invs, A.elements())
-    return spec
+    return generalized_dihedral(A, invs, A.elements())
 
 
 def dicyclic_full_coset(A: AbelianGroup, y: Element) -> SemiCayleySpec:
     """Cay(Dic(A, y, x), xA) as a semi-Cayley graph."""
-    spec, _ = generalized_dicyclic(A, y, [], A.elements())
-    return spec
+    return generalized_dicyclic(A, y, [], A.elements())
 
 
 def hypercube(dim: int) -> SemiCayleySpec:

@@ -31,10 +31,10 @@ def test_parse_time_forms():
             parse_time(infinite)
 
 
-def test_parse_graph_sources():
+def test_parse_graph_sources(capsys):
     spec = parse_graph({"family": "sunlet", "n": 4})
     assert spec.group.factors == (4,)
-    spec = parse_graph('{"group": {"factors": [2]}, "R": [[1]], "L": [[1]], "S": [[0]]}')
+    spec = parse_graph({"group": {"factors": [2]}, "R": [[1]], "L": [[1]], "S": [[0]]})
     assert len(spec.R) == 1
     spec = parse_graph(
         {"cayley_index2": {"H": {"factors": [3]}, "sigma": "inversion", "T1": [], "T2": [[0], [1], [2]]}}
@@ -42,12 +42,12 @@ def test_parse_graph_sources():
     assert spec.S == spec.group.subset(spec.group.elements())
     with pytest.raises(ValidationError):
         parse_graph({"family": "moebius", "n": 4})
-    with pytest.raises(ValidationError):
-        parse_graph("not json")
+    assert main(["period", "--graph", "not json"]) == 1
+    assert "flag --graph expects JSON" in json.loads(capsys.readouterr().out)["error"]["message"]
 
 
 def test_run_sunlet_pst_find():
-    report, code = run({"family": "sunlet", "n": 4, "command": "pst-find"})
+    report, code = run({"graph": {"family": "sunlet", "n": 4}, "command": "pst-find"})
     assert code == 0
     assert report["pst_found"] is False
     assert report["summary"]["yes"] == 0
@@ -56,7 +56,7 @@ def test_run_sunlet_pst_find():
 
 
 def test_run_dihedral_period():
-    report, code = run({"family": "dihedral-full-coset", "A": [4], "command": "period"})
+    report, code = run({"graph": {"family": "dihedral-full-coset", "A": [4]}, "command": "period"})
     assert code == 0
     assert report["periodicity"]["periodic"] is True
     assert report["periodicity"]["min_period_pi_multiple"] == "1/2"
@@ -104,29 +104,29 @@ def _full_matrix(report):
 
 
 def test_run_spectrum_and_evolve():
-    report, code = run({"family": "hypercube", "n": 1, "command": "spectrum"})
+    q1 = {"family": "hypercube", "n": 1}
+    report, code = run({"graph": q1, "command": "spectrum"})
     assert code == 0
     assert report["integral"] is True and report["eigen_gcd"] == 2
-    report, code = run({"family": "hypercube", "n": 1, "command": "evolve", "time": 0.0})
+    report, code = run({"graph": q1, "command": "evolve", "time": 0.0})
     assert code == 0
     entries = _full_matrix(report)
     assert entries[0][0].real == 1.0 and abs(entries[0][1].real) < 1e-12
     report, code = run(
-        {"family": "hypercube", "n": 1, "command": "evolve", "time": "1/2 pi",
-         "from": [[0], 0], "to": [[0], 1]}
+        {"graph": q1, "command": "evolve", "time": "1/2 pi", "from": [[0], 0], "to": [[0], 1]}
     )
     assert code == 0
     assert abs(report["magnitude"] - 1.0) < 1e-12
 
 
 def test_exit_codes_and_errors():
-    report, code = run({"family": "sunlet", "n": 2, "command": "spectrum"})
+    report, code = run({"graph": {"family": "sunlet", "n": 2}, "command": "spectrum"})
     assert code == 1 and report["error"]["kind"] == "validation"
-    report, code = run({"family": "sunlet", "n": 4, "command": "fly"})
+    report, code = run({"graph": {"family": "sunlet", "n": 4}, "command": "fly"})
     assert code == 1
     report, code = run({"command": "spectrum"})
-    assert code == 1
-    report, code = run({"family": "sunlet", "n": 4, "command": "evolve"})
+    assert code == 1 and report["error"]["message"] == "missing field 'graph'"
+    report, code = run({"graph": {"family": "sunlet", "n": 4}, "command": "evolve"})
     assert code == 1  # missing time
 
 
@@ -136,20 +136,20 @@ _C4 = {"group": {"factors": [2]}, "R": [[1]], "L": [[1]], "S": [[0]]}
 @pytest.mark.parametrize(
     "config",
     [
-        {"command": "spectrum", "family": "sunlet"},
-        {"command": "spectrum", "family": "sunlet", "n": "abc"},
-        {"command": "spectrum", "family": "dihedral"},
-        {"command": "spectrum", "family": "join"},
+        {"command": "spectrum", "graph": {"family": "sunlet"}},
+        {"command": "spectrum", "graph": {"family": "sunlet", "n": "abc"}},
+        {"command": "spectrum", "graph": {"family": "dihedral"}},
+        {"command": "spectrum", "graph": {"family": "join"}},
         *({"command": "pst-check", "graph": _C4, "from": [[0], 0], "to": [[1], 1], "time": "1/2 pi",
            "tolerance": tol} for tol in ("abc", "nan", "inf", 2, 1, -1e-9)),
         {"command": "pst-check", "graph": _C4, "from": [["a"], 0], "to": [[1], 1]},
         {"command": "pst-check", "graph": _C4, "from": [5, 0], "to": [[1], 1]},
         {"command": "pst-check", "graph": _C4, "from": [[0], "x"], "to": [[1], 1]},
         {"command": "spectrum", "graph": {"group": {"factors": ["x"]}, "R": [], "L": [], "S": []}},
-        {"command": "spectrum", "family": "dihedral-full-coset", "A": ["x"]},
-        {"command": "spectrum", "cayley_index2": {"H": {"factors": [3]}, "sigma": [[[0], [0]], [[1], [2]]]}},
+        {"command": "spectrum", "graph": {"family": "dihedral-full-coset", "A": ["x"]}},
+        {"command": "spectrum", "graph": {"cayley_index2": {"H": {"factors": [3]}, "sigma": [[[0], [0]], [[1], [2]]]}}},
         # JSON booleans are not integers or numbers, although True == 1 in Python
-        {"command": "spectrum", "family": "hypercube", "n": True},
+        {"command": "spectrum", "graph": {"family": "hypercube", "n": True}},
         {"command": "spectrum", "graph": {"group": {"factors": [True, 2]}, "R": [], "L": [], "S": []}},
         {"command": "spectrum", "graph": {"group": {"factors": [2]}, "R": [], "L": [], "S": [[True]]}},
         {"command": "pst-check", "graph": _C4, "from": [[0], False], "to": [[1], 1]},
@@ -158,18 +158,19 @@ _C4 = {"group": {"factors": [2]}, "R": [[1]], "L": [[1]], "S": [[0]]}
         {"command": "pst-check", "graph": _C4, "from": [[0], 0], "to": [[1], 1], "time": "1/2 pi",
          "tolerance": False},
         # an order of 2^(10^12 - 1), refused before anything of that size is built
-        {"command": "spectrum", "family": "hypercube", "n": 10**12},
+        {"command": "spectrum", "graph": {"family": "hypercube", "n": 10**12}},
     ],
 )
 def test_malformed_input_is_a_validation_error(config):
     report, code = run(config)
     assert code == 1 and report["error"]["kind"] == "validation", report
+    assert report["error"]["message"] != "missing field 'graph'"  # refused for its own fault
 
 
 @pytest.mark.parametrize(
     "config, named",
     [
-        ({"command": "spectrum", "family": "sunlet", "n": 4.7}, "field 'n'"),
+        ({"command": "spectrum", "graph": {"family": "sunlet", "n": 4.7}}, "field 'n'"),
         ({"command": "spectrum", "graph": {"group": {"factors": [2.9]}, "R": [], "L": [], "S": [[0.6]]}},
          "cyclic factor sizes"),
         ({"command": "spectrum", "graph": {"group": {"factors": [2]}, "R": [], "L": [], "S": [[0.6]]}},
@@ -291,7 +292,7 @@ def test_evolve_refuses_the_pst_check_horizon_without_an_exact_period():
 
 
 def test_graph_json_round_trip():
-    report, _ = run({"family": "sunlet", "n": 4, "command": "period"})
+    report, _ = run({"graph": {"family": "sunlet", "n": 4}, "command": "period"})
     emitted = report["graph"]
     spec = parse_graph(emitted)
     assert spec.to_json() == emitted
@@ -301,9 +302,9 @@ def test_graph_json_round_trip():
         ({"family": "join", "group": {"factors": [5]}, "R": [[1], [4]], "L": []},
          sc.join_spec(sc.AbelianGroup([5]), [(1,), (4,)], [])),
         ({"family": "dihedral", "A": [4], "T1": [[1], [3]], "T2": [[0]]},
-         sc.generalized_dihedral(z4, t1, [(0,)])[0]),
+         sc.generalized_dihedral(z4, t1, [(0,)])),
         ({"family": "dicyclic", "A": [4], "y": [2], "T1": [[1], [3]], "T2": [[1], [3]]},
-         sc.generalized_dicyclic(z4, (2,), t1, t1)[0]),
+         sc.generalized_dicyclic(z4, (2,), t1, t1)),
     ]
     for family, spec in families:
         report, code = run({"command": "period", "graph": family})
@@ -320,11 +321,15 @@ def test_sigma_pair_list_is_the_named_action():
         reports.append(report)
     assert reports[0] == reports[1]
     assert reports[0]["summary"] == {"yes": 2, "no": 12}
+    # a pair list must cover the subgroup: Z_3 with two pairs
+    index2 = {"H": {"factors": [3]}, "sigma": [[[0], [0]], [[1], [2]]]}
+    report, code = run({"command": "spectrum", "graph": {"cayley_index2": index2}})
+    assert code == 1 and report["error"]["message"] == "x-action pair list must map every element of the subgroup"
 
 
 def test_render_text_prints_exact_eigenvalues_as_integers():
     # cone(4) has chi(S) = 0 at chi[1], where the float of lambda+ is -1.2e-16
-    report, code = run({"command": "spectrum", "family": "cone", "n": 4})
+    report, code = run({"command": "spectrum", "graph": {"family": "cone", "n": 4}})
     assert code == 0
     lines = render_text(report).splitlines()
     rows = report["spectrum"]["characters"]
@@ -339,31 +344,31 @@ def test_render_text_prints_exact_eigenvalues_as_integers():
 
 
 def test_reports_are_byte_identical():
-    config = {"family": "sunlet", "n": 5, "command": "pst-find"}
+    config = {"graph": {"family": "sunlet", "n": 5}, "command": "pst-find"}
     first, _ = run(config)
     second, _ = run(config)
     assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
 
 
 def test_main_json_and_text(capsys):
-    code = main(["pst-find", "--family", "sunlet", "--n", "4"])
+    code = main(["pst-find", "--graph", '{"family": "sunlet", "n": 4}'])
     assert code == 0
     out = capsys.readouterr().out
     parsed = json.loads(out)
     assert parsed["pst_found"] is False
 
-    code = main(["period", "--family", "dihedral-full-coset", "--A", "[4]", "--format", "text"])
+    code = main(["period", "--graph", '{"family": "dihedral-full-coset", "A": [4]}', "--format", "text"])
     assert code == 0
     out = capsys.readouterr().out
     assert "periodic: yes" in out and "1/2 pi" in out
 
-    code = main(["spectrum", "--family", "sunlet", "--n", "2"])
+    code = main(["spectrum", "--graph", '{"family": "sunlet", "n": 2}'])
     assert code == 1
 
 
 def test_main_config_file(tmp_path, capsys):
     config_path = tmp_path / "job.json"
-    config_path.write_text(json.dumps({"family": "sunlet", "n": 4, "command": "pst-find"}))
+    config_path.write_text(json.dumps({"graph": {"family": "sunlet", "n": 4}, "command": "pst-find"}))
     code = main(["--config", str(config_path)])
     assert code == 0
     parsed = json.loads(capsys.readouterr().out)
@@ -373,6 +378,44 @@ def test_main_config_file(tmp_path, capsys):
     assert code == 0
     parsed = json.loads(capsys.readouterr().out)
     assert parsed["command"] == "period"
+
+
+def test_main_reads_json_flags_and_the_graph_field(tmp_path, capsys):
+    def error(argv):
+        code = main(argv)
+        message = json.loads(capsys.readouterr().out)["error"]["message"]
+        assert code == 1
+        return message
+
+    c4 = '{"group": {"factors": [2]}, "R": [[1]], "L": [[1]], "S": [[0]]}'
+    assert error(["pst-check", "--graph", c4, "--from", "[[0],", "--to", "[[1],1]"]).startswith(
+        "flag --from expects JSON"
+    )
+    assert error(["pst-check", "--graph", c4, "--from", "[[0],0]", "--to", "[[1],"]).startswith(
+        "flag --to expects JSON"
+    )
+    # a config holds its graph only under `graph`: top-level graph keys are not read
+    config_path = tmp_path / "job.json"
+    config_path.write_text(json.dumps({"family": "sunlet", "n": 4, "command": "pst-find"}))
+    assert error(["--config", str(config_path)]) == "missing field 'graph'"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["period", "--bogus"], ["frobnicate"], ["period", "--graph", '{"family": "cone", "n": 4}', "--tol", "x"],
+     ["period", "--family", "cone", "--n", "4"]],
+    ids=["unknown-flag", "unknown-command", "non-float-tol", "retired-family-flag"],
+)
+def test_usage_errors_are_validation_errors(argv, capsys):
+    # argparse exits 2 on a usage error, but 2 is reserved for internal-consistency errors
+    assert main(argv) == 1
+    assert json.loads(capsys.readouterr().out)["error"]["kind"] == "validation"
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0 and "--graph" in capsys.readouterr().out
 
 
 def test_render_text_verdicts():
@@ -387,13 +430,6 @@ def test_render_text_verdicts():
     assert "summary:" in text
 
 
-def test_ambiguous_graph_source():
-    report, code = run(
-        {"graph": {"family": "sunlet", "n": 4}, "family": "cone", "n": 3, "command": "period"}
-    )
-    assert code == 1 and "ambiguous" in report["error"]["message"]
-
-
 def test_consistency_error_maps_to_exit_2(monkeypatch):
     from semicayley import ConsistencyError
     from semicayley import cli as cli_module
@@ -402,7 +438,7 @@ def test_consistency_error_maps_to_exit_2(monkeypatch):
         raise ConsistencyError("paths disagree")
 
     monkeypatch.setattr(cli_module, "find_pst", explode)
-    report, code = run({"family": "sunlet", "n": 4, "command": "pst-find"})
+    report, code = run({"graph": {"family": "sunlet", "n": 4}, "command": "pst-find"})
     assert code == 2
     assert report["error"]["kind"] == "internal-consistency"
 
@@ -410,7 +446,7 @@ def test_consistency_error_maps_to_exit_2(monkeypatch):
 def test_format_from_config(tmp_path, capsys):
     config_path = tmp_path / "job.json"
     config_path.write_text(
-        json.dumps({"family": "sunlet", "n": 5, "command": "period", "format": "text"})
+        json.dumps({"graph": {"family": "sunlet", "n": 5}, "command": "period", "format": "text"})
     )
     code = main(["--config", str(config_path)])
     assert code == 0

@@ -149,7 +149,7 @@ def _extension_relabel_matches(subgroup, sigma, x_square, t1, t2):
     # inverse-closed, after checking that from_cayley_index2 rejects it too
     def emul(p, q):
         (e1, h1), (e2, h2) = p, q
-        moved = sigma(h1) if e2 else h1
+        moved = subgroup.element(sigma[subgroup.index(h1)]) if e2 else h1
         out = subgroup.mul(moved, h2)
         if e1 and e2:
             out = subgroup.mul(x_square, out)
@@ -167,8 +167,9 @@ def _extension_relabel_matches(subgroup, sigma, x_square, t1, t2):
         with pytest.raises(ValidationError, match="xT2 is not inverse-closed"):
             from_cayley_index2(subgroup, sigma, x_square, t1, t2)
         return None
-    spec, bijection = from_cayley_index2(subgroup, sigma, x_square, t1, t2)
+    spec = from_cayley_index2(subgroup, sigma, x_square, t1, t2)
 
+    # the spec's vertex order: H, then xH
     elems = [(0, h) for h in subgroup.elements()] + [(1, h) for h in subgroup.elements()]
     size = len(elems)
     cayley = np.zeros((size, size), dtype=int)
@@ -176,8 +177,7 @@ def _extension_relabel_matches(subgroup, sigma, x_square, t1, t2):
         for j, h in enumerate(elems):
             if emul(h, einv(g)) in connection:
                 cayley[i, j] = 1
-    order = [elems.index(b) for b in bijection]
-    assert np.array_equal(cayley[np.ix_(order, order)], build(spec))
+    assert np.array_equal(cayley, build(spec))
     return spec
 
 
@@ -199,7 +199,7 @@ def test_index2_abelian_relabel():
     # central x: both layers carry the same connection set
     assert spec.R == spec.L
     # C6 built as an extension of Z3: cycle eigenvalues
-    spec6, _ = from_cayley_index2(z3, identity_action(z3), (1,), [], [(0,), (2,)])
+    spec6 = from_cayley_index2(z3, identity_action(z3), (1,), [], [(0,), (2,)])
     eigs = np.sort(np.linalg.eigvalsh(build(spec6).astype(float)))
     expected = np.sort([2 * np.cos(2 * np.pi * k / 6) for k in range(6)])
     assert np.allclose(eigs, expected, atol=1e-9)
@@ -224,8 +224,8 @@ def test_abelian_index2_is_the_central_case(rng):
         t2 = set()
         for t in random_subset(group, rng):
             t2 |= {t, group.mul(group.inverse(t), group.inverse(x_square))}
-        spec, bijection = sc.abelian_index2(group, x_square, t1, t2)
-        assert (spec, bijection) == from_cayley_index2(group, identity_action(group), x_square, t1, t2)
+        spec = sc.abelian_index2(group, x_square, t1, t2)
+        assert spec == from_cayley_index2(group, identity_action(group), x_square, t1, t2)
         assert spec.R == spec.L == group.subset(t1)
         assert _extension_relabel_matches(group, identity_action(group), x_square, t1, t2) == spec
         raw = random_subset(group, rng)
@@ -236,23 +236,41 @@ def test_abelian_index2_is_the_central_case(rng):
 def test_index2_validation():
     z4 = AbelianGroup([4])
     with pytest.raises(ValidationError):
-        from_cayley_index2(z4, lambda g: (0,), (0,), [], [])  # not a bijection
+        from_cayley_index2(z4, [0, 0, 0, 0], (0,), [], [])  # not a bijection
     with pytest.raises(ValidationError):
         # shift by 1 is a bijection but not an automorphism
-        from_cayley_index2(z4, lambda g: ((g[0] + 1) % 4,), (0,), [], [])
+        from_cayley_index2(z4, [1, 2, 3, 0], (0,), [], [])
     with pytest.raises(ValidationError):
         from_cayley_index2(z4, inversion(z4), (1,), [], [])  # sigma does not fix x^2
     with pytest.raises(ValidationError, match="involution"):
         # g -> 2g is an automorphism of Z5 fixing x^2 = 0, but has order 4
-        from_cayley_index2(AbelianGroup([5]), lambda g: (2 * g[0] % 5,), (0,), [], [])
-    with pytest.raises(ValidationError, match="every element"):
-        from_cayley_index2(z4, {(0,): (0,), (1,): (3,), (2,): (2,)}, (0,), [], [])  # misses (3,)
+        from_cayley_index2(AbelianGroup([5]), [0, 2, 4, 1, 3], (0,), [], [])
     with pytest.raises(ValidationError):
         from_cayley_index2(z4, inversion(z4), (2,), [], [(0,)])  # xT2 not inverse-closed
     with pytest.raises(ValidationError):
         from_cayley_index2(z4, identity_action(z4), (0,), [(1,)], [])  # T1 not inverse-closed
     with pytest.raises(ValidationError):
         sc.generalized_dicyclic(z4, (1,), [], [])  # x^2 must be an involution
+
+
+@pytest.mark.parametrize(
+    "factors, sigma",
+    [([4], [0.0, 3.0, 2.0, 1.0]), ([2], [False, True]), ([4], [0, 3, 2]), ([4], [0, 3, 2, 1, 4]),
+     ([4], [0, 4, 2, 1]), ([4], [0, 3, 3, 1]), ([4], [[0], [3], [2], [1]]), ([4], [[0], [3, 2], [1]]),
+     ([1], 0), ([4], {0: 0, 1: 3, 2: 2, 3: 1}), ([4], "inversion")],
+    ids=["float", "bool", "short", "long", "out-of-range", "repeated", "column", "ragged", "scalar", "dict", "name"],
+)
+def test_index2_sigma_must_be_an_index_permutation(factors, sigma):
+    # sigma is n enumeration indices; a float or bool sigma is refused, not truncated to one
+    with pytest.raises(ValidationError, match="x-action is not a bijection of the subgroup"):
+        from_cayley_index2(AbelianGroup(factors), sigma, (0,), [], [])
+
+
+@pytest.mark.parametrize("factors", GROUP_POOL)
+def test_named_actions_are_the_tuple_law(factors):
+    group = AbelianGroup(factors)
+    assert inversion(group).tolist() == [group.index(group.inverse(g)) for g in group.elements()]
+    assert identity_action(group).tolist() == list(range(group.order))
 
 
 def test_named_families():
