@@ -7,7 +7,8 @@ floats.  The package runs `cyclotomic_polynomial`, `_residue_table` (with
 which `spectra` reduces whole arrays of rows in one product) and
 `character_matrix`.  `CycloValue` (exact arithmetic modulo x^N - 1), `Root`,
 `eval_character` and `char_sum` are the tests' referees, one value at a
-time; they stay here because the benchmark tracer names them.
+time; the package does not export them, and they stay in this module
+because the benchmark tracer names them here.
 """
 
 from __future__ import annotations
@@ -171,9 +172,6 @@ class CycloValue:
             return NotImplemented
         return CycloValue(self.order, (a - b for a, b in zip(self.coeffs, other.coeffs)))
 
-    def __rsub__(self, other) -> "CycloValue":
-        return (-self) + other
-
     def __mul__(self, other) -> "CycloValue":
         if isinstance(other, int):
             return CycloValue(self.order, (other * c for c in self.coeffs))
@@ -212,9 +210,6 @@ class CycloValue:
             coerced = self._coerce(other)
             return (self - coerced).is_zero()
         return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.order, self.residue()))
 
     def as_integer(self) -> int | None:
         """The exact integer value, or None if the value is irrational.
@@ -274,8 +269,8 @@ def char_sum(group: AbelianGroup, char_index: Element, subset: Iterable[Element]
     character takes the value zeta_N^r: a bincount of one row of the group's
     character-exponent table.
     """
-    row = group.char_exponents[group.index(char_index)]
-    return CycloValue(group.exponent, np.bincount(row[group.indices(subset)], minlength=group.exponent))
+    row = group.char_exponents[group.index(char_index)][group.index_array(group.subset(subset))]
+    return CycloValue(group.exponent, np.bincount(row, minlength=group.exponent))
 
 
 def character_matrix(group: AbelianGroup) -> np.ndarray:

@@ -333,6 +333,7 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="semicayley",
+        allow_abbrev=False,  # one spelling per flag: --gra is not --graph
         description="Spectra, quantum-walk transfer and perfect state transfer on semi-Cayley graphs",
     )
     parser.add_argument("command", nargs="?", choices=COMMANDS, help="analysis to run (may come from --config)")

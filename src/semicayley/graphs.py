@@ -148,7 +148,7 @@ def cay_adjacency(group: AbelianGroup, connection: Iterable[Element]) -> np.ndar
     n = group.order
     rows = np.arange(n)[:, None]
     out = np.zeros((n, n), dtype=np.int64)
-    out[rows, group.add_indices(rows, group.indices(connection)[None, :])] = 1
+    out[rows, group.add_indices(rows, group.index_array(group.subset(connection))[None, :])] = 1
     return out
 
 

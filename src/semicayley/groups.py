@@ -86,10 +86,6 @@ class AbelianGroup:
     def index(self, g: Element) -> int:
         return sum(x * s for x, s in zip(self.validate_element(g), self.strides))
 
-    def indices(self, xs: Iterable[Iterable[int]]) -> np.ndarray:
-        """Sorted enumeration indices of the distinct elements of a collection (validated)."""
-        return self.index_array(self.subset(xs))
-
     def index_array(self, xs: frozenset[Element]) -> np.ndarray:
         """Sorted enumeration indices of an already validated set of elements."""
         return np.sort(np.array(list(xs), dtype=np.int64).reshape(len(xs), len(self.factors)) @ np.array(self.strides))

@@ -71,10 +71,11 @@ from functools import lru_cache
 
 import numpy as np
 
+from .characters import character_matrix
 from .errors import ConsistencyError, ValidationError
 from .graphs import SemiCayleySpec, Vertex
 from .spectra import eigen_gcd
-from .transfer import oracle_column, transfer_entry, transfer_sums
+from .transfer import _entry_sums, oracle_column, transfer_entry
 
 MAGNITUDE_TOL = 1e-8
 PATH_AGREEMENT_TOL = 1e-8
@@ -443,12 +444,15 @@ def scan_pair(spec: SemiCayleySpec, u: Vertex, v: Vertex) -> dict:
     has SCAN_SAMPLES points up to one period 2*pi / eigen_gcd when the
     spectrum is integral, else up to 2*pi.
     """
+    u = spec.validate_vertex(u)
+    v = spec.validate_vertex(v)
     try:
         horizon, note = 2 * math.pi / eigen_gcd(spec), "2*pi / gcd of eigenvalue gaps"
     except ValidationError:
         horizon, note = 2 * math.pi, "2*pi (no exact period available)"
     ts = np.linspace(horizon / SCAN_SAMPLES, horizon, SCAN_SAMPLES)
-    mags = np.abs(transfer_sums(spec, u, v, ts)) / spec.n
+    chi_a = character_matrix(spec.group)[spec.connecting_index(u, v)]
+    mags = np.abs(_entry_sums(spec, u.layer, v.layer, chi_a, ts)) / spec.n
     best = int(np.argmax(mags))
     return {
         "max_magnitude": float(mags[best]),

@@ -338,7 +338,12 @@ def spectrum(spec: SemiCayleySpec) -> Spectrum:
 
 
 def eigen_gcd(spec: SemiCayleySpec) -> int:
-    """gcd of the gaps between the top eigenvalue and the rest of the spectrum."""
+    """gcd of the gaps lambda - mu over the whole spectrum (any one mu gives the same gcd).
+
+    Not the minimum period: that is periodicity's 2 pi / gcd(g0, g1), g_r the
+    gap gcd of layer r's support.  The two can differ only when S is empty:
+    SC(Z_4, {2}, {+-1}, {}) has eigen_gcd 1 and period pi.
+    """
     spect = spec.spectrum
     if not spect.is_integral:
         raise ValidationError("spectrum not integral")

@@ -44,7 +44,7 @@ def transfer_rows(spec: SemiCayleySpec, t: float) -> np.ndarray:
 
     H_(g,r),(h,s)(t) depends only on the layers and a = g^{-1} h, so these
     4n values are all of H(t): entry (g, r), (h, s) is rows[r, s, index(a)].
-    The entry formula of transfer_sums runs once per layer case, for every
+    The entry formula of transfer_entry runs once per layer case, for every
     connecting element at once, on one character table.
     """
     table = character_matrix(spec.group)
@@ -76,23 +76,18 @@ def _entry_sums(spec: SemiCayleySpec, r: int, s: int, chi_a: np.ndarray, ts: np.
     return values
 
 
-def transfer_sums(spec: SemiCayleySpec, u: Vertex, v: Vertex, ts: np.ndarray) -> np.ndarray:
-    """n * H_uv(t) for every time in ts: the four-case character formula.
+def transfer_entry(spec: SemiCayleySpec, u: Vertex, v: Vertex, t: float) -> complex:
+    """Single entry H_uv(t): the four-case character formula at one time.
 
     The sum over characters chi of chi(a) (w+ exp(-i lambda+ t) + w-
-    exp(-i lambda- t)), with a = g^{-1} h the connecting element and w+- the
-    weights of the (u.layer, v.layer) case; callers divide by n = |G|.
+    exp(-i lambda- t)) / n, with a = g^{-1} h the connecting element and w+-
+    the weights of the (u.layer, v.layer) case.
     """
     u = spec.validate_vertex(u)
     v = spec.validate_vertex(v)
     group = spec.group
     chi_a = np.exp(2j * np.pi * group.char_exponents[spec.connecting_index(u, v)] / group.exponent)
-    return _entry_sums(spec, u.layer, v.layer, chi_a, ts)
-
-
-def transfer_entry(spec: SemiCayleySpec, u: Vertex, v: Vertex, t: float) -> complex:
-    """Single entry of H(t): the one-time case of transfer_sums."""
-    return complex(transfer_sums(spec, u, v, np.array([t]))[0] / spec.n)
+    return complex(_entry_sums(spec, u.layer, v.layer, chi_a, np.array([t]))[0] / spec.n)
 
 
 def oracle_expm(adjacency: np.ndarray, t: float) -> np.ndarray:

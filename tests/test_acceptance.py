@@ -23,12 +23,12 @@ from semicayley import (
     decide_pair,
     find_pst,
     make_spec,
-    oracle_expm,
     periodicity,
     spectrum,
     transfer_matrix,
 )
 from semicayley.characters import CycloValue, char_sum, eval_character
+from semicayley.transfer import oracle_expm
 
 from conftest import GROUP_POOL, random_spec, random_subset
 from referees import block_transfer_rl, nu2, vertices

@@ -4,8 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from semicayley import AbelianGroup, CycloValue, ValidationError, char_sum, eval_character
-from semicayley.characters import _reduce_mod, _residue_table, cyclotomic_polynomial
+from semicayley import AbelianGroup, ValidationError
+from semicayley.characters import (
+    CycloValue,
+    _reduce_mod,
+    _residue_table,
+    char_sum,
+    cyclotomic_polynomial,
+    eval_character,
+)
 
 from conftest import GROUP_POOL, random_subset
 

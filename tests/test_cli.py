@@ -159,6 +159,12 @@ _C4 = {"group": {"factors": [2]}, "R": [[1]], "L": [[1]], "S": [[0]]}
          "tolerance": False},
         # an order of 2^(10^12 - 1), refused before anything of that size is built
         {"command": "spectrum", "graph": {"family": "hypercube", "n": 10**12}},
+        {"command": "evolve", "graph": _C4, "time": "1/0 pi"},
+        {"command": "spectrum", "graph": [_C4]},
+        {"command": "spectrum", "graph": {"R": [], "L": [], "S": []}},
+        {"command": "spectrum", "graph": {"cayley_index2": {"H": {"factors": [3]}, "sigma": "bogus"}}},
+        {"command": "evolve", "graph": _C4, "time": "1/2 pi", "from": [[0], 0]},
+        {"command": "pst-check", "graph": _C4, "from": [[0], 0]},
     ],
 )
 def test_malformed_input_is_a_validation_error(config):
@@ -327,6 +333,20 @@ def test_sigma_pair_list_is_the_named_action():
     assert code == 1 and report["error"]["message"] == "x-action pair list must map every element of the subgroup"
 
 
+@pytest.mark.parametrize("sigma", ["identity", None], ids=["identity", "absent"])
+def test_identity_sigma_is_the_abelian_extension(sigma):
+    # x acts trivially with x^2 = e: Cay(Z_4 x Z_2, {(+-1, 0), (0, 1)}) = C_4 x K_2,
+    # the 3-cube, whose antipodal pairs exchange at pi/2
+    index2 = {"H": {"factors": [4]}, "T1": [[1], [3]], "T2": [[0]]}
+    if sigma is not None:
+        index2["sigma"] = sigma
+    report, code = run({"command": "pst-find", "graph": {"cayley_index2": index2}})
+    z4 = sc.AbelianGroup([4])
+    graph = sc.abelian_index2(z4, (0,), [(1,), (3,)], [(0,)]).to_json()
+    assert code == 0 and report == run({"command": "pst-find", "graph": graph})[0]
+    assert report["summary"]["yes"] == 2
+
+
 def test_render_text_prints_exact_eigenvalues_as_integers():
     # cone(4) has chi(S) = 0 at chi[1], where the float of lambda+ is -1.2e-16
     report, code = run({"command": "spectrum", "graph": {"family": "cone", "n": 4}})
@@ -403,13 +423,37 @@ def test_main_reads_json_flags_and_the_graph_field(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv",
     [["period", "--bogus"], ["frobnicate"], ["period", "--graph", '{"family": "cone", "n": 4}', "--tol", "x"],
-     ["period", "--family", "cone", "--n", "4"]],
-    ids=["unknown-flag", "unknown-command", "non-float-tol", "retired-family-flag"],
+     ["period", "--family", "cone", "--n", "4"],
+     # a flag is read only when spelled in full
+     ["period", "--gra", '{"family": "cone", "n": 4}'],
+     ["period", "--graph", '{"family": "cone", "n": 4}', "--fo", "text"]],
+    ids=["unknown-flag", "unknown-command", "non-float-tol", "retired-family-flag", "flag-prefix-gra",
+         "flag-prefix-fo"],
 )
 def test_usage_errors_are_validation_errors(argv, capsys):
     # argparse exits 2 on a usage error, but 2 is reserved for internal-consistency errors
     assert main(argv) == 1
     assert json.loads(capsys.readouterr().out)["error"]["kind"] == "validation"
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [(None, "cannot read config file"), ("{", "malformed config JSON"), ("[]", "config file must hold a JSON object"),
+     ('{"command": "period", "graph": {"family": "cone", "n": 4}, "format": "xml"}', "unknown format 'xml'")],
+    ids=["unreadable", "malformed", "not-an-object", "unknown-format"],
+)
+def test_bad_config_files_are_validation_errors(content, message, tmp_path, capsys):
+    config_path = tmp_path / "job.json"
+    if content is not None:  # else the file does not exist
+        config_path.write_text(content)
+    assert main(["--config", str(config_path)]) == 1
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["kind"] == "validation" and error["message"].startswith(message), error
+
+
+def test_render_text_prints_an_error_report(capsys):
+    assert main(["spectrum", "--graph", '{"family": "sunlet", "n": "abc"}', "--format", "text"]) == 1
+    assert capsys.readouterr().out.startswith("error (validation): field 'n'")
 
 
 def test_help_exits_0(capsys):

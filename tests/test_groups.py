@@ -84,10 +84,10 @@ def test_index_array_law_is_the_tuple_law():
         expected = [[group.index(_tuple_power(group, g, k)) for g in group.elements()] for k in ks]
         assert [group.power_indices(everything, k).tolist() for k in ks] == expected
         assert group.power_indices(everything, np.array(ks)).tolist() == expected
-        # indices: sorted, deduplicated, and index() element by element
+        # index_array of a subset: sorted, deduplicated, and index() element by element
         xs = group.elements()[::-2] + group.elements()[::3]
-        assert group.indices(xs).tolist() == sorted({group.index(g) for g in xs})
-        assert group.indices([]).tolist() == []
+        assert group.index_array(group.subset(xs)).tolist() == sorted({group.index(g) for g in xs})
+        assert group.index_array(group.subset([])).tolist() == []
 
 
 def _tuple_power(group, g, k):

@@ -9,14 +9,14 @@ from semicayley import (
     AbelianGroup,
     ValidationError,
     Vertex,
-    decide_cross_layer,
     decide_pair,
-    decide_same_layer_rl,
     find_pst,
     make_spec,
     periodicity,
     verify_at_time,
 )
+from semicayley.pst import decide_cross_layer, decide_same_layer_rl
+from semicayley.transfer import oracle_expm
 
 from conftest import random_inverse_closed, random_spec, random_subset
 from referees import nu2, vertices
@@ -251,7 +251,7 @@ def test_rl_integral_periods_are_minimal_under_the_oracle(rng):
     # P / k has k at most the spectral spread; so P is the minimum period iff
     # every diagonal entry of H(P) is unimodular and, for each prime q up to
     # the spread, some diagonal entry of H(P / q) is not
-    from semicayley import build, oracle_expm
+    from semicayley import build
 
     def min_diagonal(adjacency, t):
         return float(np.min(np.abs(np.diag(oracle_expm(adjacency, t)))))
@@ -303,7 +303,7 @@ def test_sunlet_even_same_layer_non_integral():
 def test_disjoint_union_r_neq_l_same_layer_yes():
     # SC(Z2, {1}, {}, {}) = K2 u 2K1: the K2 in layer 0 transfers at pi/2
     # (layer-0 support {1, -1}, gap 2), the isolated layer-1 vertices never
-    from semicayley import build, oracle_expm
+    from semicayley import build
 
     spec = make_spec(AbelianGroup([2]), [(1,)], [], [])
     verdict = decide_pair(spec, Vertex((0,), 0), Vertex((1,), 0))
@@ -440,7 +440,7 @@ def test_dihedral_involutions_family_verdicts():
 def test_deciders_match_oracle_scan_on_random_integral_specs(rng):
     # stronger than spot checks: exhaustive oracle time scans over one period
     # must agree with the exact deciders on yes/no for every vertex pair
-    from semicayley import build, oracle_expm, spectrum
+    from semicayley import build, spectrum
     from semicayley.spectra import eigen_gcd
 
     from conftest import random_inverse_closed, random_spec, random_subset
@@ -506,7 +506,7 @@ def test_corpus_is_fully_decided(corpus):
 
 
 def test_r_neq_l_same_layer_yes_match_the_dense_oracle(corpus):
-    from semicayley import build, oracle_expm
+    from semicayley import build
 
     checked = 0
     for spec, verdicts, _ in corpus:
@@ -595,7 +595,7 @@ def _assert_least_transfer_times(spec, yes):
     # the transfer times of a pair are the odd multiples of the least one,
     # which is at least pi / spread; so the reported t is the least iff H_uv
     # is not unimodular at t / q for each prime q up to the spectral spread
-    from semicayley import build, oracle_expm
+    from semicayley import build
 
     lams = spec.spectrum.lambdas.T.ravel()
     adjacency = build(spec)
@@ -646,7 +646,7 @@ def _referee(spec, u, v):
     """The verdict JSON of one pair, without the numeric confirmation, decided
     rule by rule in Python: per-element orders and character values, and the
     cross-layer sign test as one exact product in Z[zeta_N] per character."""
-    from semicayley import char_sum, eval_character
+    from semicayley.characters import char_sum, eval_character
 
     group, spect = spec.group, spec.spectrum
     chars = group.elements()

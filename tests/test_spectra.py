@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import semicayley as sc
-from semicayley import AbelianGroup, ValidationError, build, char_sum, eigen_gcd, make_spec, spectrum
-from semicayley.characters import character_matrix
+from semicayley import AbelianGroup, ValidationError, build, eigen_gcd, make_spec, spectrum
+from semicayley.characters import char_sum, character_matrix
 
 from conftest import random_inverse_closed, random_spec, random_subset
 
@@ -221,6 +221,17 @@ def test_eigen_gcd_errors():
     empty = make_spec(AbelianGroup([3]), [], [], [])
     with pytest.raises(ValidationError, match="constant spectrum"):
         eigen_gcd(empty)
+
+
+def test_eigen_gcd_is_not_the_period_when_s_is_empty():
+    # SC(Z_4, {2}, {+-1}, {}) is Cay(Z_4, {2}) = 2K_2, spectrum {+-1}, beside
+    # C_4, spectrum {2, 0, 0, -2}: each component has period pi (layer gaps
+    # 2 and 2), yet the gaps of the whole spectrum, measured from 1, have gcd 1
+    spec = make_spec(AbelianGroup([4]), [(2,)], [(1,), (3,)], [])
+    assert sorted(spec.spectrum.ints.ravel().tolist()) == [-2, -1, -1, 0, 0, 1, 1, 2]
+    assert eigen_gcd(spec) == 1
+    report = sc.periodicity(spec)
+    assert report.periodic and report.to_json()["min_period_pi_multiple"] == "1"
 
 
 def test_spectrum_json():

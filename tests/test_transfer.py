@@ -12,14 +12,14 @@ from semicayley import (
     build,
     make_spec,
     oracle_column,
-    oracle_expm,
     transfer_entry,
     transfer_matrix,
     transfer_rows,
 )
+from semicayley.characters import character_matrix
 from semicayley.graphs import cay_adjacency
 from semicayley.pst import reduce_time
-from semicayley.transfer import _lanczos_steps, transfer_sums
+from semicayley.transfer import _entry_sums, _lanczos_steps, oracle_expm
 
 from conftest import random_spec
 from referees import block_transfer_rl, vertices
@@ -112,7 +112,6 @@ def test_transfer_rows_gathered_are_the_matrix(rng):
 
 def test_transfer_matrix_builds_one_character_table(monkeypatch):
     import semicayley.transfer
-    from semicayley.characters import character_matrix
 
     calls = []
     counting = lambda group: calls.append(group) or character_matrix(group)  # noqa: E731
@@ -122,8 +121,9 @@ def test_transfer_matrix_builds_one_character_table(monkeypatch):
 
 
 def test_entry_formula_equals_oracle(rng):
-    # transfer_sums serves transfer_entry (one time) and the scans (a grid);
-    # check it in all four layer cases against the independent oracle
+    # _entry_sums serves transfer_entry (one time) and pst.scan_pair (a grid,
+    # with chi(a) a row of the character table); check both in all four
+    # layer cases against the independent oracle
     for _ in range(10):
         spec = random_spec(rng)
         group = spec.group
@@ -134,7 +134,8 @@ def test_entry_formula_equals_oracle(rng):
                 u = Vertex(group.element(int(rng.integers(group.order))), r)
                 v = Vertex(group.element(int(rng.integers(group.order))), s)
                 want = np.array([h[spec.vertex_index(u), spec.vertex_index(v)] for h in oracles])
-                assert np.max(np.abs(transfer_sums(spec, u, v, ts) / spec.n - want)) < 1e-9
+                chi_a = character_matrix(group)[spec.connecting_index(u, v)]
+                assert np.max(np.abs(_entry_sums(spec, r, s, chi_a, ts) / spec.n - want)) < 1e-9
                 for t, w in zip(ts, want):
                     assert abs(transfer_entry(spec, u, v, float(t)) - w) < 1e-9
 
