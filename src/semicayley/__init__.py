@@ -21,7 +21,6 @@ from .graphs import (
     generalized_dihedral,
     hypercube,
     join_spec,
-    make_spec,
     sunlet,
 )
 from .groups import AbelianGroup
@@ -53,7 +52,6 @@ __all__ = [
     "generalized_dihedral",
     "hypercube",
     "join_spec",
-    "make_spec",
     "oracle_column",
     "periodicity",
     "spectrum",

@@ -170,15 +170,18 @@ def parse_graph(obj) -> SemiCayleySpec:
     raise ValidationError("graph description needs 'family', 'group' or 'cayley_index2'")
 
 
+def _error_report(kind: str, exc: Exception) -> dict:
+    return {"error": {"kind": kind, "message": str(exc)}}
+
+
 def run(config: dict) -> tuple[dict, int]:
     """Execute one job; returns (report, exit_code)."""
     try:
-        report = _run_checked(config)
-        return report, 0
+        return _run_checked(config), 0
     except ValidationError as exc:
-        return {"error": {"kind": "validation", "message": str(exc)}}, 1
+        return _error_report("validation", exc), 1
     except ConsistencyError as exc:
-        return {"error": {"kind": "internal-consistency", "message": str(exc)}}, 2
+        return _error_report("internal-consistency", exc), 2
 
 
 def _run_checked(config: dict) -> dict:
@@ -233,17 +236,8 @@ def _run_checked(config: dict) -> dict:
             if not 0 <= tol < 1:  # NaN fails too
                 raise ValidationError(f"field 'tolerance': must be a number in [0, 1), got {tol!r}")
             check = verify_at_time(spec, u, v, reduce_time(spec, t, pi_mult), tol=tol)
-            report["time"] = time_json(t, pi_mult)
-            report.update(
-                {
-                    "from": [list(u.element), u.layer],
-                    "to": [list(v.element), v.layer],
-                    "magnitude": check["magnitude"],
-                    "magnitude_spectral": check["magnitude_spectral"],
-                    "magnitude_oracle": check["magnitude_oracle"],
-                    "pass": check["pass"],
-                }
-            )
+            report.update({"time": time_json(t, pi_mult), "from": [list(u.element), u.layer],
+                           "to": [list(v.element), v.layer], **check})
             return report
         if u == v:
             raise ValidationError("pst-check needs distinct vertices (or a 'period' command)")
@@ -253,11 +247,9 @@ def _run_checked(config: dict) -> dict:
     if command == "pst-find":
         verdicts = find_pst(spec)
         report["verdicts"] = [verdict.to_json() for verdict in verdicts]
-        counts = {"yes": 0, "no": 0}
-        for verdict in verdicts:
-            counts[verdict.status] += 1
-        report["summary"] = counts
-        report["pst_found"] = counts["yes"] > 0
+        yes = sum(verdict.status == "yes" for verdict in verdicts)
+        report["summary"] = {"yes": yes, "no": len(verdicts) - yes}
+        report["pst_found"] = yes > 0
         report["periodicity"] = periodicity(spec).to_json()
         return report
 
@@ -385,14 +377,17 @@ def config_from_args(args: argparse.Namespace) -> dict:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
+    except ValidationError as exc:  # no format is known yet
+        print(json.dumps(_error_report("validation", exc), sort_keys=True))
+        return 1
+    try:
         config = config_from_args(args)
         fmt = args.format or config.get("format", "json")
         if fmt not in ("json", "text"):
             raise ValidationError(f"unknown format {fmt!r}")
-    except ValidationError as exc:
-        print(json.dumps({"error": {"kind": "validation", "message": str(exc)}}, sort_keys=True))
-        return 1
-    report, code = run(config)
+        report, code = run(config)
+    except ValidationError as exc:  # rendered in the format the flags asked for, else as JSON
+        report, code, fmt = _error_report("validation", exc), 1, args.format
     if fmt == "text":
         print(render_text(report))
     else:

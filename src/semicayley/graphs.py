@@ -129,14 +129,9 @@ class SemiCayleySpec:
     def from_json(cls, obj: dict) -> "SemiCayleySpec":
         try:
             group = AbelianGroup.from_json(obj["group"])
-            return make_spec(group, obj["R"], obj["L"], obj["S"])
+            return cls(group, obj["R"], obj["L"], obj["S"])
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"malformed graph spec JSON: {exc}") from exc
-
-
-def make_spec(group: AbelianGroup, R, L, S) -> SemiCayleySpec:
-    """SC(group, R, L, S) from any collections of elements (validated by the spec)."""
-    return SemiCayleySpec(group, R, L, S)
 
 
 def cay_adjacency(group: AbelianGroup, connection: Iterable[Element]) -> np.ndarray:
@@ -256,7 +251,7 @@ def sunlet(n: int) -> SemiCayleySpec:
     if n < 3:
         raise ValidationError("sunlet graphs need n >= 3")
     G = AbelianGroup([n])
-    return make_spec(G, [(1,), (n - 1,)], [], [(0,)])
+    return SemiCayleySpec(G, [(1,), (n - 1,)], [], [(0,)])
 
 
 def cone(n: int) -> SemiCayleySpec:
@@ -264,12 +259,12 @@ def cone(n: int) -> SemiCayleySpec:
     if n < 3:
         raise ValidationError("cone graphs need n >= 3")
     G = AbelianGroup([n])
-    return make_spec(G, [(1,), (n - 1,)], [], G.elements())
+    return SemiCayleySpec(G, [(1,), (n - 1,)], [], G.elements())
 
 
 def join_spec(group: AbelianGroup, R, L) -> SemiCayleySpec:
     """SC(G, R, L, G): the join of Cay(G, R) and Cay(G, L)."""
-    return make_spec(group, R, L, group.elements())
+    return SemiCayleySpec(group, R, L, group.elements())
 
 
 def dihedral_full_coset(A: AbelianGroup) -> SemiCayleySpec:
@@ -300,7 +295,7 @@ def hypercube(dim: int) -> SemiCayleySpec:
         raise ValidationError(f"group order {order} exceeds the supported maximum {MAX_ORDER}")
     if dim == 1:
         G = AbelianGroup([1])
-        return make_spec(G, [], [], [G.identity])
+        return SemiCayleySpec(G, [], [], [G.identity])
     G = AbelianGroup([2] * (dim - 1))
     units = [tuple(1 if i == j else 0 for i in range(dim - 1)) for j in range(dim - 1)]
-    return make_spec(G, units, units, [G.identity])
+    return SemiCayleySpec(G, units, units, [G.identity])

@@ -99,7 +99,7 @@ class PstVerdict:
 
     status "yes" carries the least witnessing time pi / g_r, g_r the gap gcd
     of the source's layer (see the module docstring; as an exact multiple of
-    2*pi and as a float) and the numeric confirmation magnitudes from both
+    pi and as a float) and the numeric confirmation magnitudes from both
     transfer paths; "no" carries the condition that failed.
     """
 
@@ -107,7 +107,7 @@ class PstVerdict:
     target: Vertex
     status: str
     time: float | None = None
-    time_two_pi: Fraction | None = None
+    pi_multiple: Fraction | None = None
     certificate: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
@@ -115,7 +115,7 @@ class PstVerdict:
             "from": [list(self.source.element), self.source.layer],
             "to": [list(self.target.element), self.target.layer],
             "status": self.status,
-            "time": None if self.time is None else time_json(self.time, self.time_two_pi * 2),
+            "time": None if self.time is None else time_json(self.time, self.pi_multiple),
             "certificate": self.certificate,
         }
 
@@ -124,13 +124,13 @@ class PstVerdict:
 class PeriodReport:
     """Periodicity of a whole graph, decided exactly.
 
-    periodic is True with the minimum period (as an exact multiple of 2*pi
+    periodic is True with the minimum period (as an exact multiple of pi
     and as a float; None for the empty graph, where every t is a period), or
     False; method names the rule, "theorem" or "degenerate".
     """
 
     periodic: bool
-    min_period_two_pi: Fraction | None = None
+    min_period_pi_multiple: Fraction | None = None
     min_period: float | None = None
     method: str = "theorem"
     certificate: dict = field(default_factory=dict)
@@ -139,9 +139,7 @@ class PeriodReport:
         return {
             "periodic": self.periodic,
             "min_period": self.min_period,
-            "min_period_pi_multiple": (
-                str(self.min_period_two_pi * 2) if self.min_period_two_pi is not None else None
-            ),
+            "min_period_pi_multiple": None if self.min_period_pi_multiple is None else str(self.min_period_pi_multiple),
             "method": self.method,
             "certificate": self.certificate,
         }
@@ -304,10 +302,7 @@ def _confirmed(spec, u, v, t) -> dict:
     check = verify_at_time(spec, u, v, t, tol=MAGNITUDE_TOL)
     if not check["pass"]:
         raise ConsistencyError(f"transfer time {t} failed numeric confirmation: |H| = {check['magnitude']}")
-    return {
-        "magnitude_spectral": check["magnitude_spectral"],
-        "magnitude_oracle": check["magnitude_oracle"],
-    }
+    return {key: check[key] for key in ("magnitude_spectral", "magnitude_oracle")}
 
 
 def _verdicts(spec: SemiCayleySpec, r: int, s: int, pairs: list, columns: np.ndarray) -> list[PstVerdict]:
@@ -330,7 +325,7 @@ def _verdicts(spec: SemiCayleySpec, r: int, s: int, pairs: list, columns: np.nda
         g = _gap_gcd(spec, r)
         t = math.pi / g
         certificate = {"rule": "valuation-profile", "k": outcome, "confirmation": _confirmed(spec, u, v, t)}
-        verdicts.append(PstVerdict(u, v, "yes", time=t, time_two_pi=Fraction(1, 2 * g), certificate=certificate))
+        verdicts.append(PstVerdict(u, v, "yes", time=t, pi_multiple=Fraction(1, g), certificate=certificate))
     return verdicts
 
 
@@ -508,7 +503,7 @@ def periodicity(spec: SemiCayleySpec) -> PeriodReport:
     """
     if not spec.R and not spec.L and not spec.S:
         return PeriodReport(
-            periodic=True, min_period_two_pi=None, min_period=None, method="degenerate",
+            periodic=True, min_period_pi_multiple=None, min_period=None, method="degenerate",
             certificate={"detail": "empty graph: H(t) is the identity at every t, so every t is a period"},
         )
     if not spec.spectrum.is_integral:
@@ -519,6 +514,6 @@ def periodicity(spec: SemiCayleySpec) -> PeriodReport:
     gcds = [_gap_gcd(spec, layer) for layer in (0, 1)]
     m = math.gcd(*gcds)
     return PeriodReport(
-        periodic=True, min_period_two_pi=Fraction(1, m), min_period=2 * math.pi / m,
+        periodic=True, min_period_pi_multiple=Fraction(2, m), min_period=2 * math.pi / m,
         method="theorem", certificate={"eigen_gcd": m} if spec.R == spec.L else {"layer_gap_gcds": gcds},
     )

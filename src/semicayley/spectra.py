@@ -7,7 +7,7 @@ them as columns, one entry per character in enumeration order, and no
 object per character.  Floats drive the dynamics.
 
 The floats are computed for every character at once, on n x N integer
-coefficient matrices (one bincount for R, L and S; |chi(S)|^2 = chi(S S^-1)
+coefficient matrices (bincounts of R, L and S; |chi(S)|^2 = chi(S S^-1)
 is one weighted bincount over the difference multiset), summed against the
 roots of unity in the order of CycloValue.approx.  The closed forms then run
 elementwise in the order of Python's scalar arithmetic, complex products and
@@ -74,7 +74,7 @@ class Spectrum:
 
     order: int  # N, the exponent of G
     char_index: np.ndarray  # n x factors
-    coeffs: np.ndarray  # 3 x n x N: chi(R), chi(L), chi(S) as coefficients of powers of zeta_N
+    chi_s_coeffs: np.ndarray  # n x N: chi(S) as coefficients of powers of zeta_N (chi(R), chi(L) are not kept)
     chi_s: np.ndarray  # complex chi(S), the CycloValue.approx of its coefficients
     chi_s_zero: np.ndarray  # bool, chi(S) = 0 exactly
     lambdas: np.ndarray  # 2 x n float
@@ -144,7 +144,7 @@ class Spectrum:
         abs_s = (self.ints[0, reps] - self.ints[1, reps]) // 2
         turns = order * np.angle(self.chi_s[reps]) / (2 * math.pi)
         e = np.round(turns[:, None] + np.array([0, order / 2])).astype(np.int64) % order
-        spokes = self.coeffs[2][reps[:, None, None], (e[:, :, None] - np.arange(order)) % order]
+        spokes = self.chi_s_coeffs[reps[:, None, None], (e[:, :, None] - np.arange(order)) % order]
         rational, value = _certify(spokes.reshape(-1, order), order)
         confirmed = rational.reshape(-1, 2) & (value.reshape(-1, 2) == np.stack([abs_s, -abs_s], axis=1))
         table = np.where(confirmed, e, -1)[np.searchsorted(reps, self.class_rep)]
@@ -156,9 +156,9 @@ class Spectrum:
         chars, chi_s = self.char_index.tolist(), self.chi_s.tolist()
         # the nonzero coefficients of chi(S), row by row and in ascending
         # exponent within a row; row i owns terms bounds[i] to bounds[i + 1]
-        which, exponents = np.nonzero(self.coeffs[2])
+        which, exponents = np.nonzero(self.chi_s_coeffs)
         bounds = np.searchsorted(which, np.arange(len(exact) + 1)).tolist()
-        coefficients, exponents = self.coeffs[2][which, exponents].tolist(), exponents.tolist()
+        coefficients, exponents = self.chi_s_coeffs[which, exponents].tolist(), exponents.tolist()
         (lam_p, lam_m), (int_p, int_m) = self.lambdas.tolist(), self.ints.tolist()
         (c_p, c_m), (d_p, d_m), (e_p, e_m) = self.c.tolist(), self.d.tolist(), self.e.tolist()
         rows = []
@@ -300,7 +300,8 @@ def spectrum(spec: SemiCayleySpec) -> Spectrum:
     group = spec.group
     n, order = group.order, group.exponent
     indices = spec.subset_indices
-    coeffs = _coefficient_rows(group, [indices["R"], indices["L"], indices["S"]])
+    r_l_rows = _coefficient_rows(group, [indices["R"], indices["L"]])
+    chi_s_rows = _coefficient_rows(group, [indices["S"]])[0]
     s_s_inverse = _group_product(group, indices["S"], group.power_indices(indices["S"], -1))
     abs2_rows = _ring_rows(group, s_s_inverse)  # |chi(S)|^2 = chi(S S^-1)
     class_rep, class_power, reps, slot = _rational_classes(group)
@@ -311,7 +312,7 @@ def spectrum(spec: SemiCayleySpec) -> Spectrum:
     support = np.flatnonzero(diff)
     diff_squared = _group_product(group, support, support, np.outer(diff[support], diff[support]))
     disc = _ring_rows(group, diff_squared + 4 * s_s_inverse, reps)
-    at_reps = coeffs[:, reps]  # chi(R), chi(L), chi(S), then sigma and disc
+    at_reps = [*r_l_rows[:, reps], chi_s_rows[reps]]  # chi(R), chi(L), chi(S), then sigma and disc
     rows = np.concatenate([*at_reps, at_reps[0] + at_reps[1], disc])
     rational, value = (a.reshape(5, -1) for a in _certify(rows, order))
     chi_s_zero = rational[2] & (value[2] == 0)
@@ -322,7 +323,7 @@ def spectrum(spec: SemiCayleySpec) -> Spectrum:
     ints = np.where(certified, np.where(chi_s_zero, value[:2], [(value[3] + root) // 2, (value[3] - root) // 2]), 0)
     chi_s_zero, ints, certified = chi_s_zero[slot], ints[:, slot], certified[:, slot]
 
-    r, l, s, s2 = (_approx(rows) for rows in (*coeffs, abs2_rows))
+    r, l, s, s2 = (_approx(rows) for rows in (*r_l_rows, chi_s_rows, abs2_rows))
     r, l, s2 = r.real, l.real, s2.real
     nonzero = ~chi_s_zero
     lambdas = np.array([r, l])  # the chi(S) = 0 convention, unsorted
@@ -331,7 +332,7 @@ def spectrum(spec: SemiCayleySpec) -> Spectrum:
     lambdas[:, nonzero], c[:, nonzero], d[:, nonzero], e[:, nonzero] = _closed_forms(
         r[nonzero], l[nonzero], s[nonzero], s2[nonzero])
     return Spectrum(
-        order=order, char_index=group.coords, coeffs=coeffs, chi_s=s, chi_s_zero=chi_s_zero,
+        order=order, char_index=group.coords, chi_s_coeffs=chi_s_rows, chi_s=s, chi_s_zero=chi_s_zero,
         lambdas=lambdas, ints=ints, certified=certified, c=c, d=d, e=e,
         class_rep=class_rep, class_power=class_power,
     )

@@ -28,6 +28,7 @@ import numpy as np
 from .characters import character_matrix
 from .errors import ValidationError
 from .graphs import SemiCayleySpec, Vertex
+from .groups import integer
 
 # largest |t * rho| of an unreduced time (check_horizon).  The oracle's work stops
 # growing with t at 2n products, but a rounding error of eps * rho in an
@@ -64,6 +65,8 @@ def transfer_matrix(spec: SemiCayleySpec, t: float) -> np.ndarray:
 def _entry_sums(spec: SemiCayleySpec, r: int, s: int, chi_a: np.ndarray, ts: np.ndarray) -> np.ndarray:
     # n * H_(e,r),(g_a,s)(t) from chi_a = chi(g_a) over every character: row a
     # of the character table (which is symmetric), or the table for every a
+    if not np.isfinite(ts).all():
+        raise ValidationError("time must be finite")
     spect = spec.spectrum
     if r == s:
         weights = spect.d if r else spect.c
@@ -176,11 +179,17 @@ def oracle_column(spec: SemiCayleySpec, j: int, t: float) -> np.ndarray:
       2 sum_{k >= m} |J_k(x)|, x = t rho.  m_x makes that 4 sum at most
       _CAP_TOL; after 2n steps the Krylov space is the whole space.
 
-    So the products stop growing with t at 2n.  x above COLUMN_HORIZON raises
-    ValidationError (see check_horizon).
+    So the products stop growing with t at 2n.  x above COLUMN_HORIZON (see
+    check_horizon) and a j that is not an integer in [0, 2n) raise ValidationError.
     """
     if not t >= 0:
         raise ValidationError("time must be nonnegative")
+    try:
+        j = integer(j)
+    except TypeError as exc:
+        raise ValidationError(f"vertex index must be an integer, got {j!r}") from exc
+    if not 0 <= j < 2 * spec.n:
+        raise ValidationError(f"vertex index {j} is outside [0, {2 * spec.n})")
     adjacency = spec.adjacency
     size = adjacency.shape[0]
     x = check_horizon(spec, t)

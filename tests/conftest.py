@@ -42,4 +42,4 @@ def random_spec(rng, pool=NONTRIVIAL_POOL, equal_layers=False):
     group = sc.AbelianGroup(factors)
     r_set = random_inverse_closed(group, rng)
     l_set = set(r_set) if equal_layers else random_inverse_closed(group, rng)
-    return sc.make_spec(group, r_set, l_set, random_subset(group, rng))
+    return sc.SemiCayleySpec(group, r_set, l_set, random_subset(group, rng))

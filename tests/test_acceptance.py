@@ -18,11 +18,11 @@ import pytest
 import semicayley as sc
 from semicayley import (
     AbelianGroup,
+    SemiCayleySpec,
     Vertex,
     build,
     decide_pair,
     find_pst,
-    make_spec,
     periodicity,
     spectrum,
     transfer_matrix,
@@ -109,7 +109,7 @@ def test_criterion_5_dihedral_full_coset_periodicity():
             spec = sc.dihedral_full_coset(AbelianGroup([order]))
             report = periodicity(spec)
             assert report.periodic is True
-            assert report.min_period_two_pi == Fraction(1, order)
+            assert report.min_period_pi_multiple == Fraction(2, order)
             assert abs(report.min_period - 2 * math.pi / order) < 1e-12
 
 
@@ -129,7 +129,7 @@ def test_criterion_5_dihedral_full_coset_no_pst(order):
         expected = {}
         if order == 2:
             expected = {
-                (Vertex((0,), layer), Vertex((1,), layer)): ("yes", Fraction(1, 4))
+                (Vertex((0,), layer), Vertex((1,), layer)): ("yes", Fraction(1, 2))
                 for layer in (0, 1)
             }
             # independent of the deciders: the oracle alone shows the transfer
@@ -137,7 +137,7 @@ def test_criterion_5_dihedral_full_coset_no_pst(order):
             for u, v in expected:
                 assert abs(h[spec.vertex_index(u), spec.vertex_index(v)]) >= 1 - 1e-8
         found = {
-            (v.source, v.target): (v.status, v.time_two_pi)
+            (v.source, v.target): (v.status, v.pi_multiple)
             for v in find_pst(spec)
             if v.status != "no"
         }
@@ -160,7 +160,7 @@ def _oracle_scan_classification(spec, period, samples=SCAN_SAMPLES):
 def test_criterion_6_known_transfer_reproduction():
     with criterion(6, "K2 / C4 / Q3 transfers at pi/2; deciders match exhaustive oracle scans", budget=120):
         k2 = sc.hypercube(1)
-        c4 = make_spec(AbelianGroup([2]), [(1,)], [(1,)], [(0,)])
+        c4 = SemiCayleySpec(AbelianGroup([2]), [(1,)], [(1,)], [(0,)])
         q3 = sc.hypercube(3)
 
         named = [
@@ -171,7 +171,7 @@ def test_criterion_6_known_transfer_reproduction():
         for spec, u, v in named:
             verdict = decide_pair(spec, u, v)
             assert verdict.status == "yes"
-            assert verdict.time_two_pi == Fraction(1, 4)  # t = pi/2
+            assert verdict.pi_multiple == Fraction(1, 2)  # t = pi/2
             assert verdict.certificate["confirmation"]["magnitude_oracle"] >= 1 - 1e-8
 
         for spec in (k2, c4, q3):
@@ -239,7 +239,7 @@ def test_criterion_8_property_suite(rng):
                 shift = group.element(int(rng.integers(group.order)))
                 base = decide_pair(spec, Vertex(g, r), Vertex(h, s))
                 moved = decide_pair(spec, Vertex(group.mul(shift, g), r), Vertex(group.mul(shift, h), s))
-                assert (base.status, base.time_two_pi) == (moved.status, moved.time_two_pi)
+                assert (base.status, base.pi_multiple) == (moved.status, moved.pi_multiple)
 
         # |H_uv(t)| <= 1 + 1e-9 on random samples
         for _ in range(10):
@@ -260,7 +260,7 @@ def test_criterion_8_property_suite(rng):
 
         # S = {} block-diagonal decomposition
         spec = random_spec(rng)
-        spec = make_spec(spec.group, spec.R, spec.L, [])
+        spec = SemiCayleySpec(spec.group, spec.R, spec.L, [])
         t = float(rng.uniform(0.0, 6.0))
         h = transfer_matrix(spec, t)
         n = spec.n

@@ -426,14 +426,20 @@ def test_main_reads_json_flags_and_the_graph_field(tmp_path, capsys):
      ["period", "--family", "cone", "--n", "4"],
      # a flag is read only when spelled in full
      ["period", "--gra", '{"family": "cone", "n": 4}'],
-     ["period", "--graph", '{"family": "cone", "n": 4}', "--fo", "text"]],
+     ["period", "--graph", '{"family": "cone", "n": 4}', "--fo", "text"],
+     # the flags parsed, so the error is printed in the format they ask for
+     ["period", "--graph", "{bad", "--format", "text"]],
     ids=["unknown-flag", "unknown-command", "non-float-tol", "retired-family-flag", "flag-prefix-gra",
-         "flag-prefix-fo"],
+         "flag-prefix-fo", "bad-graph-json-as-text"],
 )
 def test_usage_errors_are_validation_errors(argv, capsys):
     # argparse exits 2 on a usage error, but 2 is reserved for internal-consistency errors
     assert main(argv) == 1
-    assert json.loads(capsys.readouterr().out)["error"]["kind"] == "validation"
+    out = capsys.readouterr().out
+    if argv[-2:] == ["--format", "text"]:
+        assert out == "error (validation): flag --graph expects JSON, got '{bad'\n"
+    else:
+        assert json.loads(out)["error"]["kind"] == "validation"
 
 
 @pytest.mark.parametrize(

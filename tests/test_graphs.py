@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import semicayley as sc
-from semicayley import AbelianGroup, SemiCayleySpec, ValidationError, Vertex, build, make_spec
+from semicayley import AbelianGroup, SemiCayleySpec, ValidationError, Vertex, build
 from semicayley.graphs import (
     cay_adjacency,
     from_cayley_index2,
@@ -35,7 +35,7 @@ def test_sunlet_4_sets():
 
 
 def test_c4_by_hand():
-    spec = make_spec(AbelianGroup([2]), [(1,)], [(1,)], [(0,)])
+    spec = SemiCayleySpec(AbelianGroup([2]), [(1,)], [(1,)], [(0,)])
     adjacency = build(spec)
     edges = {(i, j) for i in range(4) for j in range(4) if i < j and adjacency[i, j]}
     # vertex order: (0,0), (1,0), (0,1), (1,1)
@@ -45,7 +45,7 @@ def test_c4_by_hand():
 
 def test_s_empty_is_disjoint_union(rng):
     spec = random_spec(rng)
-    spec = make_spec(spec.group, spec.R, spec.L, [])
+    spec = SemiCayleySpec(spec.group, spec.R, spec.L, [])
     adjacency = build(spec)
     n = spec.n
     assert np.array_equal(adjacency[:n, :n], cay_adjacency(spec.group, spec.R))
@@ -137,10 +137,10 @@ def test_vertex_indexing():
 def test_spec_validation():
     z5 = AbelianGroup([5])
     with pytest.raises(ValidationError):
-        make_spec(z5, [(1,)], [], [])  # not inverse-closed
+        SemiCayleySpec(z5, [(1,)], [], [])  # not inverse-closed
     with pytest.raises(ValidationError):
-        make_spec(z5, [(0,)], [], [])  # identity in R
-    spec = make_spec(z5, [(1,), (4,)], [], [(0,), (1,)])  # S unconstrained
+        SemiCayleySpec(z5, [(0,)], [], [])  # identity in R
+    spec = SemiCayleySpec(z5, [(1,), (4,)], [], [(0,), (1,)])  # S unconstrained
     assert spec.S == z5.subset([(0,), (1,)])
 
 
@@ -321,7 +321,7 @@ def test_spec_json_round_trip(rng):
 
 
 def test_spoke_matrix_orientation():
-    spec = make_spec(AbelianGroup([4]), [], [], [(1,)])
+    spec = SemiCayleySpec(AbelianGroup([4]), [], [], [(1,)])
     spokes = cay_adjacency(spec.group, spec.S)
     for x in range(4):
         for y in range(4):

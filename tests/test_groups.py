@@ -42,7 +42,7 @@ def test_inverse_closed_examples():
     assert is_inverse_closed(z5, [])
     # the spec's index-array law agrees
     for xs in ([(1,), (4,)], [(1,)], []):
-        assert sc.make_spec(z5, [], [], xs).s_inverse_closed == is_inverse_closed(z5, xs)
+        assert sc.SemiCayleySpec(z5, [], [], xs).s_inverse_closed == is_inverse_closed(z5, xs)
 
 
 def test_group_axioms_random(rng):

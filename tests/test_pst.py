@@ -7,11 +7,11 @@ import pytest
 import semicayley as sc
 from semicayley import (
     AbelianGroup,
+    SemiCayleySpec,
     ValidationError,
     Vertex,
     decide_pair,
     find_pst,
-    make_spec,
     periodicity,
     verify_at_time,
 )
@@ -50,17 +50,17 @@ def test_necessary_conditions():
     sun5 = sc.sunlet(5)
     assert screened(sun5, Vertex((0,), 0), Vertex((1,), 0)) == "same-layer transfer is impossible over an odd-order group"
 
-    z4spec = make_spec(AbelianGroup([4]), [(1,), (3,)], [(1,), (3,)], [(0,)])
+    z4spec = SemiCayleySpec(AbelianGroup([4]), [(1,), (3,)], [(1,), (3,)], [(0,)])
     assert screened(z4spec, Vertex((0,), 0), Vertex((1,), 0)) == "connecting element has order 4, not 2"
 
-    c4 = make_spec(AbelianGroup([2]), [(1,)], [(1,)], [(0,)])
+    c4 = SemiCayleySpec(AbelianGroup([2]), [(1,)], [(1,)], [(0,)])
     assert screened(c4, Vertex((0,), 0), Vertex((1,), 0)) is None
 
     # cross-layer order gate only applies for inverse-closed S
     sun4 = sc.sunlet(4)
     reason = screened(sun4, Vertex((0,), 0), Vertex((1,), 1))
     assert reason == "S is inverse-closed but the connecting element has order 4"
-    directed = make_spec(AbelianGroup([4]), [], [], [(1,)])
+    directed = SemiCayleySpec(AbelianGroup([4]), [], [], [(1,)])
     assert screened(directed, Vertex((0,), 0), Vertex((1,), 1)) is None
 
     with pytest.raises(ValidationError):
@@ -68,7 +68,7 @@ def test_necessary_conditions():
 
 
 def test_same_layer_c4_is_no():
-    c4 = make_spec(AbelianGroup([2]), [(1,)], [(1,)], [(0,)])
+    c4 = SemiCayleySpec(AbelianGroup([2]), [(1,)], [(1,)], [(0,)])
     verdict = decide_same_layer_rl(c4, Vertex((0,), 0), Vertex((1,), 0))
     assert verdict.status == "no"
     assert verdict.certificate["rule"] == "valuation"
@@ -77,11 +77,11 @@ def test_same_layer_c4_is_no():
 
 def test_same_layer_complete_bipartite_yes():
     # SC(Z2, {}, {}, Z2) is K_{2,2}; layer mates are antipodal on the 4-cycle
-    spec = make_spec(AbelianGroup([2]), [], [], [(0,), (1,)])
+    spec = SemiCayleySpec(AbelianGroup([2]), [], [], [(0,), (1,)])
     for layer in (0, 1):
         verdict = decide_same_layer_rl(spec, Vertex((0,), layer), Vertex((1,), layer))
         assert verdict.status == "yes"
-        assert verdict.time_two_pi == Fraction(1, 4)
+        assert verdict.pi_multiple == Fraction(1, 2)
         assert abs(verdict.time - math.pi / 2) < 1e-12
         confirmation = verdict.certificate["confirmation"]
         assert confirmation["magnitude_oracle"] >= 1 - 1e-8
@@ -89,11 +89,11 @@ def test_same_layer_complete_bipartite_yes():
 
 
 def test_same_layer_non_integral_is_no():
-    spec = make_spec(AbelianGroup([5]), [(1,), (4,)], [(1,), (4,)], [(0,)])
+    spec = SemiCayleySpec(AbelianGroup([5]), [(1,), (4,)], [(1,), (4,)], [(0,)])
     # the order-2 necessary condition fails in an odd group before integrality even matters
     verdict = decide_same_layer_rl(spec, Vertex((0,), 0), Vertex((1,), 0))
     assert verdict.status == "no" and verdict.certificate["rule"] == "necessary-condition"
-    spec8 = make_spec(AbelianGroup([8]), [(1,), (7,)], [(1,), (7,)], [(0,)])
+    spec8 = SemiCayleySpec(AbelianGroup([8]), [(1,), (7,)], [(1,), (7,)], [(0,)])
     verdict = decide_same_layer_rl(spec8, Vertex((0,), 0), Vertex((4,), 0))
     assert verdict.status == "no" and verdict.certificate["rule"] == "non-integral"
 
@@ -114,9 +114,9 @@ def test_same_layer_decides_r_neq_l():
 def test_cross_layer_k2_and_c4():
     k2 = sc.hypercube(1)
     verdict = decide_cross_layer(k2, Vertex((0,), 0), Vertex((0,), 1))
-    assert verdict.status == "yes" and verdict.time_two_pi == Fraction(1, 4)
+    assert verdict.status == "yes" and verdict.pi_multiple == Fraction(1, 2)
 
-    c4 = make_spec(AbelianGroup([2]), [(1,)], [(1,)], [(0,)])
+    c4 = SemiCayleySpec(AbelianGroup([2]), [(1,)], [(1,)], [(0,)])
     verdict = decide_cross_layer(c4, Vertex((0,), 0), Vertex((1,), 1))
     assert verdict.status == "yes"
     assert abs(verdict.time - math.pi / 2) < 1e-12
@@ -140,7 +140,7 @@ def test_cross_layer_needs_equal_layers_certificate():
 def test_cross_layer_spoke_valuation():
     # SC(Z3, {1, 2}, {1, 2}, {1, 2}): |chi(S)| = |w + w^2| = 1 off the trivial
     # character, and nu2(1) = 0 differs from nu2|S| = 1
-    spec = make_spec(AbelianGroup([3]), [(1,), (2,)], [(1,), (2,)], [(1,), (2,)])
+    spec = SemiCayleySpec(AbelianGroup([3]), [(1,), (2,)], [(1,), (2,)], [(1,), (2,)])
     verdict = decide_cross_layer(spec, Vertex((0,), 0), Vertex((0,), 1))
     assert verdict.status == "no" and verdict.certificate == {
         "rule": "spoke-valuation", "detail": "nu2|chi(S)| differs from nu2|S| = 1 at character 1"}
@@ -171,9 +171,9 @@ def test_spoke_valuation_names_the_first_differing_character(rng):
 def test_cross_layer_directed_matching():
     # S = {1} over Z4 pairs (x,0) with (x+1,1): four disjoint edges, PST at pi/2.
     # chi(S) is properly complex here, exercising the exact sign orientation.
-    spec = make_spec(AbelianGroup([4]), [], [], [(1,)])
+    spec = SemiCayleySpec(AbelianGroup([4]), [], [], [(1,)])
     yes = decide_cross_layer(spec, Vertex((0,), 0), Vertex((1,), 1))
-    assert yes.status == "yes" and yes.time_two_pi == Fraction(1, 4)
+    assert yes.status == "yes" and yes.pi_multiple == Fraction(1, 2)
     rev = decide_cross_layer(spec, Vertex((0,), 1), Vertex((3,), 0))
     assert rev.status == "yes"
     non_partner = decide_cross_layer(spec, Vertex((0,), 0), Vertex((2,), 1))
@@ -198,15 +198,15 @@ def test_periodicity_examples():
     full4 = sc.dihedral_full_coset(AbelianGroup([4]))
     report = periodicity(full4)
     assert report.periodic is True
-    assert report.min_period_two_pi == Fraction(1, 4)
+    assert report.min_period_pi_multiple == Fraction(1, 2)
     assert abs(report.min_period - math.pi / 2) < 1e-12
 
-    c4 = make_spec(AbelianGroup([2]), [(1,)], [(1,)], [(0,)])
+    c4 = SemiCayleySpec(AbelianGroup([2]), [(1,)], [(1,)], [(0,)])
     report = periodicity(c4)
-    assert report.periodic is True and report.min_period_two_pi == Fraction(1, 2)
+    assert report.periodic is True and report.min_period_pi_multiple == 1
 
     # R = L with irrational eigenvalues: exactly aperiodic by the theorem
-    spec8 = make_spec(AbelianGroup([8]), [(1,), (7,)], [(1,), (7,)], [(0,)])
+    spec8 = SemiCayleySpec(AbelianGroup([8]), [(1,), (7,)], [(1,), (7,)], [(0,)])
     report = periodicity(spec8)
     assert report.periodic is False and report.method == "theorem"
 
@@ -214,9 +214,9 @@ def test_periodicity_examples():
     report = periodicity(sc.cone(5))
     assert report.periodic is False and report.method == "theorem"
 
-    empty = make_spec(AbelianGroup([3]), [], [], [])
+    empty = SemiCayleySpec(AbelianGroup([3]), [], [], [])
     report = periodicity(empty)
-    assert report.periodic is True and report.min_period_two_pi is None
+    assert report.periodic is True and report.min_period_pi_multiple is None
 
 
 Z5_RL = ((5,), [(1,), (4,)], [(2,), (3,)], [(4,)])
@@ -225,7 +225,7 @@ Z2Z4_RL = ((2, 4), [(0, 1), (0, 3), (1, 0)], [(1, 1), (1, 3)], [(0, 0), (1, 2)])
 
 def _spec(data):
     factors, r_set, l_set, s_set = data
-    return make_spec(AbelianGroup(factors), r_set, l_set, s_set)
+    return SemiCayleySpec(AbelianGroup(factors), r_set, l_set, s_set)
 
 
 def test_rl_periodicity_from_integral_spectrum():
@@ -233,12 +233,12 @@ def test_rl_periodicity_from_integral_spectrum():
     # every eigenvalue and the gaps have gcd 1
     report = periodicity(_spec(Z5_RL))
     assert report.periodic is True and report.method == "theorem"
-    assert report.min_period_two_pi == 1 and abs(report.min_period - 2 * math.pi) < 1e-12
+    assert report.min_period_pi_multiple == 2 and abs(report.min_period - 2 * math.pi) < 1e-12
     assert report.certificate == {"layer_gap_gcds": [1, 1]}
     # K2 u 2K1: layer 0 sees +-1 and layer 1 only 0, so the period is pi
     # although the gaps of the whole spectrum {1, -1, 0, 0} have gcd 1
-    report = periodicity(make_spec(AbelianGroup([2]), [(1,)], [], []))
-    assert report.periodic is True and report.min_period_two_pi == Fraction(1, 2)
+    report = periodicity(SemiCayleySpec(AbelianGroup([2]), [(1,)], [], []))
+    assert report.periodic is True and report.min_period_pi_multiple == 1
     assert report.certificate == {"layer_gap_gcds": [2, 0]}
 
 
@@ -305,9 +305,9 @@ def test_disjoint_union_r_neq_l_same_layer_yes():
     # (layer-0 support {1, -1}, gap 2), the isolated layer-1 vertices never
     from semicayley import build
 
-    spec = make_spec(AbelianGroup([2]), [(1,)], [], [])
+    spec = SemiCayleySpec(AbelianGroup([2]), [(1,)], [], [])
     verdict = decide_pair(spec, Vertex((0,), 0), Vertex((1,), 0))
-    assert verdict.status == "yes" and verdict.time_two_pi == Fraction(1, 4)
+    assert verdict.status == "yes" and verdict.pi_multiple == Fraction(1, 2)
     assert abs(verdict.time - math.pi / 2) < 1e-12
     h = oracle_expm(build(spec), verdict.time)
     assert abs(h[spec.vertex_index(Vertex((0,), 0)), spec.vertex_index(Vertex((1,), 0))]) > 1 - 1e-12
@@ -330,11 +330,11 @@ def test_translation_invariance(rng):
             base = decide_pair(spec, Vertex(g, r), Vertex(h, s))
             moved = decide_pair(spec, Vertex(group.mul(shift, g), r), Vertex(group.mul(shift, h), s))
             assert base.status == moved.status
-            assert base.time_two_pi == moved.time_two_pi
+            assert base.pi_multiple == moved.pi_multiple
 
 
 def test_find_pst_canonical_order():
-    c4 = make_spec(AbelianGroup([2]), [(1,)], [(1,)], [(0,)])
+    c4 = SemiCayleySpec(AbelianGroup([2]), [(1,)], [(1,)], [(0,)])
     verdicts = find_pst(c4)
     keys = [(v.source.layer, v.target.layer, v.target.element) for v in verdicts]
     assert keys == [
@@ -375,7 +375,7 @@ def test_find_pst_builds_the_adjacency_once(monkeypatch):
 
 
 def test_verdict_json():
-    c4 = make_spec(AbelianGroup([2]), [(1,)], [(1,)], [(0,)])
+    c4 = SemiCayleySpec(AbelianGroup([2]), [(1,)], [(1,)], [(0,)])
     verdict = decide_cross_layer(c4, Vertex((0,), 0), Vertex((1,), 1))
     blob = verdict.to_json()
     assert blob["status"] == "yes"
@@ -393,7 +393,7 @@ def test_reversed_pairs_agree(rng):
         forward = {}
         for v in find_pst(spec):
             key = (v.source.layer, v.target.layer, v.target.element)
-            forward[key] = (v.status, v.time_two_pi)
+            forward[key] = (v.status, v.pi_multiple)
         for (r, s, a), outcome in forward.items():
             reverse = forward.get((s, r, group.inverse(a)))
             if reverse is not None:
@@ -403,10 +403,10 @@ def test_reversed_pairs_agree(rng):
 def test_disjoint_union_same_layer_theorem():
     # S = {}: two copies of Cay(Z2, {1}) = K2; the theorem still decides the
     # in-layer pair through the chi(S) = 0 eigenvalue convention
-    spec = make_spec(AbelianGroup([2]), [(1,)], [(1,)], [])
+    spec = SemiCayleySpec(AbelianGroup([2]), [(1,)], [(1,)], [])
     verdict = decide_same_layer_rl(spec, Vertex((0,), 0), Vertex((1,), 0))
     assert verdict.status == "yes"
-    assert verdict.time_two_pi == Fraction(1, 4)
+    assert verdict.pi_multiple == Fraction(1, 2)
 
 
 def test_hypercube_4_antipodal():
@@ -433,7 +433,7 @@ def test_dihedral_involutions_family_verdicts():
         (Vertex((0,), 1), Vertex((2,), 1)),
     ]
     for v in yes:
-        assert v.time_two_pi == Fraction(1, 4)
+        assert v.pi_multiple == Fraction(1, 2)
         assert v.certificate["confirmation"]["magnitude_oracle"] >= 1 - 1e-8
 
 
@@ -626,7 +626,7 @@ def test_same_layer_transfer_times_are_minimal(rng):
 MENON = [(0, 0, 0, 1), (0, 0, 0, 2), (0, 0, 1, 0), (0, 0, 1, 1), (0, 0, 2, 0), (0, 0, 2, 2), (0, 1, 0, 0),
          (0, 1, 1, 1), (0, 1, 2, 2), (1, 0, 0, 0), (1, 0, 1, 0), (1, 0, 2, 0), (1, 1, 0, 0), (1, 1, 0, 1),
          (1, 1, 0, 2)]
-MENON_TWINS = make_spec(AbelianGroup([2, 2, 3, 3]), MENON, MENON, MENON)
+MENON_TWINS = SemiCayleySpec(AbelianGroup([2, 2, 3, 3]), MENON, MENON, MENON)
 
 
 def test_cross_layer_transfer_times_are_minimal(rng):
@@ -784,9 +784,9 @@ def _sign_exponent_specs():
     ):
         group = AbelianGroup(factors)
         for x in shifts:
-            yield make_spec(group, r_set, r_set, [x])
+            yield SemiCayleySpec(group, r_set, r_set, [x])
         if third is not None:
-            yield make_spec(group, [], [], [group.identity, third])
+            yield SemiCayleySpec(group, [], [], [group.identity, third])
 
 
 def test_sign_exponents_match_a_brute_force_over_the_roots():
@@ -811,19 +811,19 @@ def _sign_edge_specs(rng):
     # 1 leave the characters unchanged; S = G with R = L = G - {e} vanishes off
     # the trivial character, and so does an empty S everywhere
     z105 = AbelianGroup([105])
-    yield make_spec(z105, [], [], [(1,)])
+    yield SemiCayleySpec(z105, [], [], [(1,)])
     r_set = random_inverse_closed(z105, rng, 0.1)
-    yield make_spec(z105, r_set, r_set, [(0,), (35,)])
-    yield make_spec(z105, r_set, r_set, random_subset(z105, rng, 0.1))
+    yield SemiCayleySpec(z105, r_set, r_set, [(0,), (35,)])
+    yield SemiCayleySpec(z105, r_set, r_set, random_subset(z105, rng, 0.1))
     for factors in ((1,), (2, 1)):
         group = AbelianGroup(factors)
         for _ in range(3):
             r_set = random_inverse_closed(group, rng)
-            yield make_spec(group, r_set, r_set, random_subset(group, rng))
+            yield SemiCayleySpec(group, r_set, r_set, random_subset(group, rng))
     for factors in ((12,), (2, 2, 2)):
         group = AbelianGroup(factors)
-        yield make_spec(group, group.elements()[1:], group.elements()[1:], group.elements())
-        yield make_spec(group, [], [], [])
+        yield SemiCayleySpec(group, group.elements()[1:], group.elements()[1:], group.elements())
+        yield SemiCayleySpec(group, [], [], [])
 
 
 def test_sign_exponents_match_the_exact_referee_on_edge_groups(rng):

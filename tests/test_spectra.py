@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import math
@@ -7,14 +8,15 @@ import numpy as np
 import pytest
 
 import semicayley as sc
-from semicayley import AbelianGroup, ValidationError, build, eigen_gcd, make_spec, spectrum
+from semicayley import AbelianGroup, SemiCayleySpec, ValidationError, build, eigen_gcd, spectrum
 from semicayley.characters import char_sum, character_matrix
+from semicayley.spectra import _coefficient_rows
 
 from conftest import random_inverse_closed, random_spec, random_subset
 
 
 def test_c4_spectrum():
-    spec = make_spec(AbelianGroup([2]), [(1,)], [(1,)], [(0,)])
+    spec = SemiCayleySpec(AbelianGroup([2]), [(1,)], [(1,)], [(0,)])
     spect = spectrum(spec)
     assert sorted(spect.lambdas.T.ravel()) == [-2.0, 0.0, 0.0, 2.0]
     assert spect.is_integral
@@ -78,7 +80,7 @@ def test_coefficient_conventions():
         assert (*spect.c[:, i], *spect.d[:, i]) == (1.0, 0.0, 0.0, 1.0)
         assert spect.e[0, i] == 0 and spect.e[1, i] == 0
     # R = L forces the balanced split
-    spec = make_spec(AbelianGroup([2]), [(1,)], [(1,)], [(0,)])
+    spec = SemiCayleySpec(AbelianGroup([2]), [(1,)], [(1,)], [(0,)])
     spect = spectrum(spec)
     assert np.all(np.abs(spect.c - 0.5) < 1e-12)
     assert np.all(np.abs(spect.d - 0.5) < 1e-12)
@@ -172,7 +174,7 @@ def test_eigenvectors_and_projectors(rng):
 
 
 def test_is_integral_examples():
-    assert spectrum(make_spec(AbelianGroup([2]), [(1,)], [(1,)], [(0,)])).is_integral
+    assert spectrum(SemiCayleySpec(AbelianGroup([2]), [(1,)], [(1,)], [(0,)])).is_integral
     assert not spectrum(sc.cone(5)).is_integral
     full = sc.dihedral_full_coset(AbelianGroup([4]))
     spect = spectrum(full)
@@ -185,7 +187,7 @@ def test_is_integral_examples():
 def test_integral_spectrum_with_irrational_layer_sums():
     # SC(Z5, {+-1}, {+-2}, {4}): chi(R) - chi(L) = +-sqrt(5) at every
     # nontrivial character, yet sigma = -1 and disc = 5 + 4 = 9
-    spec = make_spec(AbelianGroup([5]), [(1,), (4,)], [(2,), (3,)], [(4,)])
+    spec = SemiCayleySpec(AbelianGroup([5]), [(1,), (4,)], [(2,), (3,)], [(4,)])
     spect = spec.spectrum
     assert spect.is_integral and eigen_gcd(spec) == 1
     assert spect.certified.all()
@@ -218,7 +220,7 @@ def test_is_integral_matches_eigvalsh(rng):
 def test_eigen_gcd_errors():
     with pytest.raises(ValidationError, match="not integral"):
         eigen_gcd(sc.cone(5))
-    empty = make_spec(AbelianGroup([3]), [], [], [])
+    empty = SemiCayleySpec(AbelianGroup([3]), [], [], [])
     with pytest.raises(ValidationError, match="constant spectrum"):
         eigen_gcd(empty)
 
@@ -227,7 +229,7 @@ def test_eigen_gcd_is_not_the_period_when_s_is_empty():
     # SC(Z_4, {2}, {+-1}, {}) is Cay(Z_4, {2}) = 2K_2, spectrum {+-1}, beside
     # C_4, spectrum {2, 0, 0, -2}: each component has period pi (layer gaps
     # 2 and 2), yet the gaps of the whole spectrum, measured from 1, have gcd 1
-    spec = make_spec(AbelianGroup([4]), [(2,)], [(1,), (3,)], [])
+    spec = SemiCayleySpec(AbelianGroup([4]), [(2,)], [(1,), (3,)], [])
     assert sorted(spec.spectrum.ints.ravel().tolist()) == [-2, -1, -1, 0, 0, 1, 1, 2]
     assert eigen_gcd(spec) == 1
     report = sc.periodicity(spec)
@@ -235,7 +237,7 @@ def test_eigen_gcd_is_not_the_period_when_s_is_empty():
 
 
 def test_spectrum_json():
-    spec = make_spec(AbelianGroup([2]), [(1,)], [(1,)], [(0,)])
+    spec = SemiCayleySpec(AbelianGroup([2]), [(1,)], [(1,)], [(0,)])
     blob = spectrum(spec).to_json()
     assert len(blob["characters"]) == 2
     row = blob["characters"][0]
@@ -247,9 +249,11 @@ def test_spectrum_character_sums_match_char_sum(rng):
         spec = random_spec(rng)
         group = spec.group
         spect = spectrum(spec)
+        # the spectrum keeps the chi(S) rows only; chi(R) and chi(L) come from the rows it is built on
+        r_rows, l_rows = _coefficient_rows(group, [spec.subset_indices["R"], spec.subset_indices["L"]])
         for i, chi in enumerate(group.elements()):
             assert tuple(spect.char_index[i].tolist()) == chi
-            for rows, xs in zip(spect.coeffs, (spec.R, spec.L, spec.S)):
+            for rows, xs in zip((r_rows, l_rows, spect.chi_s_coeffs), (spec.R, spec.L, spec.S)):
                 assert tuple(rows[i].tolist()) == char_sum(group, chi, xs).coeffs
 
 
@@ -291,6 +295,17 @@ def test_spectrum_is_freed_with_its_spec():
         gc.enable()
 
 
+def test_spectrum_keeps_no_array_above_n_times_n_entries():
+    # n characters by N coefficients is the largest table the spectrum stores;
+    # the chi(R) and chi(L) rows it is built on are not kept
+    group = AbelianGroup([3, 6])  # n = 18, N = 6
+    spec = SemiCayleySpec(group, [(1, 0), (2, 0)], [(0, 1), (0, 5)], [(1, 2), (0, 3)])
+    spect = spec.spectrum
+    sizes = {f.name: getattr(spect, f.name).size for f in dataclasses.fields(spect)
+             if isinstance(getattr(spect, f.name), np.ndarray)}
+    assert max(sizes.values()) <= 18 * 6, sizes
+
+
 def _referee_ints(group, chi, spec):
     # the certifier applied to this one character, from fresh character sums
     chi_r, chi_l, chi_s = (char_sum(group, chi, xs) for xs in (spec.R, spec.L, spec.S))
@@ -314,7 +329,7 @@ def _large_exponent_specs(rng, count):
         prob = 0.05 if group.order > 100 else 0.3
         r_set = random_inverse_closed(group, rng, prob)
         l_set = r_set if k % 2 else random_inverse_closed(group, rng, prob)
-        yield make_spec(group, r_set, l_set, random_subset(group, rng, prob))
+        yield SemiCayleySpec(group, r_set, l_set, random_subset(group, rng, prob))
 
 
 def test_class_certificates_match_a_per_character_referee(rng):
@@ -349,7 +364,7 @@ def test_spectrum_certifies_once_per_rational_class(rng, monkeypatch):
     # reduces chi(R), chi(L), chi(S), sigma and disc of each representative,
     # and no character gets exact work of its own
     group = AbelianGroup([512])
-    spec = make_spec(group, random_inverse_closed(group, rng, 0.1),
+    spec = SemiCayleySpec(group, random_inverse_closed(group, rng, 0.1),
                      random_inverse_closed(group, rng, 0.1), random_subset(group, rng, 0.1))
     assert spec.R != spec.L
     products, built = _count_exact_work(monkeypatch)
@@ -362,20 +377,20 @@ def test_array_certifier_matches_the_per_character_referee(rng):
     # Phi_105 has a coefficient -2; factors 1 leave the characters unchanged;
     # S = G with R = L = G - {e} vanishes off the trivial character
     z105 = AbelianGroup([105])
-    specs = [make_spec(z105, random_inverse_closed(z105, rng, 0.1), random_inverse_closed(z105, rng, 0.1),
+    specs = [SemiCayleySpec(z105, random_inverse_closed(z105, rng, 0.1), random_inverse_closed(z105, rng, 0.1),
                        random_subset(z105, rng, 0.1)) for _ in range(3)]
     r_set = random_inverse_closed(z105, rng, 0.1)
-    specs.append(make_spec(z105, r_set, r_set, random_subset(z105, rng, 0.1)))
-    specs.append(make_spec(z105, [], [], [(1,)]))
+    specs.append(SemiCayleySpec(z105, r_set, r_set, random_subset(z105, rng, 0.1)))
+    specs.append(SemiCayleySpec(z105, [], [], [(1,)]))
     for factors in ((1,), (2, 1)):
         group = AbelianGroup(factors)
-        specs += [make_spec(group, random_inverse_closed(group, rng), random_inverse_closed(group, rng),
+        specs += [SemiCayleySpec(group, random_inverse_closed(group, rng), random_inverse_closed(group, rng),
                             random_subset(group, rng)) for _ in range(3)]
     for factors in ((12,), (2, 2, 2)):
         group = AbelianGroup(factors)
-        specs.append(make_spec(group, group.elements()[1:], group.elements()[1:], group.elements()))
+        specs.append(SemiCayleySpec(group, group.elements()[1:], group.elements()[1:], group.elements()))
     for factors in ((1,), (12,), (2, 2, 2), (105,)):
-        specs.append(make_spec(AbelianGroup(factors), [], [], []))
+        specs.append(SemiCayleySpec(AbelianGroup(factors), [], [], []))
     for spec in specs:
         group = spec.group
         spect = spectrum(spec)
@@ -434,17 +449,17 @@ def _hex(value):
 
 def _edge_specs(rng):
     trivial = AbelianGroup([1])
-    yield make_spec(trivial, [], [], [])
-    yield make_spec(trivial, [], [], [(0,)])
+    yield SemiCayleySpec(trivial, [], [], [])
+    yield SemiCayleySpec(trivial, [], [], [(0,)])
     for factors in ((2, 12), (60,)):
         group = AbelianGroup(factors)
         r_set = random_inverse_closed(group, rng, 0.3)
         l_set = random_inverse_closed(group, rng, 0.3)
-        yield make_spec(group, r_set, l_set, [])  # S empty
-        yield make_spec(group, r_set, l_set, group.elements())  # S = G
-        yield make_spec(group, [], [], random_subset(group, rng, 0.3))  # R = L empty
-        yield make_spec(group, r_set, l_set, random_subset(group, rng, 0.3))
-        yield make_spec(group, r_set, r_set, random_subset(group, rng, 0.3))
+        yield SemiCayleySpec(group, r_set, l_set, [])  # S empty
+        yield SemiCayleySpec(group, r_set, l_set, group.elements())  # S = G
+        yield SemiCayleySpec(group, [], [], random_subset(group, rng, 0.3))  # R = L empty
+        yield SemiCayleySpec(group, r_set, l_set, random_subset(group, rng, 0.3))
+        yield SemiCayleySpec(group, r_set, r_set, random_subset(group, rng, 0.3))
 
 
 def test_spectrum_floats_are_the_per_character_floats_bit_for_bit(rng):
@@ -497,7 +512,7 @@ def test_spectrum_json_lists_the_nonzero_terms_of_chi_s(rng):
     # chi(S) is a sum of |S| roots of unity, so a row holds at most
     # min(|S|, N) terms, each with a nonzero coefficient
     z12 = AbelianGroup([12])
-    every = make_spec(z12, random_inverse_closed(z12, rng), random_inverse_closed(z12, rng), z12.elements())
+    every = SemiCayleySpec(z12, random_inverse_closed(z12, rng), random_inverse_closed(z12, rng), z12.elements())
     specs = list(_edge_specs(rng)) + [random_spec(rng) for _ in range(200)] + [every]
     for spec in specs:
         group = spec.group
@@ -522,7 +537,7 @@ def test_sign_exponents_cost_two_exact_products_per_class(monkeypatch):
     # exponent; each of the 10 rational classes needs one exact product per
     # column, all of them reduced at once, and no character gets a CycloValue
     group = AbelianGroup([512])
-    spec = make_spec(group, [], [], [(1,)])
+    spec = SemiCayleySpec(group, [], [], [(1,)])
     spect = spec.spectrum
     products, built = _count_exact_work(monkeypatch)
     table = spect.sign_exponents

@@ -7,10 +7,10 @@ import pytest
 import semicayley as sc
 from semicayley import (
     AbelianGroup,
+    SemiCayleySpec,
     ValidationError,
     Vertex,
     build,
-    make_spec,
     oracle_column,
     transfer_entry,
     transfer_matrix,
@@ -45,7 +45,7 @@ def test_k2_closed_form():
 
 
 def test_c4_antipodal_entry():
-    c4 = make_spec(AbelianGroup([2]), [(1,)], [(1,)], [(0,)])
+    c4 = SemiCayleySpec(AbelianGroup([2]), [(1,)], [(1,)], [(0,)])
     value = transfer_entry(c4, Vertex((0,), 0), Vertex((1,), 1), math.pi / 2)
     assert abs(abs(value) - 1.0) < 1e-12
 
@@ -157,7 +157,7 @@ def test_column_oracle_reads_no_spectral_data(monkeypatch):
 
     monkeypatch.setattr(sc.spectra, "spectrum", forbidden)
     monkeypatch.setattr(AbelianGroup, "char_exponents", property(forbidden))
-    spec = make_spec(AbelianGroup([3, 4]), [(0, 1), (0, 3), (1, 2), (2, 2)], [(1, 0), (2, 0)], [(0, 0), (1, 3)])
+    spec = SemiCayleySpec(AbelianGroup([3, 4]), [(0, 1), (0, 3), (1, 2), (2, 2)], [(1, 0), (2, 0)], [(0, 0), (1, 3)])
     column = oracle_column(spec, 5, 2.3)
     assert np.max(np.abs(column - oracle_expm(build(spec), 2.3)[:, 5])) < 1e-10
     with pytest.raises(AssertionError):
@@ -169,7 +169,7 @@ def test_column_oracle_rejects_bad_times():
         oracle_column(sc.hypercube(3), 0, -1.0)
     with pytest.raises(ValidationError, match="horizon"):
         oracle_column(sc.sunlet(4), 0, 1e6)  # rho = 3
-    empty = make_spec(AbelianGroup([3]), [], [], [])
+    empty = SemiCayleySpec(AbelianGroup([3]), [], [], [])
     assert np.array_equal(oracle_column(empty, 1, 1e9), np.eye(6)[1])
 
 
@@ -291,7 +291,7 @@ def test_block_requires_equal_layers():
 def test_block_structure_with_identity_spokes(rng):
     # S = {identity}: the spoke factor collapses to scalar cos/sin
     group = AbelianGroup([4])
-    spec = make_spec(group, [(1,), (3,)], [(1,), (3,)], [(0,)])
+    spec = SemiCayleySpec(group, [(1,), (3,)], [(1,), (3,)], [(0,)])
     t = 1.234
     layer = cay_adjacency(group, spec.R).astype(float)
     vals, vecs = np.linalg.eigh(layer)
@@ -316,7 +316,7 @@ def test_block_permutation_spokes_at_pi():
     # any single-element S gives a permutation C with CC^T = I; at t = pi the
     # spokes vanish and each layer carries -H_B(t): in-layer inheritance
     group = AbelianGroup([4])
-    spec = make_spec(group, [(1,), (3,)], [(1,), (3,)], [(1,)])
+    spec = SemiCayleySpec(group, [(1,), (3,)], [(1,), (3,)], [(1,)])
     h = block_transfer_rl(spec, math.pi)
     n = spec.n
     layer = cay_adjacency(group, spec.R).astype(float)
@@ -363,7 +363,7 @@ def test_time_reversal(rng):
 
 def test_s_empty_block_diagonal_transfer(rng):
     spec = random_spec(rng)
-    spec = make_spec(spec.group, spec.R, spec.L, [])
+    spec = SemiCayleySpec(spec.group, spec.R, spec.L, [])
     t = 1.6
     h = transfer_matrix(spec, t)
     n = spec.n
