@@ -10,8 +10,6 @@ from .errors import ConsistencyError, ValidationError
 from .graphs import (
     SemiCayleySpec,
     Vertex,
-    abelian_index2,
-    build,
     cone,
     dicyclic_full_coset,
     dihedral_full_coset,
@@ -25,7 +23,7 @@ from .graphs import (
 )
 from .groups import AbelianGroup
 from .pst import PeriodReport, PstVerdict, decide_pair, find_pst, periodicity, verify_at_time
-from .spectra import Spectrum, eigen_gcd, spectrum
+from .spectra import Spectrum, eigen_gcd
 from .transfer import oracle_column, transfer_entry, transfer_matrix, transfer_rows
 
 __all__ = [
@@ -37,8 +35,6 @@ __all__ = [
     "Spectrum",
     "ValidationError",
     "Vertex",
-    "abelian_index2",
-    "build",
     "cone",
     "cyclotomic_polynomial",
     "decide_pair",
@@ -54,7 +50,6 @@ __all__ = [
     "join_spec",
     "oracle_column",
     "periodicity",
-    "spectrum",
     "sunlet",
     "transfer_entry",
     "transfer_matrix",

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .groups import MAX_ORDER, AbelianGroup, Element, subset_to_json
+from .groups import MAX_ORDER, AbelianGroup, Element, integer, subset_to_json
 
 if TYPE_CHECKING:
     from .spectra import Spectrum
@@ -112,8 +112,13 @@ class SemiCayleySpec:
         return v.layer * self.n + self.group.index(v.element)
 
     def validate_vertex(self, v) -> Vertex:
-        element, layer = v
-        if isinstance(layer, bool) or layer not in (0, 1):  # True == 1, but not a layer
+        """v as a Vertex: refuses all but a pair of a group element's integer exponents and the int 0 or 1."""
+        try:
+            element, layer = v
+            element = tuple(map(integer, element))
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"vertex must be [[exponents],layer], got {v!r}") from exc
+        if isinstance(layer, bool) or not isinstance(layer, (int, np.integer)) or layer not in (0, 1):  # 1.0 == 1
             raise ValidationError(f"vertex layer must be 0 or 1, got {layer!r}")
         return Vertex(self.group.validate_element(element), int(layer))
 
@@ -236,11 +241,6 @@ def generalized_dicyclic(A: AbelianGroup, y: Element, T1, T2) -> SemiCayleySpec:
     if A.orders(A.index(y)) != 2:
         raise ValidationError("x^2 must be an involution of A")
     return from_cayley_index2(A, inversion(A), y, T1, T2)
-
-
-def abelian_index2(H: AbelianGroup, x_square: Element, T1, T2) -> SemiCayleySpec:
-    """Cay(G, T1 u xT2) for abelian G with index-2 subgroup H and central x."""
-    return from_cayley_index2(H, identity_action(H), x_square, T1, T2)
 
 
 # -- named families -----------------------------------------------------------

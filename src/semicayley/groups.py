@@ -161,7 +161,10 @@ class AbelianGroup:
 
     def subset(self, elements: Iterable[Iterable[int]]) -> frozenset[Element]:
         """Validate and deduplicate a collection of elements."""
-        return frozenset(self.validate_element(g) for g in elements)
+        try:  # validate_element raises no TypeError, so this one is the collection's
+            return frozenset(self.validate_element(g) for g in elements)
+        except TypeError as exc:
+            raise ValidationError(f"a subset must be a list of elements, got {elements!r}") from exc
 
     # -- serialization -------------------------------------------------------
 

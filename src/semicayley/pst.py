@@ -64,10 +64,9 @@ exactly modulo 2*pi, which keeps both paths accurate and cheap at any t.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
-from decimal import Decimal, localcontext
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -75,7 +74,7 @@ from .characters import character_matrix
 from .errors import ConsistencyError, ValidationError
 from .graphs import SemiCayleySpec, Vertex
 from .spectra import eigen_gcd
-from .transfer import _entry_sums, oracle_column, transfer_entry
+from .transfer import _entry_sums, oracle_column, reduce_time, transfer_entry
 
 MAGNITUDE_TOL = 1e-8
 PATH_AGREEMENT_TOL = 1e-8
@@ -368,51 +367,16 @@ def decide_cross_layer(spec: SemiCayleySpec, u: Vertex, v: Vertex) -> PstVerdict
 # -- numeric confirmation and scans ----------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _pi(digits: int) -> Decimal:
-    # pi to about `digits` significant digits (the series recipe of the decimal docs)
-    with localcontext() as ctx:
-        ctx.prec = digits + 2
-        last, term, total, n, na, d, da = 0, Decimal(3), Decimal(3), 1, 0, 0, 24
-        while total != last:
-            last = total
-            n, na = n + na, na + 8
-            d, da = d + da, da + 32
-            term = term * n / d
-            total += term
-    return total
-
-
-def reduce_time(spec: SemiCayleySpec, t: float, pi_multiple: Fraction | None = None) -> float:
-    """t modulo 2*pi when the spectrum is integral (then H(t + 2*pi) = H(t)); else t.
-
-    The reduction is exact: a multiple of pi is reduced as a Fraction, and a
-    float, being a binary rational, is reduced against pi to 40 more digits
-    than its integer part has; a negative float lands in (-2*pi, 0].
-    """
-    if not spec.spectrum.is_integral:
-        return t
-    if pi_multiple is not None:
-        return float(pi_multiple % 2) * math.pi
-    if abs(t) < 2 * math.pi:  # math.pi < pi: already reduced
-        return t
-    exact = Decimal(t)
-    digits = exact.adjusted() + 40
-    with localcontext() as ctx:
-        ctx.prec = digits + 2
-        return float(exact % (2 * _pi(digits)))
-
-
 def verify_at_time(spec: SemiCayleySpec, u: Vertex, v: Vertex, t: float, tol: float = MAGNITUDE_TOL) -> dict:
     """|H_uv(t)| through both transfer paths; passes iff both reach 1 - tol.
 
     An integral spectrum reduces t exactly modulo 2*pi first.  The oracle
     path is the column exp(-itA) e_u by Lanczos, within 1e-10 of the exact
-    column (see transfer.oracle_column); it refuses t * rho beyond
-    transfer.COLUMN_HORIZON (rho the largest degree) with a ValidationError.
+    column (see transfer.oracle_column).  A ValidationError refuses a tol outside [0, 1) or bool, a bad
+    vertex, and a time that reduce_time (non-finite) or oracle_column (negative, past the horizon) refuses.
     """
-    if not 0 <= t < math.inf:
-        raise ValidationError("time must be finite and nonnegative")
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 <= tol < 1:  # NaN fails too
+        raise ValidationError(f"tolerance must be a number in [0, 1), got {tol!r}")
     u = spec.validate_vertex(u)
     v = spec.validate_vertex(v)
     t = reduce_time(spec, t)

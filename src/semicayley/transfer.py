@@ -14,14 +14,18 @@ Deliberately independent computation paths:
   tests' referee for whole matrices).
 
 Equivalence of the paths, entrywise to 1e-9, is the core QA property of the
-package.  Time is a plain float here; exact rational-multiple-of-pi time
-reasoning, including the exact reduction of large times, lives in the
-state-transfer analysis module.
+package.  Time is a plain float.  The spectral path reduces it exactly when
+the spectrum is integral (`reduce_time`) and then checks the accuracy
+horizon (`check_horizon`); the oracle, which reads no spectral data, checks
+the horizon alone.
 """
 
 from __future__ import annotations
 
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -49,7 +53,7 @@ def transfer_rows(spec: SemiCayleySpec, t: float) -> np.ndarray:
     connecting element at once, on one character table.
     """
     table = character_matrix(spec.group)
-    ts = np.array([t])
+    ts = np.array([_checked_time(spec, t)])
     return np.array([[_entry_sums(spec, r, s, table, ts)[:, 0] for s in (0, 1)] for r in (0, 1)]) / spec.n
 
 
@@ -65,8 +69,6 @@ def transfer_matrix(spec: SemiCayleySpec, t: float) -> np.ndarray:
 def _entry_sums(spec: SemiCayleySpec, r: int, s: int, chi_a: np.ndarray, ts: np.ndarray) -> np.ndarray:
     # n * H_(e,r),(g_a,s)(t) from chi_a = chi(g_a) over every character: row a
     # of the character table (which is symmetric), or the table for every a
-    if not np.isfinite(ts).all():
-        raise ValidationError("time must be finite")
     spect = spec.spectrum
     if r == s:
         weights = spect.d if r else spect.c
@@ -90,7 +92,7 @@ def transfer_entry(spec: SemiCayleySpec, u: Vertex, v: Vertex, t: float) -> comp
     v = spec.validate_vertex(v)
     group = spec.group
     chi_a = np.exp(2j * np.pi * group.char_exponents[spec.connecting_index(u, v)] / group.exponent)
-    return complex(_entry_sums(spec, u.layer, v.layer, chi_a, np.array([t]))[0] / spec.n)
+    return complex(_entry_sums(spec, u.layer, v.layer, chi_a, np.array([_checked_time(spec, t)]))[0] / spec.n)
 
 
 def oracle_expm(adjacency: np.ndarray, t: float) -> np.ndarray:
@@ -137,10 +139,48 @@ def _lanczos_steps(x: float, size: int) -> int:
     return int(k[below[0]]) if below.size else size
 
 
+@lru_cache(maxsize=None)
+def _pi(digits: int) -> Decimal:
+    # pi to about `digits` significant digits (the series recipe of the decimal docs)
+    with localcontext() as ctx:
+        ctx.prec = digits + 2
+        last, term, total, n, na, d, da = 0, Decimal(3), Decimal(3), 1, 0, 0, 24
+        while total != last:
+            last = total
+            n, na = n + na, na + 8
+            d, da = d + da, da + 32
+            term = term * n / d
+            total += term
+    return total
+
+
+def reduce_time(spec: SemiCayleySpec, t: float, pi_multiple: Fraction | None = None) -> float:
+    """t modulo 2*pi when the spectrum is integral (then H(t + 2*pi) = H(t)); else t.
+
+    The reduction is exact: a multiple of pi is reduced as a Fraction, and a
+    float, being a binary rational, is reduced against pi to 40 more digits
+    than its integer part has; a negative float lands in (-2*pi, 0].  A
+    reduced time is its own reduction.  A non-finite t is a ValidationError.
+    """
+    if not math.isfinite(t):  # before Decimal(t), whose inf and nan have no remainder
+        raise ValidationError("time must be finite")
+    if not spec.spectrum.is_integral:
+        return t
+    if pi_multiple is not None:
+        return float(pi_multiple % 2) * math.pi
+    if abs(t) < 2 * math.pi:  # math.pi < pi: already reduced
+        return t
+    exact = Decimal(t)
+    digits = exact.adjusted() + 40
+    with localcontext() as ctx:
+        ctx.prec = digits + 2
+        return float(exact % (2 * _pi(digits)))
+
+
 def check_horizon(spec: SemiCayleySpec, t: float) -> float:
     """x = t * rho, rho the largest degree, for a time both transfer paths can still resolve.
 
-    Beyond |x| = COLUMN_HORIZON, a ValidationError.
+    Refuses |x| beyond COLUMN_HORIZON with a ValidationError; reduce_time brings an integral spectrum's t within it.
     """
     rho = float(spec.max_degree)
     x = t * rho
@@ -151,6 +191,12 @@ def check_horizon(spec: SemiCayleySpec, t: float) -> float:
             "with an integral spectrum can be reduced exactly modulo its period 2*pi"
         )
     return x
+
+
+def _checked_time(spec: SemiCayleySpec, t: float) -> float:
+    t = reduce_time(spec, t)
+    check_horizon(spec, t)
+    return t
 
 
 def oracle_column(spec: SemiCayleySpec, j: int, t: float) -> np.ndarray:

@@ -20,14 +20,14 @@ from semicayley import (
     AbelianGroup,
     SemiCayleySpec,
     Vertex,
-    build,
     decide_pair,
     find_pst,
     periodicity,
-    spectrum,
     transfer_matrix,
 )
 from semicayley.characters import CycloValue, char_sum, eval_character
+from semicayley.graphs import build
+from semicayley.spectra import spectrum
 from semicayley.transfer import oracle_expm
 
 from conftest import GROUP_POOL, random_spec, random_subset

@@ -10,11 +10,13 @@ from semicayley import (
     AbelianGroup,
     ValidationError,
     Vertex,
+    decide_pair,
     from_cayley_index2,
     oracle_column,
     transfer_entry,
     transfer_matrix,
     transfer_rows,
+    verify_at_time,
 )
 from semicayley.characters import cyclotomic_polynomial
 from semicayley.graphs import identity_action
@@ -31,7 +33,7 @@ REFEREES = ("CycloValue", "Root", "char_sum", "eval_character", "decide_same_lay
 def test_the_namespace_is_all_and_holds_no_referee():
     assert [name for name in REFEREES if hasattr(sc, name)] == []
     assert [name for name in sc.__all__ if not hasattr(sc, name)] == []
-    assert len(sc.__all__) == len(set(sc.__all__)) == 31
+    assert len(sc.__all__) == len(set(sc.__all__)) == 28
 
 
 @pytest.mark.parametrize(
@@ -53,11 +55,24 @@ def test_the_namespace_is_all_and_holds_no_referee():
         (lambda: transfer_entry(C4, Vertex((0,), 0), Vertex((1,), 1), math.nan), "finite"),
         (lambda: transfer_rows(C4, math.inf), "finite"),
         (lambda: transfer_matrix(C4, math.nan), "finite"),
+        # a vertex that is not a pair of an exponent list and a layer
+        (lambda: decide_pair(C4, 5, Vertex((1,), 1)), "vertex must be"),
+        (lambda: transfer_entry(C4, None, Vertex((1,), 1), 1.0), "vertex must be"),
+        (lambda: verify_at_time(C4, Vertex((0,), 0), ((1,), 1, 0), 1.0), "vertex must be"),
+        # a tolerance outside [0, 1), where every |H_uv| would pass
+        (lambda: verify_at_time(C4, Vertex((0,), 0), Vertex((1,), 1), 0.1, tol=2), "tolerance"),
+        (lambda: verify_at_time(C4, Vertex((0,), 0), Vertex((1,), 1), 0.1, tol=True), "tolerance"),
+        (lambda: verify_at_time(C4, Vertex((0,), 0), Vertex((1,), 1), 0.1, tol=math.nan), "tolerance"),
+        # sunlet(5) is not integral: t * rho = 3e20 has no exact reduction
+        (lambda: transfer_entry(sc.sunlet(5), Vertex((0,), 0), Vertex((1,), 0), 1e20), "horizon"),
+        (lambda: sc.SemiCayleySpec(AbelianGroup([2]), 5, [], []), "R: a subset"),
     ],
     ids=["cross-layer-on-one-layer", "group-json-without-factors", "non-square-oracle", "cyclotomic-0",
          "index2-identity-in-T1", "oracle-column-j-negative", "oracle-column-j-2n", "oracle-column-j-bool",
          "oracle-column-j-float", "transfer-entry-inf", "transfer-entry-nan", "transfer-rows-inf",
-         "transfer-matrix-nan"],
+         "transfer-matrix-nan", "decide-pair-vertex-int", "transfer-entry-vertex-none",
+         "verify-vertex-triple", "verify-tol-2", "verify-tol-bool", "verify-tol-nan", "transfer-entry-horizon",
+         "spec-subset-int"],
 )
 def test_library_refusals(call, message):
     with pytest.raises(ValidationError, match=message):

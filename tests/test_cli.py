@@ -9,6 +9,7 @@ import pytest
 import semicayley as sc
 from semicayley import ValidationError
 from semicayley.cli import main, parse_graph, parse_time, render_text, run
+from semicayley.graphs import identity_action
 
 
 def test_parse_time_forms():
@@ -145,6 +146,7 @@ _C4 = {"group": {"factors": [2]}, "R": [[1]], "L": [[1]], "S": [[0]]}
         {"command": "pst-check", "graph": _C4, "from": [["a"], 0], "to": [[1], 1]},
         {"command": "pst-check", "graph": _C4, "from": [5, 0], "to": [[1], 1]},
         {"command": "pst-check", "graph": _C4, "from": [[0], "x"], "to": [[1], 1]},
+        {"command": "pst-check", "graph": _C4, "from": [[0], 1.0], "to": [[1], 1]},  # 1.0 == 1, but no layer
         {"command": "spectrum", "graph": {"group": {"factors": ["x"]}, "R": [], "L": [], "S": []}},
         {"command": "spectrum", "graph": {"family": "dihedral-full-coset", "A": ["x"]}},
         {"command": "spectrum", "graph": {"cayley_index2": {"H": {"factors": [3]}, "sigma": [[[0], [0]], [[1], [2]]]}}},
@@ -280,6 +282,15 @@ def test_pst_check_beyond_the_horizon_is_a_validation_error():
     assert "horizon" in report["error"]["message"]
 
 
+def test_evolve_reports_a_bad_entry_query_before_the_horizon():
+    # cone(5) at t = 1e17 is past the horizon, but the query is read first, as pst-check reads it
+    job = {"command": "evolve", "graph": {"family": "cone", "n": 5}, "time": "1e17"}
+    for query, complaint in [({"from": [[0], 0]}, "needs both 'from' and 'to'"),
+                             ({"from": [[0], 0], "to": [[1], 2]}, "vertex layer must be 0 or 1, got 2")]:
+        report, code = run(dict(job, **query))
+        assert code == 1 and complaint in report["error"]["message"], report
+
+
 def test_evolve_refuses_the_pst_check_horizon_without_an_exact_period():
     # cone(5) is not integral and rho = 7: t = 1e17 is far past the horizon,
     # where evolve would print noise; the refusal is pst-check's, word for word
@@ -342,7 +353,7 @@ def test_identity_sigma_is_the_abelian_extension(sigma):
         index2["sigma"] = sigma
     report, code = run({"command": "pst-find", "graph": {"cayley_index2": index2}})
     z4 = sc.AbelianGroup([4])
-    graph = sc.abelian_index2(z4, (0,), [(1,), (3,)], [(0,)]).to_json()
+    graph = sc.from_cayley_index2(z4, identity_action(z4), (0,), [(1,), (3,)], [(0,)]).to_json()
     assert code == 0 and report == run({"command": "pst-find", "graph": graph})[0]
     assert report["summary"]["yes"] == 2
 

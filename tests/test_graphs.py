@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import semicayley as sc
-from semicayley import AbelianGroup, SemiCayleySpec, ValidationError, Vertex, build
+from semicayley import AbelianGroup, SemiCayleySpec, ValidationError, Vertex
 from semicayley.graphs import (
+    build,
     cay_adjacency,
     from_cayley_index2,
     identity_action,
@@ -129,7 +130,7 @@ def test_vertex_indexing():
     assert len(vertices(spec)) == 8
     for i, v in enumerate(vertices(spec)):
         assert spec.vertex_index(v) == i
-    for layer in (2, 1.5, "x"):  # 1.5 is refused, not truncated to layer 1
+    for layer in (2, 1.5, "x", 1.0, True):  # 1.5 is refused, not truncated; 1.0 and True equal 1 but are no layer
         with pytest.raises(ValidationError, match="layer must be 0 or 1"):
             spec.validate_vertex(Vertex((0,), layer))
 
@@ -224,7 +225,7 @@ def test_abelian_index2_is_the_central_case(rng):
         t2 = set()
         for t in random_subset(group, rng):
             t2 |= {t, group.mul(group.inverse(t), group.inverse(x_square))}
-        spec = sc.abelian_index2(group, x_square, t1, t2)
+        spec = from_cayley_index2(group, identity_action(group), x_square, t1, t2)
         assert spec == from_cayley_index2(group, identity_action(group), x_square, t1, t2)
         assert spec.R == spec.L == group.subset(t1)
         assert _extension_relabel_matches(group, identity_action(group), x_square, t1, t2) == spec

@@ -251,7 +251,7 @@ def test_rl_integral_periods_are_minimal_under_the_oracle(rng):
     # P / k has k at most the spectral spread; so P is the minimum period iff
     # every diagonal entry of H(P) is unimodular and, for each prime q up to
     # the spread, some diagonal entry of H(P / q) is not
-    from semicayley import build
+    from semicayley.graphs import build
 
     def min_diagonal(adjacency, t):
         return float(np.min(np.abs(np.diag(oracle_expm(adjacency, t)))))
@@ -303,7 +303,7 @@ def test_sunlet_even_same_layer_non_integral():
 def test_disjoint_union_r_neq_l_same_layer_yes():
     # SC(Z2, {1}, {}, {}) = K2 u 2K1: the K2 in layer 0 transfers at pi/2
     # (layer-0 support {1, -1}, gap 2), the isolated layer-1 vertices never
-    from semicayley import build
+    from semicayley.graphs import build
 
     spec = SemiCayleySpec(AbelianGroup([2]), [(1,)], [], [])
     verdict = decide_pair(spec, Vertex((0,), 0), Vertex((1,), 0))
@@ -440,7 +440,8 @@ def test_dihedral_involutions_family_verdicts():
 def test_deciders_match_oracle_scan_on_random_integral_specs(rng):
     # stronger than spot checks: exhaustive oracle time scans over one period
     # must agree with the exact deciders on yes/no for every vertex pair
-    from semicayley import build, spectrum
+    from semicayley.graphs import build
+    from semicayley.spectra import spectrum
     from semicayley.spectra import eigen_gcd
 
     from conftest import random_inverse_closed, random_spec, random_subset
@@ -506,7 +507,7 @@ def test_corpus_is_fully_decided(corpus):
 
 
 def test_r_neq_l_same_layer_yes_match_the_dense_oracle(corpus):
-    from semicayley import build
+    from semicayley.graphs import build
 
     checked = 0
     for spec, verdicts, _ in corpus:
@@ -595,7 +596,7 @@ def _assert_least_transfer_times(spec, yes):
     # the transfer times of a pair are the odd multiples of the least one,
     # which is at least pi / spread; so the reported t is the least iff H_uv
     # is not unimodular at t / q for each prime q up to the spectral spread
-    from semicayley import build
+    from semicayley.graphs import build
 
     lams = spec.spectrum.lambdas.T.ravel()
     adjacency = build(spec)

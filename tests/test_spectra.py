@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 import semicayley as sc
-from semicayley import AbelianGroup, SemiCayleySpec, ValidationError, build, eigen_gcd, spectrum
+from semicayley import AbelianGroup, SemiCayleySpec, ValidationError, eigen_gcd
 from semicayley.characters import char_sum, character_matrix
-from semicayley.spectra import _coefficient_rows
+from semicayley.graphs import build
+from semicayley.spectra import _coefficient_rows, spectrum
 
 from conftest import random_inverse_closed, random_spec, random_subset
 

@@ -10,16 +10,14 @@ from semicayley import (
     SemiCayleySpec,
     ValidationError,
     Vertex,
-    build,
     oracle_column,
     transfer_entry,
     transfer_matrix,
     transfer_rows,
 )
 from semicayley.characters import character_matrix
-from semicayley.graphs import cay_adjacency
-from semicayley.pst import reduce_time
-from semicayley.transfer import _entry_sums, _lanczos_steps, oracle_expm
+from semicayley.graphs import build, cay_adjacency
+from semicayley.transfer import _entry_sums, _lanczos_steps, oracle_expm, reduce_time
 
 from conftest import random_spec
 from referees import block_transfer_rl, vertices
@@ -272,6 +270,19 @@ def test_reduced_time_gives_the_unreduced_magnitudes(rng):
             assert np.max(np.abs(got - want[:, j])) < 1e-10
     # a non-integral spectrum has no exact period: the time stays as given
     assert reduce_time(sc.sunlet(4), t, pi_multiple) == t
+
+
+def test_the_spectral_path_reduces_large_times_itself():
+    # (2 * 10^8 + 1) pi / 2 is pi / 2 modulo 2 pi, where both graphs' antipodal pairs exchange
+    t = (2 * 10**8 + 1) * math.pi / 2
+    c4 = SemiCayleySpec(AbelianGroup([2]), [(1,)], [(1,)], [(0,)])
+    for spec in (c4, sc.hypercube(3)):
+        u, v = Vertex(spec.group.identity, 0), Vertex((1,) * len(spec.group.factors), 1)
+        value = transfer_entry(spec, u, v, t)
+        assert value == transfer_entry(spec, u, v, reduce_time(spec, t))  # bit for bit
+        assert abs(abs(value) - 1) < 1e-9
+    # t * lambda would overflow without the exact reduction
+    assert np.isfinite(transfer_rows(c4, 1e308)).all()
 
 
 def test_block_path_equals_oracle(rng):
