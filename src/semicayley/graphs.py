@@ -105,11 +105,19 @@ class SemiCayleySpec:
     def connecting_index(self, u: Vertex, v: Vertex) -> int:
         """Index of a = g^{-1} h for u = (g, r), v = (h, s): H_uv(t) depends only on a and the layers."""
         group = self.group
-        return int(group.add_indices(group.power_indices(group.index(u.element), -1), group.index(v.element)))
+        return self._connecting_index(group.validate_element(u.element), group.validate_element(v.element))
+
+    def _connecting_index(self, g: Element, h: Element) -> int:
+        # connecting_index of already validated elements
+        group = self.group
+        return int(group.add_indices(group.power_indices(group._index(g), -1), group._index(h)))
 
     def vertex_index(self, v: Vertex) -> int:
-        v = self.validate_vertex(v)
-        return v.layer * self.n + self.group.index(v.element)
+        return self._vertex_index(self.validate_vertex(v))
+
+    def _vertex_index(self, v: Vertex) -> int:
+        # vertex_index of a validated vertex
+        return v.layer * self.n + self.group._index(v.element)
 
     def validate_vertex(self, v) -> Vertex:
         """v as a Vertex: refuses all but a pair of a group element's integer exponents and the int 0 or 1."""

@@ -84,7 +84,11 @@ class AbelianGroup:
         return self._elements[i]
 
     def index(self, g: Element) -> int:
-        return sum(x * s for x, s in zip(self.validate_element(g), self.strides))
+        return self._index(self.validate_element(g))
+
+    def _index(self, g: Element) -> int:
+        # index of an already validated element
+        return sum(x * s for x, s in zip(g, self.strides))
 
     def index_array(self, xs: frozenset[Element]) -> np.ndarray:
         """Sorted enumeration indices of an already validated set of elements."""

@@ -74,7 +74,7 @@ from .characters import character_matrix
 from .errors import ConsistencyError, ValidationError
 from .graphs import SemiCayleySpec, Vertex
 from .spectra import eigen_gcd
-from .transfer import _entry_sums, oracle_column, reduce_time, transfer_entry
+from .transfer import _column, _entry, _entry_sums, _oracle_time, reduce_time
 
 MAGNITUDE_TOL = 1e-8
 PATH_AGREEMENT_TOL = 1e-8
@@ -168,7 +168,7 @@ def _pair(spec: SemiCayleySpec, u: Vertex, v: Vertex) -> tuple[Vertex, Vertex, n
     v = spec.validate_vertex(v)
     if u == v:
         raise ValidationError("vertices must be distinct; the diagonal is the periodicity question")
-    return u, v, np.array([spec.connecting_index(u, v)], dtype=np.int64)
+    return u, v, np.array([spec._connecting_index(u.element, v.element)], dtype=np.int64)
 
 
 # -- the decision core -------------------------------------------------------------
@@ -380,9 +380,12 @@ def verify_at_time(spec: SemiCayleySpec, u: Vertex, v: Vertex, t: float, tol: fl
     u = spec.validate_vertex(u)
     v = spec.validate_vertex(v)
     t = reduce_time(spec, t)
-    column = oracle_column(spec, spec.vertex_index(u), t)
-    mag_oracle = float(abs(column[spec.vertex_index(v)]))
-    mag_spectral = float(abs(transfer_entry(spec, u, v, t)))
+    _oracle_time(t)
+    # the spectral entry first: the temporaries of a first read of the
+    # spectrum's floats are freed before the oracle builds the adjacency
+    mag_spectral = float(abs(_entry(spec, u, v, t)))
+    column = _column(spec, spec._vertex_index(u), t)
+    mag_oracle = float(abs(column[spec._vertex_index(v)]))
     if abs(mag_spectral - mag_oracle) > PATH_AGREEMENT_TOL:
         raise ConsistencyError(
             f"spectral and oracle paths disagree: {mag_spectral} vs {mag_oracle} at t = {t}"
@@ -410,7 +413,7 @@ def scan_pair(spec: SemiCayleySpec, u: Vertex, v: Vertex) -> dict:
     except ValidationError:
         horizon, note = 2 * math.pi, "2*pi (no exact period available)"
     ts = np.linspace(horizon / SCAN_SAMPLES, horizon, SCAN_SAMPLES)
-    chi_a = character_matrix(spec.group)[spec.connecting_index(u, v)]
+    chi_a = character_matrix(spec.group)[spec._connecting_index(u.element, v.element)]
     mags = np.abs(_entry_sums(spec, u.layer, v.layer, chi_a, ts)) / spec.n
     best = int(np.argmax(mags))
     return {

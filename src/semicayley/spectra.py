@@ -6,13 +6,24 @@ projectors have closed forms in chi(R), chi(L) and chi(S).  A Spectrum holds
 them as columns, one entry per character in enumeration order, and no
 object per character.  Floats drive the dynamics.
 
+A Spectrum has two halves, and each command computes only the half it
+reads.  The exact half (the certified integers, chi(S) = 0 and the rational
+classes) is built by spectrum() from coefficient rows at the class
+representatives only; periodicity, eigen_gcd, reduce_time, the layer gaps
+and every decider read nothing else, so `period` and a `pst-find` without
+a `yes` never compute a float.  The float half (chi_s_coeffs, chi_s,
+lambdas and the weights c, d, e) is computed the first time any of it is
+read, by the entry formula (transfer_* and the spectral side of a
+confirmation) or by Spectrum.to_json (the `spectrum` report), and kept.
+
 The floats are computed for every character at once, on n x N integer
 coefficient matrices (bincounts of R, L and S; |chi(S)|^2 = chi(S S^-1)
-is one weighted bincount over the difference multiset), summed against the
-roots of unity in the order of CycloValue.approx.  The closed forms then run
-elementwise in the order of Python's scalar arithmetic, complex products and
-quotients split into CPython's real and imaginary formulas, so every float
-is the per-character float bit for bit, signed zeros included.
+is one weighted bincount over the difference multiset, whose weights both
+halves share), summed against the roots of unity in the order of
+CycloValue.approx.  The closed forms then run elementwise in the order of
+Python's scalar arithmetic, complex products and quotients split into
+CPython's real and imaginary formulas, so every float is the per-character
+float bit for bit, signed zeros included.
 
 Integrality is certified once per rational class of characters, when the
 spectrum is built: the eigenvalues (sigma +- sqrt(disc)) / 2, sigma =
@@ -50,12 +61,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .characters import _residue_table, _roots_of_unity
 from .errors import ConsistencyError, ValidationError
 from .graphs import SemiCayleySpec
+from .groups import AbelianGroup
+
+
+class _Floats(NamedTuple):
+    # the float half of a Spectrum (see Spectrum and _float_half)
+    chi_s_coeffs: np.ndarray
+    chi_s: np.ndarray
+    lambdas: np.ndarray
+    c: np.ndarray
+    d: np.ndarray
+    e: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,26 +93,43 @@ class Spectrum:
     integer eigenvalues, branch by branch, where certified is True (0
     elsewhere).  The weights of the entry formula are c for the layer case
     (0, 0), d for (1, 1), e for (0, 1) and conj(e) for (1, 0).
+
+    Two halves.  The exact half (the fields) is built by spectrum().  The
+    float half (chi_s_coeffs, chi_s, lambdas, c, d, e) is computed by
+    _float_half the first time any of them is read, and then kept; the
+    private fields are what it is computed from, the group and the spec's
+    read-only index arrays, never the spec itself.
     """
 
     order: int  # N, the exponent of G
     char_index: np.ndarray  # n x factors
-    chi_s_coeffs: np.ndarray  # n x N: chi(S) as coefficients of powers of zeta_N (chi(R), chi(L) are not kept)
-    chi_s: np.ndarray  # complex chi(S), the CycloValue.approx of its coefficients
     chi_s_zero: np.ndarray  # bool, chi(S) = 0 exactly
-    lambdas: np.ndarray  # 2 x n float
     ints: np.ndarray  # 2 x n int64
     certified: np.ndarray  # 2 x n bool
-    c: np.ndarray  # 2 x n float
-    d: np.ndarray  # 2 x n float
-    e: np.ndarray  # 2 x n complex
     class_rep: np.ndarray  # the least index of each character's rational class
     class_power: np.ndarray  # k with chi_i = chi_rep^k, gcd(k, N) = 1
+    _group: AbelianGroup
+    _subsets: tuple  # the index arrays of R, L and S
+    _s_s_inverse: np.ndarray  # n ints: S S^-1 as integer weights over G
+
+    chi_s_coeffs = property(lambda self: self._floats.chi_s_coeffs,
+                            doc="n x N: chi(S) as coefficients of powers of zeta_N (chi(R), chi(L) are not kept)")
+    chi_s = property(lambda self: self._floats.chi_s, doc="complex chi(S), the CycloValue.approx of its coefficients")
+    lambdas = property(lambda self: self._floats.lambdas, doc="2 x n float")
+    c = property(lambda self: self._floats.c, doc="2 x n float")
+    d = property(lambda self: self._floats.d, doc="2 x n float")
+    e = property(lambda self: self._floats.e, doc="2 x n complex")
+
+    @cached_property
+    def _floats(self) -> _Floats:
+        return _float_half(self._group, self._subsets, self._s_s_inverse, self.chi_s_zero)
 
     def __eq__(self, other) -> bool:
+        # the public fields and the float half, computed on both sides if need be
         if not isinstance(other, Spectrum):
             return NotImplemented
-        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+        names = [f.name for f in fields(self) if not f.name.startswith("_")] + list(_Floats._fields)
+        return all(np.array_equal(getattr(self, name), getattr(other, name)) for name in names)
 
     @cached_property
     def is_integral(self) -> bool:
@@ -137,14 +177,16 @@ class Spectrum:
         at e - j on zeta_N^j, so both proposals of every representative are
         gathered as coefficient rows and confirmed in one _certify product.
         chi_rep^k then takes k e modulo N (see the module docstring), and no
-        e for none.
+        e for none.  Builds the representatives' chi(S) rows and takes their
+        floats row by row, so it leaves the float half uncomputed.
         """
         order = self.order
         reps = np.flatnonzero(self.class_rep == np.arange(len(self.class_rep)))
+        rows = _coefficient_rows(self._group, [self._subsets[2]], chars=reps)[0]
         abs_s = (self.ints[0, reps] - self.ints[1, reps]) // 2
-        turns = order * np.angle(self.chi_s[reps]) / (2 * math.pi)
+        turns = order * np.angle(_approx(rows)) / (2 * math.pi)
         e = np.round(turns[:, None] + np.array([0, order / 2])).astype(np.int64) % order
-        spokes = self.chi_s_coeffs[reps[:, None, None], (e[:, :, None] - np.arange(order)) % order]
+        spokes = rows[np.arange(len(reps))[:, None, None], (e[:, :, None] - np.arange(order)) % order]
         rational, value = _certify(spokes.reshape(-1, order), order)
         confirmed = rational.reshape(-1, 2) & (value.reshape(-1, 2) == np.stack([abs_s, -abs_s], axis=1))
         table = np.where(confirmed, e, -1)[np.searchsorted(reps, self.class_rep)]
@@ -291,19 +333,19 @@ def _rational_classes(group) -> tuple[np.ndarray, ...]:
 
 
 def spectrum(spec: SemiCayleySpec) -> Spectrum:
-    """Closed-form eigen-data for every character of the group.
+    """The exact half of the eigen-data of every character of the group.
 
-    Certifies one representative per rational class, all of them in one
-    _certify product, and copies its integers to the class; computes afresh
-    on every call, and spec.spectrum keeps one result per spec.
+    Builds coefficient rows at the rational-class representatives only,
+    certifies them all in one _certify product, and copies each
+    representative's integers to its class.  The float half is left to the
+    first read of a float (see Spectrum).  Computes afresh on every call, and
+    spec.spectrum keeps one result per spec.
     """
     group = spec.group
     n, order = group.order, group.exponent
     indices = spec.subset_indices
-    r_l_rows = _coefficient_rows(group, [indices["R"], indices["L"]])
-    chi_s_rows = _coefficient_rows(group, [indices["S"]])[0]
+    subsets = (indices["R"], indices["L"], indices["S"])
     s_s_inverse = _group_product(group, indices["S"], group.power_indices(indices["S"], -1))
-    abs2_rows = _ring_rows(group, s_s_inverse)  # |chi(S)|^2 = chi(S S^-1)
     class_rep, class_power, reps, slot = _rational_classes(group)
 
     # certified at each representative, then read by every member of its class;
@@ -312,7 +354,7 @@ def spectrum(spec: SemiCayleySpec) -> Spectrum:
     support = np.flatnonzero(diff)
     diff_squared = _group_product(group, support, support, np.outer(diff[support], diff[support]))
     disc = _ring_rows(group, diff_squared + 4 * s_s_inverse, reps)
-    at_reps = [*r_l_rows[:, reps], chi_s_rows[reps]]  # chi(R), chi(L), chi(S), then sigma and disc
+    at_reps = _coefficient_rows(group, list(subsets), chars=reps)  # chi(R), chi(L), chi(S), then sigma and disc
     rows = np.concatenate([*at_reps, at_reps[0] + at_reps[1], disc])
     rational, value = (a.reshape(5, -1) for a in _certify(rows, order))
     chi_s_zero = rational[2] & (value[2] == 0)
@@ -321,21 +363,31 @@ def spectrum(spec: SemiCayleySpec) -> Spectrum:
     square = rational[3] & rational[4] & (root * root == value[4])
     certified = np.where(chi_s_zero, rational[:2], square)
     ints = np.where(certified, np.where(chi_s_zero, value[:2], [(value[3] + root) // 2, (value[3] - root) // 2]), 0)
-    chi_s_zero, ints, certified = chi_s_zero[slot], ints[:, slot], certified[:, slot]
+    return Spectrum(
+        order=order, char_index=group.coords, chi_s_zero=chi_s_zero[slot], ints=ints[:, slot],
+        certified=certified[:, slot], class_rep=class_rep, class_power=class_power,
+        _group=group, _subsets=subsets, _s_s_inverse=s_s_inverse,
+    )
 
-    r, l, s, s2 = (_approx(rows) for rows in (*r_l_rows, chi_s_rows, abs2_rows))
-    r, l, s2 = r.real, l.real, s2.real
+
+def _float_half(group, subsets: tuple, s_s_inverse: np.ndarray, chi_s_zero: np.ndarray) -> _Floats:
+    # the floats of every character at once: coefficient rows of chi(R),
+    # chi(L), chi(S) and |chi(S)|^2 = chi(S S^-1), their approx, then the
+    # closed forms where chi(S) != 0.  Each block of rows is dropped once its
+    # approx is taken, so the chi(R) and chi(L) rows are gone before the
+    # chi(S) and |chi(S)|^2 rows are built
+    n = group.order
+    r, l = (_approx(rows).real for rows in _coefficient_rows(group, list(subsets[:2])))
+    chi_s_rows = _coefficient_rows(group, [subsets[2]])[0]
+    s = _approx(chi_s_rows)
+    s2 = _approx(_ring_rows(group, s_s_inverse)).real
     nonzero = ~chi_s_zero
     lambdas = np.array([r, l])  # the chi(S) = 0 convention, unsorted
     c, d, e = np.zeros((2, n)), np.zeros((2, n)), np.zeros((2, n), dtype=complex)
     c[0], d[1] = 1.0, 1.0
     lambdas[:, nonzero], c[:, nonzero], d[:, nonzero], e[:, nonzero] = _closed_forms(
         r[nonzero], l[nonzero], s[nonzero], s2[nonzero])
-    return Spectrum(
-        order=order, char_index=group.coords, chi_s_coeffs=chi_s_rows, chi_s=s, chi_s_zero=chi_s_zero,
-        lambdas=lambdas, ints=ints, certified=certified, c=c, d=d, e=e,
-        class_rep=class_rep, class_power=class_power,
-    )
+    return _Floats(chi_s_coeffs=chi_s_rows, chi_s=s, lambdas=lambdas, c=c, d=d, e=e)
 
 
 def eigen_gcd(spec: SemiCayleySpec) -> int:

@@ -88,10 +88,13 @@ def transfer_entry(spec: SemiCayleySpec, u: Vertex, v: Vertex, t: float) -> comp
     exp(-i lambda- t)) / n, with a = g^{-1} h the connecting element and w+-
     the weights of the (u.layer, v.layer) case.
     """
-    u = spec.validate_vertex(u)
-    v = spec.validate_vertex(v)
+    return _entry(spec, spec.validate_vertex(u), spec.validate_vertex(v), t)
+
+
+def _entry(spec: SemiCayleySpec, u: Vertex, v: Vertex, t: float) -> complex:
+    # transfer_entry of validated vertices
     group = spec.group
-    chi_a = np.exp(2j * np.pi * group.char_exponents[spec.connecting_index(u, v)] / group.exponent)
+    chi_a = np.exp(2j * np.pi * group.char_exponents[spec._connecting_index(u.element, v.element)] / group.exponent)
     return complex(_entry_sums(spec, u.layer, v.layer, chi_a, np.array([_checked_time(spec, t)]))[0] / spec.n)
 
 
@@ -225,20 +228,33 @@ def oracle_column(spec: SemiCayleySpec, j: int, t: float) -> np.ndarray:
       2 sum_{k >= m} |J_k(x)|, x = t rho.  m_x makes that 4 sum at most
       _CAP_TOL; after 2n steps the Krylov space is the whole space.
 
-    So the products stop growing with t at 2n.  x above COLUMN_HORIZON (see
-    check_horizon) and a j that is not an integer in [0, 2n) raise ValidationError.
+    So the products stop growing with t at 2n.  A t that is not finite or
+    is negative, x above COLUMN_HORIZON (see check_horizon) and a j that is
+    not an integer in [0, 2n) raise ValidationError.
     """
-    if not t >= 0:
-        raise ValidationError("time must be nonnegative")
+    _oracle_time(t)
     try:
         j = integer(j)
     except TypeError as exc:
         raise ValidationError(f"vertex index must be an integer, got {j!r}") from exc
     if not 0 <= j < 2 * spec.n:
         raise ValidationError(f"vertex index {j} is outside [0, {2 * spec.n})")
+    return _column(spec, j, t)
+
+
+def _oracle_time(t: float) -> None:
+    # the oracle's time rule: finite, then nonnegative
+    if not math.isfinite(t):
+        raise ValidationError("time must be finite")
+    if t < 0:
+        raise ValidationError("time must be nonnegative")
+
+
+def _column(spec: SemiCayleySpec, j: int, t: float) -> np.ndarray:
+    # oracle_column of a vertex index and a time that passed _oracle_time
+    x = check_horizon(spec, t)
     adjacency = spec.adjacency
     size = adjacency.shape[0]
-    x = check_horizon(spec, t)
     column = np.zeros(size, dtype=complex)
     column[j] = 1.0
     if x == 0:

@@ -194,6 +194,26 @@ def test_verify_at_time():
         verify_at_time(k2, u, v, -1.0)
 
 
+
+def test_verify_at_time_validates_each_vertex_once(monkeypatch):
+    # the two validate_vertex calls at the entrance; the indices of the
+    # oracle column and of the connecting element read the validated vertices
+    cube = sc.hypercube(3)
+    calls = []
+    validate = AbelianGroup.validate_element
+    monkeypatch.setattr(AbelianGroup, "validate_element", lambda self, g: calls.append(g) or validate(self, g))
+    u, v = Vertex((0, 0), 0), Vertex((1, 1), 1)
+    check = verify_at_time(cube, u, v, math.pi / 2)
+    assert check["pass"]
+    assert len(calls) == 2
+
+
+def test_verify_at_time_refuses_a_negative_time_before_the_horizon():
+    # the spectral entry runs before the oracle column, but the sign rule
+    # still comes first: sunlet(5) is not integral, so -1e7 is not reduced
+    with pytest.raises(ValidationError, match="time must be nonnegative"):
+        verify_at_time(sc.sunlet(5), Vertex((0,), 0), Vertex((1,), 0), -1e7)
+
 def test_periodicity_examples():
     full4 = sc.dihedral_full_coset(AbelianGroup([4]))
     report = periodicity(full4)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import semicayley as sc
-from semicayley import AbelianGroup, SemiCayleySpec, ValidationError, eigen_gcd
+from semicayley import AbelianGroup, SemiCayleySpec, ValidationError, eigen_gcd, find_pst, periodicity
 from semicayley.characters import char_sum, character_matrix
 from semicayley.graphs import build
 from semicayley.spectra import _coefficient_rows, spectrum
@@ -298,13 +298,108 @@ def test_spectrum_is_freed_with_its_spec():
 
 def test_spectrum_keeps_no_array_above_n_times_n_entries():
     # n characters by N coefficients is the largest table the spectrum stores;
-    # the chi(R) and chi(L) rows it is built on are not kept
+    # the chi(R) and chi(L) rows it is built on are not kept, in either half
     group = AbelianGroup([3, 6])  # n = 18, N = 6
     spec = SemiCayleySpec(group, [(1, 0), (2, 0)], [(0, 1), (0, 5)], [(1, 2), (0, 3)])
     spect = spec.spectrum
-    sizes = {f.name: getattr(spect, f.name).size for f in dataclasses.fields(spect)
-             if isinstance(getattr(spect, f.name), np.ndarray)}
+    spect.lambdas  # computes the float half
+    names = [f.name for f in dataclasses.fields(spect)] + list(_FLOAT_HALF)
+    sizes = {name: getattr(spect, name).size for name in names if isinstance(getattr(spect, name), np.ndarray)}
+    assert set(_FLOAT_HALF) <= set(sizes)
     assert max(sizes.values()) <= 18 * 6, sizes
+
+
+# the attributes of a Spectrum computed on their first read
+_FLOAT_HALF = ("chi_s_coeffs", "chi_s", "lambdas", "c", "d", "e")
+
+
+def _count_float_halves(monkeypatch):
+    import semicayley.spectra
+
+    calls = []
+    original = semicayley.spectra._float_half
+    monkeypatch.setattr(semicayley.spectra, "_float_half", lambda *args: calls.append(1) or original(*args))
+    return calls
+
+
+def _join_z512():
+    # the `join` period job of the cyclic-spectra benchmark workload
+    return sc.join_spec(AbelianGroup([512]), [(1,), (511,)], [(2,), (510,)])
+
+
+def test_exact_questions_leave_the_float_half_uncomputed(monkeypatch):
+    # none of these specs has a `yes`, so no oracle confirmation reads a float;
+    # K_3 x K_2 is integral, so eigen_gcd returns there
+    k3_k2 = SemiCayleySpec(AbelianGroup([3]), [(1,), (2,)], [(1,), (2,)], [(0,)])
+    calls = _count_float_halves(monkeypatch)
+    for spec in (_join_z512(), sc.sunlet(5), k3_k2):
+        periodicity(spec)
+        try:
+            eigen_gcd(spec)
+        except ValidationError:
+            assert not spec.spectrum.is_integral
+        assert [v.status for v in find_pst(spec) if v.status != "no"] == []
+        spec.spectrum.sign_exponents  # the cross-layer decider's table is exact too
+    assert eigen_gcd(k3_k2) == 1
+    assert calls == []
+
+
+def test_the_float_half_is_computed_once_on_first_read(rng, monkeypatch):
+    for spec in (_join_z512(), sc.cone(7), random_spec(rng)):
+        fresh = spectrum(spec)
+        calls = _count_float_halves(monkeypatch)
+        spect = spec.spectrum
+        spect.lambdas
+        assert len(calls) == 1
+        for name in _FLOAT_HALF:
+            getattr(spect, name)
+        spect.to_json()
+        assert len(calls) == 1
+        for name in _FLOAT_HALF:
+            got, want = getattr(spect, name).ravel().tolist(), getattr(fresh, name).ravel().tolist()
+            assert [_hex(x) for x in got] == [_hex(x) for x in want], (spec, name)
+        monkeypatch.undo()
+
+
+def test_the_exact_half_builds_rows_at_class_representatives_only(rng, monkeypatch):
+    # Z_512 has 10 rational classes: chi(R), chi(L), chi(S) and disc are
+    # built for 10 characters, and all 512 only when a float is read
+    import semicayley.spectra
+
+    group = AbelianGroup([512])
+    spec = SemiCayleySpec(group, random_inverse_closed(group, rng, 0.1),
+                          random_inverse_closed(group, rng, 0.1), random_subset(group, rng, 0.1))
+    shapes = []
+    original = semicayley.spectra._coefficient_rows
+
+    def recording(*args, **kwargs):
+        rows = original(*args, **kwargs)
+        shapes.append(rows.shape)
+        return rows
+
+    monkeypatch.setattr(semicayley.spectra, "_coefficient_rows", recording)
+    spect = spectrum(spec)
+    assert shapes and {shape[1:] for shape in shapes} == {(10, 512)}
+    exact = len(shapes)
+    spect.lambdas
+    assert len(shapes) > exact and {shape[1:] for shape in shapes[exact:]} == {(512, 512)}
+
+
+def test_spectra_compare_equal_whether_or_not_their_floats_were_read():
+    for read_kept, read_fresh in ((False, False), (True, False), (False, True), (True, True)):
+        spec = sc.cone(6)
+        kept, fresh = spec.spectrum, spectrum(spec)
+        if read_kept:
+            kept.lambdas
+        if read_fresh:
+            fresh.lambdas
+        assert kept == fresh
+    # both specs are nowhere certified and never have chi(S) = 0, so their
+    # exact halves agree and only the floats (chi_k({+-2}) = chi_2k({+-1})) differ
+    z5 = AbelianGroup([5])
+    plus_two = SemiCayleySpec(z5, [(2,), (3,)], [], [(0,)])
+    assert not sc.sunlet(5).spectrum.certified.any() and not plus_two.spectrum.certified.any()
+    assert sc.sunlet(5).spectrum != plus_two.spectrum
 
 
 def _referee_ints(group, chi, spec):

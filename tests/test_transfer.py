@@ -171,6 +171,23 @@ def test_column_oracle_rejects_bad_times():
     assert np.array_equal(oracle_column(empty, 1, 1e9), np.eye(6)[1])
 
 
+
+def test_column_oracle_refuses_a_time_that_is_not_finite():
+    # before the sign rule, which NaN fails too, and the horizon, which inf fails too
+    for t in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError, match="time must be finite"):
+            oracle_column(sc.hypercube(3), 0, t)
+
+
+def test_transfer_entry_validates_each_vertex_once(monkeypatch):
+    cube = sc.hypercube(3)
+    calls = []
+    validate = AbelianGroup.validate_element
+    monkeypatch.setattr(AbelianGroup, "validate_element", lambda self, g: calls.append(g) or validate(self, g))
+    value = transfer_entry(cube, Vertex((0, 0), 0), Vertex((1, 1), 1), math.pi / 2)
+    assert abs(abs(value) - 1.0) < 1e-12
+    assert len(calls) == 2
+
 def _eigh_column(spec, j, t):
     values, vectors = np.linalg.eigh(build(spec))
     return vectors @ (np.exp(-1j * t * values) * vectors[j])
