@@ -269,7 +269,7 @@ def char_sum(group: AbelianGroup, char_index: Element, subset: Iterable[Element]
     character takes the value zeta_N^r: a bincount of one row of the group's
     character-exponent table.
     """
-    row = group.char_exponents[group.index(char_index)][group.index_array(group.subset(subset))]
+    row = group.exponent_rows([group.index(char_index)])[0][group.index_array(group.subset(subset))]
     return CycloValue(group.exponent, np.bincount(row, minlength=group.exponent))
 
 

@@ -24,8 +24,10 @@ Element = tuple[int, ...]
 
 
 # largest group order accepted: the package's dense tables are sized for
-# 2n <= ~2000 (the character-exponent table alone is order^2 int64, 8 MB at
-# 1024), so larger orders are refused before anything order-sized is built
+# 2n <= ~2000 (the character-exponent table, order^2 int64, is 8 MB at 1024;
+# pst-find's deciders, full-matrix evolve and the spectra of groups with many
+# rational classes build it), so larger orders are refused before anything
+# order-sized is built
 MAX_ORDER = 1024
 
 
@@ -137,13 +139,35 @@ class AbelianGroup:
         """order x order int64 table E with chi_i(g_j) = zeta_N^E[i, j], N the exponent.
 
         E[i, j] = sum_l i_l * j_l * (N / n_l) modulo N; rows index characters,
-        columns elements, both in enumeration order.
+        columns elements, both in enumeration order, and E is symmetric.
+        Built by exponent_rows when more than half the rows are asked for:
+        by pst-find's deciders, the full character matrix (transfer_rows,
+        transfer_matrix, scan_pair) and the spectrum of a group with more
+        rational classes than half its order (every group of exponent 2).
+        Other spectra, periods and single entries read rows at a few
+        characters and never build it.
         """
-        n_exp = self.exponent
-        scale = np.array([n_exp // n for n in self.factors], dtype=np.int64)
-        table = (self.coords * scale) @ self.coords.T % n_exp
+        table = self._exponent_rows(np.arange(self.order))
         table.flags.writeable = False
         return table
+
+    def exponent_rows(self, chars: np.ndarray) -> np.ndarray:
+        """Rows chars of char_exponents, for an array of distinct character indices.
+
+        Taken from the table when it is built; asking for more than half the
+        rows builds it, at most twice their cost, and keeps it for the next
+        reader.  Fewer rows are computed from coords alone, so the rows at a
+        few characters cost len(chars) x order, not order^2.
+        """
+        if 2 * len(chars) <= self.order and "char_exponents" not in self.__dict__:
+            return self._exponent_rows(chars)
+        return self.char_exponents[chars]
+
+    def _exponent_rows(self, chars: np.ndarray) -> np.ndarray:
+        # E[chars] from the exponent vectors of the characters and of the elements
+        n_exp = self.exponent
+        scale = np.array([n_exp // n for n in self.factors], dtype=np.int64)
+        return (self.coords[chars] * scale) @ self.coords.T % n_exp
 
     def add_indices(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """Index of g_i * g_j for index arrays i and j (broadcast together)."""

@@ -238,7 +238,7 @@ def _same_layer(spec: SemiCayleySpec, layer: int, columns: np.ndarray) -> list:
                   f"the support of layer {layer} is not integral, so its vertices are not periodic")
         return [{"rule": "non-integral", "detail": detail} for _ in range(len(columns))]
     return [k if obstruction is None else {"rule": "valuation", "detail": obstruction}
-            for obstruction, k in zip(*refute_phases(gaps, spec.group.char_exponents[:, columns] != 0))]
+            for obstruction, k in zip(*refute_phases(gaps, spec.group.exponent_rows(columns).T != 0))]
 
 
 def _cross_layer_rule(spec: SemiCayleySpec) -> dict | None:
@@ -275,7 +275,7 @@ def _cross_layer(spec: SemiCayleySpec, source_layer: int, columns: np.ndarray) -
     signs = spec.spectrum.sign_exponents
     if source_layer == 1:
         signs = np.where(signs < 0, -1, -signs % spec.group.exponent)
-    chi_a = spec.group.char_exponents[:, columns]
+    chi_a = spec.group.exponent_rows(columns).T  # E is symmetric: column a is row a
     codes = np.where(chi_a == signs[:, :1], plus_code[:, None],
                      np.where(chi_a == signs[:, 1:], minus_code[:, None], _SIGN))
     first = (codes != 0).argmax(axis=0)  # 0 for a column without a failure, whose code is then 0

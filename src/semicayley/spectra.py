@@ -16,14 +16,22 @@ lambdas and the weights c, d, e) is computed the first time any of it is
 read, by the entry formula (transfer_* and the spectral side of a
 confirmation) or by Spectrum.to_json (the `spectrum` report), and kept.
 
-The floats are computed for every character at once, on n x N integer
-coefficient matrices (bincounts of R, L and S; |chi(S)|^2 = chi(S S^-1)
-is one weighted bincount over the difference multiset, whose weights both
-halves share), summed against the roots of unity in the order of
-CycloValue.approx.  The closed forms then run elementwise in the order of
-Python's scalar arithmetic, complex products and quotients split into
-CPython's real and imaginary formulas, so every float is the per-character
-float bit for bit, signed zeros included.
+The floats come from the representatives' coefficient rows as well.
+chi_rep^k takes the value zeta_N^(k E[rep, x]) at x, so the row of
+chi_i = chi_rep^k over the powers of zeta_N is the representative's row
+with its exponents permuted, row_i[e] = row_rep[k^-1 e mod N]: the integers
+a bincount over chi_i would give.  One N x n index gathers every
+character's rows of chi(R), chi(L), chi(S) and |chi(S)|^2 = chi(S S^-1)
+(S S^-1 as integer weights over G, which both halves share), and each block
+is summed against the roots of unity in the order of CycloValue.approx.
+The closed forms then run elementwise in the order of Python's scalar
+arithmetic, complex products and quotients split into CPython's real and
+imaginary formulas, so every float is the per-character float bit for bit,
+signed zeros included.  Both halves read their rows through
+AbelianGroup.exponent_rows, so a spectrum builds the n x n exponent table
+only where more than half the characters are representatives (every
+character on a group of exponent 2), and no n x N index outlives the float
+half.
 
 Integrality is certified once per rational class of characters, when the
 spectrum is built: the eigenvalues (sigma +- sqrt(disc)) / 2, sigma =
@@ -47,13 +55,12 @@ are one product with the table of x^j modulo Phi_N (_certify).  The rows of
 chi(R), chi(L), chi(S), sigma and disc at every representative go through
 one such product.  disc needs no multiplication in Z[zeta_N] either: it is
 chi(w) for the group-ring element w = (1_R - 1_L)^2 + 4 S S^-1, whose rows
-are one weighted bincount.  The cross-layer sign exponents follow the same
-way: conj(chi(S)) zeta_N^e = +-|chi(S)|, an integer, gives conj(chi^k(S))
-zeta_N^(k e) = +-|chi(S)| under sigma_k, so one exact value per
-representative and sign fixes them for its class, and one product confirms
-them all.  Periodicity and
-same-layer transfer need no more: a vertex is periodic iff its support is
-integral (see pst).
+come out of the bincount that gives those of R, L and S.  The cross-layer
+sign exponents follow the same way: conj(chi(S)) zeta_N^e = +-|chi(S)|, an
+integer, gives conj(chi^k(S)) zeta_N^(k e) = +-|chi(S)| under sigma_k, so
+one exact value per representative and sign fixes them for its class, and
+one product confirms them all.  Periodicity and same-layer transfer need no
+more: a vertex is periodic iff its support is integral (see pst).
 """
 
 from __future__ import annotations
@@ -96,9 +103,11 @@ class Spectrum:
 
     Two halves.  The exact half (the fields) is built by spectrum().  The
     float half (chi_s_coeffs, chi_s, lambdas, c, d, e) is computed by
-    _float_half the first time any of them is read, and then kept; the
-    private fields are what it is computed from, the group and the spec's
-    read-only index arrays, never the spec itself.
+    _float_half the first time any of them is read, from coefficient rows at
+    the class representatives permuted by class_power, and then kept: the
+    chi(S) rows (n x N ints) and n columns of floats.  The private fields
+    are what it is computed from, the group, the spec's read-only index
+    arrays and the S S^-1 weights, never the spec itself.
     """
 
     order: int  # N, the exponent of G
@@ -122,7 +131,8 @@ class Spectrum:
 
     @cached_property
     def _floats(self) -> _Floats:
-        return _float_half(self._group, self._subsets, self._s_s_inverse, self.chi_s_zero)
+        return _float_half(self._group, self._subsets, self._s_s_inverse, self.chi_s_zero,
+                           self.class_rep, self.class_power)
 
     def __eq__(self, other) -> bool:
         # the public fields and the float half, computed on both sides if need be
@@ -184,7 +194,8 @@ class Spectrum:
         reps = np.flatnonzero(self.class_rep == np.arange(len(self.class_rep)))
         rows = _coefficient_rows(self._group, [self._subsets[2]], chars=reps)[0]
         abs_s = (self.ints[0, reps] - self.ints[1, reps]) // 2
-        turns = order * np.angle(_approx(rows)) / (2 * math.pi)
+        roots = np.array(_roots_of_unity(order))
+        turns = order * np.arctan2(_sums(rows.T, roots.imag), _sums(rows.T, roots.real)) / (2 * math.pi)
         e = np.round(turns[:, None] + np.array([0, order / 2])).astype(np.int64) % order
         spokes = rows[np.arange(len(reps))[:, None, None], (e[:, :, None] - np.arange(order)) % order]
         rational, value = _certify(spokes.reshape(-1, order), order)
@@ -273,13 +284,13 @@ def _closed_forms(r, l, s, s2):
 
 
 def _coefficient_rows(group, subsets: list, weights: np.ndarray | None = None,
-                      chars: np.ndarray | slice = slice(None)) -> np.ndarray:
+                      chars: np.ndarray | None = None) -> np.ndarray:
     # len(subsets) x m x N: row i of block b holds the coefficients of chi_i
     # (i over chars, every character by default) summed over the element
     # indices subsets[b], with the multiplicities `weights` laid out as the
     # concatenated subsets: one bincount in all
     order = group.exponent
-    exponents = group.char_exponents[chars]
+    exponents = group.exponent_rows(np.arange(group.order) if chars is None else chars)
     m = len(exponents)
     columns = np.concatenate(subsets)
     block = np.repeat(np.arange(len(subsets)), [len(xs) for xs in subsets])
@@ -300,22 +311,43 @@ def _group_product(group, a: np.ndarray, b: np.ndarray, weights: np.ndarray | No
     return np.bincount(keys, weights=weights, minlength=group.order).astype(np.int64, copy=False)
 
 
-def _ring_rows(group, element: np.ndarray, chars: np.ndarray | slice = slice(None)) -> np.ndarray:
-    # m x N: the coefficient rows of chi(element) for a group-ring element given
-    # as integer weights over G, one row per character in chars
+def _ring_rows(group, subsets: tuple, element: np.ndarray, chars: np.ndarray) -> np.ndarray:
+    # (len(subsets) + 1) x m x N: the coefficient rows of each subset and then
+    # of chi(element), a group-ring element given as integer weights over G,
+    # one row per character in chars: one bincount in all
     support = np.flatnonzero(element)
-    return _coefficient_rows(group, [support], element[support], chars)[0]
+    weights = np.concatenate([np.ones(sum(map(len, subsets)), dtype=np.int64), element[support]])
+    return _coefficient_rows(group, [*subsets, support], weights, chars)
 
 
-def _approx(rows: np.ndarray) -> np.ndarray:
-    # CycloValue.approx of every row, bit for bit: the same left-to-right sum.
-    # Adding 0.0 to the first term clears a signed zero, as Python's sum from 0
-    # does, so no partial sum is -0.0 and the zero terms that approx skips
-    # change nothing
-    terms = rows * np.array(_roots_of_unity(rows.shape[1]))
-    terms[:, 0] += 0.0
-    np.add.accumulate(terms, axis=1, out=terms)
-    return terms[:, -1].copy()
+def _s_s_inverse(group, s: np.ndarray) -> np.ndarray:
+    # S S^-1 as integer weights over G.  A large S is formed from its
+    # complement C: 1_S = 1_G - 1_C gives S S^-1 = (n - 2|C|) 1_G + C C^-1,
+    # so S = G (a join or a cone) forms no pairs at all
+    n = group.order
+    if 2 * len(s) <= n:
+        return _group_product(group, s, group.power_indices(s, -1))
+    outside = np.ones(n, dtype=bool)
+    outside[s] = False
+    c = np.flatnonzero(outside)
+    return n - 2 * len(c) + _group_product(group, c, group.power_indices(c, -1))
+
+
+def _sums(columns: np.ndarray, part: np.ndarray) -> np.ndarray:
+    # for each column i of the N x m coefficients `columns`, sum_j columns[j, i]
+    # * part[j], with part the real or the imaginary parts of the roots of
+    # unity: that part of CycloValue.approx bit for bit, the same
+    # left-to-right sum.  Its complex product c * root has the parts c * re
+    # and c * im up to the sign of a zero, and adding 0.0 to the first term
+    # clears a signed zero, as Python's sum from 0 does, so no partial sum is
+    # -0.0 and no zero term changes one.  numpy adds a C-order array over its
+    # slow axis one row at a time (pairwise summation is for the fast axis
+    # only), and m >= 2 whenever N > 1: the trivial character is a class and
+    # a column of its own.  A C-order float64 `columns` is overwritten
+    terms = np.require(columns, dtype=np.float64, requirements=["C", "W"])
+    terms *= part[:, None]
+    terms[0] += 0.0
+    return np.add.reduce(terms, axis=0)
 
 
 def _rational_classes(group) -> tuple[np.ndarray, ...]:
@@ -345,7 +377,7 @@ def spectrum(spec: SemiCayleySpec) -> Spectrum:
     n, order = group.order, group.exponent
     indices = spec.subset_indices
     subsets = (indices["R"], indices["L"], indices["S"])
-    s_s_inverse = _group_product(group, indices["S"], group.power_indices(indices["S"], -1))
+    s_s_inverse = _s_s_inverse(group, indices["S"])
     class_rep, class_power, reps, slot = _rational_classes(group)
 
     # certified at each representative, then read by every member of its class;
@@ -353,9 +385,8 @@ def spectrum(spec: SemiCayleySpec) -> Spectrum:
     diff = np.bincount(indices["R"], minlength=n) - np.bincount(indices["L"], minlength=n)
     support = np.flatnonzero(diff)
     diff_squared = _group_product(group, support, support, np.outer(diff[support], diff[support]))
-    disc = _ring_rows(group, diff_squared + 4 * s_s_inverse, reps)
-    at_reps = _coefficient_rows(group, list(subsets), chars=reps)  # chi(R), chi(L), chi(S), then sigma and disc
-    rows = np.concatenate([*at_reps, at_reps[0] + at_reps[1], disc])
+    at_reps = _ring_rows(group, subsets, diff_squared + 4 * s_s_inverse, reps)  # chi(R), chi(L), chi(S), disc
+    rows = np.concatenate([*at_reps[:3], at_reps[0] + at_reps[1], at_reps[3]])  # sigma before disc
     rational, value = (a.reshape(5, -1) for a in _certify(rows, order))
     chi_s_zero = rational[2] & (value[2] == 0)
     # disc < 2^53, so the float root of a square is exact and root^2 decides
@@ -370,24 +401,43 @@ def spectrum(spec: SemiCayleySpec) -> Spectrum:
     )
 
 
-def _float_half(group, subsets: tuple, s_s_inverse: np.ndarray, chi_s_zero: np.ndarray) -> _Floats:
-    # the floats of every character at once: coefficient rows of chi(R),
-    # chi(L), chi(S) and |chi(S)|^2 = chi(S S^-1), their approx, then the
-    # closed forms where chi(S) != 0.  Each block of rows is dropped once its
-    # approx is taken, so the chi(R) and chi(L) rows are gone before the
-    # chi(S) and |chi(S)|^2 rows are built
-    n = group.order
-    r, l = (_approx(rows).real for rows in _coefficient_rows(group, list(subsets[:2])))
-    chi_s_rows = _coefficient_rows(group, [subsets[2]])[0]
-    s = _approx(chi_s_rows)
-    s2 = _approx(_ring_rows(group, s_s_inverse)).real
+def _float_half(group, subsets: tuple, s_s_inverse: np.ndarray, chi_s_zero: np.ndarray,
+                class_rep: np.ndarray, class_power: np.ndarray) -> _Floats:
+    # the floats of every character from coefficient rows at the class
+    # representatives: chi_i = chi_rep^k takes the value zeta_N^(k E[rep, x])
+    # at x, so row i is the representative's row with exponent f moved to
+    # k f, row_i[e] = row_rep[k^-1 e mod N].  One N x n index gathers the
+    # rows of chi(R), chi(L), chi(S) and |chi(S)|^2 = chi(S S^-1) of every
+    # character, as columns, into one float buffer, where _sums adds them
+    # against the roots of unity block by block; only the chi(S) integers
+    # are kept, and they are gathered first, so that the temporaries lie
+    # above them on the heap and are given back when freed.  Then the closed
+    # forms where chi(S) != 0
+    n, order = group.order, group.exponent
+    reps = np.flatnonzero(class_rep == np.arange(n))
+    blocks = _ring_rows(group, subsets, s_s_inverse, reps)
+    inverse = {k: pow(k, -1, order) for k in set(class_power.tolist())}
+    # int32 products (below N^2 <= 2^20) divide faster than int64 ones
+    shifts = np.multiply.outer(np.arange(order, dtype=np.int32),
+                               np.array([inverse[k] for k in class_power.tolist()], dtype=np.int32)) % order
+    index = np.searchsorted(reps, class_rep) * order + shifts
+    del shifts
+    roots = np.array(_roots_of_unity(order))
+    chi_s_columns = np.take(blocks[2], index)
+    columns = np.empty(index.shape)  # mode "clip" reads the same in-range indices unbuffered
+    r, l, s2 = (_sums(np.take(blocks[b].astype(np.float64), index, out=columns, mode="clip"), roots.real)
+                for b in (0, 1, 3))
+    s = np.empty(n, dtype=complex)
+    for part, sums in ((roots.real, s.real), (roots.imag, s.imag)):
+        np.copyto(columns, chi_s_columns)
+        sums[:] = _sums(columns, part)
     nonzero = ~chi_s_zero
     lambdas = np.array([r, l])  # the chi(S) = 0 convention, unsorted
     c, d, e = np.zeros((2, n)), np.zeros((2, n)), np.zeros((2, n), dtype=complex)
     c[0], d[1] = 1.0, 1.0
     lambdas[:, nonzero], c[:, nonzero], d[:, nonzero], e[:, nonzero] = _closed_forms(
         r[nonzero], l[nonzero], s[nonzero], s2[nonzero])
-    return _Floats(chi_s_coeffs=chi_s_rows, chi_s=s, lambdas=lambdas, c=c, d=d, e=e)
+    return _Floats(chi_s_coeffs=chi_s_columns.T, chi_s=s, lambdas=lambdas, c=c, d=d, e=e)
 
 
 def eigen_gcd(spec: SemiCayleySpec) -> int:

@@ -94,7 +94,7 @@ def transfer_entry(spec: SemiCayleySpec, u: Vertex, v: Vertex, t: float) -> comp
 def _entry(spec: SemiCayleySpec, u: Vertex, v: Vertex, t: float) -> complex:
     # transfer_entry of validated vertices
     group = spec.group
-    chi_a = np.exp(2j * np.pi * group.char_exponents[spec._connecting_index(u.element, v.element)] / group.exponent)
+    chi_a = np.exp(2j * np.pi * group.exponent_rows([spec._connecting_index(u.element, v.element)])[0] / group.exponent)
     return complex(_entry_sums(spec, u.layer, v.layer, chi_a, np.array([_checked_time(spec, t)]))[0] / spec.n)
 
 

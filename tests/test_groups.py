@@ -116,6 +116,21 @@ def test_validation_errors():
         group.validate_element((2, 0))
 
 
+def test_exponent_rows_build_the_table_only_for_more_than_half_the_rows():
+    group = AbelianGroup([3, 6])  # 18 characters
+    chars = np.array([5, 0, 17, 7])
+    rows = group.exponent_rows(chars)
+    half = group.exponent_rows(np.arange(9)[::-1])
+    assert "char_exponents" not in group.__dict__
+    most = group.exponent_rows(np.arange(10)[::-1])
+    assert "char_exponents" in group.__dict__
+    table = group.char_exponents
+    assert np.array_equal(table, table.T)
+    assert np.array_equal(rows, table[chars])
+    assert np.array_equal(half, table[8::-1]) and np.array_equal(most, table[9::-1])
+    assert np.array_equal(group.exponent_rows([3]), table[[3]])
+
+
 def test_order_cap():
     # refused before the element list or any index table is allocated
     with pytest.raises(ValidationError, match="exceeds"):

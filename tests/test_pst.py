@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from semicayley import (
     ValidationError,
     Vertex,
     decide_pair,
+    eigen_gcd,
     find_pst,
     periodicity,
     verify_at_time,
@@ -879,3 +881,35 @@ def test_find_pst_validates_elements_per_yes_not_per_pair(monkeypatch):
     yes = [v for v in verdicts if v.status == "yes"]
     assert len(verdicts) == 4 * spec.n - 2 and len(yes) == 2
     assert len(calls) <= 25 * len(yes)
+
+
+def test_only_pst_find_builds_the_character_exponent_table(rng, monkeypatch):
+    # a period, a spectrum report, one pair's decision and a timed check read
+    # exponent rows at a few characters; none builds the n x n table.  The
+    # matching SC(Z_512, {}, {}, {1}) is integral with R = L, so its pairs
+    # reach the same-layer valuations and the cross-layer signs, and (0, 0)
+    # -> (1, 1) is a `yes` that both paths confirm
+    group = AbelianGroup([512])
+    spec = SemiCayleySpec(group, random_inverse_closed(group, rng, 0.1), random_inverse_closed(group, rng, 0.1),
+                          random_subset(group, rng, 0.1))
+    matching = SemiCayleySpec(AbelianGroup([512]), [], [], [(1,)])
+    for graph in (spec, matching):
+        periodicity(graph)
+        try:
+            eigen_gcd(graph)
+        except ValidationError:
+            assert not graph.spectrum.is_integral
+        graph.spectrum.to_json()
+        verify_at_time(graph, Vertex((0,), 0), Vertex((1,), 1), 10.0)
+    assert decide_pair(matching, Vertex((0,), 0), Vertex((256,), 0)).status == "no"
+    assert decide_pair(matching, Vertex((0,), 0), Vertex((1,), 1)).status == "yes"
+    assert "char_exponents" not in spec.group.__dict__ and "char_exponents" not in matching.group.__dict__
+    # over Z_2^8 every character is a rational class of its own, so the
+    # spectrum asks for every row and the deciders read the kept table
+    calls = []
+    table = AbelianGroup.__dict__["char_exponents"].func
+    counting = cached_property(lambda self: calls.append(self) or table(self))
+    counting.__set_name__(AbelianGroup, "char_exponents")
+    monkeypatch.setattr(AbelianGroup, "char_exponents", counting)
+    assert len([v for v in find_pst(sc.hypercube(9)) if v.status == "yes"]) == 2
+    assert len(calls) == 1

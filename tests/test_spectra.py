@@ -11,7 +11,7 @@ import semicayley as sc
 from semicayley import AbelianGroup, SemiCayleySpec, ValidationError, eigen_gcd, find_pst, periodicity
 from semicayley.characters import char_sum, character_matrix
 from semicayley.graphs import build
-from semicayley.spectra import _coefficient_rows, spectrum
+from semicayley.spectra import _coefficient_rows, _group_product, _s_s_inverse, spectrum
 
 from conftest import random_inverse_closed, random_spec, random_subset
 
@@ -362,8 +362,9 @@ def test_the_float_half_is_computed_once_on_first_read(rng, monkeypatch):
 
 
 def test_the_exact_half_builds_rows_at_class_representatives_only(rng, monkeypatch):
-    # Z_512 has 10 rational classes: chi(R), chi(L), chi(S) and disc are
-    # built for 10 characters, and all 512 only when a float is read
+    # Z_512 has 10 rational classes: both halves build their coefficient rows
+    # (chi(R), chi(L), chi(S), disc and chi(S S^-1)) for those 10 characters,
+    # and the float half derives the other 502 characters' rows from them
     import semicayley.spectra
 
     group = AbelianGroup([512])
@@ -382,7 +383,21 @@ def test_the_exact_half_builds_rows_at_class_representatives_only(rng, monkeypat
     assert shapes and {shape[1:] for shape in shapes} == {(10, 512)}
     exact = len(shapes)
     spect.lambdas
-    assert len(shapes) > exact and {shape[1:] for shape in shapes[exact:]} == {(512, 512)}
+    assert len(shapes) > exact and {shape[1:] for shape in shapes} == {(10, 512)}
+
+
+def test_s_s_inverse_from_the_complement_equals_the_pairwise_product(rng):
+    # past half the group, S S^-1 = (n - 2|C|) 1_G + C C^-1 with C = G - S
+    for factors in ((12,), (2, 6), (512,)):
+        group = AbelianGroup(factors)
+        n = group.order
+        everything = np.arange(n)
+        sets = [everything, np.delete(everything, int(rng.integers(n)))]
+        sets += [np.sort(rng.choice(n, size=int(rng.integers(n // 2 + 1, n + 1)), replace=False)) for _ in range(5)]
+        for s in sets:
+            assert 2 * len(s) > n
+            pairwise = _group_product(group, s, group.power_indices(s, -1))
+            assert np.array_equal(_s_s_inverse(group, s), pairwise), (factors, s)
 
 
 def test_spectra_compare_equal_whether_or_not_their_floats_were_read():
@@ -547,7 +562,9 @@ def _edge_specs(rng):
     trivial = AbelianGroup([1])
     yield SemiCayleySpec(trivial, [], [], [])
     yield SemiCayleySpec(trivial, [], [], [(0,)])
-    for factors in ((2, 12), (60,)):
+    # rational classes of several sizes: each class's floats come from its
+    # representative's rows by a Galois permutation of the exponents
+    for factors in ((2, 12), (60,), (16,), (3, 9), (2, 8), (5,)):
         group = AbelianGroup(factors)
         r_set = random_inverse_closed(group, rng, 0.3)
         l_set = random_inverse_closed(group, rng, 0.3)
