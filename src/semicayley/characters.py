@@ -21,40 +21,68 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .groups import AbelianGroup, Element
+from .groups import MAX_ORDER, AbelianGroup, Element, integer
+
+
+def cyclotomic_polynomial(n) -> tuple[int, ...]:
+    """Coefficients of the n-th cyclotomic polynomial, constant term first.
+
+    n is read through groups.integer and must lie in [1, MAX_ORDER], which
+    bounds every group exponent.  For n > 1, Phi_n is the Moebius product of
+    (1 - x^(n/e))^mu(e) over the squarefree e | n, computed on an int64 array
+    as a power series cut at the degree phi(n): multiplying by 1 - x^d is a
+    shift and a subtraction, dividing by it a running sum along each residue
+    class modulo d.  No value can overflow: n <= 1024 has w <= 4 distinct
+    primes.  The 2^(w-1) products, by binomials of two terms, come first, so
+    no value exceeds 2^(2^(w-1)).  Each of the 2^(w-1) divisions, by
+    1 - x^(n/e), sums at most e + 1 values and multiplies the bound by
+    e + 1 <= 2e; each prime divides 2^(w-2) of those e, so the bound ends at
+    2^(2^w) rad(n)^(2^(w-2)) < 2^56 (at 2 (p + 1) for w = 1).
+    Memoized, because callers reduce modulo Phi_N often.
+    """
+    try:
+        n = integer(n)
+    except TypeError as exc:
+        raise ValidationError(f"cyclotomic polynomial index must be an integer, got {n!r}") from exc
+    if not 1 <= n <= MAX_ORDER:
+        raise ValidationError(f"cyclotomic polynomial index must be >= 1 and <= {MAX_ORDER}, got {n}")
+    return _cyclotomic(n)
+
+
+def _prime_factors(n: int) -> list[int]:
+    primes, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return primes + [n] if n > 1 else primes
 
 
 @lru_cache(maxsize=None)
-def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Coefficients of the n-th cyclotomic polynomial, constant term first.
-
-    Computed by exact integer division of x^n - 1 by Phi_d over the proper
-    divisors d of n; memoized because callers reduce modulo Phi_N often.
-    """
-    if n < 1:
-        raise ValidationError("cyclotomic polynomial index must be >= 1")
-    poly = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
-        if n % d == 0:
-            poly = _exact_polydiv(poly, cyclotomic_polynomial(d))
-    return tuple(poly)
-
-
-def _exact_polydiv(num: list[int], den: tuple[int, ...]) -> list[int]:
-    # den must be monic and divide num exactly
-    num = list(num)
-    dn = len(den) - 1
-    qn = len(num) - 1 - dn
-    quot = [0] * (qn + 1)
-    for i in range(qn, -1, -1):
-        c = num[i + dn]
-        quot[i] = c
-        if c:
-            for j in range(dn + 1):
-                num[i + j] -= c * den[j]
-    if any(num):
-        raise ValidationError("polynomial division left a remainder")
-    return quot
+def _cyclotomic(n: int) -> tuple[int, ...]:
+    # cached apart from cyclotomic_polynomial, so True or 2.0 never reads the entry of 1 or 2
+    if n == 1:  # x - 1, minus the product 1 - x
+        return (-1, 1)
+    primes = _prime_factors(n)
+    degree = n * math.prod(p - 1 for p in primes) // math.prod(primes)
+    divisors = [(1, 1)]  # (e, mu(e)) over the squarefree divisors e of n
+    for p in primes:
+        divisors += [(e * p, -mu) for e, mu in divisors]
+    poly = np.zeros(degree + 1, dtype=np.int64)
+    poly[0] = 1
+    for e, mu in sorted(divisors, key=lambda pair: -pair[1]):  # the products first
+        d = n // e
+        if d > degree:  # 1 - x^d is 1 below the cut
+            continue
+        if mu > 0:
+            poly[d:] -= poly[:-d]  # numpy reads overlapping operands as if copied first
+        else:
+            chains = np.zeros(-(-len(poly) // d) * d, dtype=np.int64)
+            chains[: len(poly)] = poly
+            poly = chains.reshape(-1, d).cumsum(axis=0).ravel()[: len(poly)]
+    return tuple(poly.tolist())
 
 
 @lru_cache(maxsize=None)
@@ -81,19 +109,26 @@ def _residue_table(order: int) -> np.ndarray:
     """N x phi(N) table T whose row j holds the residue of x^j modulo Phi_N.
 
     A coefficient row c over zeta_N has the residue c @ T, so one product
-    reduces any number of rows.  Row j follows from row j - 1 by a shift and
-    one subtraction of Phi_N, which is monic.  Stored as int8 when it fits
-    (every N <= 1024 has max|T| <= 5), so a cached table costs N phi(N) bytes.
+    reduces any number of rows.  Phi_N(x) = Phi_r(x^m) for r = rad(N) and
+    m = N / r, and x^(q m + s) = x^s (x^m)^q with s < m reduces to x^s times
+    row q of T_r in the powers x^m, so T_N = kron(T_r, I_m), from the cached
+    T_r: for N = 2^k it is [I; -I].  Only a squarefree N keeps the row
+    recurrence.  Stored as int8 when it fits (every N <= 1024 has
+    max|T| <= 5), so a cached table costs N phi(N) bytes.
     """
-    poly = np.array(cyclotomic_polynomial(order)[:-1], dtype=np.int64)
-    degree = len(poly)
-    table = np.zeros((order, degree), dtype=np.int64)
-    table[:degree] = np.eye(degree, dtype=np.int64)
-    for j in range(degree, order):
-        table[j, 1:] = table[j - 1, :-1]
-        table[j] -= table[j - 1, -1] * poly
-    if np.abs(table).max() <= 127:
-        table = table.astype(np.int8)
+    rad = math.prod(_prime_factors(order))
+    if rad < order:
+        table = _residue_table(rad)
+        table = np.kron(table, np.eye(order // rad, dtype=table.dtype))
+    else:  # row j follows from row j - 1 by a shift and one subtraction of Phi_N, which is monic
+        poly = np.array(cyclotomic_polynomial(order)[:-1], dtype=np.int64)
+        table = np.zeros((order, len(poly)), dtype=np.int64)
+        np.fill_diagonal(table, 1)  # rows 0 .. phi(N) - 1
+        for j in range(len(poly), order):
+            table[j, 1:] = table[j - 1, :-1]
+            table[j] -= table[j - 1, -1] * poly
+        if np.abs(table).max() <= 127:
+            table = table.astype(np.int8)
     table.flags.writeable = False
     return table
 

@@ -207,8 +207,12 @@ def from_cayley_index2(
         bijective = False
     if not bijective:  # a float or bool sigma is refused, not truncated
         raise ValidationError("x-action is not a bijection of the subgroup")
-    sums = subgroup.add_indices(everything[:, None], everything[None, :])
-    if not np.array_equal(perm[sums], sums[np.ix_(perm, perm)]):
+    # a bijection is additive iff sigma(x + e_l) = sigma(x) + sigma(e_l) for
+    # every x and every factor generator e_l (x = 0 gives sigma(0) = 0), an
+    # n x k check in place of the n x n addition table
+    generators = np.array([s for s, size in zip(subgroup.strides, subgroup.factors) if size > 1], dtype=np.int64)
+    shifted = subgroup.add_indices(everything[:, None], generators)
+    if not np.array_equal(perm[shifted], subgroup.add_indices(perm[:, None], perm[generators])):
         raise ValidationError("x-action is not an automorphism of the subgroup")
     if not np.array_equal(perm[perm], everything):
         raise ValidationError("x-action must be an involution (sigma^2 = id)")

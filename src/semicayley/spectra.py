@@ -11,27 +11,29 @@ reads.  The exact half (the certified integers, chi(S) = 0 and the rational
 classes) is built by spectrum() from coefficient rows at the class
 representatives only; periodicity, eigen_gcd, reduce_time, the layer gaps
 and every decider read nothing else, so `period` and a `pst-find` without
-a `yes` never compute a float.  The float half (chi_s_coeffs, chi_s,
-lambdas and the weights c, d, e) is computed the first time any of it is
-read, by the entry formula (transfer_* and the spectral side of a
-confirmation) or by Spectrum.to_json (the `spectrum` report), and kept.
+a `yes` never compute a float.  The float half (chi(S) as its nonzero
+terms, chi_s, lambdas and the weights c, d, e) is computed the first time
+any of it is read, by the entry formula (transfer_* and the spectral side
+of a confirmation) or by Spectrum.to_json (the `spectrum` report), and
+kept.
 
 The floats come from the representatives' coefficient rows as well.
-chi_rep^k takes the value zeta_N^(k E[rep, x]) at x, so the row of
-chi_i = chi_rep^k over the powers of zeta_N is the representative's row
-with its exponents permuted, row_i[e] = row_rep[k^-1 e mod N]: the integers
-a bincount over chi_i would give.  One N x n index gathers every
-character's rows of chi(R), chi(L), chi(S) and |chi(S)|^2 = chi(S S^-1)
-(S S^-1 as integer weights over G, which both halves share), and each block
-is summed against the roots of unity in the order of CycloValue.approx.
-The closed forms then run elementwise in the order of Python's scalar
-arithmetic, complex products and quotients split into CPython's real and
-imaginary formulas, so every float is the per-character float bit for bit,
-signed zeros included.  Both halves read their rows through
-AbelianGroup.exponent_rows, so a spectrum builds the n x n exponent table
-only where more than half the characters are representatives (every
-character on a group of exponent 2), and no n x N index outlives the float
-half.
+chi_rep^k takes the value zeta_N^(k E[rep, x]) at x, so chi_i = chi_rep^k
+has the representative's terms with every exponent f moved to k f mod N:
+the terms a bincount over chi_i would give.  Each character's terms of
+chi(R), chi(L), chi(S) and |chi(S)|^2 = chi(S S^-1) (S S^-1 as integer
+weights over G, which both halves share) are sorted by exponent, padded
+with zero terms to the longest list of the block (96 of 512 exponents for
+chi(R) on the Z_512 spectra of the benchmark, and nearly all of them for
+S S^-1), and summed against the roots of unity in the order of
+CycloValue.approx.  The closed forms then run elementwise in the order of
+Python's scalar arithmetic, complex products and quotients split into
+CPython's real and imaginary formulas, so every float is the per-character
+float bit for bit, signed zeros included.  Both halves read their rows
+through AbelianGroup.exponent_rows, so a spectrum builds the n x n exponent
+table only where more than half the characters are representatives (every
+character on a group of exponent 2); only the term lists of a block as
+dense as S S^-1 reach n x N entries, one block at a time.
 
 Integrality is certified once per rational class of characters, when the
 spectrum is built: the eigenvalues (sigma +- sqrt(disc)) / 2, sigma =
@@ -79,8 +81,11 @@ from .groups import AbelianGroup
 
 
 class _Floats(NamedTuple):
-    # the float half of a Spectrum (see Spectrum and _float_half)
-    chi_s_coeffs: np.ndarray
+    # the float half of a Spectrum (see Spectrum and _float_half): chi(S) as
+    # its nonzero terms, character i owning chi_s_bounds[i] to [i + 1]
+    chi_s_exponents: np.ndarray
+    chi_s_coefficients: np.ndarray
+    chi_s_bounds: np.ndarray
     chi_s: np.ndarray
     lambdas: np.ndarray
     c: np.ndarray
@@ -102,12 +107,13 @@ class Spectrum:
     (0, 0), d for (1, 1), e for (0, 1) and conj(e) for (1, 0).
 
     Two halves.  The exact half (the fields) is built by spectrum().  The
-    float half (chi_s_coeffs, chi_s, lambdas, c, d, e) is computed by
-    _float_half the first time any of them is read, from coefficient rows at
-    the class representatives permuted by class_power, and then kept: the
-    chi(S) rows (n x N ints) and n columns of floats.  The private fields
-    are what it is computed from, the group, the spec's read-only index
-    arrays and the S S^-1 weights, never the spec itself.
+    float half (chi_s, lambdas, c, d, e, and chi(S) as the nonzero terms
+    that to_json lists) is computed by _float_half the first time any of it
+    is read, from coefficient rows at the class representatives moved by
+    class_power, and then kept: n columns of floats and, per character, the
+    exponents and coefficients of chi(S), at most min(|S|, N) of each.  The
+    private fields are what it is computed from, the group, the spec's
+    read-only index arrays and the S S^-1 weights, never the spec itself.
     """
 
     order: int  # N, the exponent of G
@@ -121,8 +127,6 @@ class Spectrum:
     _subsets: tuple  # the index arrays of R, L and S
     _s_s_inverse: np.ndarray  # n ints: S S^-1 as integer weights over G
 
-    chi_s_coeffs = property(lambda self: self._floats.chi_s_coeffs,
-                            doc="n x N: chi(S) as coefficients of powers of zeta_N (chi(R), chi(L) are not kept)")
     chi_s = property(lambda self: self._floats.chi_s, doc="complex chi(S), the CycloValue.approx of its coefficients")
     lambdas = property(lambda self: self._floats.lambdas, doc="2 x n float")
     c = property(lambda self: self._floats.c, doc="2 x n float")
@@ -138,8 +142,9 @@ class Spectrum:
         # the public fields and the float half, computed on both sides if need be
         if not isinstance(other, Spectrum):
             return NotImplemented
-        names = [f.name for f in fields(self) if not f.name.startswith("_")] + list(_Floats._fields)
-        return all(np.array_equal(getattr(self, name), getattr(other, name)) for name in names)
+        names = [f.name for f in fields(self) if not f.name.startswith("_")]
+        return (all(np.array_equal(getattr(self, name), getattr(other, name)) for name in names)
+                and all(map(np.array_equal, self._floats, other._floats)))
 
     @cached_property
     def is_integral(self) -> bool:
@@ -195,7 +200,8 @@ class Spectrum:
         rows = _coefficient_rows(self._group, [self._subsets[2]], chars=reps)[0]
         abs_s = (self.ints[0, reps] - self.ints[1, reps]) // 2
         roots = np.array(_roots_of_unity(order))
-        turns = order * np.arctan2(_sums(rows.T, roots.imag), _sums(rows.T, roots.real)) / (2 * math.pi)
+        dense = np.broadcast_to(np.arange(order)[:, None], rows.T.shape)  # every exponent, zeros included
+        turns = order * np.arctan2(_sums(dense, rows.T, roots.imag), _sums(dense, rows.T, roots.real)) / (2 * math.pi)
         e = np.round(turns[:, None] + np.array([0, order / 2])).astype(np.int64) % order
         spokes = rows[np.arange(len(reps))[:, None, None], (e[:, :, None] - np.arange(order)) % order]
         rational, value = _certify(spokes.reshape(-1, order), order)
@@ -207,11 +213,9 @@ class Spectrum:
         """One row per character; chi(S) as its nonzero terms, the form of CycloValue.to_json."""
         exact = self.certified.all(axis=0).tolist()
         chars, chi_s = self.char_index.tolist(), self.chi_s.tolist()
-        # the nonzero coefficients of chi(S), row by row and in ascending
-        # exponent within a row; row i owns terms bounds[i] to bounds[i + 1]
-        which, exponents = np.nonzero(self.chi_s_coeffs)
-        bounds = np.searchsorted(which, np.arange(len(exact) + 1)).tolist()
-        coefficients, exponents = self.chi_s_coeffs[which, exponents].tolist(), exponents.tolist()
+        floats = self._floats
+        exponents, coefficients = floats.chi_s_exponents.tolist(), floats.chi_s_coefficients.tolist()
+        bounds = floats.chi_s_bounds.tolist()
         (lam_p, lam_m), (int_p, int_m) = self.lambdas.tolist(), self.ints.tolist()
         (c_p, c_m), (d_p, d_m), (e_p, e_m) = self.c.tolist(), self.d.tolist(), self.e.tolist()
         rows = []
@@ -333,35 +337,109 @@ def _s_s_inverse(group, s: np.ndarray) -> np.ndarray:
     return n - 2 * len(c) + _group_product(group, c, group.power_indices(c, -1))
 
 
-def _sums(columns: np.ndarray, part: np.ndarray) -> np.ndarray:
-    # for each column i of the N x m coefficients `columns`, sum_j columns[j, i]
-    # * part[j], with part the real or the imaginary parts of the roots of
-    # unity: that part of CycloValue.approx bit for bit, the same
-    # left-to-right sum.  Its complex product c * root has the parts c * re
-    # and c * im up to the sign of a zero, and adding 0.0 to the first term
-    # clears a signed zero, as Python's sum from 0 does, so no partial sum is
-    # -0.0 and no zero term changes one.  numpy adds a C-order array over its
-    # slow axis one row at a time (pairwise summation is for the fast axis
-    # only), and m >= 2 whenever N > 1: the trivial character is a class and
-    # a column of its own.  A C-order float64 `columns` is overwritten
-    terms = np.require(columns, dtype=np.float64, requirements=["C", "W"])
-    terms *= part[:, None]
-    terms[0] += 0.0
-    return np.add.reduce(terms, axis=0)
+# _sums adds the terms in blocks of this many rows
+_SUM_ROWS = 64
+
+
+def _sums(exponents: np.ndarray, coefficients: np.ndarray, part: np.ndarray) -> np.ndarray:
+    # for each column i of the T x m terms, sum_t coefficients[t, i] *
+    # part[exponents[t, i]] in the order of t, part the roots of unity or
+    # their real parts: CycloValue.approx, or its real part, bit for bit
+    # when each column lists the nonzero terms in ascending exponent, the
+    # same left-to-right sum.  A term c * root has the parts c * re and
+    # c * im up to the sign of a zero (a complex sum adds the parts apart),
+    # and the sums start from +0.0, as Python's sum from 0 does, which
+    # clears a signed zero; so no partial sum is -0.0 and a zero term,
+    # wherever it stands, changes none.  The terms go through a buffer of
+    # _SUM_ROWS rows below the running sums: numpy adds a C-order array over
+    # its slow axis one row at a time (pairwise summation is for the fast
+    # axis only), and m >= 2 whenever N > 1, the trivial character being a
+    # class of its own
+    total = np.zeros(exponents.shape[1], dtype=part.dtype)
+    buffer = np.empty((_SUM_ROWS + 1, len(total)), dtype=part.dtype)
+    for start in range(0, len(exponents), _SUM_ROWS):
+        rows = buffer[: 1 + len(exponents[start : start + _SUM_ROWS])]
+        rows[0] = total
+        np.take(part, exponents[start : start + _SUM_ROWS], out=rows[1:], mode="clip")  # "clip": unbuffered
+        rows[1:] *= coefficients[start : start + _SUM_ROWS]
+        total = np.add.reduce(rows, axis=0)
+    return total
+
+
+def _class_terms(rows: np.ndarray, slot: np.ndarray, power: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    # the terms of every character from the coefficient rows at the class
+    # representatives: character i = rep^k has the row rows[slot[i]] and
+    # k = power[i] (an int32 column).  chi_rep^k takes the value
+    # zeta_N^(k E[rep, x]) at x, so the representative's term at exponent f
+    # is chi_i's term at k f mod N.  Two T x n arrays, exponents and
+    # coefficients, column i in ascending exponent, T the most nonzero terms
+    # of any row, a shorter row padded with zero terms.  The rows count pairs
+    # or elements, so every coefficient c is in [0, n^2] and below 2^21, and
+    # the keys (k f mod N) 2^b + c, b the bit length of the largest c, are
+    # below 2^31: one int32 sort puts each character's terms in order,
+    # coefficients along
+    nonzero = rows != 0
+    width = max(int(nonzero.sum(axis=1).max(initial=0)), 1)
+    bits = int(rows.max(initial=0)).bit_length()
+    # each row's terms as f 2^b + c, the nonzero ones in ascending f ahead of
+    # the zero ones, which all become N 2^b and then the zero term (0, 0)
+    packed = np.where(nonzero, np.arange(order) << bits | rows, order << bits)
+    packed.sort(axis=1)
+    packed = (packed[:, :width] % (order << bits)).astype(np.int32)
+    keys = (packed >> bits)[slot]
+    keys *= power
+    multiples = keys // order  # then k f mod N: numpy divides by a scalar far faster than it takes a remainder
+    multiples *= order
+    keys -= multiples
+    del multiples
+    keys <<= bits
+    keys |= (packed & (2**bits - 1))[slot]
+    keys.sort(axis=1)
+    keys = np.ascontiguousarray(keys.T)  # the T x n layout that _sums adds over its slow axis
+    exponents = keys >> bits
+    keys &= 2**bits - 1
+    return exponents, keys
+
+
+# _rational_classes sieves from phi(N) = _SIEVE_UNITS on (see there)
+_SIEVE_UNITS = 64
 
 
 def _rational_classes(group) -> tuple[np.ndarray, ...]:
     # per character chi_i, the least index rep of its rational class
-    # {chi^k : gcd(k, N) = 1} and a unit k with chi_rep^k = chi_i; then the
-    # representatives in index order and each character's position among them
-    order = group.exponent
-    units = [k for k in range(1, order + 1) if math.gcd(k, order) == 1]
-    powers = group.power_indices(np.arange(group.order), np.array(units))
-    # the argmin u has chi_i^u = chi_rep, so k is the inverse of u modulo N
+    # {chi^k : gcd(k, N) = 1} and a unit k with chi_rep^k = chi_i, the inverse
+    # of the least unit u with chi_i^u = chi_rep; then the representatives in
+    # index order and each character's position among them.  inverses[j] is
+    # the inverse of the j-th unit, so it lists the units by increasing inverse
+    n, order = group.order, group.exponent
+    units = [k for k in range(order) if math.gcd(k, order) == 1]  # [0] for N = 1
     inverses = np.array([pow(k, -1, order) for k in units], dtype=np.int64)
-    class_rep, class_power = powers.min(axis=0), inverses[powers.argmin(axis=0)]
-    reps = np.flatnonzero(class_rep == np.arange(group.order))
-    return class_rep, class_power, reps, np.searchsorted(reps, class_rep)
+    # The argmin builds a phi(N) x n table, at some 30 ns an entry; the sieve
+    # makes one pass of some 30 us per class, and a class has at most phi(N)
+    # members, so there are at least n / phi(N) classes.  The sieve can only
+    # win where phi(N)^2 > 1000, and it wins from phi(N) = 64 on (Z_1024,
+    # Z_2 x Z_512, Z_4 x Z_256, Z_3 x Z_5 x Z_7 x Z_9, Z_1000: 3-15x).
+    # Below, the argmin is faster: by 3-30x on Z_32^2, Z_2^10, Z_2^8 and
+    # Z_2^4 x Z_4^2, and by 2-5x on the groups of order <= 12.  n <= 1024, so
+    # the sieve sees n / phi(N) <= 16
+    if len(units) < _SIEVE_UNITS:
+        powers = group.power_indices(np.arange(n), np.array(units))
+        class_rep, class_power = powers.min(axis=0), inverses[powers.argmin(axis=0)]
+        reps = np.flatnonzero(class_rep == np.arange(n))
+        return class_rep, class_power, reps, np.searchsorted(reps, class_rep)
+    # the least unassigned index is a representative, and its orbit chi_rep^k
+    # over the units by increasing inverse gives each member, at its first
+    # occurrence, the k whose inverse is least
+    class_rep, class_power, slot = np.full(n, -1), np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    reps = []
+    rep = 0
+    while rep < n:
+        members, first = np.unique(group.power_indices(rep, inverses), return_index=True)
+        class_rep[members], class_power[members], slot[members] = rep, inverses[first], len(reps)
+        reps.append(rep)
+        unassigned = np.flatnonzero(class_rep[rep:] < 0)
+        rep += int(unassigned[0]) if len(unassigned) else n
+    return class_rep, class_power, np.array(reps), slot
 
 
 def spectrum(spec: SemiCayleySpec) -> Spectrum:
@@ -404,40 +482,31 @@ def spectrum(spec: SemiCayleySpec) -> Spectrum:
 def _float_half(group, subsets: tuple, s_s_inverse: np.ndarray, chi_s_zero: np.ndarray,
                 class_rep: np.ndarray, class_power: np.ndarray) -> _Floats:
     # the floats of every character from coefficient rows at the class
-    # representatives: chi_i = chi_rep^k takes the value zeta_N^(k E[rep, x])
-    # at x, so row i is the representative's row with exponent f moved to
-    # k f, row_i[e] = row_rep[k^-1 e mod N].  One N x n index gathers the
-    # rows of chi(R), chi(L), chi(S) and |chi(S)|^2 = chi(S S^-1) of every
-    # character, as columns, into one float buffer, where _sums adds them
-    # against the roots of unity block by block; only the chi(S) integers
-    # are kept, and they are gathered first, so that the temporaries lie
-    # above them on the heap and are given back when freed.  Then the closed
-    # forms where chi(S) != 0
+    # representatives: _class_terms gives each character its terms of
+    # chi(R), chi(L), chi(S) and |chi(S)|^2 = chi(S S^-1), in ascending
+    # exponent, and _sums adds them against the roots of unity.  Only the
+    # nonzero chi(S) terms are kept, and they are made first, so that the
+    # temporaries lie above them on the heap and are given back when freed.
+    # Then the closed forms where chi(S) != 0
     n, order = group.order, group.exponent
     reps = np.flatnonzero(class_rep == np.arange(n))
+    slot = np.searchsorted(reps, class_rep)
     blocks = _ring_rows(group, subsets, s_s_inverse, reps)
-    inverse = {k: pow(k, -1, order) for k in set(class_power.tolist())}
-    # int32 products (below N^2 <= 2^20) divide faster than int64 ones
-    shifts = np.multiply.outer(np.arange(order, dtype=np.int32),
-                               np.array([inverse[k] for k in class_power.tolist()], dtype=np.int32)) % order
-    index = np.searchsorted(reps, class_rep) * order + shifts
-    del shifts
     roots = np.array(_roots_of_unity(order))
-    chi_s_columns = np.take(blocks[2], index)
-    columns = np.empty(index.shape)  # mode "clip" reads the same in-range indices unbuffered
-    r, l, s2 = (_sums(np.take(blocks[b].astype(np.float64), index, out=columns, mode="clip"), roots.real)
-                for b in (0, 1, 3))
-    s = np.empty(n, dtype=complex)
-    for part, sums in ((roots.real, s.real), (roots.imag, s.imag)):
-        np.copyto(columns, chi_s_columns)
-        sums[:] = _sums(columns, part)
+    power = class_power.astype(np.int32)[:, None]  # below N, and int32 divides faster than int64
+    exponents, coefficients = _class_terms(blocks[2], slot, power, order)
+    kept = (coefficients != 0).T  # character by character, in ascending exponent
+    terms = exponents.T[kept], coefficients.T[kept], np.concatenate([[0], np.cumsum(kept.sum(axis=1))])
+    s = _sums(exponents, coefficients, roots)
+    del exponents, coefficients
+    r, l, s2 = (_sums(*_class_terms(blocks[b], slot, power, order), roots.real) for b in (0, 1, 3))
     nonzero = ~chi_s_zero
     lambdas = np.array([r, l])  # the chi(S) = 0 convention, unsorted
     c, d, e = np.zeros((2, n)), np.zeros((2, n)), np.zeros((2, n), dtype=complex)
     c[0], d[1] = 1.0, 1.0
     lambdas[:, nonzero], c[:, nonzero], d[:, nonzero], e[:, nonzero] = _closed_forms(
         r[nonzero], l[nonzero], s[nonzero], s2[nonzero])
-    return _Floats(chi_s_coeffs=chi_s_columns.T, chi_s=s, lambdas=lambdas, c=c, d=d, e=e)
+    return _Floats(*terms, chi_s=s, lambdas=lambdas, c=c, d=d, e=e)
 
 
 def eigen_gcd(spec: SemiCayleySpec) -> int:

@@ -3,14 +3,16 @@
 Each is a second way to compute something the package computes on index
 arrays or through the character formula, kept here so that the tests can
 compare the two: the R = L block formula for H(t), the 2-adic valuation of
-a rational, inverse closure by the group's tuple law, and the vertex list
-in enumeration order.
+a rational, inverse closure by the group's tuple law, the vertex list in
+enumeration order, cyclotomic polynomials by exact division and the
+rational classes of characters by an argmin over all unit powers.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -75,3 +77,52 @@ def vertices(spec: SemiCayleySpec) -> list[Vertex]:
     """Layer-0 vertices in group enumeration order, then layer 1."""
     elems = spec.group.elements()
     return [Vertex(g, 0) for g in elems] + [Vertex(g, 1) for g in elems]
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_by_division(n: int) -> tuple[int, ...]:
+    """Coefficients of the n-th cyclotomic polynomial, constant term first.
+
+    Computed by exact integer division of x^n - 1 by Phi_d over the proper
+    divisors d of n; memoized because callers reduce modulo Phi_N often.
+    """
+    if n < 1:
+        raise ValidationError("cyclotomic polynomial index must be >= 1")
+    poly = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            poly = exact_polydiv(poly, cyclotomic_by_division(d))
+    return tuple(poly)
+
+
+def exact_polydiv(num: list[int], den: tuple[int, ...]) -> list[int]:
+    # den must be monic and divide num exactly
+    num = list(num)
+    dn = len(den) - 1
+    qn = len(num) - 1 - dn
+    quot = [0] * (qn + 1)
+    for i in range(qn, -1, -1):
+        c = num[i + dn]
+        quot[i] = c
+        if c:
+            for j in range(dn + 1):
+                num[i + j] -= c * den[j]
+    if any(num):
+        raise ValidationError("polynomial division left a remainder")
+    return quot
+
+
+def rational_classes_by_argmin(group: AbelianGroup) -> tuple[np.ndarray, ...]:
+    """class_rep, class_power, the representatives and each character's slot among them.
+
+    Builds the phi(N) x n table of every unit power of every character and
+    takes its argmin over the units.
+    """
+    order = group.exponent
+    units = [k for k in range(1, order + 1) if math.gcd(k, order) == 1]
+    powers = group.power_indices(np.arange(group.order), np.array(units))
+    # the argmin u has chi_i^u = chi_rep, so k is the inverse of u modulo N
+    inverses = np.array([pow(k, -1, order) for k in units], dtype=np.int64)
+    class_rep, class_power = powers.min(axis=0), inverses[powers.argmin(axis=0)]
+    reps = np.flatnonzero(class_rep == np.arange(group.order))
+    return class_rep, class_power, reps, np.searchsorted(reps, class_rep)

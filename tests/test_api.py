@@ -43,6 +43,13 @@ def test_the_namespace_is_all_and_holds_no_referee():
         (lambda: AbelianGroup.from_json({}), "group JSON must be"),
         (lambda: oracle_expm(np.zeros((2, 3)), 1.0), "must be square"),
         (lambda: cyclotomic_polynomial(0), "must be >= 1"),
+        # read as an integer like every other index: True is not 1, nor 2.0 two
+        (lambda: cyclotomic_polynomial(True), "must be an integer"),
+        (lambda: cyclotomic_polynomial(2.0), "must be an integer"),
+        (lambda: cyclotomic_polynomial(2.5), "must be an integer"),
+        (lambda: cyclotomic_polynomial("3"), "must be an integer"),
+        (lambda: cyclotomic_polynomial(None), "must be an integer"),
+        (lambda: cyclotomic_polynomial(1025), "<= 1024"),
         (lambda: from_cayley_index2(AbelianGroup([4]), identity_action(AbelianGroup([4])), (0,), [(0,)], []),
          "connection set must not contain the identity"),
         # oracle_column reads a vertex index of the 4-cycle, 0 <= j < 2n = 4
@@ -68,6 +75,8 @@ def test_the_namespace_is_all_and_holds_no_referee():
         (lambda: sc.SemiCayleySpec(AbelianGroup([2]), 5, [], []), "R: a subset"),
     ],
     ids=["cross-layer-on-one-layer", "group-json-without-factors", "non-square-oracle", "cyclotomic-0",
+         "cyclotomic-bool", "cyclotomic-float", "cyclotomic-fraction", "cyclotomic-str", "cyclotomic-none",
+         "cyclotomic-above-max",
          "index2-identity-in-T1", "oracle-column-j-negative", "oracle-column-j-2n", "oracle-column-j-bool",
          "oracle-column-j-float", "transfer-entry-inf", "transfer-entry-nan", "transfer-rows-inf",
          "transfer-matrix-nan", "decide-pair-vertex-int", "transfer-entry-vertex-none",

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from semicayley import AbelianGroup, ValidationError
+from semicayley.groups import MAX_ORDER
 from semicayley.characters import (
     CycloValue,
     _reduce_mod,
@@ -15,6 +16,7 @@ from semicayley.characters import (
 )
 
 from conftest import GROUP_POOL, random_subset
+from referees import cyclotomic_by_division
 
 
 def test_cyclotomic_polynomials_known():
@@ -40,6 +42,33 @@ def test_residue_table_rows_are_the_reduced_powers():
             assert tuple(table[j].tolist()) == _reduce_mod(power, phi), (order, j)
         assert np.abs(table).max() <= 5
     assert -2 in cyclotomic_polynomial(105)
+
+
+def test_cyclotomic_polynomials_are_the_exact_quotients_to_max_order():
+    # the Moebius product against x^N - 1 divided by every Phi_d, d a proper divisor of N
+    for order in range(1, MAX_ORDER + 1):
+        assert cyclotomic_polynomial(order) == cyclotomic_by_division(order), order
+
+
+def test_residue_tables_satisfy_their_recurrence_to_max_order():
+    # rows 0 .. phi(N) - 1 are the basis, and row j is row j - 1 shifted
+    # less its top coefficient times Phi_N: one array check per N.  The
+    # certificate of spectra needs max|T| <= 5.  Uncached, for the tables
+    # of every N together would hold some 200 MB; those of the radicals
+    # below 513 that it caches are cleared after
+    for order in range(1, MAX_ORDER + 1):
+        table = _residue_table.__wrapped__(order)
+        poly = np.array(cyclotomic_polynomial(order)[:-1])
+        degree = len(poly)
+        assert table.shape == (order, degree) and table.dtype == np.int8 and not table.flags.writeable, order
+        assert np.abs(table).max() <= 5, order
+        assert np.array_equal(table[:degree], np.eye(degree)), order
+        previous = table[degree - 1 : -1]
+        expected = np.zeros(previous.shape, dtype=np.int16)
+        expected[:, 1:] = previous[:, :-1]
+        expected -= previous[:, -1:] * poly.astype(np.int16)
+        assert np.array_equal(table[degree:], expected), order
+    _residue_table.cache_clear()
 
 
 def test_eval_character_examples():

@@ -1,5 +1,5 @@
 import json
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -252,6 +252,29 @@ def test_index2_validation():
         from_cayley_index2(z4, identity_action(z4), (0,), [(1,)], [])  # T1 not inverse-closed
     with pytest.raises(ValidationError):
         sc.generalized_dicyclic(z4, (1,), [], [])  # x^2 must be an involution
+
+
+@pytest.mark.parametrize("factors, automorphisms", [((2, 2), 6), ((4,), 2), ((6,), 2), ((2, 3), 2)])
+def test_index2_automorphism_check_agrees_with_the_addition_table(factors, automorphisms):
+    # the check on the factor generators against the full n x n addition
+    # table, on every bijection; an automorphism may still fail a later rule.
+    # On Z_2^2 every bijection fixing 0 is additive, so Z_2 x Z_3 is the one
+    # that needs both generators checked
+    group = AbelianGroup(factors)
+    everything = np.arange(group.order)
+    sums = group.add_indices(everything[:, None], everything[None, :])
+    additive = []
+    for sigma in permutations(range(group.order)):
+        perm = np.array(sigma)
+        by_table = np.array_equal(perm[sums], sums[np.ix_(perm, perm)])
+        try:
+            from_cayley_index2(group, perm, group.identity, [], [])
+            refused = False
+        except ValidationError as exc:
+            refused = str(exc) == "x-action is not an automorphism of the subgroup"
+        assert refused != by_table, sigma
+        additive.append(by_table)
+    assert sum(additive) == automorphisms
 
 
 @pytest.mark.parametrize(

@@ -11,9 +11,10 @@ import semicayley as sc
 from semicayley import AbelianGroup, SemiCayleySpec, ValidationError, eigen_gcd, find_pst, periodicity
 from semicayley.characters import char_sum, character_matrix
 from semicayley.graphs import build
-from semicayley.spectra import _coefficient_rows, _group_product, _s_s_inverse, spectrum
+from semicayley.spectra import _coefficient_rows, _group_product, _rational_classes, _s_s_inverse, spectrum
 
 from conftest import random_inverse_closed, random_spec, random_subset
+from referees import rational_classes_by_argmin
 
 
 def test_c4_spectrum():
@@ -250,11 +251,11 @@ def test_spectrum_character_sums_match_char_sum(rng):
         spec = random_spec(rng)
         group = spec.group
         spect = spectrum(spec)
-        # the spectrum keeps the chi(S) rows only; chi(R) and chi(L) come from the rows it is built on
-        r_rows, l_rows = _coefficient_rows(group, [spec.subset_indices["R"], spec.subset_indices["L"]])
+        # the spectrum keeps no coefficient rows; they come from the rows it is built on
+        rows_rls = _coefficient_rows(group, [spec.subset_indices[name] for name in ("R", "L", "S")])
         for i, chi in enumerate(group.elements()):
             assert tuple(spect.char_index[i].tolist()) == chi
-            for rows, xs in zip((r_rows, l_rows, spect.chi_s_coeffs), (spec.R, spec.L, spec.S)):
+            for rows, xs in zip(rows_rls, (spec.R, spec.L, spec.S)):
                 assert tuple(rows[i].tolist()) == char_sum(group, chi, xs).coeffs
 
 
@@ -297,20 +298,22 @@ def test_spectrum_is_freed_with_its_spec():
 
 
 def test_spectrum_keeps_no_array_above_n_times_n_entries():
-    # n characters by N coefficients is the largest table the spectrum stores;
-    # the chi(R) and chi(L) rows it is built on are not kept, in either half
+    # n characters by N coefficients bounds every table the spectrum stores;
+    # the chi(R) and chi(L) rows it is built on are not kept, in either half,
+    # and chi(S) is kept as its nonzero terms
     group = AbelianGroup([3, 6])  # n = 18, N = 6
     spec = SemiCayleySpec(group, [(1, 0), (2, 0)], [(0, 1), (0, 5)], [(1, 2), (0, 3)])
     spect = spec.spectrum
     spect.lambdas  # computes the float half
     names = [f.name for f in dataclasses.fields(spect)] + list(_FLOAT_HALF)
     sizes = {name: getattr(spect, name).size for name in names if isinstance(getattr(spect, name), np.ndarray)}
+    sizes.update((f"_floats.{name}", value.size) for name, value in spect._floats._asdict().items())
     assert set(_FLOAT_HALF) <= set(sizes)
     assert max(sizes.values()) <= 18 * 6, sizes
 
 
 # the attributes of a Spectrum computed on their first read
-_FLOAT_HALF = ("chi_s_coeffs", "chi_s", "lambdas", "c", "d", "e")
+_FLOAT_HALF = ("chi_s", "lambdas", "c", "d", "e")
 
 
 def _count_float_halves(monkeypatch):
@@ -398,6 +401,21 @@ def test_s_s_inverse_from_the_complement_equals_the_pairwise_product(rng):
             assert 2 * len(s) > n
             pairwise = _group_product(group, s, group.power_indices(s, -1))
             assert np.array_equal(_s_s_inverse(group, s), pairwise), (factors, s)
+
+
+@pytest.mark.parametrize("factors", [(1024,), (2,) * 10, (2, 512), (4, 256), (3, 5, 7, 9), (32, 32), (12,), (2, 6),
+                                     (1000,), (2, 3, 4), (2, 2, 2, 2, 4, 4), (300,), (1,)])
+def test_rational_classes_by_sieve_and_by_argmin_match_the_referee(factors, monkeypatch):
+    # the sieve and the argmin each on every group, whichever side of the
+    # switch it is on: the same representatives and the same powers
+    import semicayley.spectra
+
+    group = AbelianGroup(factors)
+    expected = rational_classes_by_argmin(group)
+    for units in (0, math.inf):
+        monkeypatch.setattr(semicayley.spectra, "_SIEVE_UNITS", units)
+        got = _rational_classes(group)
+        assert all(np.array_equal(a, b) for a, b in zip(got, expected)), units
 
 
 def test_spectra_compare_equal_whether_or_not_their_floats_were_read():
@@ -583,6 +601,23 @@ def test_spectrum_floats_are_the_per_character_floats_bit_for_bit(rng):
             expected = _referee_floats(group, chi, spec, spect.chi_s_zero[i])
             for name, (array, branch) in _FLOAT_FIELDS.items():
                 assert _hex(getattr(spect, array)[branch, i].item()) == _hex(expected[name]), (spec, i, name)
+
+
+def test_the_float_half_is_exact_at_its_largest_sort_keys():
+    # S = G on Z_1024: chi_0(S S^-1) = n^2 = 2^20 is the largest coefficient
+    # a spectrum meets, so the int32 sort keys (k f mod N) 2^b + c of the
+    # float half reach 2^31 - 1, and the other classes' dense rows pad the
+    # trivial character's one term with 1023 zero terms
+    group = AbelianGroup([1024])
+    spec = sc.join_spec(group, [(1,), (1023,)], [(2,), (1022,)])
+    spect = spectrum(spec)
+    rows = spect.to_json()["characters"]
+    for i in (0, 1, 2, 3, 256, 512, 768, 1023):
+        chi = group.element(i)
+        expected = _referee_floats(group, chi, spec, spect.chi_s_zero[i])
+        for name, (array, branch) in _FLOAT_FIELDS.items():
+            assert _hex(getattr(spect, array)[branch, i].item()) == _hex(expected[name]), (i, name)
+        assert rows[i]["chi_s"] == char_sum(group, chi, spec.S).to_json(), i
 
 
 def _referee_json(spec):
