@@ -73,7 +73,7 @@ class SemiCayleySpec:
 
     def _inverse_closed(self, name: str) -> bool:
         xs = self.subset_indices[name]
-        return np.array_equal(np.sort(self.group.power_indices(xs, -1)), xs)
+        return np.array_equal(np.sort(self.group._inverses[xs]), xs)
 
     @property
     def n(self) -> int:
@@ -110,7 +110,7 @@ class SemiCayleySpec:
     def _connecting_index(self, g: Element, h: Element) -> int:
         # connecting_index of already validated elements
         group = self.group
-        return int(group.add_indices(group.power_indices(group._index(g), -1), group._index(h)))
+        return int(group.add_indices(group._inverses[group._index(g)], group._index(h)))
 
     def vertex_index(self, v: Vertex) -> int:
         return self._vertex_index(self.validate_vertex(v))
@@ -222,10 +222,10 @@ def from_cayley_index2(
     if subgroup.identity in T1:
         raise ValidationError("connection set must not contain the identity")
     t1, t2 = subgroup.index_array(T1), subgroup.index_array(T2)
-    if not np.array_equal(np.sort(subgroup.power_indices(t1, -1)), t1):
+    if not np.array_equal(np.sort(subgroup._inverses[t1]), t1):
         raise ValidationError("connection part T1 must be inverse-closed")
     # T2 must be closed under the bijection t -> sigma(t)^{-1} x^{-2} = (sigma(t) x^2)^{-1}
-    if not np.array_equal(np.sort(subgroup.power_indices(subgroup.add_indices(perm[t2], square), -1)), t2):
+    if not np.array_equal(np.sort(subgroup._inverses[subgroup.add_indices(perm[t2], square)]), t2):
         raise ValidationError("connection coset part xT2 is not inverse-closed")
 
     # Edge rules in the vertex order (h,0) <-> h, (h,1) <-> x*h:
@@ -236,7 +236,7 @@ def from_cayley_index2(
 
 
 def inversion(group: AbelianGroup) -> np.ndarray:
-    return group.power_indices(np.arange(group.order), -1)
+    return group._inverses
 
 
 def identity_action(group: AbelianGroup) -> np.ndarray:

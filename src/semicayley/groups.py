@@ -6,12 +6,24 @@ so element <-> index is arithmetic and whole-group loops run on integer
 arrays.  Groups are immutable (the index tables are built on first use and
 are read-only), every function is pure, and groups, elements and subsets can
 be shared freely across threads.
+
+AbelianGroup(factors) returns one shared instance per factor tuple, so the
+tables that depend on the group alone (elements, coords, inverses, element
+orders, rational classes, the exponent table) are built once per group, not
+once per spec.  The instances are kept in a cache, under a lock, that drops
+the least recently used groups while the cached groups hold more than
+MAX_ORDER^2 table entries (order x (order + factors) each): together no more
+than the one exponent table of a group at the maximum order, 8 MB.  An
+evicted group that is still referenced stays valid, and the next
+AbelianGroup(factors) builds an equal one.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import threading
+from collections import OrderedDict
 from functools import cached_property
 from itertools import accumulate, product
 from typing import Iterable, Sequence
@@ -31,6 +43,11 @@ Element = tuple[int, ...]
 MAX_ORDER = 1024
 
 
+def _read_only(table: np.ndarray) -> np.ndarray:
+    table.flags.writeable = False
+    return table
+
+
 def integer(x) -> int:
     """operator.index(x), refusing bool: JSON's true and false are not integers."""
     if isinstance(x, bool):
@@ -45,10 +62,20 @@ class AbelianGroup:
     factor normalisation), and elements enumerate in lexicographic order on
     exponent vectors.  That fixed order is part of the public contract:
     adjacency matrices built from it are reproducible bit for bit.  Orders
-    above MAX_ORDER are rejected.
+    above MAX_ORDER are rejected.  AbelianGroup(factors) returns the one
+    shared instance of its factor tuple while that is cached (see the
+    module docstring).
     """
 
-    def __init__(self, factors: Sequence[int]) -> None:
+    factors: tuple[int, ...]
+    order: int
+    exponent: int
+    identity: Element
+    strides: tuple[int, ...]
+    _elements: list[Element]
+
+    def __new__(cls, factors: Sequence[int]) -> "AbelianGroup":
+        # validated before the lookup: True == 1 and 2.0 == 2 hash alike
         try:
             factors = tuple(map(integer, factors))
         except TypeError as exc:
@@ -60,12 +87,29 @@ class AbelianGroup:
         order = math.prod(factors)
         if order > MAX_ORDER:
             raise ValidationError(f"group order {order} exceeds the supported maximum {MAX_ORDER}")
-        self.factors: tuple[int, ...] = factors
-        self.order: int = order
-        self.exponent: int = math.lcm(*factors)
-        self.identity: Element = (0,) * len(factors)
-        self.strides: tuple[int, ...] = tuple(accumulate(reversed(factors[1:]), operator.mul, initial=1))[::-1]
-        self._elements: list[Element] = [tuple(v) for v in product(*(range(n) for n in factors))]
+        global _cached_entries
+        with _cache_lock:
+            group = _cache.get(factors)
+            if group is not None:
+                _cache.move_to_end(factors)
+                return group
+            group = super().__new__(cls)
+            group.factors = factors
+            group.order = order
+            group.exponent = math.lcm(*factors)
+            group.identity = (0,) * len(factors)
+            group.strides = tuple(accumulate(reversed(factors[1:]), operator.mul, initial=1))[::-1]
+            group._elements = [tuple(v) for v in product(*(range(n) for n in factors))]
+            _cache[factors] = group
+            _cached_entries += _entries(group)
+            while _cached_entries > MAX_ORDER**2 and len(_cache) > 1:
+                _cached_entries -= _entries(_cache.popitem(last=False)[1])
+            return group
+
+    def __reduce__(self):
+        # pickle and deepcopy rebuild through the constructor, which returns
+        # the shared instance; no state is restored onto it
+        return AbelianGroup, (self.factors,)
 
     def __repr__(self) -> str:
         return f"AbelianGroup({list(self.factors)})"
@@ -130,9 +174,7 @@ class AbelianGroup:
     @cached_property
     def coords(self) -> np.ndarray:
         """order x factors int64 array: row i is the exponent vector of element i."""
-        coords = np.array(self._elements, dtype=np.int64)
-        coords.flags.writeable = False
-        return coords
+        return _read_only(np.array(self._elements, dtype=np.int64))
 
     @cached_property
     def char_exponents(self) -> np.ndarray:
@@ -147,9 +189,7 @@ class AbelianGroup:
         Other spectra, periods and single entries read rows at a few
         characters and never build it.
         """
-        table = self._exponent_rows(np.arange(self.order))
-        table.flags.writeable = False
-        return table
+        return _read_only(self._exponent_rows(np.arange(self.order)))
 
     def exponent_rows(self, chars: np.ndarray) -> np.ndarray:
         """Rows chars of char_exponents, for an array of distinct character indices.
@@ -181,9 +221,28 @@ class AbelianGroup:
         return (np.multiply.outer(k, self.coords[i]) % np.array(self.factors)) @ np.array(self.strides)
 
     def orders(self, i: np.ndarray) -> np.ndarray:
-        """Order of g_i for an index array i: the lcm over the factors of n / gcd(n, x)."""
+        """Order of g_i for an index array i."""
+        return self._orders[i]
+
+    @cached_property
+    def _orders(self) -> np.ndarray:
+        # the order of every element, read-only: the lcm over the factors of n / gcd(n, x)
         factors = np.array(self.factors, dtype=np.int64)
-        return np.lcm.reduce(factors // np.gcd(factors, self.coords[i]), axis=-1)
+        return _read_only(np.lcm.reduce(factors // np.gcd(factors, self.coords), axis=-1))
+
+    @cached_property
+    def _inverses(self) -> np.ndarray:
+        # the index of g_i^-1 for every i, read-only
+        return _read_only(self.power_indices(np.arange(self.order), -1))
+
+    @cached_property
+    def _classes(self) -> tuple[np.ndarray, ...]:
+        # the rational classes of the characters (see spectra._rational_classes),
+        # read-only: class_rep, class_power, the representatives and each
+        # character's position among them
+        from .spectra import _rational_classes  # spectra imports this module
+
+        return tuple(map(_read_only, _rational_classes(self)))
 
     # -- subsets -------------------------------------------------------------
 
@@ -204,6 +263,18 @@ class AbelianGroup:
         if not isinstance(obj, dict) or "factors" not in obj:
             raise ValidationError('group JSON must be {"factors": [...]}')
         return cls(obj["factors"])
+
+
+# the shared groups by factor tuple, least recently used first, and the
+# table entries they hold (see the module docstring)
+_cache: OrderedDict[tuple[int, ...], AbelianGroup] = OrderedDict()
+_cache_lock = threading.Lock()
+_cached_entries = 0
+
+
+def _entries(group: AbelianGroup) -> int:
+    # the entries of a group's order x order and order x factors tables
+    return group.order * (group.order + len(group.factors))
 
 
 def subset_to_json(xs: Iterable[Element]) -> list[list[int]]:

@@ -173,11 +173,14 @@ def _pair(spec: SemiCayleySpec, u: Vertex, v: Vertex) -> tuple[Vertex, Vertex, n
 
 # -- the decision core -------------------------------------------------------------
 #
-# _verdicts decides one layer case (r, s) for an array of connecting-element
-# indices at once: find_pst passes every element, decide_pair one, and the
-# layer deciders call decide_pair.  The per-case deciders see the elements
-# that pass the necessary conditions and return one outcome per index, a
-# `no` certificate (a dict) or the k of a `yes`, which _verdicts times.
+# _verdicts decides layer cases (r, s) of one kind, both same-layer or both
+# cross-layer, for an array of connecting-element indices at once: find_pst
+# passes two cases and every element, decide_pair one case and one element,
+# and the layer deciders call decide_pair.  The cases of one kind share the
+# necessary conditions and, across layers, the rules that read only the
+# spec.  The per-case deciders see the elements that pass the necessary
+# conditions and return one outcome per index, a `no` certificate (a dict)
+# or the k of a `yes`, which _verdicts times.
 
 _NOT_INTEGRAL = "spectrum is not integral (chi(R) or |chi(S)| irrational for some character)"
 
@@ -260,9 +263,8 @@ def _cross_layer_rule(spec: SemiCayleySpec) -> dict | None:
     return None
 
 
-def _cross_layer(spec: SemiCayleySpec, source_layer: int, columns: np.ndarray) -> list:
-    # connecting elements from one layer to the other
-    rule = _cross_layer_rule(spec)
+def _cross_layer(spec: SemiCayleySpec, source_layer: int, columns: np.ndarray, rule: dict | None) -> list:
+    # connecting elements from one layer to the other, rule being _cross_layer_rule(spec)
     if rule is not None:
         return [dict(rule) for _ in range(len(columns))]
     gaps = spec.spectrum.layer_gaps[source_layer]  # lambda_0 - lambda+-, one row per character
@@ -304,27 +306,34 @@ def _confirmed(spec, u, v, t) -> dict:
     return {key: check[key] for key in ("magnitude_spectral", "magnitude_oracle")}
 
 
-def _verdicts(spec: SemiCayleySpec, r: int, s: int, pairs: list, columns: np.ndarray) -> list[PstVerdict]:
-    """Verdicts on the pairs (u, v) from layer r to layer s, columns[j] indexing the connecting element of pairs[j].
+def _verdicts(spec: SemiCayleySpec, cases: list, columns: np.ndarray) -> list[PstVerdict]:
+    """Verdicts on each case (r, s, pairs) in turn, columns[j] indexing the connecting element of pairs[j].
 
-    Every `yes` is confirmed numerically on its pair.
+    The pairs of a case go from layer r to layer s, and the cases are all
+    same-layer or all cross-layer.  Every `yes` is confirmed numerically on
+    its pair.
     """
-    outcomes: list = [None if reason is None else {"rule": "necessary-condition", "detail": reason}
-                      for reason in _screen(spec, r == s, columns)]
-    open_ = [j for j, outcome in enumerate(outcomes) if outcome is None]
-    if open_:
-        decided = (_same_layer if r == s else _cross_layer)(spec, r, columns[open_])
-        for j, outcome in zip(open_, decided):
-            outcomes[j] = outcome
+    same_layer = cases[0][0] == cases[0][1]
+    reasons = _screen(spec, same_layer, columns)
+    open_ = [j for j, reason in enumerate(reasons) if reason is None]
+    rule = _cross_layer_rule(spec) if open_ and not same_layer else None
     verdicts = []
-    for (u, v), outcome in zip(pairs, outcomes):
-        if isinstance(outcome, dict):
-            verdicts.append(PstVerdict(u, v, "no", certificate=outcome))
-            continue
-        g = _gap_gcd(spec, r)
-        t = math.pi / g
-        certificate = {"rule": "valuation-profile", "k": outcome, "confirmation": _confirmed(spec, u, v, t)}
-        verdicts.append(PstVerdict(u, v, "yes", time=t, pi_multiple=Fraction(1, g), certificate=certificate))
+    for r, s, pairs in cases:
+        outcomes: list = [None if reason is None else {"rule": "necessary-condition", "detail": reason}
+                          for reason in reasons]
+        if open_:
+            decided = (_same_layer(spec, r, columns[open_]) if same_layer
+                       else _cross_layer(spec, r, columns[open_], rule))
+            for j, outcome in zip(open_, decided):
+                outcomes[j] = outcome
+        for (u, v), outcome in zip(pairs, outcomes):
+            if isinstance(outcome, dict):
+                verdicts.append(PstVerdict(u, v, "no", certificate=outcome))
+                continue
+            g = _gap_gcd(spec, r)
+            t = math.pi / g
+            certificate = {"rule": "valuation-profile", "k": outcome, "confirmation": _confirmed(spec, u, v, t)}
+            verdicts.append(PstVerdict(u, v, "yes", time=t, pi_multiple=Fraction(1, g), certificate=certificate))
     return verdicts
 
 
@@ -435,7 +444,7 @@ def decide_pair(spec: SemiCayleySpec, u: Vertex, v: Vertex) -> PstVerdict:
     rules; the verdict is find_pst's for the connecting element of (u, v).
     """
     u, v, column = _pair(spec, u, v)
-    return _verdicts(spec, u.layer, v.layer, [(u, v)], column)[0]
+    return _verdicts(spec, [(u.layer, v.layer, [(u, v)])], column)[0]
 
 
 def find_pst(spec: SemiCayleySpec) -> list[PstVerdict]:
@@ -452,11 +461,12 @@ def find_pst(spec: SemiCayleySpec) -> list[PstVerdict]:
     group = spec.group
     elements = group.elements()
     verdicts = []
-    for r, s in ((0, 0), (1, 1), (0, 1), (1, 0)):
-        columns = np.arange(1 if r == s else 0, group.order)
-        u = Vertex(group.identity, r)
-        pairs = [(u, Vertex(elements[a], s)) for a in columns.tolist()]
-        verdicts += _verdicts(spec, r, s, pairs, columns)
+    # the same-layer cases, which skip a = e (u = v), then the cross-layer cases
+    for start, layers in ((1, ((0, 0), (1, 1))), (0, ((0, 1), (1, 0)))):
+        columns = np.arange(start, group.order)
+        targets = [elements[a] for a in columns.tolist()]
+        cases = [(r, s, [(Vertex(group.identity, r), Vertex(g, s)) for g in targets]) for r, s in layers]
+        verdicts += _verdicts(spec, cases, columns)
     return verdicts
 
 

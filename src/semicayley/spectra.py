@@ -48,7 +48,9 @@ conjugation, so "chi(S) = 0" and "sigma and disc are integers, disc a
 square" hold for the whole class or for none of it, with the same integers:
 one representative (the least index) is certified and its results are
 copied.  Z_512 has 10 classes for 512 characters; Z_2^k only classes of
-size 1.
+size 1.  The classes depend on the group alone: _rational_classes computes
+them once per group, which keeps them read-only (AbelianGroup._classes),
+and every spectrum over the group shares them.
 
 The certificate is exact and has no per-class arithmetic: a value in
 Z[zeta_N] is an integer iff its residue modulo the N-th cyclotomic
@@ -135,8 +137,7 @@ class Spectrum:
 
     @cached_property
     def _floats(self) -> _Floats:
-        return _float_half(self._group, self._subsets, self._s_s_inverse, self.chi_s_zero,
-                           self.class_rep, self.class_power)
+        return _float_half(self._group, self._subsets, self._s_s_inverse, self.chi_s_zero)
 
     def __eq__(self, other) -> bool:
         # the public fields and the float half, computed on both sides if need be
@@ -196,7 +197,7 @@ class Spectrum:
         floats row by row, so it leaves the float half uncomputed.
         """
         order = self.order
-        reps = np.flatnonzero(self.class_rep == np.arange(len(self.class_rep)))
+        reps, slot = self._group._classes[2:]
         rows = _coefficient_rows(self._group, [self._subsets[2]], chars=reps)[0]
         abs_s = (self.ints[0, reps] - self.ints[1, reps]) // 2
         roots = np.array(_roots_of_unity(order))
@@ -206,7 +207,7 @@ class Spectrum:
         spokes = rows[np.arange(len(reps))[:, None, None], (e[:, :, None] - np.arange(order)) % order]
         rational, value = _certify(spokes.reshape(-1, order), order)
         confirmed = rational.reshape(-1, 2) & (value.reshape(-1, 2) == np.stack([abs_s, -abs_s], axis=1))
-        table = np.where(confirmed, e, -1)[np.searchsorted(reps, self.class_rep)]
+        table = np.where(confirmed, e, -1)[slot]
         return np.where(table < 0, -1, table * self.class_power[:, None] % order)
 
     def to_json(self) -> dict:
@@ -330,11 +331,11 @@ def _s_s_inverse(group, s: np.ndarray) -> np.ndarray:
     # so S = G (a join or a cone) forms no pairs at all
     n = group.order
     if 2 * len(s) <= n:
-        return _group_product(group, s, group.power_indices(s, -1))
+        return _group_product(group, s, group._inverses[s])
     outside = np.ones(n, dtype=bool)
     outside[s] = False
     c = np.flatnonzero(outside)
-    return n - 2 * len(c) + _group_product(group, c, group.power_indices(c, -1))
+    return n - 2 * len(c) + _group_product(group, c, group._inverses[c])
 
 
 # _sums adds the terms in blocks of this many rows
@@ -445,18 +446,19 @@ def _rational_classes(group) -> tuple[np.ndarray, ...]:
 def spectrum(spec: SemiCayleySpec) -> Spectrum:
     """The exact half of the eigen-data of every character of the group.
 
-    Builds coefficient rows at the rational-class representatives only,
-    certifies them all in one _certify product, and copies each
-    representative's integers to its class.  The float half is left to the
-    first read of a float (see Spectrum).  Computes afresh on every call, and
-    spec.spectrum keeps one result per spec.
+    Builds coefficient rows at the rational-class representatives only (the
+    group's classes, computed once per group), certifies them all in one
+    _certify product, and copies each representative's integers to its
+    class.  The float half is left to the first read of a float (see
+    Spectrum).  Computes afresh on every call, and spec.spectrum keeps one
+    result per spec.
     """
     group = spec.group
     n, order = group.order, group.exponent
     indices = spec.subset_indices
     subsets = (indices["R"], indices["L"], indices["S"])
     s_s_inverse = _s_s_inverse(group, indices["S"])
-    class_rep, class_power, reps, slot = _rational_classes(group)
+    class_rep, class_power, reps, slot = group._classes
 
     # certified at each representative, then read by every member of its class;
     # disc = chi((1_R - 1_L)^2 + 4 S S^-1), 1_R - 1_L supported on R xor L
@@ -479,8 +481,7 @@ def spectrum(spec: SemiCayleySpec) -> Spectrum:
     )
 
 
-def _float_half(group, subsets: tuple, s_s_inverse: np.ndarray, chi_s_zero: np.ndarray,
-                class_rep: np.ndarray, class_power: np.ndarray) -> _Floats:
+def _float_half(group, subsets: tuple, s_s_inverse: np.ndarray, chi_s_zero: np.ndarray) -> _Floats:
     # the floats of every character from coefficient rows at the class
     # representatives: _class_terms gives each character its terms of
     # chi(R), chi(L), chi(S) and |chi(S)|^2 = chi(S S^-1), in ascending
@@ -489,8 +490,7 @@ def _float_half(group, subsets: tuple, s_s_inverse: np.ndarray, chi_s_zero: np.n
     # temporaries lie above them on the heap and are given back when freed.
     # Then the closed forms where chi(S) != 0
     n, order = group.order, group.exponent
-    reps = np.flatnonzero(class_rep == np.arange(n))
-    slot = np.searchsorted(reps, class_rep)
+    _, class_power, reps, slot = group._classes
     blocks = _ring_rows(group, subsets, s_s_inverse, reps)
     roots = np.array(_roots_of_unity(order))
     power = class_power.astype(np.int32)[:, None]  # below N, and int32 divides faster than int64

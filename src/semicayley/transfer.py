@@ -61,7 +61,7 @@ def transfer_matrix(spec: SemiCayleySpec, t: float) -> np.ndarray:
     """H(t) as a 2n x 2n matrix: transfer_rows gathered through index(g^{-1} h)."""
     group = spec.group
     everything = np.arange(group.order)
-    differences = group.add_indices(group.power_indices(everything, -1)[:, None], everything)
+    differences = group.add_indices(group._inverses[:, None], everything)
     # rows[r, s, differences[g, h]] at [r, g, s, h], then one row per vertex (g, r)
     return transfer_rows(spec, t)[:, :, differences].transpose(0, 2, 1, 3).reshape(2 * spec.n, 2 * spec.n)
 

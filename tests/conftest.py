@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import semicayley as sc
+from semicayley import groups
 
 SEED = int(os.environ.get("PST_SEED", "20260808"))
 
@@ -17,6 +18,15 @@ GROUP_POOL = [
 ]
 
 NONTRIVIAL_POOL = [f for f in GROUP_POOL if f != (1,)]
+
+
+@pytest.fixture(autouse=True)
+def _no_shared_groups():
+    # each test starts with an empty group cache, so a test of when a group
+    # table is built sees the tables its own calls build, in any test order
+    with groups._cache_lock:
+        groups._cache.clear()
+        groups._cached_entries = 0
 
 
 @pytest.fixture

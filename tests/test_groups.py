@@ -1,5 +1,8 @@
+import copy
 import json
 import math
+import pickle
+import threading
 
 import numpy as np
 import pytest
@@ -7,7 +10,7 @@ import pytest
 import semicayley as sc
 from semicayley import AbelianGroup, ValidationError
 
-from conftest import GROUP_POOL
+from conftest import GROUP_POOL, random_spec
 from referees import is_inverse_closed
 
 
@@ -150,3 +153,75 @@ def test_json_round_trip():
     dumped = sc.groups.subset_to_json(xs)
     assert group.subset(dumped) == xs
     assert dumped == sorted(dumped)
+
+
+def test_one_shared_group_per_factor_tuple():
+    group = AbelianGroup([2, 3])
+    assert AbelianGroup((2, 3)) is group
+    assert AbelianGroup([np.int64(2), 3]) is group
+    assert AbelianGroup.from_json({"factors": [2, 3]}) is group
+    assert AbelianGroup([3, 2]) is not group and AbelianGroup([3, 2]) != group
+    # its tables are built once and are read-only
+    assert AbelianGroup([2, 3])._inverses is group._inverses
+    for table in (group.coords, group._inverses, group._orders, *group._classes):
+        with pytest.raises(ValueError):
+            table[0] = 1
+
+
+def test_factors_are_validated_before_the_cache_is_read():
+    # True == 1 and 2.0 == 2 hash alike, so a lookup first would return (1, 3) or (2, 3)
+    AbelianGroup([1, 3])
+    AbelianGroup([2, 3])
+    for factors, message in (([True, 3], "integers"), ([2.0, 3], "integers"), (["3"], "integers"),
+                             ([0], ">= 1"), ([1025], "exceeds"), ([2, 513], "exceeds")):
+        with pytest.raises(ValidationError, match=message):
+            AbelianGroup(factors)
+
+
+def test_the_cache_holds_at_most_max_order_squared_entries():
+    cached = sc.groups._cache.values()
+    for factors in ([1024], [512], [2]):
+        AbelianGroup(factors)
+        assert sum(g.order**2 for g in cached) <= sc.groups.MAX_ORDER**2
+        assert sum(g.order * (g.order + len(g.factors)) for g in cached) == sc.groups._cached_entries
+    assert [g.factors for g in cached] == [(512,), (2,)]
+    z2 = AbelianGroup([2])
+    big = AbelianGroup([1024])  # evicts both
+    assert list(cached) == [big]
+    again = AbelianGroup([2])  # evicts Z_1024 and builds a new, equal Z_2
+    assert again is not z2 and again == z2 and hash(again) == hash(z2)
+    assert np.array_equal(again._inverses, z2._inverses) and again.elements() == z2.elements()
+    assert list(cached) == [again]
+
+
+def test_threads_building_one_group_get_one_object():
+    barrier = threading.Barrier(4)
+    built = []
+
+    def build():
+        barrier.wait()
+        built.append(AbelianGroup([4, 8, 8]))
+
+    threads = [threading.Thread(target=build) for _ in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert len(built) == 4 and all(group is built[0] for group in built)
+
+
+def test_groups_and_specs_round_trip_through_pickle_and_deepcopy(rng):
+    spec = random_spec(rng)
+    spec.spectrum.lambdas  # both halves, and the group's tables, built before the copies
+    for copied in (pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec)):
+        assert copied == spec and copied.group is spec.group
+        assert copied.spectrum == spec.spectrum
+    group = AbelianGroup([2, 6])
+    group.char_exponents
+    for copied in (pickle.loads(pickle.dumps(group)), copy.deepcopy(group), copy.copy(group)):
+        assert copied is group and not group.char_exponents.flags.writeable
+    # an evicted group unpickles to an equal new one
+    data = pickle.dumps(group)
+    AbelianGroup([1024])
+    again = pickle.loads(data)
+    assert again == group and again is not group
