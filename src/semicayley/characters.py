@@ -2,13 +2,12 @@
 
 Character sums live in Z[zeta_N], N the group exponent, as integer
 coefficient vectors indexed by powers of zeta_N, and integrality is decided
-by reducing modulo the N-th cyclotomic polynomial -- never by comparing
-floats.  The package runs `cyclotomic_polynomial`, `_residue_table` (with
-which `spectra` reduces whole arrays of rows in one product) and
-`character_matrix`.  `CycloValue` (exact arithmetic modulo x^N - 1), `Root`,
-`eval_character` and `char_sum` are the tests' referees, one value at a
-time; the package does not export them, and they stay in this module
-because the benchmark tracer names them here.
+exactly, never by comparing floats.  The package runs `_crt_order` (the
+column order of spectra._certify) and `character_matrix`; the public
+`cyclotomic_polynomial` serves `CycloValue.residue`.  `CycloValue` (exact
+arithmetic modulo x^N - 1), `Root`, `eval_character` and `char_sum` are the
+tests' referees, one value at a time; the package does not export them, and
+they stay in this module because the benchmark tracer names them here.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ def cyclotomic_polynomial(n) -> tuple[int, ...]:
     1 - x^(n/e), sums at most e + 1 values and multiplies the bound by
     e + 1 <= 2e; each prime divides 2^(w-2) of those e, so the bound ends at
     2^(2^w) rad(n)^(2^(w-2)) < 2^56 (at 2 (p + 1) for w = 1).
-    Memoized, because callers reduce modulo Phi_N often.
+    Memoized, for CycloValue.residue reduces modulo Phi_N value by value.
     """
     try:
         n = integer(n)
@@ -58,6 +57,23 @@ def _prime_factors(n: int) -> list[int]:
                 n //= p
         p += 1
     return primes + [n] if n > 1 else primes
+
+
+def _prime_powers(n: int) -> list[tuple[int, int]]:
+    # (p, q) for each prime p | n, q the largest power of p that divides n
+    return [(p, math.gcd(n, p ** n.bit_length())) for p in _prime_factors(n)]
+
+
+@lru_cache(maxsize=None)
+def _crt_order(n: int) -> np.ndarray:
+    # the exponents e < n in the row-major grid of the prime powers q of n, primes
+    # ascending: zeta_n^e = prod_q zeta_q^(e u_q mod q), u_q = (n/q)^-1 mod q
+    index = np.zeros(n, dtype=np.int64)
+    for _, q in _prime_powers(n):
+        index = index * q + np.arange(n) * pow(n // q, -1, q) % q
+    order = np.argsort(index)
+    order.flags.writeable = False
+    return order
 
 
 @lru_cache(maxsize=None)
@@ -102,35 +118,6 @@ def _reduce_mod(coeffs: Iterable[int], den: tuple[int, ...]) -> tuple[int, ...]:
             for j in range(dn):
                 rem[i - dn + j] -= c * den[j]
     return tuple(rem[:dn])
-
-
-@lru_cache(maxsize=None)
-def _residue_table(order: int) -> np.ndarray:
-    """N x phi(N) table T whose row j holds the residue of x^j modulo Phi_N.
-
-    A coefficient row c over zeta_N has the residue c @ T, so one product
-    reduces any number of rows.  Phi_N(x) = Phi_r(x^m) for r = rad(N) and
-    m = N / r, and x^(q m + s) = x^s (x^m)^q with s < m reduces to x^s times
-    row q of T_r in the powers x^m, so T_N = kron(T_r, I_m), from the cached
-    T_r: for N = 2^k it is [I; -I].  Only a squarefree N keeps the row
-    recurrence.  Stored as int8 when it fits (every N <= 1024 has
-    max|T| <= 5), so a cached table costs N phi(N) bytes.
-    """
-    rad = math.prod(_prime_factors(order))
-    if rad < order:
-        table = _residue_table(rad)
-        table = np.kron(table, np.eye(order // rad, dtype=table.dtype))
-    else:  # row j follows from row j - 1 by a shift and one subtraction of Phi_N, which is monic
-        poly = np.array(cyclotomic_polynomial(order)[:-1], dtype=np.int64)
-        table = np.zeros((order, len(poly)), dtype=np.int64)
-        np.fill_diagonal(table, 1)  # rows 0 .. phi(N) - 1
-        for j in range(len(poly), order):
-            table[j, 1:] = table[j - 1, :-1]
-            table[j] -= table[j - 1, -1] * poly
-        if np.abs(table).max() <= 127:
-            table = table.astype(np.int8)
-    table.flags.writeable = False
-    return table
 
 
 class CycloValue:

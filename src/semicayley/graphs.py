@@ -258,8 +258,17 @@ def generalized_dicyclic(A: AbelianGroup, y: Element, T1, T2) -> SemiCayleySpec:
 # -- named families -----------------------------------------------------------
 
 
+def _family_size(n, name: str) -> int:
+    # a family's n through groups.integer, as the CLI reads it: True is not 1, nor 2.0 two
+    try:
+        return integer(n)
+    except TypeError as exc:
+        raise ValidationError(f"{name} must be an integer, got {n!r}") from exc
+
+
 def sunlet(n: int) -> SemiCayleySpec:
     """The n-cycle with a pendant edge at every cycle vertex."""
+    n = _family_size(n, "sunlet size")
     if n < 3:
         raise ValidationError("sunlet graphs need n >= 3")
     G = AbelianGroup([n])
@@ -268,6 +277,7 @@ def sunlet(n: int) -> SemiCayleySpec:
 
 def cone(n: int) -> SemiCayleySpec:
     """Join of an n-cycle with n isolated vertices."""
+    n = _family_size(n, "cone size")
     if n < 3:
         raise ValidationError("cone graphs need n >= 3")
     G = AbelianGroup([n])
@@ -300,6 +310,7 @@ def dicyclic_full_coset(A: AbelianGroup, y: Element) -> SemiCayleySpec:
 
 def hypercube(dim: int) -> SemiCayleySpec:
     """The dim-cube: two copies of the (dim-1)-cube joined by a matching."""
+    dim = _family_size(dim, "hypercube dimension")
     if dim < 1:
         raise ValidationError("hypercube dimension must be >= 1")
     if dim > MAX_ORDER.bit_length():  # order 2^(dim - 1) > MAX_ORDER: refused before [2] * (dim - 1)

@@ -382,7 +382,8 @@ def verify_at_time(spec: SemiCayleySpec, u: Vertex, v: Vertex, t: float, tol: fl
     An integral spectrum reduces t exactly modulo 2*pi first.  The oracle
     path is the column exp(-itA) e_u by Lanczos, within 1e-10 of the exact
     column (see transfer.oracle_column).  A ValidationError refuses a tol outside [0, 1) or bool, a bad
-    vertex, and a time that reduce_time (non-finite) or oracle_column (negative, past the horizon) refuses.
+    vertex, and a time that reduce_time (a bool, non-real, non-finite) or oracle_column (negative, past the
+    horizon) refuses.
     """
     if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 <= tol < 1:  # NaN fails too
         raise ValidationError(f"tolerance must be a number in [0, 1), got {tol!r}")

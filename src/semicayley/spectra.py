@@ -53,17 +53,19 @@ them once per group, which keeps them read-only (AbelianGroup._classes),
 and every spectrum over the group shares them.
 
 The certificate is exact and has no per-class arithmetic: a value in
-Z[zeta_N] is an integer iff its residue modulo the N-th cyclotomic
-polynomial is constant, and the residues of any number of coefficient rows
-are one product with the table of x^j modulo Phi_N (_certify).  The rows of
-chi(R), chi(L), chi(S), sigma and disc at every representative go through
-one such product.  disc needs no multiplication in Z[zeta_N] either: it is
-chi(w) for the group-ring element w = (1_R - 1_L)^2 + 4 S S^-1, whose rows
-come out of the bincount that gives those of R, L and S.  The cross-layer
-sign exponents follow the same way: conj(chi(S)) zeta_N^e = +-|chi(S)|, an
-integer, gives conj(chi^k(S)) zeta_N^(k e) = +-|chi(S)| under sigma_k, so
-one exact value per representative and sign fixes them for its class, and
-one product confirms them all.  Periodicity and same-layer transfer need no
+Z[zeta_N] is an integer iff its coordinates in the Z-basis of products of
+the power bases of the zeta_q, q over the prime powers of N, are
+(v, 0, ..., 0), and _certify finds the coordinates of any number of
+coefficient rows at once by one integer fold per prime power, exact in
+int64.  The rows of chi(R), chi(L), chi(S), sigma and disc at every
+representative go through one such call.  disc needs no multiplication in
+Z[zeta_N] either: it is chi(w) for the group-ring element
+w = (1_R - 1_L)^2 + 4 S S^-1, whose rows come out of the bincount that
+gives those of R, L and S.  The cross-layer sign exponents follow the
+same way: conj(chi(S)) zeta_N^e = +-|chi(S)|, an integer, gives
+conj(chi^k(S)) zeta_N^(k e) = +-|chi(S)| under sigma_k, so one exact value
+per representative and sign fixes them for its class, and one call
+confirms them all.  Periodicity and same-layer transfer need no
 more: a vertex is periodic iff its support is integral (see pst).
 """
 
@@ -76,8 +78,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .characters import _residue_table, _roots_of_unity
-from .errors import ConsistencyError, ValidationError
+from .characters import _crt_order, _prime_powers, _roots_of_unity
+from .errors import ValidationError
 from .graphs import SemiCayleySpec
 from .groups import AbelianGroup
 
@@ -191,7 +193,7 @@ class Spectrum:
         exact reduction confirms it; the roots zeta_N^e are distinct, so no
         other e can hold.  conj(chi(S)) zeta_N^e has the coefficient of chi(S)
         at e - j on zeta_N^j, so both proposals of every representative are
-        gathered as coefficient rows and confirmed in one _certify product.
+        gathered as coefficient rows and confirmed in one _certify call.
         chi_rep^k then takes k e modulo N (see the module docstring), and no
         e for none.  Builds the representatives' chi(S) rows and takes their
         floats row by row, so it leaves the float half uncomputed.
@@ -249,23 +251,27 @@ class Spectrum:
 
 
 def _certify(rows: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Which coefficient rows over zeta_N are rational integers, and their values.
+    """Which int64 coefficient rows over zeta_N are rational integers, and their values.
 
-    Row c has the residue c @ T modulo Phi_N, T = _residue_table(N).  The
-    powers zeta_N^0 .. zeta_N^(phi(N)-1) are a Q-basis of Q(zeta_N), so the
-    value is rational iff the residue is (v, 0, ..., 0), and then, being an
-    algebraic integer, it is the integer v.  Every row goes through one
-    float64 product, which is exact while no partial sum reaches 2^53: each
-    is at most the row's L1 norm times max|T|.  max|T| <= 5 for every
-    N <= 1024, and the rows of spectrum have L1 norm at most 8 n^2 (disc, a
-    sum of (|R| + |L|)^2 + 4 |S|^2 roots), so every sum stays below 4.2e7;
-    a product whose rows could pass 2^53 raises ConsistencyError instead.
+    Q(zeta_N) is the tensor product of the Q(zeta_q), q = p^k over the prime
+    powers of N, so the products of the power bases {zeta_q^j : j < phi(q)}
+    are a Z-basis of Z[zeta_N] whose first element is 1.  The columns go
+    once into the grid of the q (characters._crt_order), and each q's axis,
+    split as t q/p + s with t < p, folds its last slab into the others,
+    zeta_q^((p-1) q/p + s) = -sum_{t < p-1} zeta_q^(t q/p + s), which leaves
+    the coordinates j < phi(q).  A value is rational iff every coordinate
+    but the first (value, for every row) is 0, and then, being an algebraic
+    integer, it is the first.  Each coordinate is a signed sum of distinct
+    entries of its row, so |coordinate| <= the row's L1 norm: exact in int64
+    (the rows of spectrum have L1 norm at most 8 n^2, disc's).
     """
-    table = _residue_table(order)
-    if np.abs(rows).sum(axis=1).max(initial=0) * int(np.abs(table).max()) >= 2**53:
-        raise ConsistencyError(f"coefficient rows too large for an exact float64 reduction modulo Phi_{order}")
-    residues = rows.astype(np.float64) @ table.astype(np.float64)
-    return ~residues[:, 1:].any(axis=1), residues[:, 0].astype(np.int64)
+    coords, rest = rows[:, _crt_order(order)], order
+    for p, q in _prime_powers(order):
+        coords = coords.reshape(-1, p, rest // p)  # q's axis as (t, s), the later prime powers inside s
+        coords = coords[:, :-1] - coords[:, -1:]
+        rest //= q
+    coords = coords.reshape(len(rows), -1)
+    return ~coords[:, 1:].any(axis=1), coords[:, 0]
 
 
 def _closed_forms(r, l, s, s2):
@@ -448,7 +454,7 @@ def spectrum(spec: SemiCayleySpec) -> Spectrum:
 
     Builds coefficient rows at the rational-class representatives only (the
     group's classes, computed once per group), certifies them all in one
-    _certify product, and copies each representative's integers to its
+    _certify call, and copies each representative's integers to its
     class.  The float half is left to the first read of a float (see
     Spectrum).  Computes afresh on every call, and spec.spectrum keeps one
     result per spec.

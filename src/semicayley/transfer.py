@@ -23,6 +23,7 @@ the horizon alone.
 from __future__ import annotations
 
 import math
+import numbers
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
@@ -163,10 +164,11 @@ def reduce_time(spec: SemiCayleySpec, t: float, pi_multiple: Fraction | None = N
     The reduction is exact: a multiple of pi is reduced as a Fraction, and a
     float, being a binary rational, is reduced against pi to 40 more digits
     than its integer part has; a negative float lands in (-2*pi, 0].  A
-    reduced time is its own reduction.  A non-finite t is a ValidationError.
+    reduced time is its own reduction.  Any real t is read as a float; a
+    bool, a t that is not a real number and a non-finite t are a
+    ValidationError.
     """
-    if not math.isfinite(t):  # before Decimal(t), whose inf and nan have no remainder
-        raise ValidationError("time must be finite")
+    t = _real_time(t)  # a float before Decimal(t), which reads no Fraction and has no remainder of inf or nan
     if not spec.spectrum.is_integral:
         return t
     if pi_multiple is not None:
@@ -228,11 +230,12 @@ def oracle_column(spec: SemiCayleySpec, j: int, t: float) -> np.ndarray:
       2 sum_{k >= m} |J_k(x)|, x = t rho.  m_x makes that 4 sum at most
       _CAP_TOL; after 2n steps the Krylov space is the whole space.
 
-    So the products stop growing with t at 2n.  A t that is not finite or
-    is negative, x above COLUMN_HORIZON (see check_horizon) and a j that is
-    not an integer in [0, 2n) raise ValidationError.
+    So the products stop growing with t at 2n.  A t that is a bool, not a
+    real number, not finite or negative, x above COLUMN_HORIZON (see
+    check_horizon) and a j that is not an integer in [0, 2n) raise
+    ValidationError.
     """
-    _oracle_time(t)
+    t = _oracle_time(t)
     try:
         j = integer(j)
     except TypeError as exc:
@@ -242,12 +245,26 @@ def oracle_column(spec: SemiCayleySpec, j: int, t: float) -> np.ndarray:
     return _column(spec, j, t)
 
 
-def _oracle_time(t: float) -> None:
-    # the oracle's time rule: finite, then nonnegative
+def _real_time(t) -> float:
+    # the time rule of every entrance: a real number other than a bool, read
+    # as a float (an int, a Fraction or a numpy scalar too), then finite
+    if isinstance(t, bool) or not isinstance(t, numbers.Real):
+        raise ValidationError(f"time must be a real number, got {t!r}")
+    try:
+        t = float(t)
+    except OverflowError:  # an int or a Fraction beyond the floats
+        t = math.inf
     if not math.isfinite(t):
         raise ValidationError("time must be finite")
+    return t
+
+
+def _oracle_time(t) -> float:
+    # the oracle's time rule: a finite real, then nonnegative
+    t = _real_time(t)
     if t < 0:
         raise ValidationError("time must be nonnegative")
+    return t
 
 
 def _column(spec: SemiCayleySpec, j: int, t: float) -> np.ndarray:

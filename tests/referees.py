@@ -4,8 +4,9 @@ Each is a second way to compute something the package computes on index
 arrays or through the character formula, kept here so that the tests can
 compare the two: the R = L block formula for H(t), the 2-adic valuation of
 a rational, inverse closure by the group's tuple law, the vertex list in
-enumeration order, cyclotomic polynomials by exact division and the
-rational classes of characters by an argmin over all unit powers.
+enumeration order, cyclotomic polynomials by exact division, the rational
+classes of characters by an argmin over all unit powers, and integrality in
+Z[zeta_N] by the table of x^j modulo Phi_N and one float64 product.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from typing import Iterable
 
 import numpy as np
 
-from semicayley import AbelianGroup, SemiCayleySpec, ValidationError, Vertex
+from semicayley import AbelianGroup, ConsistencyError, SemiCayleySpec, ValidationError, Vertex
+from semicayley.characters import _prime_factors, cyclotomic_polynomial
 from semicayley.graphs import cay_adjacency
 from semicayley.groups import Element
 
@@ -126,3 +128,52 @@ def rational_classes_by_argmin(group: AbelianGroup) -> tuple[np.ndarray, ...]:
     class_rep, class_power = powers.min(axis=0), inverses[powers.argmin(axis=0)]
     reps = np.flatnonzero(class_rep == np.arange(group.order))
     return class_rep, class_power, reps, np.searchsorted(reps, class_rep)
+
+
+@lru_cache(maxsize=None)
+def residue_table(order: int) -> np.ndarray:
+    """N x phi(N) table T whose row j holds the residue of x^j modulo Phi_N.
+
+    A coefficient row c over zeta_N has the residue c @ T, so one product
+    reduces any number of rows.  Phi_N(x) = Phi_r(x^m) for r = rad(N) and
+    m = N / r, and x^(q m + s) = x^s (x^m)^q with s < m reduces to x^s times
+    row q of T_r in the powers x^m, so T_N = kron(T_r, I_m), from the cached
+    T_r: for N = 2^k it is [I; -I].  Only a squarefree N keeps the row
+    recurrence.  Stored as int8 when it fits (every N <= 1024 has
+    max|T| <= 5), so a cached table costs N phi(N) bytes.
+    """
+    rad = math.prod(_prime_factors(order))
+    if rad < order:
+        table = residue_table(rad)
+        table = np.kron(table, np.eye(order // rad, dtype=table.dtype))
+    else:  # row j follows from row j - 1 by a shift and one subtraction of Phi_N, which is monic
+        poly = np.array(cyclotomic_polynomial(order)[:-1], dtype=np.int64)
+        table = np.zeros((order, len(poly)), dtype=np.int64)
+        np.fill_diagonal(table, 1)  # rows 0 .. phi(N) - 1
+        for j in range(len(poly), order):
+            table[j, 1:] = table[j - 1, :-1]
+            table[j] -= table[j - 1, -1] * poly
+        if np.abs(table).max() <= 127:
+            table = table.astype(np.int8)
+    table.flags.writeable = False
+    return table
+
+
+def certify_by_table(rows: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Which coefficient rows over zeta_N are rational integers, and their values.
+
+    Row c has the residue c @ T modulo Phi_N, T = residue_table(N).  The
+    powers zeta_N^0 .. zeta_N^(phi(N)-1) are a Q-basis of Q(zeta_N), so the
+    value is rational iff the residue is (v, 0, ..., 0), and then, being an
+    algebraic integer, it is the integer v.  Every row goes through one
+    float64 product, which is exact while no partial sum reaches 2^53: each
+    is at most the row's L1 norm times max|T|.  max|T| <= 5 for every
+    N <= 1024, and the rows of spectrum have L1 norm at most 8 n^2 (disc, a
+    sum of (|R| + |L|)^2 + 4 |S|^2 roots), so every sum stays below 4.2e7;
+    a product whose rows could pass 2^53 raises ConsistencyError instead.
+    """
+    table = residue_table(order)
+    if np.abs(rows).sum(axis=1).max(initial=0) * int(np.abs(table).max()) >= 2**53:
+        raise ConsistencyError(f"coefficient rows too large for an exact float64 reduction modulo Phi_{order}")
+    residues = rows.astype(np.float64) @ table.astype(np.float64)
+    return ~residues[:, 1:].any(axis=1), residues[:, 0].astype(np.int64)

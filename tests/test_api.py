@@ -73,6 +73,21 @@ def test_the_namespace_is_all_and_holds_no_referee():
         # sunlet(5) is not integral: t * rho = 3e20 has no exact reduction
         (lambda: transfer_entry(sc.sunlet(5), Vertex((0,), 0), Vertex((1,), 0), 1e20), "horizon"),
         (lambda: sc.SemiCayleySpec(AbelianGroup([2]), 5, [], []), "R: a subset"),
+        # a family's n is read as an integer, as the CLI reads it
+        (lambda: sc.hypercube(2.0), "must be an integer"),
+        (lambda: sc.hypercube("3"), "must be an integer"),
+        (lambda: sc.hypercube(True), "must be an integer"),
+        (lambda: sc.sunlet(True), "must be an integer"),
+        (lambda: sc.cone(4.0), "must be an integer"),
+        # a time is a real number, and True is not t = 1
+        (lambda: transfer_entry(C4, Vertex((0,), 0), Vertex((1,), 1), True), "real number"),
+        (lambda: transfer_entry(C4, Vertex((0,), 0), Vertex((1,), 1), "1"), "real number"),
+        (lambda: transfer_rows(C4, True), "real number"),
+        (lambda: verify_at_time(C4, Vertex((0,), 0), Vertex((1,), 1), True), "real number"),
+        (lambda: verify_at_time(C4, Vertex((0,), 0), Vertex((1,), 1), "1"), "real number"),
+        (lambda: oracle_column(C4, 0, True), "real number"),
+        (lambda: oracle_column(C4, 0, "1"), "real number"),
+        (lambda: oracle_column(C4, 0, 1j), "real number"),
     ],
     ids=["cross-layer-on-one-layer", "group-json-without-factors", "non-square-oracle", "cyclotomic-0",
          "cyclotomic-bool", "cyclotomic-float", "cyclotomic-fraction", "cyclotomic-str", "cyclotomic-none",
@@ -81,7 +96,9 @@ def test_the_namespace_is_all_and_holds_no_referee():
          "oracle-column-j-float", "transfer-entry-inf", "transfer-entry-nan", "transfer-rows-inf",
          "transfer-matrix-nan", "decide-pair-vertex-int", "transfer-entry-vertex-none",
          "verify-vertex-triple", "verify-tol-2", "verify-tol-bool", "verify-tol-nan", "transfer-entry-horizon",
-         "spec-subset-int"],
+         "spec-subset-int", "hypercube-float", "hypercube-str", "hypercube-bool", "sunlet-bool", "cone-float",
+         "transfer-entry-t-bool", "transfer-entry-t-str", "transfer-rows-t-bool", "verify-t-bool", "verify-t-str",
+         "oracle-column-t-bool", "oracle-column-t-str", "oracle-column-t-complex"],
 )
 def test_library_refusals(call, message):
     with pytest.raises(ValidationError, match=message):

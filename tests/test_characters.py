@@ -8,15 +8,17 @@ from semicayley import AbelianGroup, ValidationError
 from semicayley.groups import MAX_ORDER
 from semicayley.characters import (
     CycloValue,
+    _prime_factors,
     _reduce_mod,
-    _residue_table,
     char_sum,
     cyclotomic_polynomial,
     eval_character,
 )
 
 from conftest import GROUP_POOL, random_subset
-from referees import cyclotomic_by_division
+from semicayley.spectra import _certify
+from referees import certify_by_table, cyclotomic_by_division
+from referees import residue_table as _residue_table
 
 
 def test_cyclotomic_polynomials_known():
@@ -50,14 +52,18 @@ def test_cyclotomic_polynomials_are_the_exact_quotients_to_max_order():
         assert cyclotomic_polynomial(order) == cyclotomic_by_division(order), order
 
 
-def test_residue_tables_satisfy_their_recurrence_to_max_order():
+def test_residue_tables_satisfy_their_recurrence_to_max_order(rng):
     # rows 0 .. phi(N) - 1 are the basis, and row j is row j - 1 shifted
     # less its top coefficient times Phi_N: one array check per N.  The
-    # certificate of spectra needs max|T| <= 5.  Uncached, for the tables
-    # of every N together would hold some 200 MB; those of the radicals
-    # below 513 that it caches are cleared after
+    # referee's float64 product needs max|T| <= 5.  Cleared after each N, for
+    # the tables of every N together would hold some 200 MB.  On each
+    # table, the integer fold of spectra._certify agrees with the float64
+    # product of the referee: v plus shifted zero sums zeta_N^s (1 + zeta_p
+    # + ... + zeta_p^(p-1)), one per p | N, is the integer v; adding zeta_N
+    # makes it irrational for N > 2; a random row; and 2^60, which only the
+    # fold certifies (the referee refuses rows past 2^53)
     for order in range(1, MAX_ORDER + 1):
-        table = _residue_table.__wrapped__(order)
+        table = _residue_table(order)
         poly = np.array(cyclotomic_polynomial(order)[:-1])
         degree = len(poly)
         assert table.shape == (order, degree) and table.dtype == np.int8 and not table.flags.writeable, order
@@ -68,7 +74,20 @@ def test_residue_tables_satisfy_their_recurrence_to_max_order():
         expected[:, 1:] = previous[:, :-1]
         expected -= previous[:, -1:] * poly.astype(np.int16)
         assert np.array_equal(table[degree:], expected), order
-    _residue_table.cache_clear()
+        v = int(rng.integers(-99, 100))
+        rows = np.zeros((4, order), dtype=np.int64)
+        rows[0, 0], rows[3, 0] = v, 2**60
+        for p in _prime_factors(order):
+            rows[0, (rng.integers(order) + np.arange(p) * (order // p)) % order] += rng.integers(-99, 100)
+        rows[1] = rows[0]
+        rows[1, 1 % order] += 1
+        rows[2] = rng.integers(-9, 10, order)
+        rational, value = _certify(rows, order)
+        expected_rational, expected_value = certify_by_table(rows[:3], order)
+        assert np.array_equal(rational[:3], expected_rational), order
+        assert np.array_equal(value[:3][expected_rational], expected_value[expected_rational]), order
+        assert rational[[0, 3]].all() and rational[1] == (order <= 2) and value[[0, 3]].tolist() == [v, 2**60], order
+        _residue_table.cache_clear()
 
 
 def test_eval_character_examples():

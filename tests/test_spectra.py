@@ -528,21 +528,17 @@ def test_array_certifier_matches_the_per_character_referee(rng):
             assert (spect.chi_s_zero[i], *ints) == _referee_ints(group, chi, spec), (spec, i)
 
 
-def test_certify_reduces_exactly_and_refuses_rows_past_2_53():
-    from semicayley.characters import _residue_table
-    from semicayley.errors import ConsistencyError
+def test_certify_reduces_exactly_past_2_53():
     from semicayley.spectra import _certify
 
     # zeta_3 + zeta_3^2 = -1, and 1 + zeta_3 = -zeta_3^2 is no integer
     rational, value = _certify(np.array([[0, 7, 7], [0, 2**40, 2**40], [1, 1, 0]]), 3)
     assert rational.tolist() == [True, True, False] and value[:2].tolist() == [-7, -2**40]
-    # every partial sum of a product is at most the row's L1 norm times max|T|,
-    # which must stay below 2^53 for float64 to add integers exactly
-    top = int(np.abs(_residue_table(105)).max())
-    limit = -(-2**53 // top)  # the least L1 norm that could reach 2^53
-    assert _certify(np.array([[0] * 104 + [limit - 1]]), 105)[0].tolist() == [False]
-    with pytest.raises(ConsistencyError):
-        _certify(np.array([[0] * 104 + [limit]]), 105)
+    # every coordinate is a signed sum of distinct entries of its row, so
+    # int64 stays exact where a float64 sum would round: 2^60 zeta_105^104
+    # is no integer, and 2^60 is certified as itself
+    rational, value = _certify(np.array([[0] * 104 + [2**60], [2**60] + [0] * 104]), 105)
+    assert rational.tolist() == [False, True] and value[1] == 2**60
 
 
 # the float columns of a Spectrum, by their per-character names: (array, branch row)

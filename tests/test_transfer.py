@@ -14,6 +14,7 @@ from semicayley import (
     transfer_entry,
     transfer_matrix,
     transfer_rows,
+    verify_at_time,
 )
 from semicayley.characters import character_matrix
 from semicayley.graphs import build, cay_adjacency
@@ -177,6 +178,22 @@ def test_column_oracle_refuses_a_time_that_is_not_finite():
     for t in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValidationError, match="time must be finite"):
             oracle_column(sc.hypercube(3), 0, t)
+
+
+def test_every_real_time_is_read_as_its_float():
+    # past 2 pi, so an integral spectrum reduces it exactly; 10^400 is no float
+    c4 = SemiCayleySpec(AbelianGroup([2]), [(1,)], [(1,)], [(0,)])
+    u, v = Vertex((0,), 0), Vertex((1,), 1)
+    for spec in (c4, sc.sunlet(4)):
+        for t in (Fraction(21, 2), np.int64(10), np.float32(10.5), 10):
+            assert transfer_entry(spec, u, v, t) == transfer_entry(spec, u, v, float(t)), (spec, t)
+            assert verify_at_time(spec, u, v, t) == verify_at_time(spec, u, v, float(t)), (spec, t)
+            assert np.array_equal(oracle_column(spec, 0, t), oracle_column(spec, 0, float(t))), (spec, t)
+    for t in (10**400, Fraction(10**400, 3)):
+        with pytest.raises(ValidationError, match="time must be finite"):
+            transfer_entry(c4, u, v, t)
+        with pytest.raises(ValidationError, match="time must be finite"):
+            oracle_column(c4, 0, t)
 
 
 def test_transfer_entry_validates_each_vertex_once(monkeypatch):
