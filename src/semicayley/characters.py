@@ -101,7 +101,9 @@ def _cyclotomic(n: int) -> tuple[int, ...]:
     return tuple(poly.tolist())
 
 
-@lru_cache(maxsize=None)
+# Bounded: a spectrum reads its own exponent, CycloValue.approx mostly one; kept for
+# every exponent, the tuples (41 kB at N = 1024) of N = 769 .. 1024 would hold 8.8 MB
+@lru_cache(maxsize=8)
 def _roots_of_unity(order: int) -> tuple[complex, ...]:
     # exp(2 pi i j / order) for j = 0 .. order - 1, the terms of every approx
     return tuple(cmath.exp(2j * math.pi * j / order) for j in range(order))

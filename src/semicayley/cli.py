@@ -93,9 +93,9 @@ def _field(obj: dict, key: str, parse, default=None):
 
 
 def _real(x) -> float:
-    """float(x), refusing bool: JSON's true and false are not numbers."""
-    if isinstance(x, bool):
-        raise TypeError("a boolean is not a number")
+    """float(x) of a JSON number, refusing bool and str: true, false and "1e-3" are not numbers."""
+    if isinstance(x, (bool, str)):
+        raise TypeError(f"{x!r} is not a number")
     return float(x)
 
 

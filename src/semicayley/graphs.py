@@ -104,8 +104,7 @@ class SemiCayleySpec:
 
     def connecting_index(self, u: Vertex, v: Vertex) -> int:
         """Index of a = g^{-1} h for u = (g, r), v = (h, s): H_uv(t) depends only on a and the layers."""
-        group = self.group
-        return self._connecting_index(group.validate_element(u.element), group.validate_element(v.element))
+        return self._connecting_index(self.validate_vertex(u).element, self.validate_vertex(v).element)
 
     def _connecting_index(self, g: Element, h: Element) -> int:
         # connecting_index of already validated elements

@@ -17,23 +17,24 @@ any of it is read, by the entry formula (transfer_* and the spectral side
 of a confirmation) or by Spectrum.to_json (the `spectrum` report), and
 kept.
 
-The floats come from the representatives' coefficient rows as well.
-chi_rep^k takes the value zeta_N^(k E[rep, x]) at x, so chi_i = chi_rep^k
-has the representative's terms with every exponent f moved to k f mod N:
-the terms a bincount over chi_i would give.  Each character's terms of
-chi(R), chi(L), chi(S) and |chi(S)|^2 = chi(S S^-1) (S S^-1 as integer
-weights over G, which both halves share) are sorted by exponent, padded
-with zero terms to the longest list of the block (96 of 512 exponents for
-chi(R) on the Z_512 spectra of the benchmark, and nearly all of them for
-S S^-1), and summed against the roots of unity in the order of
-CycloValue.approx.  The closed forms then run elementwise in the order of
-Python's scalar arithmetic, complex products and quotients split into
-CPython's real and imaginary formulas, so every float is the per-character
-float bit for bit, signed zeros included.  Both halves read their rows
-through AbelianGroup.exponent_rows, so a spectrum builds the n x n exponent
-table only where more than half the characters are representatives (every
-character on a group of exponent 2); only the term lists of a block as
-dense as S S^-1 reach n x N entries, one block at a time.
+The floats come from the same coefficient rows, which spectrum() builds
+once and keeps, read-only: an m x N block each of chi(R), chi(L), chi(S)
+and chi(S S^-1) at the m representatives (at most 30,240 entries on a
+group of order <= 1024, on Z_1008).  chi_rep^k takes the value
+zeta_N^(k E[rep, x]) at x, so chi_i = chi_rep^k has the representative's
+terms with every exponent f moved to k f mod N: the terms a bincount over
+chi_i would give.  Each character's terms of a block are sorted by
+exponent, padded with zero terms to the longest list of the block (96 of
+512 exponents for chi(R) on the Z_512 spectra of the benchmark, and nearly
+all of them for S S^-1), and summed against the roots of unity in the
+order of CycloValue.approx.  The closed forms then run elementwise in the
+order of Python's scalar arithmetic, complex products and quotients split
+into CPython's real and imaginary formulas, so every float is the
+per-character float bit for bit, signed zeros included.  The rows are read
+through AbelianGroup.exponent_rows, so a spectrum builds the n x n
+exponent table only where more than half the characters are
+representatives (every character on a group of exponent 2); only the term
+lists of a block as dense as S S^-1 reach n x N entries, one at a time.
 
 Integrality is certified once per rational class of characters, when the
 spectrum is built: the eigenvalues (sigma +- sqrt(disc)) / 2, sigma =
@@ -59,10 +60,11 @@ the power bases of the zeta_q, q over the prime powers of N, are
 coefficient rows at once by one integer fold per prime power, exact in
 int64.  The rows of chi(R), chi(L), chi(S), sigma and disc at every
 representative go through one such call.  disc needs no multiplication in
-Z[zeta_N] either: it is chi(w) for the group-ring element
-w = (1_R - 1_L)^2 + 4 S S^-1, whose rows come out of the bincount that
-gives those of R, L and S.  The cross-layer sign exponents follow the
-same way: conj(chi(S)) zeta_N^e = +-|chi(S)|, an integer, gives
+Z[zeta_N] either: it is chi((1_R - 1_L)^2) + 4 chi(S S^-1), and the
+bincount that gives the rows of R, L and S, linear in its integer weights,
+gives those of both group-ring elements.  The cross-layer sign exponents
+follow the same way, from the kept chi(S) rows: conj(chi(S)) zeta_N^e =
++-|chi(S)|, an integer, gives
 conj(chi^k(S)) zeta_N^(k e) = +-|chi(S)| under sigma_k, so one exact value
 per representative and sign fixes them for its class, and one call
 confirms them all.  Periodicity and same-layer transfer need no
@@ -113,11 +115,11 @@ class Spectrum:
     Two halves.  The exact half (the fields) is built by spectrum().  The
     float half (chi_s, lambdas, c, d, e, and chi(S) as the nonzero terms
     that to_json lists) is computed by _float_half the first time any of it
-    is read, from coefficient rows at the class representatives moved by
+    is read, from the kept rows at the class representatives moved by
     class_power, and then kept: n columns of floats and, per character, the
     exponents and coefficients of chi(S), at most min(|S|, N) of each.  The
-    private fields are what it is computed from, the group, the spec's
-    read-only index arrays and the S S^-1 weights, never the spec itself.
+    private fields are what it is computed from, the group and the rows
+    spectrum() built, never the spec itself.
     """
 
     order: int  # N, the exponent of G
@@ -128,8 +130,7 @@ class Spectrum:
     class_rep: np.ndarray  # the least index of each character's rational class
     class_power: np.ndarray  # k with chi_i = chi_rep^k, gcd(k, N) = 1
     _group: AbelianGroup
-    _subsets: tuple  # the index arrays of R, L and S
-    _s_s_inverse: np.ndarray  # n ints: S S^-1 as integer weights over G
+    _rows: tuple  # read-only m x N int64 coefficient rows at the m representatives: chi(R), chi(L), chi(S), chi(S S^-1)
 
     chi_s = property(lambda self: self._floats.chi_s, doc="complex chi(S), the CycloValue.approx of its coefficients")
     lambdas = property(lambda self: self._floats.lambdas, doc="2 x n float")
@@ -139,7 +140,7 @@ class Spectrum:
 
     @cached_property
     def _floats(self) -> _Floats:
-        return _float_half(self._group, self._subsets, self._s_s_inverse, self.chi_s_zero)
+        return _float_half(self._group, self._rows, self.chi_s_zero)
 
     def __eq__(self, other) -> bool:
         # the public fields and the float half, computed on both sides if need be
@@ -195,12 +196,13 @@ class Spectrum:
         at e - j on zeta_N^j, so both proposals of every representative are
         gathered as coefficient rows and confirmed in one _certify call.
         chi_rep^k then takes k e modulo N (see the module docstring), and no
-        e for none.  Builds the representatives' chi(S) rows and takes their
-        floats row by row, so it leaves the float half uncomputed.
+        e for none.  Reads the kept chi(S) rows of the representatives and
+        takes their floats row by row, so it builds no row and leaves the
+        float half uncomputed.
         """
         order = self.order
         reps, slot = self._group._classes[2:]
-        rows = _coefficient_rows(self._group, [self._subsets[2]], chars=reps)[0]
+        rows = self._rows[2]
         abs_s = (self.ints[0, reps] - self.ints[1, reps]) // 2
         roots = np.array(_roots_of_unity(order))
         dense = np.broadcast_to(np.arange(order)[:, None], rows.T.shape)  # every exponent, zeros included
@@ -320,15 +322,6 @@ def _group_product(group, a: np.ndarray, b: np.ndarray, weights: np.ndarray | No
     if weights is not None:
         weights = weights.ravel()
     return np.bincount(keys, weights=weights, minlength=group.order).astype(np.int64, copy=False)
-
-
-def _ring_rows(group, subsets: tuple, element: np.ndarray, chars: np.ndarray) -> np.ndarray:
-    # (len(subsets) + 1) x m x N: the coefficient rows of each subset and then
-    # of chi(element), a group-ring element given as integer weights over G,
-    # one row per character in chars: one bincount in all
-    support = np.flatnonzero(element)
-    weights = np.concatenate([np.ones(sum(map(len, subsets)), dtype=np.int64), element[support]])
-    return _coefficient_rows(group, [*subsets, support], weights, chars)
 
 
 def _s_s_inverse(group, s: np.ndarray) -> np.ndarray:
@@ -453,26 +446,27 @@ def spectrum(spec: SemiCayleySpec) -> Spectrum:
     """The exact half of the eigen-data of every character of the group.
 
     Builds coefficient rows at the rational-class representatives only (the
-    group's classes, computed once per group), certifies them all in one
-    _certify call, and copies each representative's integers to its
-    class.  The float half is left to the first read of a float (see
-    Spectrum).  Computes afresh on every call, and spec.spectrum keeps one
-    result per spec.
+    group's classes, computed once per group) in one _coefficient_rows
+    call, certifies them all in one _certify call, and copies each
+    representative's integers to its class.  Keeps the rows that the float
+    half and the sign exponents read (see Spectrum).  Computes afresh on
+    every call, and spec.spectrum keeps one result per spec.
     """
     group = spec.group
     n, order = group.order, group.exponent
     indices = spec.subset_indices
-    subsets = (indices["R"], indices["L"], indices["S"])
-    s_s_inverse = _s_s_inverse(group, indices["S"])
     class_rep, class_power, reps, slot = group._classes
 
-    # certified at each representative, then read by every member of its class;
-    # disc = chi((1_R - 1_L)^2 + 4 S S^-1), 1_R - 1_L supported on R xor L
-    diff = np.bincount(indices["R"], minlength=n) - np.bincount(indices["L"], minlength=n)
-    support = np.flatnonzero(diff)
-    diff_squared = _group_product(group, support, support, np.outer(diff[support], diff[support]))
-    at_reps = _ring_rows(group, subsets, diff_squared + 4 * s_s_inverse, reps)  # chi(R), chi(L), chi(S), disc
-    rows = np.concatenate([*at_reps[:3], at_reps[0] + at_reps[1], at_reps[3]])  # sigma before disc
+    # 1_R, 1_L, 1_S, S S^-1 and (1_R - 1_L)^2 as integer weights over G: one
+    # bincount gives their rows, and sigma and disc are sums of them
+    ring = [np.bincount(indices[name], minlength=n) for name in ("R", "L", "S")]
+    support = np.flatnonzero(ring[0] - ring[1])
+    diff = (ring[0] - ring[1])[support]
+    ring += [_s_s_inverse(group, indices["S"]), _group_product(group, support, support, np.outer(diff, diff))]
+    supports = [np.flatnonzero(element) for element in ring]
+    blocks = _coefficient_rows(group, supports, np.concatenate([w[xs] for w, xs in zip(ring, supports)]), reps)
+    # certified at each representative, then read by every member of its class
+    rows = np.concatenate([*blocks[:3], blocks[0] + blocks[1], blocks[4] + 4 * blocks[3]])  # sigma, then disc
     rational, value = (a.reshape(5, -1) for a in _certify(rows, order))
     chi_s_zero = rational[2] & (value[2] == 0)
     # disc < 2^53, so the float root of a square is exact and root^2 decides
@@ -480,15 +474,17 @@ def spectrum(spec: SemiCayleySpec) -> Spectrum:
     square = rational[3] & rational[4] & (root * root == value[4])
     certified = np.where(chi_s_zero, rational[:2], square)
     ints = np.where(certified, np.where(chi_s_zero, value[:2], [(value[3] + root) // 2, (value[3] - root) // 2]), 0)
+    kept = blocks[:4].copy()  # without the fifth block, which only disc reads
+    kept.flags.writeable = False
     return Spectrum(
         order=order, char_index=group.coords, chi_s_zero=chi_s_zero[slot], ints=ints[:, slot],
         certified=certified[:, slot], class_rep=class_rep, class_power=class_power,
-        _group=group, _subsets=subsets, _s_s_inverse=s_s_inverse,
+        _group=group, _rows=tuple(kept),
     )
 
 
-def _float_half(group, subsets: tuple, s_s_inverse: np.ndarray, chi_s_zero: np.ndarray) -> _Floats:
-    # the floats of every character from coefficient rows at the class
+def _float_half(group, rows: tuple, chi_s_zero: np.ndarray) -> _Floats:
+    # the floats of every character from the spectrum's rows at the class
     # representatives: _class_terms gives each character its terms of
     # chi(R), chi(L), chi(S) and |chi(S)|^2 = chi(S S^-1), in ascending
     # exponent, and _sums adds them against the roots of unity.  Only the
@@ -496,16 +492,15 @@ def _float_half(group, subsets: tuple, s_s_inverse: np.ndarray, chi_s_zero: np.n
     # temporaries lie above them on the heap and are given back when freed.
     # Then the closed forms where chi(S) != 0
     n, order = group.order, group.exponent
-    _, class_power, reps, slot = group._classes
-    blocks = _ring_rows(group, subsets, s_s_inverse, reps)
+    _, class_power, _, slot = group._classes
     roots = np.array(_roots_of_unity(order))
     power = class_power.astype(np.int32)[:, None]  # below N, and int32 divides faster than int64
-    exponents, coefficients = _class_terms(blocks[2], slot, power, order)
+    exponents, coefficients = _class_terms(rows[2], slot, power, order)
     kept = (coefficients != 0).T  # character by character, in ascending exponent
     terms = exponents.T[kept], coefficients.T[kept], np.concatenate([[0], np.cumsum(kept.sum(axis=1))])
     s = _sums(exponents, coefficients, roots)
     del exponents, coefficients
-    r, l, s2 = (_sums(*_class_terms(blocks[b], slot, power, order), roots.real) for b in (0, 1, 3))
+    r, l, s2 = (_sums(*_class_terms(rows[b], slot, power, order), roots.real) for b in (0, 1, 3))
     nonzero = ~chi_s_zero
     lambdas = np.array([r, l])  # the chi(S) = 0 convention, unsorted
     c, d, e = np.zeros((2, n)), np.zeros((2, n)), np.zeros((2, n), dtype=complex)

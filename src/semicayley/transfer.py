@@ -7,9 +7,9 @@ Deliberately independent computation paths:
   behind `transfer_rows`, the 4n values H_(e,r),(a,s)(t) that hold all of
   H(t); `transfer_matrix` only gathers them through index(g^{-1} h),
 * the referee, which shares no eigen or character data with it: one column
-  exp(-itA) e_j by Lanczos on the spec's adjacency (`oracle_column`, which
-  confirms every `yes` in as many products as e_j has distinct eigenvalues
-  in its support, and never more than 2n), and the dense
+  exp(-itA) e_j by Lanczos on the spec's adjacency (`oracle_column`, whose
+  core `_column` confirms every `yes` in as many products as e_j has
+  distinct eigenvalues in its support, and never more than 2n), and the dense
   truncated-Taylor scaling-and-squaring exponential (`oracle_expm`, the
   tests' referee for whole matrices).
 

@@ -66,6 +66,8 @@ def test_the_namespace_is_all_and_holds_no_referee():
         (lambda: decide_pair(C4, 5, Vertex((1,), 1)), "vertex must be"),
         (lambda: transfer_entry(C4, None, Vertex((1,), 1), 1.0), "vertex must be"),
         (lambda: verify_at_time(C4, Vertex((0,), 0), ((1,), 1, 0), 1.0), "vertex must be"),
+        (lambda: C4.connecting_index(Vertex((0,), 5), Vertex((1,), 0)), "layer must be 0 or 1"),
+        (lambda: C4.connecting_index(Vertex((0,), 0), 5), "vertex must be"),
         # a tolerance outside [0, 1), where every |H_uv| would pass
         (lambda: verify_at_time(C4, Vertex((0,), 0), Vertex((1,), 1), 0.1, tol=2), "tolerance"),
         (lambda: verify_at_time(C4, Vertex((0,), 0), Vertex((1,), 1), 0.1, tol=True), "tolerance"),
@@ -95,7 +97,8 @@ def test_the_namespace_is_all_and_holds_no_referee():
          "index2-identity-in-T1", "oracle-column-j-negative", "oracle-column-j-2n", "oracle-column-j-bool",
          "oracle-column-j-float", "transfer-entry-inf", "transfer-entry-nan", "transfer-rows-inf",
          "transfer-matrix-nan", "decide-pair-vertex-int", "transfer-entry-vertex-none",
-         "verify-vertex-triple", "verify-tol-2", "verify-tol-bool", "verify-tol-nan", "transfer-entry-horizon",
+         "verify-vertex-triple", "connecting-index-layer-5", "connecting-index-vertex-int", "verify-tol-2",
+         "verify-tol-bool", "verify-tol-nan", "transfer-entry-horizon",
          "spec-subset-int", "hypercube-float", "hypercube-str", "hypercube-bool", "sunlet-bool", "cone-float",
          "transfer-entry-t-bool", "transfer-entry-t-str", "transfer-rows-t-bool", "verify-t-bool", "verify-t-str",
          "oracle-column-t-bool", "oracle-column-t-str", "oracle-column-t-complex"],
@@ -103,3 +106,12 @@ def test_the_namespace_is_all_and_holds_no_referee():
 def test_library_refusals(call, message):
     with pytest.raises(ValidationError, match=message):
         call()
+
+
+def test_connecting_index_reads_a_vertex_in_either_form():
+    # a = g^-1 h of u = (g, r) and v = (h, s), whether the vertices are Vertex or plain pairs
+    spec = sc.SemiCayleySpec(AbelianGroup([6]), [(1,), (5,)], [(2,), (4,)], [(0,)])
+    for g, h in ((0, 1), (4, 1), (5, 5)):
+        want = spec.group.index(((h - g) % 6,))
+        assert spec.connecting_index(((g,), 0), ((h,), 1)) == want
+        assert spec.connecting_index(Vertex((g,), 1), [[h], 0]) == want

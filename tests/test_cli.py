@@ -142,7 +142,7 @@ _C4 = {"group": {"factors": [2]}, "R": [[1]], "L": [[1]], "S": [[0]]}
         {"command": "spectrum", "graph": {"family": "dihedral"}},
         {"command": "spectrum", "graph": {"family": "join"}},
         *({"command": "pst-check", "graph": _C4, "from": [[0], 0], "to": [[1], 1], "time": "1/2 pi",
-           "tolerance": tol} for tol in ("abc", "nan", "inf", 2, 1, -1e-9)),
+           "tolerance": tol} for tol in ("abc", "nan", "inf", 2, 1, -1e-9, "1e-3", " 0.5 ", "1_0e-3")),
         {"command": "pst-check", "graph": _C4, "from": [["a"], 0], "to": [[1], 1]},
         {"command": "pst-check", "graph": _C4, "from": [5, 0], "to": [[1], 1]},
         {"command": "pst-check", "graph": _C4, "from": [[0], "x"], "to": [[1], 1]},

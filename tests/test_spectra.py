@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import json
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -298,9 +299,10 @@ def test_spectrum_is_freed_with_its_spec():
 
 
 def test_spectrum_keeps_no_array_above_n_times_n_entries():
-    # n characters by N coefficients bounds every table the spectrum stores;
-    # the chi(R) and chi(L) rows it is built on are not kept, in either half,
-    # and chi(S) is kept as its nonzero terms
+    # n characters by N coefficients bounds every table the spectrum stores:
+    # the coefficient rows it is built on are kept at the class
+    # representatives only, one m x N block each of chi(R), chi(L), chi(S)
+    # and chi(S S^-1), and the float half keeps chi(S) as its nonzero terms
     group = AbelianGroup([3, 6])  # n = 18, N = 6
     spec = SemiCayleySpec(group, [(1, 0), (2, 0)], [(0, 1), (0, 5)], [(1, 2), (0, 3)])
     spect = spec.spectrum
@@ -308,7 +310,8 @@ def test_spectrum_keeps_no_array_above_n_times_n_entries():
     names = [f.name for f in dataclasses.fields(spect)] + list(_FLOAT_HALF)
     sizes = {name: getattr(spect, name).size for name in names if isinstance(getattr(spect, name), np.ndarray)}
     sizes.update((f"_floats.{name}", value.size) for name, value in spect._floats._asdict().items())
-    assert set(_FLOAT_HALF) <= set(sizes)
+    sizes.update((f"_rows[{b}]", rows.size) for b, rows in enumerate(spect._rows))
+    assert set(_FLOAT_HALF) <= set(sizes) and len(spect._rows) == 4
     assert max(sizes.values()) <= 18 * 6, sizes
 
 
@@ -365,9 +368,10 @@ def test_the_float_half_is_computed_once_on_first_read(rng, monkeypatch):
 
 
 def test_the_exact_half_builds_rows_at_class_representatives_only(rng, monkeypatch):
-    # Z_512 has 10 rational classes: both halves build their coefficient rows
-    # (chi(R), chi(L), chi(S), disc and chi(S S^-1)) for those 10 characters,
-    # and the float half derives the other 502 characters' rows from them
+    # Z_512 has 10 rational classes: the exact half builds its coefficient
+    # rows (chi(R), chi(L), chi(S), chi(S S^-1) and chi((1_R - 1_L)^2)) for
+    # those 10 characters, and the float half derives the other 502
+    # characters' rows from the kept ones, building none
     import semicayley.spectra
 
     group = AbelianGroup([512])
@@ -386,7 +390,61 @@ def test_the_exact_half_builds_rows_at_class_representatives_only(rng, monkeypat
     assert shapes and {shape[1:] for shape in shapes} == {(10, 512)}
     exact = len(shapes)
     spect.lambdas
-    assert len(shapes) > exact and {shape[1:] for shape in shapes} == {(10, 512)}
+    assert len(shapes) == exact and {shape[1:] for shape in shapes} == {(10, 512)}
+
+
+def test_a_spectrum_builds_its_coefficient_rows_once_whatever_is_read(rng, monkeypatch):
+    # one _coefficient_rows call per spectrum: the float half, the `spectrum`
+    # report, the sign exponents, the entry formula and the confirmation of a
+    # `yes` read the read-only blocks that spectrum() keeps
+    import semicayley.spectra
+    from semicayley.cli import run
+
+    calls = []
+    original = semicayley.spectra._coefficient_rows
+    monkeypatch.setattr(semicayley.spectra, "_coefficient_rows", lambda *a, **k: calls.append(1) or original(*a, **k))
+    group = AbelianGroup([512])
+    spec = SemiCayleySpec(group, random_inverse_closed(group, rng, 0.1), random_inverse_closed(group, rng, 0.1),
+                          random_subset(group, rng, 0.1))
+    spect = spec.spectrum
+    spect.lambdas, spect.to_json(), spect.sign_exponents
+    sc.transfer_entry(spec, sc.Vertex((0,), 0), sc.Vertex((1,), 1), 1.0)
+    assert len(calls) == 1
+    assert len(spect._rows) == 4 and not any(rows.flags.writeable for rows in spect._rows)
+    # R = L over Z_2^8 with S = {e}, two `yes`; then timed pst-checks
+    group = AbelianGroup([2] * 8)
+    r = [list(g) for g in sorted(random_subset(group, rng, 16 / 255) - {group.identity})]
+    jobs = [
+        ({"command": "pst-find", "graph": {"group": {"factors": [2] * 8}, "R": r, "L": r, "S": [[0] * 8]}},
+         "pst_found"),
+        ({"command": "pst-check", "graph": {"family": "hypercube", "n": 9}, "from": [[0] * 8, 0], "to": [[1] * 8, 1],
+          "time": "1/2 pi"}, "time"),
+        ({"command": "pst-check", "graph": {"family": "cone", "n": 7}, "from": [[0], 0], "to": [[1], 0],
+          "time": "1"}, "time"),
+    ]
+    for job, key in jobs:
+        calls.clear()
+        report, code = run(job)
+        assert code == 0 and report[key], (job, report)
+        assert len(calls) == 1, job
+
+
+def test_float_reads_over_many_exponents_leave_bounded_memory():
+    # what the float half and the sign exponents leave behind once their
+    # spectra are gone: the roots of unity of a few exponents, not of every
+    # one read (8.8 MB of Python complex for N = 769 .. 1024).  The exact
+    # halves are built before tracing starts, and the two reads alternate
+    spectra = [SemiCayleySpec(AbelianGroup([n]), [(1,), (n - 1,)], [(2,), (n - 2,)], [(0,), (1,)]).spectrum
+               for n in range(769, 1025)]
+    tracemalloc.start()
+    try:
+        for spect in spectra:
+            spect.lambdas if spect.order % 2 else spect.sign_exponents
+        spectra.clear()
+        growth = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert growth < 1_000_000, growth
 
 
 def test_s_s_inverse_from_the_complement_equals_the_pairwise_product(rng):
