@@ -64,7 +64,9 @@ def _prime_powers(n: int) -> list[tuple[int, int]]:
     return [(p, math.gcd(n, p ** n.bit_length())) for p in _prime_factors(n)]
 
 
-@lru_cache(maxsize=None)
+# Bounded: a spectrum reads its own exponent; kept for every exponent, the
+# orders (8 kB at N = 1024) of N = 769 .. 1024 would hold 1.8 MB
+@lru_cache(maxsize=8)
 def _crt_order(n: int) -> np.ndarray:
     # the exponents e < n in the row-major grid of the prime powers q of n, primes
     # ascending: zeta_n^e = prod_q zeta_q^(e u_q mod q), u_q = (n/q)^-1 mod q

@@ -38,9 +38,9 @@ class SemiCayleySpec:
     invalid element is a ValidationError prefixed with its subset's name;
     its enumeration indices are then read once from the validated elements
     (subset_indices), and every later check and table works on them.  Like
-    the group's index tables, the spectrum and the adjacency matrix are
-    computed on first use and kept on the spec; equality and hashing see only
-    (G, R, L, S).
+    the group's index tables, the spectrum, the neighbour table and the
+    adjacency matrix are computed on first use and kept on the spec;
+    equality and hashing see only (G, R, L, S).
     """
 
     group: AbelianGroup
@@ -92,8 +92,27 @@ class SemiCayleySpec:
         return spectra.spectrum(self)
 
     @cached_property
+    def neighbours(self) -> np.ndarray:
+        """2n x rho table, read-only: row v lists the neighbours of vertex v, padded with 2n.
+
+        Vertices are numbered as in vertex_index, a layer-0 row lists g R
+        and then the spokes g S on layer 1, a layer-1 row h L and then
+        h S^{-1} on layer 0, and the pad 2n names a zero slot: A x is
+        x'[neighbours].sum(axis=1) for x' = x with a 0 appended.  Each part
+        is one add_indices call; the layer-1 spokes are scattered from the
+        layer-0 ones, as g -> g s is a bijection.  The rows are stored
+        column-major (the transpose of a C-ordered rho x 2n array), so a
+        gather reads and sums them a column at a time.
+        """
+        return _neighbour_table(self)
+
+    @cached_property
     def adjacency(self) -> np.ndarray:
-        """build(self), read-only: the oracle's one copy of the dense adjacency."""
+        """build(self), read-only.
+
+        The column oracle multiplies by it only when 8 rho > 2n (see
+        transfer.oracle_column); below that it gathers through neighbours.
+        """
         adjacency = build(self)
         adjacency.flags.writeable = False
         return adjacency
@@ -159,21 +178,37 @@ def cay_adjacency(group: AbelianGroup, connection: Iterable[Element]) -> np.ndar
     return out
 
 
+def _neighbour_table(spec: SemiCayleySpec) -> np.ndarray:
+    # spec.neighbours; build scatters a table of its own, so a spec whose
+    # oracle multiplies by the dense adjacency does not keep one
+    group, n, indices = spec.group, spec.n, spec.subset_indices
+    everything = np.arange(n)
+    r, l, s = indices["R"], indices["L"], indices["S"]
+    columns = np.full((spec.max_degree, 2 * n), 2 * n)
+    columns[: len(r), :n] = group.add_indices(r[:, None], everything)
+    columns[: len(l), n:] = n + group.add_indices(l[:, None], everything)
+    spokes = group.add_indices(s[:, None], everything)
+    columns[len(r) : len(r) + len(s), :n] = n + spokes
+    # (g, 0) ~ (g s_k, 1): column k of the layer-1 spokes holds g at g s_k
+    columns[len(l) + np.arange(len(s))[:, None], n + spokes] = everything
+    columns.flags.writeable = False
+    return columns.T
+
+
 def build(spec: SemiCayleySpec) -> np.ndarray:
     """Dense 2n x 2n float64 adjacency matrix of SC(G, R, L, S).
 
     Row/column order: layer-0 vertices in group enumeration order, then
-    layer-1 vertices.  One array, filled by the index arithmetic of
-    cay_adjacency for each of the three edge rules.
+    layer-1 vertices.  One array, with a 1 scattered at each entry of a
+    neighbour table as spec.neighbours holds it, which has the three edge
+    rules: a layer-0 row's |R| + |S| neighbours and a layer-1 row's
+    |L| + |S| come before its padding.
     """
-    group, n, indices = spec.group, spec.n, spec.subset_indices
+    n, table = spec.n, _neighbour_table(spec)
     rows = np.arange(n)[:, None]
     out = np.zeros((2 * n, 2 * n))
-    out[rows, group.add_indices(rows, indices["R"][None, :])] = 1
-    out[n + rows, n + group.add_indices(rows, indices["L"][None, :])] = 1
-    spokes = group.add_indices(rows, indices["S"][None, :])
-    out[rows, n + spokes] = 1
-    out[n + spokes, rows] = 1
+    out[rows, table[:n, : len(spec.R) + len(spec.S)]] = 1
+    out[n + rows, table[n:, : len(spec.L) + len(spec.S)]] = 1
     return out
 
 

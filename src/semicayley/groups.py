@@ -210,10 +210,15 @@ class AbelianGroup:
         return (self.coords[chars] * scale) @ self.coords.T % n_exp
 
     def add_indices(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """Index of g_i * g_j for index arrays i and j (broadcast together)."""
-        out = np.zeros(np.broadcast_shapes(np.shape(i), np.shape(j)), dtype=np.int64)
+        """Index of g_i * g_j for index arrays i and j (broadcast together).
+
+        i + j adds the digits factor by factor; a digit sum is below 2n, so
+        where it reaches n the factor wraps once, and n * stride comes off.
+        """
+        out = np.add(i, j, dtype=np.int64)
         for l, (n, stride) in enumerate(zip(self.factors, self.strides)):
-            out += (self.coords[i, l] + self.coords[j, l]) % n * stride
+            if n > 1:
+                out -= (self.coords[i, l] + self.coords[j, l] >= n) * (n * stride)
         return out
 
     def power_indices(self, i: np.ndarray, k) -> np.ndarray:

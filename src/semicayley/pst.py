@@ -55,7 +55,7 @@ With P = 2 pi / g_r, tau = pi / g_r.  The deciders therefore only decide
 whether transfer exists; the time is the layer's.
 
 Every positive verdict is mandatorily confirmed by both the spectral path and
-the independent column oracle (exp(-itA) e_u by Lanczos on the adjacency),
+the independent column oracle (exp(-itA) e_u by Lanczos on the graph's edges),
 so a wrong verdict or time would be caught immediately.  With an
 integral spectrum H(t + 2*pi) = H(t), so a checked time is first reduced
 exactly modulo 2*pi, which keeps both paths accurate and cheap at any t.
@@ -392,7 +392,7 @@ def verify_at_time(spec: SemiCayleySpec, u: Vertex, v: Vertex, t: float, tol: fl
     t = reduce_time(spec, t)
     _oracle_time(t)
     # the spectral entry first: the temporaries of a first read of the
-    # spectrum's floats are freed before the oracle builds the adjacency
+    # spectrum's floats are freed before the oracle builds its product table
     mag_spectral = float(abs(_entry(spec, u, v, t)))
     column = _column(spec, spec._vertex_index(u), t)
     mag_oracle = float(abs(column[spec._vertex_index(v)]))

@@ -296,20 +296,18 @@ def _closed_forms(r, l, s, s2):
     return lambdas, np.array([p * p / den_p, m * m / den_m]), np.array([4.0 * s2 / den_p, 4.0 * s2 / den_m]), e
 
 
-def _coefficient_rows(group, subsets: list, weights: np.ndarray | None = None,
-                      chars: np.ndarray | None = None) -> np.ndarray:
+def _coefficient_rows(group, subsets: list, weights: np.ndarray, chars: np.ndarray) -> np.ndarray:
     # len(subsets) x m x N: row i of block b holds the coefficients of chi_i
-    # (i over chars, every character by default) summed over the element
-    # indices subsets[b], with the multiplicities `weights` laid out as the
-    # concatenated subsets: one bincount in all
+    # (i over chars) summed over the element indices subsets[b], with the
+    # multiplicities `weights` laid out as the concatenated subsets: one
+    # bincount in all
     order = group.exponent
-    exponents = group.exponent_rows(np.arange(group.order) if chars is None else chars)
+    exponents = group.exponent_rows(chars)
     m = len(exponents)
     columns = np.concatenate(subsets)
     block = np.repeat(np.arange(len(subsets)), [len(xs) for xs in subsets])
     keys = exponents[:, columns] + order * (np.arange(m)[:, None] + m * block)
-    if weights is not None:
-        weights = np.broadcast_to(weights, keys.shape).ravel()
+    weights = np.broadcast_to(weights, keys.shape).ravel()
     counts = np.bincount(keys.ravel(), weights=weights, minlength=len(subsets) * m * order)
     return counts.astype(np.int64, copy=False).reshape(len(subsets), m, order)
 

@@ -7,11 +7,12 @@ Deliberately independent computation paths:
   behind `transfer_rows`, the 4n values H_(e,r),(a,s)(t) that hold all of
   H(t); `transfer_matrix` only gathers them through index(g^{-1} h),
 * the referee, which shares no eigen or character data with it: one column
-  exp(-itA) e_j by Lanczos on the spec's adjacency (`oracle_column`, whose
-  core `_column` confirms every `yes` in as many products as e_j has
-  distinct eigenvalues in its support, and never more than 2n), and the dense
-  truncated-Taylor scaling-and-squaring exponential (`oracle_expm`, the
-  tests' referee for whole matrices).
+  exp(-itA) e_j by Lanczos on the spec's neighbour table (`oracle_column`,
+  whose core `_column` confirms every `yes`; its products are gathers, or
+  dense products when rho is above 2n / 8, and it stops at an a posteriori
+  error bound, at the Krylov dimension of e_j or at its cap, never after 2n
+  products), and the dense truncated-Taylor scaling-and-squaring
+  exponential (`oracle_expm`, the tests' referee for whole matrices).
 
 Equivalence of the paths, entrywise to 1e-9, is the core QA property of the
 package.  Time is a plain float.  The spectral path reduces it exactly when
@@ -27,6 +28,7 @@ import numbers
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -43,6 +45,10 @@ COLUMN_HORIZON = 1e6
 # under the path agreement tolerance 1e-8 of the state-transfer module
 _INVARIANCE_TOL = 1e-10
 _CAP_TOL = 1e-14
+# the column oracle multiplies by gathers while _GATHER_SHARE * rho <= 2n, and
+# checks its a posteriori bound from step _CHECK_FROM on (see oracle_column)
+_GATHER_SHARE = 8
+_CHECK_FROM = 32
 
 
 def transfer_rows(spec: SemiCayleySpec, t: float) -> np.ndarray:
@@ -205,30 +211,64 @@ def _checked_time(spec: SemiCayleySpec, t: float) -> float:
 
 
 def oracle_column(spec: SemiCayleySpec, j: int, t: float) -> np.ndarray:
-    """Column j of exp(-itA) by Lanczos on the spec's adjacency, started at e_j.
+    """Column j of exp(-itA) by Lanczos from e_j, on the spec's neighbour table.
 
-    Each step multiplies the newest basis vector by A (the first reads row j,
-    which is A e_j as A is symmetric), subtracts the three-term recurrence and then one
-    classical Gram-Schmidt pass over the whole stored basis.  After m steps,
-    A V = V T + beta_m v_{m+1} e_m^T with T tridiagonal, and the column is
-    V exp(-itT) e_1, from np.linalg.eigh of the m x m matrix T.  Reads the
-    spec's adjacency and largest degree only, no eigen or character data,
-    so it is an independent referee for the spectral path.  Two stopping
-    rules, each with a proven bound on the error in exact arithmetic:
+    Each step multiplies the newest basis vector by A, subtracts the
+    three-term recurrence and then one classical Gram-Schmidt pass over the
+    whole stored basis.  After m steps, A V = V T + beta_m v_{m+1} e_m^T with
+    T tridiagonal, T = Q Theta Q^T, and the column is V exp(-itT) e_1: from
+    np.linalg.eigh of T, filled into one m x m array, or, when the column
+    stops at its cap m_x below 2n, from the Chebyshev polynomial of the cap
+    rule in T (m tridiagonal products, no eigh).
 
+    A product is a gather through spec.neighbours (x'[table].sum(axis=1),
+    x' = x and a 0 for the pad) while _GATHER_SHARE * rho <= 2n, that is
+    8 rho <= 2n, and the dense product with spec.adjacency above that, which
+    is then built once per spec.  The switch is that count.  Per product, on
+    the tables of cyclic groups and of Z_2^k (a 2-vCPU Xeon, 1 BLAS thread),
+    the gather took at 8 rho = 2n 0.45-0.47x the dense time at 2n = 2048,
+    0.41-0.58x at 1024, 0.76-0.79x at 512 and 1.16-1.34x at 256, where a
+    product takes under 10 us; at 4 rho = 2n it took 0.88-1.83x.  The two
+    give the same column to rounding.
+
+    Reads the neighbour table (or the adjacency) and the largest degree only,
+    no eigen or character data, so it is an independent referee for the
+    spectral path.  Three stopping rules, each with a proven bound on the
+    error in exact arithmetic:
+
+    * a posteriori: z(s) = V exp(-isT) e_1 has z' = -iVT exp(-isT) e_1
+      = -iAz + i beta_m v_{m+1} e_m^T exp(-isT) e_1, so the error
+      E = exp(-isA) e_j - z solves E' = -iAE - i beta_m v_{m+1} e_m^T
+      exp(-isT) e_1 from E(0) = 0, and
+      E(t) = -i beta_m int_0^t exp(-i(t-s)A) v_{m+1} e_m^T exp(-isT) e_1 ds.
+      exp(-i(t-s)A) is unitary, |v_{m+1}| = 1 and e_m^T exp(-isT) e_1
+      = sum_k q_mk q_1k exp(-is theta_k), so |E(t)| <= t beta_m sum_k
+      |q_1k q_mk| (Saad, SIAM J. Numer. Anal. 29, 1992; Hochbruck and Lubich,
+      SIAM J. Numer. Anal. 34, 1997).  Stop once that is at most
+      _INVARIANCE_TOL.  It needs the eigenvectors of T, so it is checked
+      at steps 32, 36, 40, 45, 50, ... (from _CHECK_FROM = 32, each m + m // 8
+      after the last, at least 10/9 times it), and only while 4m is at most
+      the cap.  Counting an eigh at m as m^3, the checks then cost together
+      under 1/(1 - (9/10)^3) < 3.7 times the last one: under 3.7 times the
+      final eigh of a column that stops by a check (which is its final eigh)
+      or by invariance, and under 3.7 / 4^3 < 1/17 of an eigh at the cap,
+      which a capped column no longer makes.  The Z_2^10 column of the
+      roadmap's Baseline (2n = 2048, t rho = 171) stops at step 40, where its
+      cap is 233.
     * invariance: stop at the first step with t * beta_m <= _INVARIANCE_TOL.
-      The error solves E' = -iA E - i beta_m v_{m+1} e_m^T exp(-itT) e_1 from
-      E(0) = 0, so its norm is at most t * beta_m (A is symmetric).  The
-      Krylov space of e_j has as many dimensions as e_j has distinct
-      eigenvalues in its support: 10 steps on hypercube(9), 4 on the
-      dihedral graph of Z_256.
+      By Cauchy-Schwarz sum_k |q_1k q_mk| <= 1, so this is the bound above
+      without its eigenvectors.  The Krylov space of e_j has as many
+      dimensions as e_j has distinct eigenvalues in its support: 10 steps on
+      hypercube(9), 4 on the dihedral graph of Z_256.
     * cap: take at most min(2n, m_x) steps (see _lanczos_steps).  V p(T) e_1
       = p(A) e_j for every polynomial p of degree below m, and A and T have
-      their eigenvalues in [-rho, rho], rho the largest row sum of A; so the
-      error is at most twice max |exp(-it lambda) - p(lambda)| on [-rho, rho]
-      for the best such p, at most twice the Chebyshev-Bessel tail
-      2 sum_{k >= m} |J_k(x)|, x = t rho.  m_x makes that 4 sum at most
-      _CAP_TOL; after 2n steps the Krylov space is the whole space.
+      their eigenvalues in [-rho, rho], rho the largest row sum of A.  Take
+      for p the Chebyshev truncation sum_{k < m} c_k (-i)^k J_k(x) T_k(y),
+      y = lambda / rho, x = t rho, c_0 = 1 and c_k = 2: it is within
+      2 sum_{k >= m} |J_k(x)| of exp(-it lambda) on [-rho, rho], so V p(T) e_1
+      is within that of the column.  m_x makes 4 times that sum at most
+      _CAP_TOL.  After 2n steps the Krylov space is the whole space, and
+      V exp(-itT) e_1 from eigh is the column.
 
     So the products stop growing with t at 2n.  A t that is a bool, not a
     real number, not finite or negative, x above COLUMN_HORIZON (see
@@ -267,33 +307,103 @@ def _oracle_time(t) -> float:
     return t
 
 
+def _multiplier(spec: SemiCayleySpec) -> Callable[[np.ndarray], np.ndarray]:
+    # x -> A x for x with 2n + 1 entries, the last 0 (the pad slot of
+    # spec.neighbours): a gather through the neighbour table while
+    # _GATHER_SHARE * rho <= 2n, else the dense product (see oracle_column)
+    if _GATHER_SHARE * spec.max_degree <= 2 * spec.n:
+        table = spec.neighbours
+        return lambda x: x[table].sum(axis=1)
+    adjacency = spec.adjacency
+    return lambda x: adjacency @ x[:-1]
+
+
+def _tridiagonal_eigh(alpha: np.ndarray, beta: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    # eigh of the m x m tridiagonal T, filled into one array: eigh reads its
+    # diagonal and subdiagonal (the lower triangle)
+    tri = np.zeros((m, m))
+    tri.flat[:: m + 1] = alpha[:m]
+    tri.flat[m :: m + 1] = beta[: m - 1]
+    return np.linalg.eigh(tri)
+
+
+def _bessel(x: float, terms: int) -> list[float]:
+    # J_0(x), ..., J_{terms - 1}(x) by Miller's backward recurrence
+    # J_{k-1} = (2k / x) J_k - J_{k+1}, started beyond both terms and x where
+    # J_k(x) is negligible, rescaled before it can overflow and normalised by
+    # J_0 + 2 (J_2 + J_4 + ...) = 1
+    start = max(terms, int(x + 10 * x ** (1 / 3))) + 30
+    values = [0.0] * (start + 1)
+    upper, current = 0.0, 1e-30
+    values[start] = current
+    for k in range(start, 0, -1):
+        upper, current = current, 2 * k / x * current - upper
+        values[k - 1] = current
+        if abs(current) > 1e250:
+            values[k - 1 :] = [value * 1e-250 for value in values[k - 1 :]]
+            upper, current = upper * 1e-250, values[k - 1]
+    scale = values[0] + 2 * math.fsum(values[2::2])
+    return [value / scale for value in values[:terms]]
+
+
+def _chebyshev(alpha: np.ndarray, beta: np.ndarray, m: int, x: float, rho: float) -> np.ndarray:
+    # sum over k < m of c_k (-i)^k J_k(x) T_k(T / rho) e_1, c_0 = 1 and c_k = 2: the
+    # degree m - 1 Chebyshev truncation of exp(-itT) e_1, x = t rho, by m tridiagonal products
+    a, b = alpha[:m] / rho, beta[: m - 1] / rho
+
+    def scaled(u):  # (T / rho) u
+        out = a * u
+        out[1:] += b * u[:-1]
+        out[:-1] += b * u[1:]
+        return out
+
+    coefficients = [2 * value * (-1j) ** (k % 4) for k, value in enumerate(_bessel(x, m))]
+    previous, current = np.zeros(m), np.zeros(m)
+    current[0] = 1.0
+    out = coefficients[0] / 2 * current
+    for k in range(1, m):
+        previous, current = current, (scaled(current) if k == 1 else 2 * scaled(current) - previous)
+        out += coefficients[k] * current
+    return out
+
+
 def _column(spec: SemiCayleySpec, j: int, t: float) -> np.ndarray:
     # oracle_column of a vertex index and a time that passed _oracle_time
     x = check_horizon(spec, t)
-    adjacency = spec.adjacency
-    size = adjacency.shape[0]
-    column = np.zeros(size, dtype=complex)
-    column[j] = 1.0
+    size = 2 * spec.n
     if x == 0:
+        column = np.zeros(size, dtype=complex)
+        column[j] = 1.0
         return column
     steps = _lanczos_steps(x, size)
-    basis = np.empty((steps, size))
+    multiply = _multiplier(spec)  # its table is built before the basis is allocated
+    # one row per basis vector, each with the zero slot of the gathers at its end
+    basis = np.zeros((steps, size + 1))
+    vectors = basis[:, :size]
     alpha, beta = np.zeros(steps), np.zeros(steps)
-    basis[0] = column.real
+    basis[0, j] = 1.0
+    due = _CHECK_FROM  # the next step whose a posteriori bound is checked
     for k in range(steps):
-        w = np.array(adjacency[j]) if k == 0 else adjacency @ basis[k]
-        alpha[k] = basis[k] @ w
-        w -= alpha[k] * basis[k]
+        w = multiply(basis[k])
+        alpha[k] = vectors[k] @ w
+        w -= alpha[k] * vectors[k]
         if k:
-            w -= beta[k - 1] * basis[k - 1]
-        w -= basis[: k + 1].T @ (basis[: k + 1] @ w)
+            w -= beta[k - 1] * vectors[k - 1]
+        w -= vectors[: k + 1].T @ (vectors[: k + 1] @ w)
         beta[k] = math.sqrt(w @ w)
-        if t * beta[k] <= _INVARIANCE_TOL or k + 1 == steps:
+        m = k + 1
+        checked = m == due and 4 * m <= steps
+        if checked:
+            due += m // 8
+            vals, vecs = _tridiagonal_eigh(alpha, beta, m)
+        if (t * beta[k] <= _INVARIANCE_TOL or m == steps
+                or checked and t * beta[k] * np.abs(vecs[0] * vecs[-1]).sum() <= _INVARIANCE_TOL):
             break
-        basis[k + 1] = w / beta[k]
-    m = k + 1
-    # eigh reads the lower triangle: T's diagonal and subdiagonal
-    vals, vecs = np.linalg.eigh(np.diag(alpha[:m]) + np.diag(beta[: m - 1], -1))
-    weights = vecs @ (np.exp(-1j * t * vals) * vecs[0])
-    return weights.real @ basis[:m] + 1j * (weights.imag @ basis[:m])
-
+        vectors[k + 1] = w / beta[k]
+    if m == steps < size:  # stopped at the cap m_x
+        weights = _chebyshev(alpha, beta, m, x, float(spec.max_degree))
+    else:
+        if not checked:
+            vals, vecs = _tridiagonal_eigh(alpha, beta, m)
+        weights = vecs @ (np.exp(-1j * t * vals) * vecs[0])
+    return weights.real @ vectors[:m] + 1j * (weights.imag @ vectors[:m])

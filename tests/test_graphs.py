@@ -125,6 +125,46 @@ def test_symmetry_and_degrees(rng):
         assert spec.max_degree == adjacency.sum(axis=1).max()
 
 
+def _neighbours_by_the_tuple_law(spec):
+    # the neighbour indices of every vertex from AbelianGroup.mul: (g, 0) ~ (g r, 0)
+    # and (g s, 1); (h, 1) ~ (h l, 1) and (h s^-1, 0)
+    group, n = spec.group, spec.n
+    rows = []
+    for layer, within in ((0, spec.R), (1, spec.L)):
+        for g in group.elements():
+            across = [s if layer == 0 else group.inverse(s) for s in spec.S]
+            rows.append({layer * n + group.index(group.mul(g, x)) for x in within}
+                        | {(1 - layer) * n + group.index(group.mul(g, x)) for x in across})
+    return rows
+
+
+def test_neighbour_table_is_the_tuple_law(rng):
+    z3, z4, z6, z33 = (AbelianGroup(factors) for factors in ((3,), (4,), (6,), (3, 3)))
+    swap = [3 * (i % 3) + i // 3 for i in range(9)]  # (a, b) -> (b, a) on Z_3 x Z_3
+    index2 = [
+        from_cayley_index2(z6, inversion(z6), z6.identity, [(1,), (5,)], [(0,), (2,)]),
+        from_cayley_index2(z4, inversion(z4), (2,), [(1,), (3,)], [(1,), (3,)]),
+        from_cayley_index2(z3, identity_action(z3), (1,), [(1,), (2,)], [(0,), (2,)]),
+        from_cayley_index2(z33, swap, z33.identity, [(1, 0), (2, 0)], [(1, 2)]),
+    ]
+    for factors in NONTRIVIAL_POOL[::4]:
+        group = AbelianGroup(factors)
+        index2.append(from_cayley_index2(group, inversion(group), group.identity,
+                                         random_inverse_closed(group, rng), random_subset(group, rng)))
+    families = [
+        sc.sunlet(5), sc.cone(6), sc.hypercube(1), sc.hypercube(4), sc.dihedral_full_coset(AbelianGroup([3])),
+        sc.dihedral_involutions(AbelianGroup([2, 4])), sc.dicyclic_full_coset(AbelianGroup([4]), (2,)),
+        sc.join_spec(AbelianGroup([5]), [(1,), (4,)], []),
+    ]
+    for spec in [random_spec(rng) for _ in range(20)] + families + index2:
+        size = 2 * spec.n
+        table = spec.neighbours
+        assert table.shape == (size, spec.max_degree) and not table.flags.writeable
+        for row, expected in zip(table.tolist(), _neighbours_by_the_tuple_law(spec)):
+            neighbours = [v for v in row if v != size]
+            assert len(neighbours) == len(expected) and set(neighbours) == expected, spec
+
+
 def test_vertex_indexing():
     spec = sc.sunlet(4)
     assert len(vertices(spec)) == 8

@@ -93,6 +93,20 @@ def test_index_array_law_is_the_tuple_law():
         assert group.index_array(group.subset([])).tolist() == []
 
 
+@pytest.mark.parametrize("factors", [*GROUP_POOL, (2,) * 10, (4, 8, 8), (1000,), (3, 5, 7, 9)])
+def test_add_indices_is_the_tuple_law(factors, rng):
+    # index(g_i * g_j) as the tuple product, on 2000 random index pairs: as
+    # broadcast arrays, and one pair at a time as scalars
+    group = AbelianGroup(factors)
+    i, j = rng.integers(group.order, size=(2, 2000))
+    expected = [group.index(group.mul(group.element(a), group.element(b))) for a, b in zip(i.tolist(), j.tolist())]
+    assert group.add_indices(i, j).tolist() == expected
+    product = [[group.index(group.mul(group.element(a), group.element(b))) for b in j[:5].tolist()]
+               for a in i[:50].tolist()]
+    assert group.add_indices(i[:50, None], j[None, :5]).tolist() == product
+    assert [int(group.add_indices(int(a), b)) for a, b in zip(i[:20].tolist(), j[:20])] == expected[:20]
+
+
 def _tuple_power(group, g, k):
     out = group.identity
     for _ in range(abs(k)):

@@ -253,7 +253,9 @@ def test_spectrum_character_sums_match_char_sum(rng):
         group = spec.group
         spect = spectrum(spec)
         # the spectrum keeps no coefficient rows; they come from the rows it is built on
-        rows_rls = _coefficient_rows(group, [spec.subset_indices[name] for name in ("R", "L", "S")])
+        subsets = [spec.subset_indices[name] for name in ("R", "L", "S")]
+        ones = np.ones(sum(map(len, subsets)), dtype=np.int64)
+        rows_rls = _coefficient_rows(group, subsets, ones, np.arange(group.order))
         for i, chi in enumerate(group.elements()):
             assert tuple(spect.char_index[i].tolist()) == chi
             for rows, xs in zip(rows_rls, (spec.R, spec.L, spec.S)):
@@ -445,6 +447,29 @@ def test_float_reads_over_many_exponents_leave_bounded_memory():
     finally:
         tracemalloc.stop()
     assert growth < 1_000_000, growth
+
+
+def test_exact_halves_over_many_exponents_leave_bounded_memory():
+    # the certifier's column orders (characters._crt_order) of a few exponents,
+    # not of every one certified: `period` jobs on the joins over Z_N for 16
+    # exponents N, whose orders would leave 16 x 8 kB behind if each were kept;
+    # the bounded cache keeps 8
+    from semicayley import characters
+    from semicayley.cli import run
+
+    tracemalloc.start(4)  # deep enough to see _crt_order under np.argsort
+    try:
+        before = tracemalloc.take_snapshot()
+        for n in range(1009, 1025):
+            join = {"family": "join", "group": {"factors": [n]}, "R": [[1], [n - 1]], "L": [[2], [n - 2]]}
+            assert run({"command": "period", "graph": join})[1] == 0
+        after = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    in_characters = [tracemalloc.Filter(True, characters.__file__, all_frames=True)]
+    growth = sum(stat.size_diff for stat in
+                 after.filter_traces(in_characters).compare_to(before.filter_traces(in_characters), "filename"))
+    assert growth < 96_000, growth
 
 
 def test_s_s_inverse_from_the_complement_equals_the_pairwise_product(rng):

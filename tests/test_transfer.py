@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -16,9 +17,10 @@ from semicayley import (
     transfer_rows,
     verify_at_time,
 )
+from semicayley import transfer
 from semicayley.characters import character_matrix
 from semicayley.graphs import build, cay_adjacency
-from semicayley.transfer import _entry_sums, _lanczos_steps, oracle_expm, reduce_time
+from semicayley.transfer import _bessel, _entry_sums, _lanczos_steps, oracle_expm, reduce_time
 
 from conftest import random_spec
 from referees import block_transfer_rl, vertices
@@ -228,28 +230,110 @@ def test_capped_column_oracle():
         assert np.max(np.abs(oracle_column(spec, j, t) - _eigh_column(spec, j, t))) < 1e-12
 
 
-class _CountingMatrix(np.ndarray):
-    products = 0
+def _counted_products(monkeypatch) -> list:
+    # one entry per product of the column oracle, gather or dense: every
+    # product is a call of the function transfer._multiplier returns
+    products = []
+    multiplier = transfer._multiplier
 
-    def __matmul__(self, other):
-        _CountingMatrix.products += 1
-        return np.asarray(self) @ other
+    def counting(spec):
+        multiply = multiplier(spec)
+        return lambda x: products.append(spec) or multiply(x)
+
+    monkeypatch.setattr(transfer, "_multiplier", counting)
+    return products
 
 
-def test_column_oracle_products_stop_at_the_krylov_dimension():
+def _gathers(spec) -> bool:
+    return transfer._GATHER_SHARE * spec.max_degree <= 2 * spec.n
+
+
+def test_column_oracle_products_stop_at_the_krylov_dimension(monkeypatch):
     # the column of e_j spans as many dimensions as e_j has distinct
-    # eigenvalues in its support: 10 on the 9-cube, at most 5 on the dihedral
-    # graph, although t * rho is about 450 at t = 50 pi / 2
+    # eigenvalues in its support: 10 on the 9-cube (a gather), at most 5 on
+    # the dihedral graph (dense), although t * rho is about 450 at t = 50 pi / 2
+    products = _counted_products(monkeypatch)
     t = 50 * math.pi / 2
-    for spec, most in ((sc.hypercube(9), 10), (sc.dihedral_involutions(AbelianGroup([256])), 5)):
-        adjacency = build(spec).view(_CountingMatrix)
-        adjacency.flags.writeable = False
-        spec.__dict__["adjacency"] = adjacency
+    for spec, most, gathers in ((sc.hypercube(9), 10, True),
+                                (sc.dihedral_involutions(AbelianGroup([256])), 5, False)):
+        assert _gathers(spec) == gathers
         for j in (0, spec.n):
-            _CountingMatrix.products = 0
+            products.clear()
             column = oracle_column(spec, j, t)
-            assert _CountingMatrix.products <= most
+            assert 0 < len(products) <= most
             assert np.max(np.abs(column - _eigh_column(spec, j, t))) < 1e-10
+
+
+def test_no_column_takes_more_products_than_invariance_or_the_cap(rng, monkeypatch):
+    # without the a posteriori bound (checked from step 10^9 on) a column
+    # stops at the first step with t * beta_m <= 1e-10 or at its Kapteyn cap;
+    # the bound only ever stops it sooner.  The R = L spec over Z_2^9 has a
+    # Krylov space of 25 dimensions, which rounding can hide from the
+    # invariance rule up to the cap of 145 steps; the first check, at step
+    # 32, stops it
+    products = _counted_products(monkeypatch)
+    families = [sc.sunlet(5), sc.cone(6), sc.hypercube(4), sc.dihedral_involutions(AbelianGroup([2, 4])),
+                sc.dicyclic_full_coset(AbelianGroup([4]), (2,)), sc.join_spec(AbelianGroup([5]), [(1,), (4,)], [])]
+    cases = [(spec, t) for spec in [random_spec(rng) for _ in range(20)] + families for t in (0.4, 2.3, 50.0)]
+    cases.append((sc.sunlet(256), 10.0 / 3))  # capped at 35 steps, far below its Krylov dimension
+    z2_9 = AbelianGroup([2] * 9)
+    r = [z2_9.element(i) for i in np.random.default_rng(1).choice(np.arange(1, 512), size=59, replace=False)]
+    z2_9_spec = SemiCayleySpec(z2_9, r, r, [z2_9.identity])
+    cases.append((z2_9_spec, math.pi / 2))
+    check_from_32 = transfer._CHECK_FROM
+    for spec, t in cases:
+        for j in (0, 2 * spec.n - 1):
+            counts = []
+            for check_from in (check_from_32, 10**9):
+                monkeypatch.setattr(transfer, "_CHECK_FROM", check_from)
+                products.clear()
+                column = oracle_column(spec, j, t)
+                counts.append(len(products))
+                assert np.max(np.abs(column - _eigh_column(spec, j, t))) < 1e-10
+            cap = _lanczos_steps(t * spec.max_degree, 2 * spec.n) if spec.max_degree else 0  # no edges: e_j
+            assert counts[0] <= counts[1] <= cap, (spec, j, t)
+            if spec is z2_9_spec:
+                assert counts[0] <= 32
+
+
+def _baseline_z2_10_spec():
+    # the R = L spec over Z_2^10 of the roadmap's Baseline: inclusion 0.092 over
+    # the non-identity elements (|R| = 108), S = {e}
+    draw = random.Random(7)
+    R = [tuple(g >> (9 - k) & 1 for k in range(10)) for g in range(1, 1024) if draw.random() < 0.092]
+    return SemiCayleySpec(AbelianGroup([2] * 10), R, R, [(0,) * 10])
+
+
+def test_the_a_posteriori_bound_stops_the_baseline_z2_10_column(monkeypatch):
+    # 2n = 2048 and t rho = 171: the cap is 233 steps.  The Krylov space of
+    # e_0 has about 38 dimensions, but rounding leaves t beta_m near 2e-8
+    # there, so the invariance rule alone runs to the cap; the bound
+    # t beta_m sum_k |q_1k q_mk| falls below 1e-10 by step 45
+    products = _counted_products(monkeypatch)
+    spec, t = _baseline_z2_10_spec(), math.pi / 2
+    assert len(spec.R) == 108 and _lanczos_steps(t * spec.max_degree, 2048) == 233
+    column = oracle_column(spec, 0, t)
+    assert len(products) <= 45
+    # referee: the graph is Cay(Z_2^10, R) x K_2, so the column is
+    # exp(-itA_R) e_0 (Walsh-Hadamard transform) times exp(-itX) e_0 = (cos t, -i sin t)
+    walsh = np.array([[1]])
+    for _ in range(10):
+        walsh = np.kron(walsh, [[1, 1], [1, -1]])
+    layer = walsh @ np.exp(-1j * t * walsh[:, spec.subset_indices["R"]].sum(axis=1)) / 1024
+    assert np.max(np.abs(column - np.concatenate([math.cos(t) * layer, -1j * math.sin(t) * layer]))) < 1e-10
+
+
+def test_gather_and_dense_products_give_the_same_column(monkeypatch):
+    # specs on both sides of the switch 8 rho <= 2n, each run on both paths
+    specs = [sc.hypercube(9), sc.sunlet(256), sc.dihedral_involutions(AbelianGroup([256])), sc.cone(64)]
+    assert [_gathers(spec) for spec in specs] == [True, True, False, False]
+    for spec in specs:
+        for j, t in ((0, 2.3), (spec.n, 7.0)):
+            columns = []
+            for share in (0, 10**9):  # every spec gathers, then none does
+                monkeypatch.setattr(transfer, "_GATHER_SHARE", share)
+                columns.append(oracle_column(spec, j, t))
+            assert np.max(np.abs(columns[0] - columns[1])) < 1e-12, spec
 
 
 def _bessel_series(x):
@@ -284,6 +368,17 @@ def test_lanczos_cap_bounds_the_bessel_tail():
         assert 4 * math.fsum(abs(b) for b in bessel[steps:]) <= 1e-14, x
         assert steps - 1 <= len(bessel) - 2, x
     assert _lanczos_steps(3000.0, 512) == 512
+
+
+def test_chebyshev_coefficients_are_bessel_values():
+    # transfer._bessel against J_k(x) = (1 / 2 pi) times the integral of
+    # cos(k s - x sin s) over a period, by the trapezoid rule on 1024 points:
+    # exact up to J_{1024 - k}(x)
+    s = 2 * np.pi * np.arange(1024) / 1024
+    for x in (0.3, 5.0, 37.5, 150.0):
+        terms = _lanczos_steps(x, 10**5)
+        referee = np.cos(np.arange(terms)[:, None] * s - x * np.sin(s)).mean(axis=1)
+        assert np.max(np.abs(np.array(_bessel(x, terms)) - referee)) < 1e-13, x
 
 
 def test_reduced_time_gives_the_unreduced_magnitudes(rng):
