@@ -12,15 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from . import spectra
 from .errors import ValidationError
 from .groups import MAX_ORDER, AbelianGroup, Element, integer, subset_to_json
-
-if TYPE_CHECKING:
-    from .spectra import Spectrum
 
 
 class Vertex(NamedTuple):
@@ -85,10 +83,8 @@ class SemiCayleySpec:
         return max(len(self.R), len(self.L)) + len(self.S)
 
     @cached_property
-    def spectrum(self) -> "Spectrum":
+    def spectrum(self) -> spectra.Spectrum:
         """Closed-form eigen-data of every character, as columns (see spectra.spectrum)."""
-        from . import spectra  # spectra imports this module
-
         return spectra.spectrum(self)
 
     @cached_property

@@ -379,11 +379,11 @@ def decide_cross_layer(spec: SemiCayleySpec, u: Vertex, v: Vertex) -> PstVerdict
 def verify_at_time(spec: SemiCayleySpec, u: Vertex, v: Vertex, t: float, tol: float = MAGNITUDE_TOL) -> dict:
     """|H_uv(t)| through both transfer paths; passes iff both reach 1 - tol.
 
-    An integral spectrum reduces t exactly modulo 2*pi first.  The oracle
-    path is the column exp(-itA) e_u by Lanczos, within 1e-10 of the exact
-    column (see transfer.oracle_column).  A ValidationError refuses a tol outside [0, 1) or bool, a bad
-    vertex, and a time that reduce_time (a bool, non-real, non-finite) or oracle_column (negative, past the
-    horizon) refuses.
+    An integral spectrum reduces t exactly modulo 2*pi first.  The oracle path is the column exp(-itA) e_u
+    by Lanczos, within 1e-10 of the exact column (see transfer.oracle_column).  Two magnitudes that are not
+    within PATH_AGREEMENT_TOL, a NaN on either path included, are a ConsistencyError.  A ValidationError
+    refuses a tol outside [0, 1) or bool, a bad vertex, and a time that reduce_time (a bool, non-real,
+    non-finite) or oracle_column (negative, past the horizon) refuses.
     """
     if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 <= tol < 1:  # NaN fails too
         raise ValidationError(f"tolerance must be a number in [0, 1), got {tol!r}")
@@ -396,7 +396,7 @@ def verify_at_time(spec: SemiCayleySpec, u: Vertex, v: Vertex, t: float, tol: fl
     mag_spectral = float(abs(_entry(spec, u, v, t)))
     column = _column(spec, spec._vertex_index(u), t)
     mag_oracle = float(abs(column[spec._vertex_index(v)]))
-    if abs(mag_spectral - mag_oracle) > PATH_AGREEMENT_TOL:
+    if not abs(mag_spectral - mag_oracle) <= PATH_AGREEMENT_TOL:  # a NaN on either path fails too
         raise ConsistencyError(
             f"spectral and oracle paths disagree: {mag_spectral} vs {mag_oracle} at t = {t}"
         )

@@ -49,9 +49,9 @@ conjugation, so "chi(S) = 0" and "sigma and disc are integers, disc a
 square" hold for the whole class or for none of it, with the same integers:
 one representative (the least index) is certified and its results are
 copied.  Z_512 has 10 classes for 512 characters; Z_2^k only classes of
-size 1.  The classes depend on the group alone: _rational_classes computes
-them once per group, which keeps them read-only (AbelianGroup._classes),
-and every spectrum over the group shares them.
+size 1.  The classes depend on the group alone: groups._rational_classes
+computes them once per group, which keeps them read-only
+(AbelianGroup._classes), and every spectrum over the group shares them.
 
 The certificate is exact and has no per-class arithmetic: a value in
 Z[zeta_N] is an integer iff its coordinates in the Z-basis of products of
@@ -74,16 +74,18 @@ more: a vertex is periodic iff its support is integral (see pst).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .characters import _crt_order, _prime_powers, _roots_of_unity
 from .errors import ValidationError
-from .graphs import SemiCayleySpec
 from .groups import AbelianGroup
+
+if TYPE_CHECKING:
+    from .graphs import SemiCayleySpec
 
 
 class _Floats(NamedTuple):
@@ -142,14 +144,6 @@ class Spectrum:
     def _floats(self) -> _Floats:
         return _float_half(self._group, self._rows, self.chi_s_zero)
 
-    def __eq__(self, other) -> bool:
-        # the public fields and the float half, computed on both sides if need be
-        if not isinstance(other, Spectrum):
-            return NotImplemented
-        names = [f.name for f in fields(self) if not f.name.startswith("_")]
-        return (all(np.array_equal(getattr(self, name), getattr(other, name)) for name in names)
-                and all(map(np.array_equal, self._floats, other._floats)))
-
     @cached_property
     def is_integral(self) -> bool:
         """Exact integrality certificate for the whole spectrum.
@@ -201,17 +195,17 @@ class Spectrum:
         float half uncomputed.
         """
         order = self.order
-        reps, slot = self._group._classes[2:]
+        classes = self._group._classes
         rows = self._rows[2]
-        abs_s = (self.ints[0, reps] - self.ints[1, reps]) // 2
+        abs_s = (self.ints[0, classes.reps] - self.ints[1, classes.reps]) // 2
         roots = np.array(_roots_of_unity(order))
         dense = np.broadcast_to(np.arange(order)[:, None], rows.T.shape)  # every exponent, zeros included
         turns = order * np.arctan2(_sums(dense, rows.T, roots.imag), _sums(dense, rows.T, roots.real)) / (2 * math.pi)
         e = np.round(turns[:, None] + np.array([0, order / 2])).astype(np.int64) % order
-        spokes = rows[np.arange(len(reps))[:, None, None], (e[:, :, None] - np.arange(order)) % order]
+        spokes = rows[np.arange(len(classes.reps))[:, None, None], (e[:, :, None] - np.arange(order)) % order]
         rational, value = _certify(spokes.reshape(-1, order), order)
         confirmed = rational.reshape(-1, 2) & (value.reshape(-1, 2) == np.stack([abs_s, -abs_s], axis=1))
-        table = np.where(confirmed, e, -1)[slot]
+        table = np.where(confirmed, e, -1)[classes.slot]
         return np.where(table < 0, -1, table * self.class_power[:, None] % order)
 
     def to_json(self) -> dict:
@@ -399,47 +393,6 @@ def _class_terms(rows: np.ndarray, slot: np.ndarray, power: np.ndarray, order: i
     return exponents, keys
 
 
-# _rational_classes sieves from phi(N) = _SIEVE_UNITS on (see there)
-_SIEVE_UNITS = 64
-
-
-def _rational_classes(group) -> tuple[np.ndarray, ...]:
-    # per character chi_i, the least index rep of its rational class
-    # {chi^k : gcd(k, N) = 1} and a unit k with chi_rep^k = chi_i, the inverse
-    # of the least unit u with chi_i^u = chi_rep; then the representatives in
-    # index order and each character's position among them.  inverses[j] is
-    # the inverse of the j-th unit, so it lists the units by increasing inverse
-    n, order = group.order, group.exponent
-    units = [k for k in range(order) if math.gcd(k, order) == 1]  # [0] for N = 1
-    inverses = np.array([pow(k, -1, order) for k in units], dtype=np.int64)
-    # The argmin builds a phi(N) x n table, at some 30 ns an entry; the sieve
-    # makes one pass of some 30 us per class, and a class has at most phi(N)
-    # members, so there are at least n / phi(N) classes.  The sieve can only
-    # win where phi(N)^2 > 1000, and it wins from phi(N) = 64 on (Z_1024,
-    # Z_2 x Z_512, Z_4 x Z_256, Z_3 x Z_5 x Z_7 x Z_9, Z_1000: 3-15x).
-    # Below, the argmin is faster: by 3-30x on Z_32^2, Z_2^10, Z_2^8 and
-    # Z_2^4 x Z_4^2, and by 2-5x on the groups of order <= 12.  n <= 1024, so
-    # the sieve sees n / phi(N) <= 16
-    if len(units) < _SIEVE_UNITS:
-        powers = group.power_indices(np.arange(n), np.array(units))
-        class_rep, class_power = powers.min(axis=0), inverses[powers.argmin(axis=0)]
-        reps = np.flatnonzero(class_rep == np.arange(n))
-        return class_rep, class_power, reps, np.searchsorted(reps, class_rep)
-    # the least unassigned index is a representative, and its orbit chi_rep^k
-    # over the units by increasing inverse gives each member, at its first
-    # occurrence, the k whose inverse is least
-    class_rep, class_power, slot = np.full(n, -1), np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
-    reps = []
-    rep = 0
-    while rep < n:
-        members, first = np.unique(group.power_indices(rep, inverses), return_index=True)
-        class_rep[members], class_power[members], slot[members] = rep, inverses[first], len(reps)
-        reps.append(rep)
-        unassigned = np.flatnonzero(class_rep[rep:] < 0)
-        rep += int(unassigned[0]) if len(unassigned) else n
-    return class_rep, class_power, np.array(reps), slot
-
-
 def spectrum(spec: SemiCayleySpec) -> Spectrum:
     """The exact half of the eigen-data of every character of the group.
 
@@ -453,7 +406,7 @@ def spectrum(spec: SemiCayleySpec) -> Spectrum:
     group = spec.group
     n, order = group.order, group.exponent
     indices = spec.subset_indices
-    class_rep, class_power, reps, slot = group._classes
+    classes = group._classes
 
     # 1_R, 1_L, 1_S, S S^-1 and (1_R - 1_L)^2 as integer weights over G: one
     # bincount gives their rows, and sigma and disc are sums of them
@@ -462,7 +415,7 @@ def spectrum(spec: SemiCayleySpec) -> Spectrum:
     diff = (ring[0] - ring[1])[support]
     ring += [_s_s_inverse(group, indices["S"]), _group_product(group, support, support, np.outer(diff, diff))]
     supports = [np.flatnonzero(element) for element in ring]
-    blocks = _coefficient_rows(group, supports, np.concatenate([w[xs] for w, xs in zip(ring, supports)]), reps)
+    blocks = _coefficient_rows(group, supports, np.concatenate([w[xs] for w, xs in zip(ring, supports)]), classes.reps)
     # certified at each representative, then read by every member of its class
     rows = np.concatenate([*blocks[:3], blocks[0] + blocks[1], blocks[4] + 4 * blocks[3]])  # sigma, then disc
     rational, value = (a.reshape(5, -1) for a in _certify(rows, order))
@@ -475,8 +428,8 @@ def spectrum(spec: SemiCayleySpec) -> Spectrum:
     kept = blocks[:4].copy()  # without the fifth block, which only disc reads
     kept.flags.writeable = False
     return Spectrum(
-        order=order, char_index=group.coords, chi_s_zero=chi_s_zero[slot], ints=ints[:, slot],
-        certified=certified[:, slot], class_rep=class_rep, class_power=class_power,
+        order=order, char_index=group.coords, chi_s_zero=chi_s_zero[classes.slot], ints=ints[:, classes.slot],
+        certified=certified[:, classes.slot], class_rep=classes.rep, class_power=classes.power,
         _group=group, _rows=tuple(kept),
     )
 
@@ -490,9 +443,9 @@ def _float_half(group, rows: tuple, chi_s_zero: np.ndarray) -> _Floats:
     # temporaries lie above them on the heap and are given back when freed.
     # Then the closed forms where chi(S) != 0
     n, order = group.order, group.exponent
-    _, class_power, _, slot = group._classes
+    slot = group._classes.slot
     roots = np.array(_roots_of_unity(order))
-    power = class_power.astype(np.int32)[:, None]  # below N, and int32 divides faster than int64
+    power = group._classes.power.astype(np.int32)[:, None]  # below N, and int32 divides faster than int64
     exponents, coefficients = _class_terms(rows[2], slot, power, order)
     kept = (coefficients != 0).T  # character by character, in ascending exponent
     terms = exponents.T[kept], coefficients.T[kept], np.concatenate([[0], np.cumsum(kept.sum(axis=1))])

@@ -11,8 +11,10 @@ Deliberately independent computation paths:
   whose core `_column` confirms every `yes`; its products are gathers, or
   dense products when rho is above 2n / 8, and it stops at an a posteriori
   error bound, at the Krylov dimension of e_j or at its cap, never after 2n
-  products), and the dense truncated-Taylor scaling-and-squaring
-  exponential (`oracle_expm`, the tests' referee for whole matrices).
+  products; a capped column sums a Chebyshev series whose coefficients come
+  from one FFT, and at t * rho <= 1e-10 it is e_j), and the dense
+  truncated-Taylor scaling-and-squaring exponential (`oracle_expm`, the
+  tests' referee for whole matrices).
 
 Equivalence of the paths, entrywise to 1e-9, is the core QA property of the
 package.  Time is a plain float.  The spectral path reduces it exactly when
@@ -233,8 +235,8 @@ def oracle_column(spec: SemiCayleySpec, j: int, t: float) -> np.ndarray:
 
     Reads the neighbour table (or the adjacency) and the largest degree only,
     no eigen or character data, so it is an independent referee for the
-    spectral path.  Three stopping rules, each with a proven bound on the
-    error in exact arithmetic:
+    spectral path.  Three stopping rules and the identity rule, each with a
+    proven bound on the error in exact arithmetic:
 
     * a posteriori: z(s) = V exp(-isT) e_1 has z' = -iVT exp(-isT) e_1
       = -iAz + i beta_m v_{m+1} e_m^T exp(-isT) e_1, so the error
@@ -267,8 +269,15 @@ def oracle_column(spec: SemiCayleySpec, j: int, t: float) -> np.ndarray:
       y = lambda / rho, x = t rho, c_0 = 1 and c_k = 2: it is within
       2 sum_{k >= m} |J_k(x)| of exp(-it lambda) on [-rho, rho], so V p(T) e_1
       is within that of the column.  m_x makes 4 times that sum at most
-      _CAP_TOL.  After 2n steps the Krylov space is the whole space, and
-      V exp(-itT) e_1 from eigh is the column.
+      _CAP_TOL.  By Jacobi-Anger exp(-ix cos s) = sum_k (-i)^k J_k(x) e^{iks},
+      so the FFT of exp(-ix cos(2 pi j / M)), j < M = 2m + 64, over M has at
+      k < m (-i)^k J_k(x) plus the aliases J_i(x), i = k mod M, |i| > m + 64,
+      each i at one k: less than 2 sum_{i > m} |J_i(x)| in all, which moves
+      p by at most _CAP_TOL.  After 2n steps the Krylov space is the whole
+      space, and V exp(-itT) e_1 from eigh is the column.
+    * identity: at t * rho <= _INVARIANCE_TOL the column is e_j, as
+      |exp(-itA) e_j - e_j| <= t rho, A's eigenvalues lying in [-rho, rho]:
+      no m_x and no coefficient is computed for a subnormal x.
 
     So the products stop growing with t at 2n.  A t that is a bool, not a
     real number, not finite or negative, x above COLUMN_HORIZON (see
@@ -327,23 +336,10 @@ def _tridiagonal_eigh(alpha: np.ndarray, beta: np.ndarray, m: int) -> tuple[np.n
     return np.linalg.eigh(tri)
 
 
-def _bessel(x: float, terms: int) -> list[float]:
-    # J_0(x), ..., J_{terms - 1}(x) by Miller's backward recurrence
-    # J_{k-1} = (2k / x) J_k - J_{k+1}, started beyond both terms and x where
-    # J_k(x) is negligible, rescaled before it can overflow and normalised by
-    # J_0 + 2 (J_2 + J_4 + ...) = 1
-    start = max(terms, int(x + 10 * x ** (1 / 3))) + 30
-    values = [0.0] * (start + 1)
-    upper, current = 0.0, 1e-30
-    values[start] = current
-    for k in range(start, 0, -1):
-        upper, current = current, 2 * k / x * current - upper
-        values[k - 1] = current
-        if abs(current) > 1e250:
-            values[k - 1 :] = [value * 1e-250 for value in values[k - 1 :]]
-            upper, current = upper * 1e-250, values[k - 1]
-    scale = values[0] + 2 * math.fsum(values[2::2])
-    return [value / scale for value in values[:terms]]
+def _chebyshev_coefficients(x: float, m: int) -> np.ndarray:
+    # (-i)^k J_k(x) for k < m, up to aliases, by one FFT (see oracle_column)
+    size = 2 * m + 64
+    return np.fft.fft(np.exp(-1j * x * np.cos(2 * np.pi * np.arange(size) / size)))[:m] / size
 
 
 def _chebyshev(alpha: np.ndarray, beta: np.ndarray, m: int, x: float, rho: float) -> np.ndarray:
@@ -357,13 +353,13 @@ def _chebyshev(alpha: np.ndarray, beta: np.ndarray, m: int, x: float, rho: float
         out[:-1] += b * u[1:]
         return out
 
-    coefficients = [2 * value * (-1j) ** (k % 4) for k, value in enumerate(_bessel(x, m))]
+    coefficients = _chebyshev_coefficients(x, m)
     previous, current = np.zeros(m), np.zeros(m)
     current[0] = 1.0
-    out = coefficients[0] / 2 * current
+    out = coefficients[0] * current
     for k in range(1, m):
         previous, current = current, (scaled(current) if k == 1 else 2 * scaled(current) - previous)
-        out += coefficients[k] * current
+        out += 2 * coefficients[k] * current
     return out
 
 
@@ -371,10 +367,8 @@ def _column(spec: SemiCayleySpec, j: int, t: float) -> np.ndarray:
     # oracle_column of a vertex index and a time that passed _oracle_time
     x = check_horizon(spec, t)
     size = 2 * spec.n
-    if x == 0:
-        column = np.zeros(size, dtype=complex)
-        column[j] = 1.0
-        return column
+    if abs(x) <= _INVARIANCE_TOL:  # the identity rule of oracle_column
+        return np.eye(1, size, j, dtype=complex)[0]
     steps = _lanczos_steps(x, size)
     multiply = _multiplier(spec)  # its table is built before the basis is allocated
     # one row per basis vector, each with the zero slot of the gathers at its end

@@ -5,12 +5,14 @@ arrays or through the character formula, kept here so that the tests can
 compare the two: the R = L block formula for H(t), the 2-adic valuation of
 a rational, inverse closure by the group's tuple law, the vertex list in
 enumeration order, cyclotomic polynomials by exact division, the rational
-classes of characters by an argmin over all unit powers, and integrality in
-Z[zeta_N] by the table of x^j modulo Phi_N and one float64 product.
+classes of characters by an argmin over all unit powers, integrality in
+Z[zeta_N] by the table of x^j modulo Phi_N and one float64 product, and the
+comparison of two spectra field by field.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -18,7 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
-from semicayley import AbelianGroup, ConsistencyError, SemiCayleySpec, ValidationError, Vertex
+from semicayley import AbelianGroup, ConsistencyError, SemiCayleySpec, Spectrum, ValidationError, Vertex
 from semicayley.characters import _prime_factors, cyclotomic_polynomial
 from semicayley.graphs import cay_adjacency
 from semicayley.groups import Element
@@ -128,6 +130,14 @@ def rational_classes_by_argmin(group: AbelianGroup) -> tuple[np.ndarray, ...]:
     class_rep, class_power = powers.min(axis=0), inverses[powers.argmin(axis=0)]
     reps = np.flatnonzero(class_rep == np.arange(group.order))
     return class_rep, class_power, reps, np.searchsorted(reps, class_rep)
+
+
+def same_spectrum(a: Spectrum, b: Spectrum) -> bool:
+    """Equal public fields and equal float halves, the floats computed on both sides if need be."""
+    assert isinstance(a, Spectrum) and isinstance(b, Spectrum)
+    names = [f.name for f in dataclasses.fields(a) if not f.name.startswith("_")]
+    return (all(np.array_equal(getattr(a, name), getattr(b, name)) for name in names)
+            and all(map(np.array_equal, a._floats, b._floats)))
 
 
 @lru_cache(maxsize=None)

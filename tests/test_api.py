@@ -1,6 +1,8 @@
 """The package namespace is its API, and each library entrance refuses bad input with a ValidationError."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -115,3 +117,15 @@ def test_connecting_index_reads_a_vertex_in_either_form():
         want = spec.group.index(((h - g) % 6,))
         assert spec.connecting_index(((g,), 0), ((h,), 1)) == want
         assert spec.connecting_index(Vertex((g,), 1), [[h], 0]) == want
+
+
+def test_no_module_imports_inside_a_function():
+    # each module imports at its top, and the modules import in one order:
+    # errors <- groups <- characters <- spectra <- graphs <- transfer <- pst <- cli
+    found = []
+    for path in sorted(Path(sc.__file__).parent.glob("*.py")):
+        for function in ast.walk(ast.parse(path.read_text())):
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                found += [f"{path.name}:{node.lineno}" for node in ast.walk(function)
+                          if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert found == []

@@ -8,6 +8,7 @@ import pytest
 import semicayley as sc
 from semicayley import (
     AbelianGroup,
+    ConsistencyError,
     SemiCayleySpec,
     ValidationError,
     Vertex,
@@ -215,6 +216,16 @@ def test_verify_at_time_refuses_a_negative_time_before_the_horizon():
     # still comes first: sunlet(5) is not integral, so -1e7 is not reduced
     with pytest.raises(ValidationError, match="time must be nonnegative"):
         verify_at_time(sc.sunlet(5), Vertex((0,), 0), Vertex((1,), 0), -1e7)
+
+
+def test_a_nan_on_either_path_is_a_consistency_error(monkeypatch):
+    # a NaN compares false both ways, so the paths must be found to agree,
+    # not only not found to disagree; min() would then drop the NaN
+    k2 = sc.hypercube(1)
+    monkeypatch.setattr(sc.pst, "_column", lambda spec, j, t: np.full(2 * spec.n, np.nan, dtype=complex))
+    with pytest.raises(ConsistencyError, match="disagree"):
+        verify_at_time(k2, Vertex((0,), 0), Vertex((0,), 1), math.pi / 2)
+
 
 def test_periodicity_examples():
     full4 = sc.dihedral_full_coset(AbelianGroup([4]))

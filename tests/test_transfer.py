@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -19,8 +20,9 @@ from semicayley import (
 )
 from semicayley import transfer
 from semicayley.characters import character_matrix
+from semicayley.cli import run
 from semicayley.graphs import build, cay_adjacency
-from semicayley.transfer import _bessel, _entry_sums, _lanczos_steps, oracle_expm, reduce_time
+from semicayley.transfer import _chebyshev_coefficients, _entry_sums, _lanczos_steps, oracle_expm, reduce_time
 
 from conftest import random_spec
 from referees import block_transfer_rl, vertices
@@ -371,14 +373,31 @@ def test_lanczos_cap_bounds_the_bessel_tail():
 
 
 def test_chebyshev_coefficients_are_bessel_values():
-    # transfer._bessel against J_k(x) = (1 / 2 pi) times the integral of
-    # cos(k s - x sin s) over a period, by the trapezoid rule on 1024 points:
-    # exact up to J_{1024 - k}(x)
-    s = 2 * np.pi * np.arange(1024) / 1024
-    for x in (0.3, 5.0, 37.5, 150.0):
+    # the FFT coefficients of the cap's Chebyshev polynomial against
+    # (-i)^k J_k(x) from Miller's recurrence, which resolves every k of the cap
+    for x in (0.3, 5.0, 37.5, 150.0, 1500.0):
         terms = _lanczos_steps(x, 10**5)
-        referee = np.cos(np.arange(terms)[:, None] * s - x * np.sin(s)).mean(axis=1)
-        assert np.max(np.abs(np.array(_bessel(x, terms)) - referee)) < 1e-13, x
+        referee = np.array(_bessel_series(x)[:terms]) * (-1j) ** (np.arange(terms) % 4)
+        assert np.max(np.abs(_chebyshev_coefficients(x, terms) - referee)) < 1e-13, x
+
+
+def test_tiny_times_give_the_identity_column():
+    # t rho at or below 1e-10 gives e_j, within t rho of the column; from
+    # 5e-11 down to the least positive time, where t rho is subnormal
+    for spec in (sc.sunlet(4), sc.hypercube(3), sc.cone(5)):
+        rho = spec.max_degree
+        for t in (5e-11 / rho, 1e-60 / rho, 1e-100 / rho, 5e-324):
+            dense = oracle_expm(build(spec), t)
+            for j in (0, spec.n):
+                column = oracle_column(spec, j, t)
+                assert np.isfinite(column).all() and np.max(np.abs(column - dense[:, j])) < 1e-10, (spec, t)
+        identity = spec.group.identity
+        for time in ("1e-100", "5e-324"):
+            job = {"command": "pst-check", "graph": spec.to_json(), "time": time,
+                   "from": [list(identity), 0], "to": [list(identity), 1]}
+            report, code = run(job)
+            assert code == 0, report
+            json.dumps(report, allow_nan=False)
 
 
 def test_reduced_time_gives_the_unreduced_magnitudes(rng):
