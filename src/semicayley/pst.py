@@ -54,6 +54,30 @@ H(2 tau) e_u = gamma^2 e_u: P divides 2 tau, and tau < P forces P = 2 tau.
 With P = 2 pi / g_r, tau = pi / g_r.  The deciders therefore only decide
 whether transfer exists; the time is the layer's.
 
+When R = L, layer 1 is layer 0 seen through phi: (g, r) -> (g^-1, 1 - r).
+First, phi is an automorphism of SC(G, R, R, S).  It maps the R-edge
+(g, 0) ~ (g x, 0) onto (g^-1, 1) ~ (g^-1 x^-1, 1), an L-edge because R is
+inverse-closed and L = R, and back in the same way; it maps the spoke
+(g, 0) ~ (g x, 1) onto (g^-1, 1) ~ (g^-1 x^-1, 0), which is the spoke
+(h, 0) ~ (h x, 1) at h = g^-1 x^-1, with the same x in S.  So its
+permutation matrix P has P A P^T = A, hence P H(t) P^T = H(t) and
+H_phi(u),phi(v) = H_uv, S inverse-closed or not.  So the pair (e, 1) -> (a, s)
+transfers exactly as (e, 0) -> (a^-1, 1 - s) does: layer 1's pair at a is
+layer 0's at a^-1, which is a itself for a same-layer pair whose a has
+order 2, as transfer needs.  Second, the deciders give the mirrored pair
+the same certificate, not just the same answer.  The necessary conditions
+read the order of a, which a^-1 shares.  R = L makes layer_gaps[0] and
+layer_gaps[1] equal arrays, so g_1 = g_0, the same-layer checks read the
+same gaps on the same column, and the cross-layer rules that read only the
+spec are shared.  Layer 1's
+sign exponents are layer 0's negated modulo N (-1, no exponent, stays -1),
+and E[chi, a^-1] = -E[chi, a] modulo N, so E[chi, a] = -e exactly when
+E[chi, a^-1] = e: every character gets the same code at a from layer 1 as
+at a^-1 from layer 0, so the first failing character, its rule and its
+detail (which read only layer 0's gaps and k) are the same.  find_pst
+therefore decides layer 0 only when R = L and reads layer 1's verdicts
+through phi.
+
 Every positive verdict is mandatorily confirmed by both the spectral path and
 the independent column oracle (exp(-itA) e_u by Lanczos on the graph's edges),
 so a wrong verdict or time would be caught immediately.  With an
@@ -67,6 +91,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -92,22 +117,22 @@ def time_json(value: float, pi_multiple: Fraction | None) -> dict:
     return {"value": value, "pi_multiple": str(pi_multiple) if pi_multiple is not None else None}
 
 
-@dataclass(frozen=True)
-class PstVerdict:
-    """Decision record for one ordered vertex pair.
+class PstVerdict(NamedTuple):
+    """Decision record for one ordered vertex pair, an immutable named tuple.
 
     status "yes" carries the least witnessing time pi / g_r, g_r the gap gcd
     of the source's layer (see the module docstring; as an exact multiple of
     pi and as a float) and the numeric confirmation magnitudes from both
-    transfer paths; "no" carries the condition that failed.
+    transfer paths; "no" carries the condition that failed, with time and
+    pi_multiple None.
     """
 
     source: Vertex
     target: Vertex
     status: str
-    time: float | None = None
-    pi_multiple: Fraction | None = None
-    certificate: dict = field(default_factory=dict)
+    time: float | None
+    pi_multiple: Fraction | None
+    certificate: dict
 
     def to_json(self) -> dict:
         return {
@@ -180,7 +205,9 @@ def _pair(spec: SemiCayleySpec, u: Vertex, v: Vertex) -> tuple[Vertex, Vertex, n
 # necessary conditions and, across layers, the rules that read only the
 # spec.  The per-case deciders see the elements that pass the necessary
 # conditions and return one outcome per index, a `no` certificate (a dict)
-# or the k of a `yes`, which _verdicts times.
+# or the k of a `yes`, which _verdicts times.  When R = L a call with both
+# cases decides layer 0 only and reads layer 1 through phi (see the module
+# docstring); decide_pair's one case never mirrors, so it referees that.
 
 _NOT_INTEGRAL = "spectrum is not integral (chi(R) or |chi(S)| irrational for some character)"
 
@@ -307,33 +334,46 @@ def _confirmed(spec, u, v, t) -> dict:
 
 
 def _verdicts(spec: SemiCayleySpec, cases: list, columns: np.ndarray) -> list[PstVerdict]:
-    """Verdicts on each case (r, s, pairs) in turn, columns[j] indexing the connecting element of pairs[j].
+    """Verdicts on each case (u, s, targets) in turn, columns[j] indexing the connecting element from u to targets[j].
 
-    The pairs of a case go from layer r to layer s, and the cases are all
-    same-layer or all cross-layer.  Every `yes` is confirmed numerically on
-    its pair.
+    The pairs of a case go from its one source u to its targets on layer s,
+    and the cases are all same-layer or all cross-layer.  When R = L and
+    the call holds two cases, layer 0's and then layer 1's, layer 1's
+    outcome at a is layer 0's at a^-1, which is a for every same-layer pair
+    that passes the necessary conditions (the module docstring proves it);
+    columns then holds a^-1 with each a.  Every `yes` is confirmed
+    numerically on its own pair.
     """
-    same_layer = cases[0][0] == cases[0][1]
+    same_layer = cases[0][0].layer == cases[0][1]
     reasons = _screen(spec, same_layer, columns)
     open_ = [j for j, reason in enumerate(reasons) if reason is None]
     rule = _cross_layer_rule(spec) if open_ and not same_layer else None
+    mirror = None
+    if spec.R == spec.L and len(cases) == 2:
+        position = np.empty(spec.group.order, dtype=np.int64)
+        position[columns] = np.arange(len(columns))
+        mirror = position[spec.group._inverses[columns]].tolist()  # j -> the index of columns[j]^-1
     verdicts = []
-    for r, s, pairs in cases:
-        outcomes: list = [None if reason is None else {"rule": "necessary-condition", "detail": reason}
-                          for reason in reasons]
-        if open_:
-            decided = (_same_layer(spec, r, columns[open_]) if same_layer
-                       else _cross_layer(spec, r, columns[open_], rule))
-            for j, outcome in zip(open_, decided):
-                outcomes[j] = outcome
-        for (u, v), outcome in zip(pairs, outcomes):
+    for u, _, targets in cases:
+        if u.layer == 1 and mirror is not None:
+            outcomes = [outcome if isinstance(outcome, int) else dict(outcome)
+                        for outcome in map(outcomes.__getitem__, mirror)]
+        else:
+            outcomes = [None if reason is None else {"rule": "necessary-condition", "detail": reason}
+                        for reason in reasons]
+            if open_:
+                decided = (_same_layer(spec, u.layer, columns[open_]) if same_layer
+                           else _cross_layer(spec, u.layer, columns[open_], rule))
+                for j, outcome in zip(open_, decided):
+                    outcomes[j] = outcome
+        for v, outcome in zip(targets, outcomes):
             if isinstance(outcome, dict):
-                verdicts.append(PstVerdict(u, v, "no", certificate=outcome))
+                verdicts.append(PstVerdict(u, v, "no", None, None, outcome))
                 continue
-            g = _gap_gcd(spec, r)
+            g = _gap_gcd(spec, u.layer)
             t = math.pi / g
             certificate = {"rule": "valuation-profile", "k": outcome, "confirmation": _confirmed(spec, u, v, t)}
-            verdicts.append(PstVerdict(u, v, "yes", time=t, pi_multiple=Fraction(1, g), certificate=certificate))
+            verdicts.append(PstVerdict(u, v, "yes", t, Fraction(1, g), certificate))
     return verdicts
 
 
@@ -445,7 +485,7 @@ def decide_pair(spec: SemiCayleySpec, u: Vertex, v: Vertex) -> PstVerdict:
     rules; the verdict is find_pst's for the connecting element of (u, v).
     """
     u, v, column = _pair(spec, u, v)
-    return _verdicts(spec, [(u.layer, v.layer, [(u, v)])], column)[0]
+    return _verdicts(spec, [(u, v.layer, [v])], column)[0]
 
 
 def find_pst(spec: SemiCayleySpec) -> list[PstVerdict]:
@@ -456,8 +496,10 @@ def find_pst(spec: SemiCayleySpec) -> list[PstVerdict]:
     ordered by layer pair (0,0), (1,1), (0,1), (1,0) and then by element
     enumeration index.  The verdicts are decide_pair's, but each layer pair
     decides all its elements at once on the index arrays of the group and
-    the spectrum; the one per-pair computation left is the oracle
-    confirmation of a `yes`.
+    the spectrum.  When R = L, layer 1's verdicts are layer 0's read through
+    the automorphism (g, r) -> (g^-1, 1 - r) (see the module docstring), so
+    each kind is decided once.  The one per-pair computation left is the
+    oracle confirmation of a `yes`, which every `yes` gets on its own pair.
     """
     group = spec.group
     elements = group.elements()
@@ -465,8 +507,7 @@ def find_pst(spec: SemiCayleySpec) -> list[PstVerdict]:
     # the same-layer cases, which skip a = e (u = v), then the cross-layer cases
     for start, layers in ((1, ((0, 0), (1, 1))), (0, ((0, 1), (1, 0)))):
         columns = np.arange(start, group.order)
-        targets = [elements[a] for a in columns.tolist()]
-        cases = [(r, s, [(Vertex(group.identity, r), Vertex(g, s)) for g in targets]) for r, s in layers]
+        cases = [(Vertex(group.identity, r), s, [Vertex(g, s) for g in elements[start:]]) for r, s in layers]
         verdicts += _verdicts(spec, cases, columns)
     return verdicts
 

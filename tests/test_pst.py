@@ -924,3 +924,75 @@ def test_only_pst_find_builds_the_character_exponent_table(rng, monkeypatch):
     monkeypatch.setattr(AbelianGroup, "char_exponents", counting)
     assert len([v for v in find_pst(sc.hypercube(9)) if v.status == "yes"]) == 2
     assert len(calls) == 1
+
+
+# -- the layer swap phi: (g, r) -> (g^-1, 1 - r), an automorphism iff R = L --------
+
+# L = R and S = {0, 3} is not inverse-closed: the sign test reads chi(S) from
+# layer 1 and its conjugate from layer 0, and a (1, 0) pair at a is the (0, 1)
+# pair at a^-1
+DIHEDRAL_SKEW = sc.generalized_dihedral(AbelianGroup([8]), [(1,), (7,), (4,)], [(0,), (3,)])
+
+
+def _swap_image(spec):
+    # the index of phi(g, r) for each vertex index r n + i of build's order
+    group = spec.group
+    inverses = [group.index(group.inverse(g)) for g in group.elements()]
+    return np.array([spec.n + i for i in inverses] + inverses)
+
+
+def test_layer_swap_is_an_automorphism_of_the_oracle_when_r_equals_l(rng):
+    # P A P^T = A and P H(t) P^T = H(t) for the permutation matrix P of phi,
+    # written as reindexing by phi (an involution); the dense oracle, not the deciders
+    specs = [random_spec(rng, equal_layers=True) for _ in range(20)] + [
+        *_sign_exponent_specs(), sc.hypercube(4), DIHEDRAL_SKEW,
+        sc.generalized_dicyclic(AbelianGroup([4]), y=(2,), T1=[(1,), (3,)], T2=[(1,), (3,)])]
+    for spec in specs:
+        assert spec.R == spec.L, spec
+        swap = np.ix_(*[_swap_image(spec)] * 2)
+        adjacency = spec.adjacency
+        assert np.array_equal(adjacency[swap], adjacency), spec
+        for t in (0.3, 1.7):
+            h = oracle_expm(adjacency, t)
+            assert np.allclose(h[swap], h, rtol=0, atol=1e-10), (spec, t)
+    assert not DIHEDRAL_SKEW.s_inverse_closed
+    sunlet = sc.sunlet(4)  # R = {+-1}, L = {}
+    assert not np.array_equal(sunlet.adjacency[np.ix_(*[_swap_image(sunlet)] * 2)], sunlet.adjacency)
+
+
+def test_mirrored_verdicts_match_decide_pair_and_the_referee_where_a_is_not_its_inverse():
+    # find_pst reads layer 1 through phi when R = L; decide_pair decides its
+    # one pair unmirrored and the referee rule by rule, so all three must agree
+    rules = set()
+    for spec in [*_sign_exponent_specs(), DIHEDRAL_SKEW]:
+        group = spec.group
+        for verdict in find_pst(spec):
+            u, v = verdict.source, verdict.target
+            if u.layer == 0:
+                continue
+            expected = _referee(spec, u, v)
+            assert _unconfirmed(verdict) == expected, (spec, verdict)
+            assert _unconfirmed(decide_pair(spec, u, v)) == expected, (spec, verdict)
+            if v.layer == 0 and group.inverse(v.element) != v.element:
+                rules.add(verdict.certificate["rule"])
+    assert {"sign", "valuation", "valuation-profile"} <= rules
+
+
+def test_find_pst_decides_each_kind_once_when_r_equals_l(monkeypatch):
+    # host-independent: with R = L the same-layer refuter and the cross-layer
+    # decider run once per find_pst (layer 0 only); with R != L twice, one
+    # call per layer.  Every yes is confirmed on its own pair
+    from semicayley import pst
+
+    calls = dict.fromkeys(("refute_phases", "_cross_layer", "_confirmed"), 0)
+    for name in calls:
+        def counting(*args, _name=name, _original=getattr(pst, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(pst, name, counting)
+    two_k2_beside_c4 = SemiCayleySpec(AbelianGroup([4]), [(2,)], [(1,), (3,)], [])
+    for spec, per_layer_kind in ((sc.hypercube(5), 1), (MENON_TWINS, 1), (two_k2_beside_c4, 2)):
+        calls.update(dict.fromkeys(calls, 0))
+        yes = sum(verdict.status == "yes" for verdict in find_pst(spec))
+        assert yes > 0, spec
+        assert calls == {"refute_phases": per_layer_kind, "_cross_layer": per_layer_kind, "_confirmed": yes}, spec
