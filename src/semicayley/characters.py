@@ -2,12 +2,14 @@
 
 Character sums live in Z[zeta_N], N the group exponent, as integer
 coefficient vectors indexed by powers of zeta_N, and integrality is decided
-exactly, never by comparing floats.  The package runs `_crt_order` (the
-column order of spectra._certify) and `character_matrix`; the public
-`cyclotomic_polynomial` serves `CycloValue.residue`.  `CycloValue` (exact
-arithmetic modulo x^N - 1), `Root`, `eval_character` and `char_sum` are the
-tests' referees, one value at a time; the package does not export them, and
-they stay in this module because the benchmark tracer names them here.
+exactly, never by comparing floats.  The package runs `character_matrix`;
+the public `cyclotomic_polynomial` serves `CycloValue.residue`.
+`CycloValue` (exact arithmetic modulo x^N - 1), `Root`, `eval_character`
+and `char_sum` are the tests' referees, one value at a time; the package
+does not export them, and they stay in this module because the benchmark
+tracer names them here.  The tables of the exponent N that the package
+reads, the CRT column order and the roots of unity, are the group's
+(AbelianGroup._crt_order and _roots).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .groups import MAX_ORDER, AbelianGroup, Element, integer
+from .groups import MAX_ORDER, AbelianGroup, Element, _prime_factors, integer
 
 
 def cyclotomic_polynomial(n) -> tuple[int, ...]:
@@ -48,36 +50,6 @@ def cyclotomic_polynomial(n) -> tuple[int, ...]:
     return _cyclotomic(n)
 
 
-def _prime_factors(n: int) -> list[int]:
-    primes, p = [], 2
-    while p * p <= n:
-        if n % p == 0:
-            primes.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    return primes + [n] if n > 1 else primes
-
-
-def _prime_powers(n: int) -> list[tuple[int, int]]:
-    # (p, q) for each prime p | n, q the largest power of p that divides n
-    return [(p, math.gcd(n, p ** n.bit_length())) for p in _prime_factors(n)]
-
-
-# Bounded: a spectrum reads its own exponent; kept for every exponent, the
-# orders (8 kB at N = 1024) of N = 769 .. 1024 would hold 1.8 MB
-@lru_cache(maxsize=8)
-def _crt_order(n: int) -> np.ndarray:
-    # the exponents e < n in the row-major grid of the prime powers q of n, primes
-    # ascending: zeta_n^e = prod_q zeta_q^(e u_q mod q), u_q = (n/q)^-1 mod q
-    index = np.zeros(n, dtype=np.int64)
-    for _, q in _prime_powers(n):
-        index = index * q + np.arange(n) * pow(n // q, -1, q) % q
-    order = np.argsort(index)
-    order.flags.writeable = False
-    return order
-
-
 @lru_cache(maxsize=None)
 def _cyclotomic(n: int) -> tuple[int, ...]:
     # cached apart from cyclotomic_polynomial, so True or 2.0 never reads the entry of 1 or 2
@@ -101,14 +73,6 @@ def _cyclotomic(n: int) -> tuple[int, ...]:
             chains[: len(poly)] = poly
             poly = chains.reshape(-1, d).cumsum(axis=0).ravel()[: len(poly)]
     return tuple(poly.tolist())
-
-
-# Bounded: a spectrum reads its own exponent, CycloValue.approx mostly one; kept for
-# every exponent, the tuples (41 kB at N = 1024) of N = 769 .. 1024 would hold 8.8 MB
-@lru_cache(maxsize=8)
-def _roots_of_unity(order: int) -> tuple[complex, ...]:
-    # exp(2 pi i j / order) for j = 0 .. order - 1, the terms of every approx
-    return tuple(cmath.exp(2j * math.pi * j / order) for j in range(order))
 
 
 def _reduce_mod(coeffs: Iterable[int], den: tuple[int, ...]) -> tuple[int, ...]:
@@ -166,8 +130,8 @@ class CycloValue:
     @property
     def approx(self) -> complex:
         if self._approx is None:
-            roots = _roots_of_unity(self.order)
-            self._approx = sum(c * root for c, root in zip(self.coeffs, roots) if c) + 0j
+            n = self.order
+            self._approx = sum(c * cmath.exp(2j * math.pi * j / n) for j, c in enumerate(self.coeffs) if c) + 0j
         return self._approx
 
     def _coerce(self, other) -> "CycloValue":

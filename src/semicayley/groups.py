@@ -9,17 +9,20 @@ be shared freely across threads.
 
 AbelianGroup(factors) returns one shared instance per factor tuple, so the
 tables that depend on the group alone (elements, coords, inverses, element
-orders, rational classes, the exponent table) are built once per group, not
-once per spec.  The instances are kept in a cache, under a lock, that drops
-the least recently used groups while the cached groups hold more than
+orders, rational classes, the exponent table, and the CRT column order and
+roots of unity of its exponent N) are built once per group, not once per
+spec.  The instances are kept in a cache, under a lock, that drops the
+least recently used groups while the cached groups hold more than
 MAX_ORDER^2 table entries (order x (order + factors) each): together no more
-than the one exponent table of a group at the maximum order, 8 MB.  An
-evicted group that is still referenced stays valid, and the next
+than the one exponent table of a group at the maximum order, 8 MB.  The two
+tables of N add O(N) entries per group, N <= order, and go with their
+group.  An evicted group that is still referenced stays valid, and the next
 AbelianGroup(factors) builds an equal one.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import operator
 import threading
@@ -241,6 +244,22 @@ class AbelianGroup:
         return _read_only(self.power_indices(np.arange(self.order), -1))
 
     @cached_property
+    def _crt_order(self) -> np.ndarray:
+        # the exponents e < N in the row-major grid of the prime powers q of N, primes
+        # ascending: zeta_N^e = prod_q zeta_q^(e u_q mod q), u_q = (N/q)^-1 mod q
+        n = self.exponent
+        index = np.zeros(n, dtype=np.int64)
+        for _, q in _prime_powers(n):
+            index = index * q + np.arange(n) * pow(n // q, -1, q) % q
+        return _read_only(np.argsort(index))
+
+    @cached_property
+    def _roots(self) -> np.ndarray:
+        # exp(2 pi i j / N) for j < N as CycloValue.approx computes each, for the float half and sign_exponents
+        n = self.exponent
+        return _read_only(np.array([cmath.exp(2j * math.pi * j / n) for j in range(n)]))
+
+    @cached_property
     def _classes(self) -> _Classes:
         # the rational classes of the characters (see _rational_classes), read-only
         return _Classes(*map(_read_only, _rational_classes(self)))
@@ -276,6 +295,22 @@ _cached_entries = 0
 def _entries(group: AbelianGroup) -> int:
     # the entries of a group's order x order and order x factors tables
     return group.order * (group.order + len(group.factors))
+
+
+def _prime_factors(n: int) -> list[int]:
+    primes, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return primes + [n] if n > 1 else primes
+
+
+def _prime_powers(n: int) -> list[tuple[int, int]]:
+    # (p, q) for each prime p | n, q the largest power of p that divides n
+    return [(p, math.gcd(n, p ** n.bit_length())) for p in _prime_factors(n)]
 
 
 def subset_to_json(xs: Iterable[Element]) -> list[list[int]]:

@@ -366,12 +366,13 @@ def _verdicts(spec: SemiCayleySpec, cases: list, columns: np.ndarray) -> list[Ps
                            else _cross_layer(spec, u.layer, columns[open_], rule))
                 for j, outcome in zip(open_, decided):
                     outcomes[j] = outcome
+        if not all(isinstance(outcome, dict) for outcome in outcomes):
+            g = _gap_gcd(spec, u.layer)
+            t = math.pi / g
         for v, outcome in zip(targets, outcomes):
             if isinstance(outcome, dict):
                 verdicts.append(PstVerdict(u, v, "no", None, None, outcome))
                 continue
-            g = _gap_gcd(spec, u.layer)
-            t = math.pi / g
             certificate = {"rule": "valuation-profile", "k": outcome, "confirmation": _confirmed(spec, u, v, t)}
             verdicts.append(PstVerdict(u, v, "yes", t, Fraction(1, g), certificate))
     return verdicts

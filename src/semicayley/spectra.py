@@ -80,9 +80,8 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .characters import _crt_order, _prime_powers, _roots_of_unity
 from .errors import ValidationError
-from .groups import AbelianGroup
+from .groups import AbelianGroup, _prime_powers
 
 if TYPE_CHECKING:
     from .graphs import SemiCayleySpec
@@ -198,12 +197,12 @@ class Spectrum:
         classes = self._group._classes
         rows = self._rows[2]
         abs_s = (self.ints[0, classes.reps] - self.ints[1, classes.reps]) // 2
-        roots = np.array(_roots_of_unity(order))
+        roots = self._group._roots
         dense = np.broadcast_to(np.arange(order)[:, None], rows.T.shape)  # every exponent, zeros included
         turns = order * np.arctan2(_sums(dense, rows.T, roots.imag), _sums(dense, rows.T, roots.real)) / (2 * math.pi)
         e = np.round(turns[:, None] + np.array([0, order / 2])).astype(np.int64) % order
         spokes = rows[np.arange(len(classes.reps))[:, None, None], (e[:, :, None] - np.arange(order)) % order]
-        rational, value = _certify(spokes.reshape(-1, order), order)
+        rational, value = _certify(spokes.reshape(-1, order), self._group)
         confirmed = rational.reshape(-1, 2) & (value.reshape(-1, 2) == np.stack([abs_s, -abs_s], axis=1))
         table = np.where(confirmed, e, -1)[classes.slot]
         return np.where(table < 0, -1, table * self.class_power[:, None] % order)
@@ -246,13 +245,13 @@ class Spectrum:
         return {"characters": rows}
 
 
-def _certify(rows: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Which int64 coefficient rows over zeta_N are rational integers, and their values.
+def _certify(rows: np.ndarray, group: AbelianGroup) -> tuple[np.ndarray, np.ndarray]:
+    """Which int64 coefficient rows over zeta_N, N = group.exponent, are rational integers, and their values.
 
     Q(zeta_N) is the tensor product of the Q(zeta_q), q = p^k over the prime
     powers of N, so the products of the power bases {zeta_q^j : j < phi(q)}
     are a Z-basis of Z[zeta_N] whose first element is 1.  The columns go
-    once into the grid of the q (characters._crt_order), and each q's axis,
+    once into the grid of the q (AbelianGroup._crt_order), and each q's axis,
     split as t q/p + s with t < p, folds its last slab into the others,
     zeta_q^((p-1) q/p + s) = -sum_{t < p-1} zeta_q^(t q/p + s), which leaves
     the coordinates j < phi(q).  A value is rational iff every coordinate
@@ -261,8 +260,8 @@ def _certify(rows: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
     entries of its row, so |coordinate| <= the row's L1 norm: exact in int64
     (the rows of spectrum have L1 norm at most 8 n^2, disc's).
     """
-    coords, rest = rows[:, _crt_order(order)], order
-    for p, q in _prime_powers(order):
+    coords, rest = rows[:, group._crt_order], group.exponent
+    for p, q in _prime_powers(rest):
         coords = coords.reshape(-1, p, rest // p)  # q's axis as (t, s), the later prime powers inside s
         coords = coords[:, :-1] - coords[:, -1:]
         rest //= q
@@ -418,7 +417,7 @@ def spectrum(spec: SemiCayleySpec) -> Spectrum:
     blocks = _coefficient_rows(group, supports, np.concatenate([w[xs] for w, xs in zip(ring, supports)]), classes.reps)
     # certified at each representative, then read by every member of its class
     rows = np.concatenate([*blocks[:3], blocks[0] + blocks[1], blocks[4] + 4 * blocks[3]])  # sigma, then disc
-    rational, value = (a.reshape(5, -1) for a in _certify(rows, order))
+    rational, value = (a.reshape(5, -1) for a in _certify(rows, group))
     chi_s_zero = rational[2] & (value[2] == 0)
     # disc < 2^53, so the float root of a square is exact and root^2 decides
     root = np.rint(np.sqrt(np.maximum(value[4], 0))).astype(np.int64)
@@ -444,7 +443,7 @@ def _float_half(group, rows: tuple, chi_s_zero: np.ndarray) -> _Floats:
     # Then the closed forms where chi(S) != 0
     n, order = group.order, group.exponent
     slot = group._classes.slot
-    roots = np.array(_roots_of_unity(order))
+    roots = group._roots
     power = group._classes.power.astype(np.int32)[:, None]  # below N, and int32 divides faster than int64
     exponents, coefficients = _class_terms(rows[2], slot, power, order)
     kept = (coefficients != 0).T  # character by character, in ascending exponent

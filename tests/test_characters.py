@@ -82,7 +82,7 @@ def test_residue_tables_satisfy_their_recurrence_to_max_order(rng):
         rows[1] = rows[0]
         rows[1, 1 % order] += 1
         rows[2] = rng.integers(-9, 10, order)
-        rational, value = _certify(rows, order)
+        rational, value = _certify(rows, AbelianGroup([order]))
         expected_rational, expected_value = certify_by_table(rows[:3], order)
         assert np.array_equal(rational[:3], expected_rational), order
         assert np.array_equal(value[:3][expected_rational], expected_value[expected_rational]), order

@@ -177,7 +177,7 @@ def test_one_shared_group_per_factor_tuple():
     assert AbelianGroup([3, 2]) is not group and AbelianGroup([3, 2]) != group
     # its tables are built once and are read-only
     assert AbelianGroup([2, 3])._inverses is group._inverses
-    for table in (group.coords, group._inverses, group._orders, *group._classes):
+    for table in (group.coords, group._inverses, group._orders, *group._classes, group._crt_order, group._roots):
         with pytest.raises(ValueError):
             table[0] = 1
 

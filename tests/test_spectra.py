@@ -1,9 +1,11 @@
 import dataclasses
 import gc
+import inspect
 import json
 import math
 import tracemalloc
 import weakref
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from semicayley.graphs import build
 from semicayley.groups import _rational_classes
 from semicayley.spectra import _coefficient_rows, _group_product, _s_s_inverse, spectrum
 
-from conftest import random_inverse_closed, random_spec, random_subset
+from conftest import GROUP_POOL, random_inverse_closed, random_spec, random_subset
 from referees import rational_classes_by_argmin, same_spectrum
 
 
@@ -451,14 +453,14 @@ def test_float_reads_over_many_exponents_leave_bounded_memory():
 
 
 def test_exact_halves_over_many_exponents_leave_bounded_memory():
-    # the certifier's column orders (characters._crt_order) of a few exponents,
+    # the certifier's column orders (AbelianGroup._crt_order) of a few groups,
     # not of every one certified: `period` jobs on the joins over Z_N for 16
     # exponents N, whose orders would leave 16 x 8 kB behind if each were kept;
-    # the bounded cache keeps 8
-    from semicayley import characters
+    # they go with their groups, and the group cache keeps one or two of order ~1000
+    from semicayley import groups
     from semicayley.cli import run
 
-    tracemalloc.start(4)  # deep enough to see _crt_order under np.argsort
+    tracemalloc.start(4)  # deep enough to see the builder under np.argsort
     try:
         before = tracemalloc.take_snapshot()
         for n in range(1009, 1025):
@@ -467,10 +469,35 @@ def test_exact_halves_over_many_exponents_leave_bounded_memory():
         after = tracemalloc.take_snapshot()
     finally:
         tracemalloc.stop()
-    in_characters = [tracemalloc.Filter(True, characters.__file__, all_frames=True)]
+    lines, first = inspect.getsourcelines(AbelianGroup.__dict__["_crt_order"].func)
+    in_builder = [tracemalloc.Filter(True, groups.__file__, lineno, all_frames=True)
+                  for lineno in range(first, first + len(lines))]
     growth = sum(stat.size_diff for stat in
-                 after.filter_traces(in_characters).compare_to(before.filter_traces(in_characters), "filename"))
+                 after.filter_traces(in_builder).compare_to(before.filter_traces(in_builder), "filename"))
     assert growth < 96_000, growth
+
+
+def test_each_group_builds_its_crt_order_and_roots_once(monkeypatch, rng):
+    # the tables of the exponent N belong to the shared group: both halves and
+    # the sign exponents of spectra over the pool's 21 groups, 12 exponents
+    # interleaved, twice over, build each group's column order and roots once
+    built = {"_crt_order": [], "_roots": []}
+    for name, calls in built.items():
+        table = AbelianGroup.__dict__[name].func
+        counting = cached_property(lambda self, table=table, calls=calls: calls.append(self.factors) or table(self))
+        counting.__set_name__(AbelianGroup, name)
+        monkeypatch.setattr(AbelianGroup, name, counting)
+    shared = {factors: AbelianGroup(factors) for factors in GROUP_POOL}
+    assert len({group.exponent for group in shared.values()}) > 8
+    for _ in range(2):
+        for factors in GROUP_POOL:
+            group = AbelianGroup(factors)
+            spect = spectrum(SemiCayleySpec(group, random_inverse_closed(group, rng), random_inverse_closed(group, rng),
+                                            random_subset(group, rng)))
+            spect.lambdas, spect.sign_exponents
+    assert built == {"_crt_order": GROUP_POOL, "_roots": GROUP_POOL}
+    for factors, group in shared.items():
+        assert AbelianGroup(factors)._crt_order is group._crt_order and AbelianGroup(factors)._roots is group._roots
 
 
 def test_s_s_inverse_from_the_complement_equals_the_pairwise_product(rng):
@@ -614,12 +641,12 @@ def test_certify_reduces_exactly_past_2_53():
     from semicayley.spectra import _certify
 
     # zeta_3 + zeta_3^2 = -1, and 1 + zeta_3 = -zeta_3^2 is no integer
-    rational, value = _certify(np.array([[0, 7, 7], [0, 2**40, 2**40], [1, 1, 0]]), 3)
+    rational, value = _certify(np.array([[0, 7, 7], [0, 2**40, 2**40], [1, 1, 0]]), AbelianGroup([3]))
     assert rational.tolist() == [True, True, False] and value[:2].tolist() == [-7, -2**40]
     # every coordinate is a signed sum of distinct entries of its row, so
     # int64 stays exact where a float64 sum would round: 2^60 zeta_105^104
     # is no integer, and 2^60 is certified as itself
-    rational, value = _certify(np.array([[0] * 104 + [2**60], [2**60] + [0] * 104]), 105)
+    rational, value = _certify(np.array([[0] * 104 + [2**60], [2**60] + [0] * 104]), AbelianGroup([105]))
     assert rational.tolist() == [False, True] and value[1] == 2**60
 
 
